@@ -1,5 +1,5 @@
-// Wire-format types for the EbbRT network stack: addresses, packed protocol headers, Internet
-// checksum, and the symmetric RSS hash used by the multiqueue NIC to steer flows to cores.
+// Wire-format types for the EbbRT network stack: addresses, packed protocol headers, and the
+// symmetric RSS hash used by the multiqueue NIC to steer flows to cores.
 //
 // Headers are packed structs read/written in place inside IOBuf views (Figure 2's
 // `buf->Get<EthernetHeader>()` pattern); all multi-byte fields are big-endian on the wire.
@@ -118,27 +118,6 @@ struct Ipv4Header {
   std::size_t HeaderLength() const { return (version_ihl & 0x0f) * 4u; }
 } __attribute__((packed));
 static_assert(sizeof(Ipv4Header) == 20);
-
-// RFC 1071 Internet checksum over `len` bytes.
-inline std::uint16_t InternetChecksum(const void* data, std::size_t len,
-                                      std::uint32_t seed = 0) {
-  std::uint32_t sum = seed;
-  auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 1) {
-    std::uint16_t word;
-    std::memcpy(&word, p, 2);
-    sum += word;
-    p += 2;
-    len -= 2;
-  }
-  if (len == 1) {
-    sum += *p;
-  }
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<std::uint16_t>(~sum);
-}
 
 // --- UDP -------------------------------------------------------------------------------------
 

@@ -11,25 +11,38 @@ void ChecksumAccumulator::Add(const void* data, std::size_t len) {
   auto* p = static_cast<const std::uint8_t*>(data);
   if (odd_ && len > 0) {
     // Previous chunk ended on an odd byte: this byte is the low half of that 16-bit word.
-    sum_ += static_cast<std::uint32_t>(*p) << 8;
+    sum_ += static_cast<std::uint64_t>(*p) << 8;
     ++p;
     --len;
     odd_ = false;
   }
-  while (len > 1) {
-    std::uint16_t word;
-    std::memcpy(&word, p, 2);
-    sum_ += word;
+  // 32-bit words, two per 8-byte load, into 64 bits: no carry is lost below 2^32 words, so
+  // none is folded here.
+  std::uint64_t sum = sum_;
+  for (; len >= 8; p += 8, len -= 8) {
+    std::uint64_t words;
+    std::memcpy(&words, p, 8);
+    sum += (words & 0xffffffffu) + (words >> 32);
+  }
+  if (len >= 4) {
+    std::uint32_t word;
+    std::memcpy(&word, p, 4);
+    sum += word;
+    p += 4;
+    len -= 4;
+  }
+  if (len >= 2) {
+    std::uint16_t half;
+    std::memcpy(&half, p, 2);
+    sum += half;
     p += 2;
     len -= 2;
   }
   if (len == 1) {
-    sum_ += *p;
+    sum += *p;
     odd_ = true;
   }
-  while (sum_ >> 16) {
-    sum_ = (sum_ & 0xffff) + (sum_ >> 16);
-  }
+  sum_ = sum;
 }
 
 void ChecksumAccumulator::AddChain(const IOBuf& chain) {
@@ -39,12 +52,15 @@ void ChecksumAccumulator::AddChain(const IOBuf& chain) {
 }
 
 std::uint16_t ChecksumAccumulator::Finish() const {
-  return static_cast<std::uint16_t>(~sum_ & 0xffff);
+  std::uint64_t sum = sum_;
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xffff);
 }
 
-namespace {
+namespace net_internal {
 
-// Pseudo-header contribution for UDP/TCP checksums.
 void AddPseudoHeader(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
                      std::uint16_t l4_len) {
   struct {
@@ -61,10 +77,6 @@ void AddPseudoHeader(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::
   pseudo.len = HostToNet16(l4_len);
   acc.Add(&pseudo, sizeof(pseudo));
 }
-
-}  // namespace
-
-namespace net_internal {
 
 void FillIpv4(IOBuf& buf, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
               std::size_t l4_header_len, std::size_t payload_len) {
@@ -157,8 +169,8 @@ void NetworkManager::BindUdp(std::uint16_t port, UdpHandler handler) {
 
 void NetworkManager::UnbindUdp(std::uint16_t port) { udp_bindings_.Erase(port); }
 
-Future<void> NetworkManager::SendUdp(Ipv4Addr dst, std::uint16_t src_port,
-                                     std::uint16_t dst_port, std::unique_ptr<IOBuf> data) {
+void NetworkManager::SendUdp(Ipv4Addr dst, std::uint16_t src_port, std::uint16_t dst_port,
+                             std::unique_ptr<IOBuf> data) {
   Interface& iface = interface();
   std::size_t payload_len = data->ComputeChainDataLength();
   auto packet =
@@ -170,13 +182,13 @@ Future<void> NetworkManager::SendUdp(Ipv4Addr dst, std::uint16_t src_port,
   udp.length = HostToNet16(udp_len);
   udp.checksum = 0;
   ChecksumAccumulator acc;
-  AddPseudoHeader(acc, iface.addr(), dst, kIpProtoUdp, udp_len);
+  net_internal::AddPseudoHeader(acc, iface.addr(), dst, kIpProtoUdp, udp_len);
   acc.Add(&udp, sizeof(UdpHeader));
   acc.AddChain(*data);
   std::uint16_t csum = acc.Finish();
   udp.checksum = csum == 0 ? 0xffff : csum;
   packet->AppendChain(std::move(data));
-  return iface.EthArpSend(kEthTypeIpv4, std::move(packet));
+  iface.EthArpSend(kEthTypeIpv4, std::move(packet));
 }
 
 void NetworkManager::HandleUdp(Interface& iface, const Ipv4Header& ip,
@@ -270,22 +282,28 @@ void Interface::ScheduleArpRetry(Ipv4Addr target, int attempt) {
 }
 
 // The paper's Figure 2, modulo naming: route, resolve, fill the Ethernet header in reserved
-// headroom, transmit. On ARP cache hits the lambda runs before EthArpSend returns.
-Future<void> Interface::EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet) {
-  const auto& ip_header = packet->Get<Ipv4Header>();
-  Ipv4Addr local_dest = Route(ip_header.DstAddr());
-  Future<MacAddr> future_macaddr = ArpFind(local_dest);
-  sim::Nic* nic = &nic_;
-  MacAddr src = mac();
-  return future_macaddr.Then(
-      [packet = std::move(packet), proto, nic, src](Future<MacAddr> f) mutable {
-        packet->Retreat(sizeof(EthernetHeader));
-        auto& eth = packet->Get<EthernetHeader>();
-        eth.dst = f.Get();
-        eth.src = src;
-        eth.type = HostToNet16(proto);
-        nic->Transmit(std::move(packet));
-      });
+// headroom, transmit. A cached translation (the per-segment case) frames and transmits before
+// EthArpSend returns, with no future, continuation or shared state; a miss parks the packet
+// on ArpFind's future chain until the reply (or the retry budget) resolves it.
+void Interface::EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet) {
+  Ipv4Addr local_dest = Route(packet->Get<Ipv4Header>().DstAddr());
+  if (const MacAddr* cached = manager_.arp_cache().Find(local_dest.raw)) {
+    FrameAndTransmit(proto, *cached, std::move(packet));
+    return;
+  }
+  ArpFind(local_dest).Then([this, proto, packet = std::move(packet)](Future<MacAddr> f) mutable {
+    FrameAndTransmit(proto, f.Get(), std::move(packet));
+  });
+}
+
+void Interface::FrameAndTransmit(std::uint16_t proto, MacAddr dst,
+                                 std::unique_ptr<IOBuf> packet) {
+  packet->Retreat(sizeof(EthernetHeader));
+  auto& eth = packet->Get<EthernetHeader>();
+  eth.dst = dst;
+  eth.src = mac();
+  eth.type = HostToNet16(proto);
+  nic_.Transmit(std::move(packet));
 }
 
 void Interface::SendArpRequest(Ipv4Addr target) {

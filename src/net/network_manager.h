@@ -6,8 +6,9 @@
 //     Advance()s past its header; applications receive the very IOBuf the device filled.
 //   * No socket layer and no stack-side buffering: applications install handlers and manage
 //     their own pacing.
-//   * ArpFind returns Future<MacAddr>; on a cache hit the continuation runs synchronously
-//     (Figure 2's EthArpSend is reproduced almost line for line in interface.cc).
+//   * ArpFind returns Future<MacAddr>; on a cache hit the continuation runs synchronously.
+//     EthArpSend follows Figure 2, and on a cache hit frames and transmits before returning
+//     without building a future at all.
 //   * Per-flow core affinity via the NIC's symmetric RSS: all processing for a connection
 //     happens on the core where its state lives — no synchronization on the data path.
 #ifndef EBBRT_SRC_NET_NETWORK_MANAGER_H_
@@ -30,7 +31,10 @@ namespace ebbrt {
 class NetworkManager;
 class TcpManager;
 
-// Incremental Internet checksum over IOBuf chains (handles odd-length element boundaries).
+// Incremental RFC 1071 Internet checksum over buffers and IOBuf chains. Sums 32-bit words into
+// a 64-bit accumulator and folds the deferred carries to 16 bits only in Finish() (RFC 1071
+// §2(C)); 2^16 = 1 mod 0xffff, so the fold equals the 16-bit one's-complement sum. A chain
+// element of odd length carries its last byte into the next element's first.
 class ChecksumAccumulator {
  public:
   void Add(const void* data, std::size_t len);
@@ -38,9 +42,16 @@ class ChecksumAccumulator {
   std::uint16_t Finish() const;
 
  private:
-  std::uint32_t sum_ = 0;
+  std::uint64_t sum_ = 0;
   bool odd_ = false;
 };
+
+// RFC 1071 Internet checksum over `len` contiguous bytes.
+inline std::uint16_t InternetChecksum(const void* data, std::size_t len) {
+  ChecksumAccumulator acc;
+  acc.Add(data, len);
+  return acc.Finish();
+}
 
 class Interface {
  public:
@@ -59,8 +70,9 @@ class Interface {
   sim::Nic& nic() { return nic_; }
 
   // Figure 2: route, ARP-resolve, prepend the Ethernet header, transmit. `packet` must start
-  // with a fully-formed IPv4 header and have >= sizeof(EthernetHeader) headroom.
-  Future<void> EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet);
+  // with a fully-formed IPv4 header and have >= sizeof(EthernetHeader) headroom. A packet
+  // whose next hop never answers ARP is dropped.
+  void EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet);
 
   // ARP resolution with a future (synchronous continuation on cache hit).
   Future<MacAddr> ArpFind(Ipv4Addr dest);
@@ -81,6 +93,8 @@ class Interface {
   void ReceiveArp(std::unique_ptr<IOBuf> frame);
   void ReceiveIpv4(std::unique_ptr<IOBuf> frame);
   void SendArpRequest(Ipv4Addr target);
+  // Writes the Ethernet header into the packet's headroom and hands it to the NIC.
+  void FrameAndTransmit(std::uint16_t proto, MacAddr dst, std::unique_ptr<IOBuf> packet);
   // ARP requests are retransmitted until answered (frames can be lost); after the retry
   // budget the waiting futures fail, which propagates to e.g. pending TCP connects.
   void ScheduleArpRetry(Ipv4Addr target, int attempt);
@@ -115,8 +129,8 @@ class NetworkManager {
   void UnbindUdp(std::uint16_t port);
   // Sends `data` (chain) as one datagram. No stack buffering: "an overwhelmed application may
   // have to drop datagrams" — and an oversized one is the application's bug.
-  Future<void> SendUdp(Ipv4Addr dst, std::uint16_t src_port, std::uint16_t dst_port,
-                       std::unique_ptr<IOBuf> data);
+  void SendUdp(Ipv4Addr dst, std::uint16_t src_port, std::uint16_t dst_port,
+               std::unique_ptr<IOBuf> data);
 
   // --- internal plumbing ----------------------------------------------------------------------
   RcuManagerRoot& rcu() { return rcu_; }
@@ -202,6 +216,10 @@ class NetworkManager {
 };
 
 namespace net_internal {
+// Adds the UDP/TCP checksum pseudo-header (RFC 768/793) for an L4 datagram of `l4_len` bytes.
+void AddPseudoHeader(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
+                     std::uint16_t l4_len);
+
 // Writes an IPv4 header at the front of `buf`'s view, which must already cover the IP + L4
 // header bytes (with Ethernet headroom reserved behind it).
 void FillIpv4(IOBuf& buf, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,

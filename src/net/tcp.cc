@@ -47,22 +47,6 @@ std::unique_ptr<IOBuf> SliceView(const IOBuf& owner, std::size_t offset, std::si
   return head;
 }
 
-void AddPseudo(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::uint16_t l4_len) {
-  struct {
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint8_t zero;
-    std::uint8_t proto;
-    std::uint16_t len;
-  } __attribute__((packed)) pseudo;
-  pseudo.src = HostToNet32(src.raw);
-  pseudo.dst = HostToNet32(dst.raw);
-  pseudo.zero = 0;
-  pseudo.proto = kIpProtoTcp;
-  pseudo.len = HostToNet16(l4_len);
-  acc.Add(&pseudo, sizeof(pseudo));
-}
-
 }  // namespace
 
 TcpEntry::TcpEntry(TcpManager& mgr, Interface& ifc, FourTuple t, std::size_t core)
@@ -258,23 +242,24 @@ void TcpManager::EnrollAutoCork(const std::shared_ptr<TcpEntry>& entry) {
 // The pre-cork TcpPcb::Send body: slice into MSS segments, transmit zero-copy views, retain
 // the chain for retransmission.
 void TcpManager::SendPayload(TcpEntry& e, std::unique_ptr<IOBuf> chain, std::size_t len) {
-  std::shared_ptr<IOBuf> owner(std::move(chain));
   std::size_t offset = 0;
   while (offset < len) {
     std::size_t seg_len = std::min(kTcpMss, len - offset);
     std::uint32_t seq = e.snd_nxt;
-    auto views = SliceView(*owner, offset, seg_len);
+    auto views = SliceView(*chain, offset, seg_len);
     e.snd_nxt += static_cast<std::uint32_t>(seg_len);
     TcpEntry::RtxSeg seg;
     seg.seq = seq;
     seg.len = static_cast<std::uint32_t>(seg_len);
     seg.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
     // Retain the application chain for retransmission: zero-copy now, copy only on loss.
-    seg.payload = SliceView(*owner, offset, seg_len);
-    seg.owner = owner;
+    seg.payload = SliceView(*chain, offset, seg_len);
+    offset += seg_len;
+    if (offset == len) {
+      seg.owner = std::move(chain);  // acked last of this send's segments: outlives their views
+    }
     e.rtx_queue.push_back(std::move(seg));
     TransmitSegment(e, kTcpAck | kTcpPsh, std::move(views), seq, /*queue_rtx=*/false);
-    offset += seg_len;
   }
   ArmRtxTimer(e);
 }
@@ -429,8 +414,8 @@ void TcpManager::TransmitSegment(TcpEntry& entry, std::uint8_t flags,
   tcp.checksum = 0;
   tcp.urgent = 0;
   ChecksumAccumulator acc;
-  AddPseudo(acc, entry.tuple.local_ip, entry.tuple.remote_ip,
-            static_cast<std::uint16_t>(sizeof(TcpHeader) + payload_len));
+  net_internal::AddPseudoHeader(acc, entry.tuple.local_ip, entry.tuple.remote_ip, kIpProtoTcp,
+                                static_cast<std::uint16_t>(sizeof(TcpHeader) + payload_len));
   acc.Add(&tcp, sizeof(TcpHeader));
   if (payload) {
     acc.AddChain(*payload);
@@ -568,8 +553,8 @@ void TcpManager::HandleSegment(Interface& iface, const Ipv4Header& ip,
   // Verify the TCP checksum over pseudo-header + segment.
   {
     ChecksumAccumulator acc;
-    AddPseudo(acc, ip.SrcAddr(), ip.DstAddr(),
-              static_cast<std::uint16_t>(segment->ComputeChainDataLength()));
+    net_internal::AddPseudoHeader(acc, ip.SrcAddr(), ip.DstAddr(), kIpProtoTcp,
+                                  static_cast<std::uint16_t>(segment->ComputeChainDataLength()));
     acc.AddChain(*segment);
     if (acc.Finish() != 0) {
       network_.stats().checksum_drops.fetch_add(1, std::memory_order_relaxed);

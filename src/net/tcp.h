@@ -32,7 +32,6 @@
 #ifndef EBBRT_SRC_NET_TCP_H_
 #define EBBRT_SRC_NET_TCP_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -42,6 +41,7 @@
 #include "src/iobuf/iobuf.h"
 #include "src/iobuf/iobuf_queue.h"
 #include "src/net/net_types.h"
+#include "src/platform/ring_queue.h"
 #include "src/rcu/rcu_hash_table.h"
 
 namespace ebbrt {
@@ -187,10 +187,12 @@ class TcpEntry {
     std::uint32_t seq;
     std::uint32_t len;  // payload bytes (+1 virtual byte for SYN/FIN)
     std::uint8_t flags;
-    std::unique_ptr<IOBuf> payload;    // views into `owner`; cloned only on retransmit
-    std::shared_ptr<IOBuf> owner;      // keeps the application chain alive until acked
+    std::unique_ptr<IOBuf> payload;  // views into the send's chain; cloned only on retransmit
+    // The application chain, held by the last segment of its send: segments leave the queue
+    // in sequence order, so it outlives every view into it.
+    std::unique_ptr<IOBuf> owner;
   };
-  std::deque<RtxSeg> rtx_queue;
+  RingQueue<RtxSeg> rtx_queue;
   std::uint64_t rtx_timer = 0;  // Timer handle, 0 when unarmed
   std::uint32_t rtx_backoff = 0;
 

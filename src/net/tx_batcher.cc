@@ -25,13 +25,16 @@ void TxBatcher::Flush() {
   ++flushes_;
   // Swap out the batch: FlushCorked can run application-visible paths (a deferred Close's
   // FIN) that might Send again; those re-enroll into a fresh list and get their own hook
-  // (drained in the same event-boundary pass by the EventManager).
-  std::vector<std::shared_ptr<TcpEntry>> batch;
+  // (drained in the same event-boundary pass by the EventManager). The two vectors trade
+  // roles each flush, so their capacity is reused and steady state allocates nothing.
+  std::vector<std::shared_ptr<TcpEntry>> batch = std::move(spare_);
   batch.swap(pending_);
   for (std::shared_ptr<TcpEntry>& entry : batch) {
     entry->batcher_enrolled = false;
     tcp_.FlushCorked(*entry);
   }
+  batch.clear();
+  spare_ = std::move(batch);
 }
 
 }  // namespace ebbrt

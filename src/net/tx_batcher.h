@@ -52,6 +52,7 @@ class TxBatcher {
  private:
   TcpManager& tcp_;
   std::vector<std::shared_ptr<TcpEntry>> pending_;
+  std::vector<std::shared_ptr<TcpEntry>> spare_;  // the previous flush's emptied batch
   bool hook_queued_ = false;
   std::uint64_t flushes_ = 0;
   std::uint64_t enrollments_ = 0;

@@ -1,7 +1,8 @@
 // Property-style parameterized suites: invariants that must hold across swept parameters.
 //
 //  * TCP delivers byte-exact streams for any (message size, loss rate) combination.
-//  * The chain checksum equals the flat checksum for any split of a buffer.
+//  * The chain checksum equals the flat checksum for any split of a buffer, and both equal a
+//    byte-wise RFC 1071 reference for every length, alignment, split and fill.
 //  * Slab caches hand out non-overlapping, correctly-sized objects for every size class.
 //  * The buddy allocator conserves pages for arbitrary alloc/free interleavings.
 #include <numeric>
@@ -136,6 +137,105 @@ TEST_P(ChecksumSplit, ChainChecksumMatchesFlat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumSplit, ::testing::Range(1, 17));
+
+// --- Checksum kernel against a byte-wise RFC 1071 oracle -----------------------------------
+
+// RFC 1071 §4.1 one network-order byte pair at a time, folding every step: deliberately naive,
+// so it shares nothing with the word-wide kernel it checks. Returns the checksum in network
+// byte order as a number (the kernel returns it in host order, ready to store).
+std::uint16_t ReferenceChecksum(const std::string& data) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    std::uint32_t hi = static_cast<std::uint8_t>(data[i]);
+    std::uint32_t lo = i + 1 < data.size() ? static_cast<std::uint8_t>(data[i + 1]) : 0;
+    sum += (hi << 8) | lo;
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+std::uint16_t ChainChecksum(const std::string& data, const std::vector<std::size_t>& pieces) {
+  auto chain = IOBuf::CopyBuffer(data.data(), 0);
+  std::size_t off = 0;
+  for (std::size_t piece : pieces) {
+    chain->AppendChain(IOBuf::CopyBuffer(data.data() + off, piece));
+    off += piece;
+  }
+  EXPECT_EQ(off, data.size());
+  ChecksumAccumulator acc;
+  acc.AddChain(*chain);
+  return acc.Finish();
+}
+
+std::string RandomBytes(std::size_t len, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string data(len, '\0');
+  for (auto& c : data) {
+    c = static_cast<char>(rng());
+  }
+  return data;
+}
+
+TEST(ChecksumKernel, FlatMatchesReferenceForEveryLengthAndAlignment) {
+  std::string data = RandomBytes(300, 41);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len + start <= data.size(); ++len) {
+      std::string piece = data.substr(start, len);
+      ASSERT_EQ(InternetChecksum(data.data() + start, len), HostToNet16(ReferenceChecksum(piece)))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(ChecksumKernel, ChainSplitAtEveryOffsetMatchesReference) {
+  // Pieces from 1 byte to past two MSS, split at every odd and even offset; the second shape
+  // puts a 1-byte element first, so the middle piece starts at an odd stream offset.
+  std::string data = RandomBytes(2 * kTcpMss + 3, 42);
+  std::uint16_t want = HostToNet16(ReferenceChecksum(data));
+  for (std::size_t k = 1; k < data.size(); ++k) {
+    ASSERT_EQ(ChainChecksum(data, {k, data.size() - k}), want) << "split at " << k;
+    if (k + 1 < data.size()) {
+      ASSERT_EQ(ChainChecksum(data, {1, k, data.size() - 1 - k}), want) << "split 1+" << k;
+    }
+  }
+}
+
+TEST(ChecksumKernel, EqualPiecesFromOneByteToPastTheMss) {
+  std::string data = RandomBytes(3 * kTcpMss + 7, 43);
+  std::uint16_t want = HostToNet16(ReferenceChecksum(data));
+  for (std::size_t piece : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1459, 1460, 1461, 1500}) {
+    std::vector<std::size_t> pieces;
+    for (std::size_t off = 0; off < data.size(); off += piece) {
+      pieces.push_back(std::min(piece, data.size() - off));
+    }
+    EXPECT_EQ(ChainChecksum(data, pieces), want) << "piece " << piece;
+  }
+}
+
+TEST(ChecksumKernel, AllZeroAndAllOnesBuffers) {
+  for (std::size_t len : {1, 2, 3, 4, 7, 8, 1460, 1461, 65536, 65537}) {
+    std::string zeros(len, '\0');
+    std::string ones(len, '\xff');
+    EXPECT_EQ(InternetChecksum(zeros.data(), len), 0xffff) << len;
+    EXPECT_EQ(InternetChecksum(zeros.data(), len), HostToNet16(ReferenceChecksum(zeros)));
+    EXPECT_EQ(InternetChecksum(ones.data(), len), HostToNet16(ReferenceChecksum(ones))) << len;
+    if (len % 2 == 0) {
+      EXPECT_EQ(InternetChecksum(ones.data(), len), 0) << len;  // sum is one's-complement -0
+    }
+  }
+}
+
+TEST(ChecksumKernel, BufferOver64KiBMatchesReference) {
+  // Past 64 KiB the 16-bit sum carries many times over; the deferred fold must keep them all.
+  for (std::size_t len : {std::size_t{70001}, std::size_t{1} << 20}) {
+    std::string data = RandomBytes(len, 44);
+    EXPECT_EQ(InternetChecksum(data.data(), len), HostToNet16(ReferenceChecksum(data))) << len;
+    std::string ones(len, '\xff');
+    EXPECT_EQ(InternetChecksum(ones.data(), len), HostToNet16(ReferenceChecksum(ones))) << len;
+    EXPECT_EQ(ChainChecksum(data, {len / 3, len - len / 3}),
+              HostToNet16(ReferenceChecksum(data)));
+  }
+}
 
 // --- Slab size-class invariants ----------------------------------------------------------------
 

@@ -72,6 +72,149 @@ TEST(SimWorld, PeriodicTimerDeterministicTicks) {
   EXPECT_EQ(ticks, 10);  // fires at 100k..1000k, stopped at 1050k
 }
 
+TEST(SimWorld, TimerStopOnStaleHandleIsNoOpAfterSlotReuse) {
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  bool stale_fired = false;
+  bool fresh_fired = false;
+  SimWorld::SpawnOn(m, 0, [&] {
+    Timer& timer = *Timer::Instance();
+    std::uint64_t stale = timer.Start(1'000, [&stale_fired] { stale_fired = true; });
+    timer.Stop(stale);
+    // The freed slot is reused; the old handle must not reach the new timer.
+    std::uint64_t fresh = timer.Start(2'000, [&fresh_fired] { fresh_fired = true; });
+    EXPECT_NE(fresh, stale);
+    timer.Stop(stale);
+    EXPECT_EQ(timer.pending(), 1u);
+  });
+  world.Run();
+  EXPECT_FALSE(stale_fired);
+  EXPECT_TRUE(fresh_fired);
+}
+
+TEST(SimWorld, PeriodicTimerStopsItselfFromItsCallback) {
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  int ticks = 0;
+  std::uint64_t handle = 0;
+  std::size_t pending_after = ~std::size_t{0};
+  SimWorld::SpawnOn(m, 0, [&] {
+    handle = Timer::Instance()->Start(
+        10'000,
+        [&] {
+          if (++ticks == 3) {
+            Timer::Instance()->Stop(handle);
+            pending_after = Timer::Instance()->pending();
+          }
+        },
+        /*periodic=*/true);
+  });
+  world.Run();  // returns only once no timer is left armed
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(pending_after, 0u);
+}
+
+TEST(SimWorld, PeriodicCallbackStartingTimersRunsInPlace) {
+  // Each tick starts enough one-shots to grow the slot table. The running callable (small
+  // enough to live inline in its slot) must stay where it is and be intact after the Start
+  // calls return.
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  constexpr int kPerTick = 40;
+  constexpr int kTicks = 5;
+  struct Ticker {
+    const Ticker** home;
+    int* ticks;
+    int* fired;
+    std::uint64_t* handle;
+    std::uint64_t canary;
+    void operator()() {
+      if (*home == nullptr) {
+        *home = this;
+      }
+      EXPECT_EQ(*home, this);
+      for (int i = 0; i < kPerTick; ++i) {
+        Timer::Instance()->Start(1'000 + i, [f = fired] { ++*f; });
+      }
+      EXPECT_EQ(canary, 0x5eed5eed5eed5eedu);
+      if (++*ticks == kTicks) {
+        Timer::Instance()->Stop(*handle);
+      }
+    }
+  };
+  const Ticker* home = nullptr;
+  int ticks = 0;
+  int fired = 0;
+  std::uint64_t handle = 0;
+  SimWorld::SpawnOn(m, 0, [&] {
+    handle = Timer::Instance()->Start(
+        10'000, Ticker{&home, &ticks, &fired, &handle, 0x5eed5eed5eed5eedu},
+        /*periodic=*/true);
+  });
+  world.Run();
+  EXPECT_EQ(ticks, kTicks);
+  EXPECT_EQ(fired, kTicks * kPerTick);
+}
+
+TEST(SimWorld, TimersWithEqualDeadlinesFireInStartOrder) {
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  std::vector<int> order;
+  SimWorld::SpawnOn(m, 0, [&] {
+    Timer& timer = *Timer::Instance();
+    std::vector<std::uint64_t> handles;
+    for (int i = 0; i < 20; ++i) {
+      handles.push_back(timer.Start(5'000, [&order, i] { order.push_back(i); }));
+    }
+    // Unlinking entries from the middle of the heap must not disturb the survivors' order.
+    for (int i = 1; i < 20; i += 3) {
+      timer.Stop(handles[i]);
+    }
+  });
+  world.Run();
+  std::vector<int> want;
+  for (int i = 0; i < 20; ++i) {
+    if (i % 3 != 1) {
+      want.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, want);
+}
+
+TEST(SimWorld, TimerPendingDropsToZeroRightAfterStop) {
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  SimWorld::SpawnOn(m, 0, [] {
+    Timer& timer = *Timer::Instance();
+    std::uint64_t a = timer.Start(1'000'000, [] {});
+    std::uint64_t b = timer.Start(2'000'000, [] {}, /*periodic=*/true);
+    EXPECT_EQ(timer.pending(), 2u);
+    timer.Stop(a);
+    EXPECT_EQ(timer.pending(), 1u);
+    timer.Stop(b);
+    EXPECT_EQ(timer.pending(), 0u);
+  });
+  world.Run();
+}
+
+TEST(SimWorld, StoppedTimerDoesNotWakeHaltedCore) {
+  // A Start+Stop'd timer leaves no deadline behind: the core halts with no wake-up at all,
+  // exactly as if the timer had never been started.
+  auto slices_for = [](bool start_and_stop) {
+    SimWorld world;
+    Runtime& m = world.AddMachine("m", 1);
+    SimWorld::SpawnOn(m, 0, [start_and_stop] {
+      if (start_and_stop) {
+        Timer::Instance()->Stop(Timer::Instance()->Start(1'000'000, [] {}));
+      }
+    });
+    world.Run();
+    EXPECT_LT(world.Now(), 1'000'000u);
+    return world.world_stats().slices;
+  };
+  EXPECT_EQ(slices_for(true), slices_for(false));
+}
+
 TEST(SimWorld, CrossMachineSpawnOrdering) {
   SimWorld world;
   Runtime& a = world.AddMachine("a", 1);
