@@ -40,7 +40,8 @@ bool ParseShardRecord(const std::string& record, ShardEndpoint* out) {
 ShardService::ShardService(Runtime& runtime, std::size_t shard_index, Config config)
     : dist::RpcServer(runtime, kShardServiceBase + static_cast<EbbId>(shard_index)),
       shard_index_(shard_index), config_(std::move(config)),
-      store_(RcuManagerRoot::For(runtime)) {
+      store_(RcuManagerRoot::For(runtime)),
+      scratch_(std::max<std::size_t>(1, runtime.num_cores())) {
   Kassert(shard_index < kMaxShards, "ShardService: shard index out of range");
 }
 
@@ -50,6 +51,7 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
   if (config_.on_request) {
     config_.on_request();
   }
+  Scratch& scratch = scratch_[CurrentContext().machine_core];
   switch (opcode) {
     case kShardOpGet: {
       std::size_t body_len = body != nullptr ? body->ComputeChainDataLength() : 0;
@@ -60,15 +62,7 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
       }
       // A single-segment body (the common case) is looked up as a view straight over the
       // wire buffer; only a key that straddled segments pays the flatten.
-      std::string key_storage;
-      std::string_view key;
-      if (body != nullptr && body->Next() == nullptr) {
-        key = {reinterpret_cast<const char*>(body->Data()), body->Length()};
-      } else {
-        key_storage = dist::ChainToString(body.get());
-        key = key_storage;
-      }
-      ItemPtr item = store_.Get(key);
+      ItemPtr item = store_.Get(dist::ContiguousView(body.get(), &scratch.flat));
       if (item == nullptr) {
         Reply(from, request_id, /*aux=*/0, nullptr);
         return;
@@ -84,14 +78,7 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
       std::size_t body_len = body != nullptr ? body->ComputeChainDataLength() : 0;
       std::uint32_t klen_net = 0;
       if (body_len >= sizeof(klen_net)) {
-        std::uint8_t* dst = reinterpret_cast<std::uint8_t*>(&klen_net);
-        std::size_t need = sizeof(klen_net);
-        for (const IOBuf* b = body.get(); b != nullptr && need > 0; b = b->Next()) {
-          std::size_t take = std::min(need, b->Length());
-          std::memcpy(dst, b->Data(), take);
-          dst += take;
-          need -= take;
-        }
+        body->CopyOut(&klen_net, sizeof(klen_net));
       }
       std::size_t klen = NetToHost32(klen_net);
       if (body_len >= sizeof(klen_net) && sizeof(klen_net) + klen <= body_len &&
@@ -100,9 +87,10 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
         ReplyError(from, request_id, "shard: oversized item");
         return;
       }
-      std::string key;
-      std::string value;
-      if (!dist::ParseLenPrefixedBody(dist::ChainToString(body.get()), &key, &value)) {
+      std::string_view key;
+      std::string_view value;
+      if (!dist::ParseLenPrefixedBody(dist::ContiguousView(body.get(), &scratch.flat), &key,
+                                      &value)) {
         ReplyError(from, request_id, "shard: malformed SET body");
         return;
       }
@@ -111,39 +99,38 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
       return;
     }
     case kShardOpMultiGet: {
-      std::vector<std::string> keys;
-      if (!dist::ParseKeyVectorBody(body.get(), &keys)) {
+      if (!dist::ParseKeyVectorBody(body.get(), &scratch.keys, &scratch.flat)) {
         // Malformed batch body: reject through the normal RPC error path (the caller's
         // whole-batch future fails), never assert — the frame itself was sound.
         ReplyError(from, request_id, "shard: malformed MULTIGET body");
         return;
       }
-      std::vector<std::unique_ptr<IOBuf>> values;
-      values.reserve(keys.size());
+      MultiGetReplyBuilder reply;
       std::uint32_t hits = 0;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
+      for (std::size_t i = 0; i < scratch.keys.size(); ++i) {
         // The batch is N logical requests under one frame: charge modeled service time per
         // KEY, not per frame (the top-of-function on_request covered key 0) — the bulk win
         // measured by benches is header/dispatch amortization, not discounted work.
         if (i > 0 && config_.on_request) {
           config_.on_request();
         }
-        if (keys[i].size() > kMaxKeyLen) {
+        std::string_view key = scratch.keys[i];
+        if (key.size() > kMaxKeyLen) {
           // Per-item bound inside a batch: an oversized key can't be stored, so it simply
           // misses — but it is counted, since a conforming client never sends one.
           bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          values.push_back(nullptr);
+          reply.Add(nullptr);
           continue;
         }
-        ItemPtr item = store_.Get(keys[i]);
+        ItemPtr item = store_.Get(key);
         if (item == nullptr) {
-          values.push_back(nullptr);
+          reply.Add(nullptr);
           continue;
         }
         hits++;
-        values.push_back(MakeValueBuffer(std::move(item)));
+        reply.Add(MakeValueBuffer(std::move(item)));
       }
-      Reply(from, request_id, /*aux=*/hits, BuildMultiGetReply(std::move(values)));
+      Reply(from, request_id, /*aux=*/hits, reply.Finish());
       return;
     }
   }
@@ -152,40 +139,45 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
 
 // --- kShardOpMultiGet reply marshaling --------------------------------------------------------
 
-std::unique_ptr<IOBuf> BuildMultiGetReply(std::vector<std::unique_ptr<IOBuf>> values) {
-  // Per entry: one 4-byte status-word buffer, then the value chain itself (spliced, not
-  // copied). JoinChains splices the whole record list in one O(elements) pass.
-  std::vector<std::unique_ptr<IOBuf>> parts;
-  parts.reserve(values.size() * 2);
-  for (auto& value : values) {
-    auto word_buf = IOBuf::CreateReserveFor<sizeof(std::uint32_t)>(0);
-    word_buf->Append(sizeof(std::uint32_t));
-    std::uint32_t word = 0;
-    if (value != nullptr) {
-      word = HostToNet32(kMultiGetFoundBit |
-                         static_cast<std::uint32_t>(value->ComputeChainDataLength()));
-    }
-    std::memcpy(word_buf->WritableData(), &word, sizeof(word));
-    parts.push_back(std::move(word_buf));
-    if (value != nullptr) {
-      parts.push_back(std::move(value));
-    }
+void MultiGetReplyBuilder::Add(std::unique_ptr<IOBuf> value) {
+  auto word_buf = IOBuf::CreateReserveFor<sizeof(std::uint32_t)>(0);
+  word_buf->Append(sizeof(std::uint32_t));
+  std::uint32_t word = 0;
+  if (value != nullptr) {
+    word = HostToNet32(kMultiGetFoundBit |
+                       static_cast<std::uint32_t>(value->ComputeChainDataLength()));
   }
-  return IOBuf::JoinChains(std::move(parts));
+  std::memcpy(word_buf->WritableData(), &word, sizeof(word));
+  Link(std::move(word_buf));
+  if (value != nullptr) {
+    Link(std::move(value));
+  }
 }
 
-bool ParseMultiGetReply(std::unique_ptr<IOBuf> body, std::size_t expected,
-                        std::vector<ShardRouter::GetResult>* out) {
-  out->clear();
-  out->reserve(expected);
+void MultiGetReplyBuilder::Link(std::unique_ptr<IOBuf> chain) {
+  IOBuf* last = chain.get();
+  while (last->Next() != nullptr) {
+    last = last->Next();
+  }
+  if (tail_ == nullptr) {
+    head_ = std::move(chain);
+  } else {
+    tail_->AppendChain(std::move(chain));  // tail_ is the last element: no walk
+  }
+  tail_ = last;
+}
+
+bool ParseMultiGetReply(std::unique_ptr<IOBuf> body, const std::uint32_t* slots,
+                        std::size_t count, ShardRouter::GetResult* results) {
   dist::ChainSplitter splitter(std::move(body));
-  for (std::size_t i = 0; i < expected; ++i) {
+  for (std::size_t j = 0; j < count; ++j) {
     std::uint32_t word = 0;
     if (!splitter.ReadU32(&word)) {
       return false;  // fewer records than the request had keys
     }
-    ShardRouter::GetResult result;
+    ShardRouter::GetResult& result = results[slots[j]];
     result.found = (word & kMultiGetFoundBit) != 0;
+    result.value = nullptr;
     std::uint32_t len = word & ~kMultiGetFoundBit;
     if (result.found && len != 0) {
       // Zero-copy: the value is split off as a shared view of the reply chain's storage.
@@ -194,7 +186,6 @@ bool ParseMultiGetReply(std::unique_ptr<IOBuf> body, std::size_t expected,
         return false;  // value bytes ran short of the declared length
       }
     }
-    out->push_back(std::move(result));
   }
   return splitter.Remaining() == 0;  // exact consumption: trailing bytes are malformed
 }
@@ -339,8 +330,9 @@ ShardRouter::ShardRouter(Runtime& runtime, std::vector<ShardEndpoint> shards,
 ShardRouter::ShardRouter(Runtime& runtime, RingRecord ring, Config config)
     : runtime_(runtime), config_(std::move(config)) {
   Kassert(!ring.shards.empty(), "ShardRouter: no shards");
+  Kassert(ring.shards.size() <= kMaxShards, "ShardRouter: too many shards");
   Kassert(config_.replication >= 1, "ShardRouter: replication must be >= 1");
-  ring_ = BuildRing(ring, config_.vnodes_per_shard);
+  ring_ = BuildRing(ring, config_.vnodes_per_shard, config_.replication);
   suspect_.assign(ring_->shards.size(), 0);
   per_shard_ops_.assign(ring_->shards.size(), 0);
   // Dial every shard up front (the pre-ring behavior); later epochs dial lazily on first
@@ -365,21 +357,19 @@ ShardRouter::ShardRouter(Runtime& runtime, RingRecord ring, Config config)
                          static_cast<double>(stats_.refresh_failures));
         out.emplace_back("router_write_skips", static_cast<double>(stats_.write_skips));
         out.emplace_back("router_ring_epoch", static_cast<double>(ring_->epoch));
-        std::uint64_t timeouts = 0, retries = 0, late_drops = 0, peer_failures = 0,
-                      pending = 0;
+        std::uint64_t timeouts = 0, retries = 0, late_drops = 0, peer_failures = 0;
         for (const auto& entry : clients_) {
           const dist::RpcClient::Stats& s = entry.second->stats();
           timeouts += s.timeouts.load(std::memory_order_relaxed);
           retries += s.retries.load(std::memory_order_relaxed);
           late_drops += s.late_drops.load(std::memory_order_relaxed);
           peer_failures += s.peer_failures.load(std::memory_order_relaxed);
-          pending += entry.second->pending_calls();
         }
         out.emplace_back("rpc_timeouts", static_cast<double>(timeouts));
         out.emplace_back("rpc_retries", static_cast<double>(retries));
         out.emplace_back("rpc_late_drops", static_cast<double>(late_drops));
         out.emplace_back("rpc_peer_failures", static_cast<double>(peer_failures));
-        out.emplace_back("rpc_pending_calls", static_cast<double>(pending));
+        out.emplace_back("rpc_pending_calls", static_cast<double>(pending_calls()));
       });
 }
 
@@ -388,14 +378,31 @@ ShardRouter::~ShardRouter() {
   if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
     obs_root->RemoveCollector(obs_collector_);
   }
+  // Tearing the clients down fails their pending calls, and so the ops waiting on them,
+  // while the batch pool is still alive. The map is swapped out first: nothing a completion
+  // runs may find it half-destroyed, and closing_ keeps the failures from re-issuing.
+  closing_ = true;
+  std::unordered_map<EbbId, std::unique_ptr<dist::RpcClient>> clients;
+  clients.swap(clients_);
+  clients.clear();
+  Kassert(clients_.empty(), "ShardRouter: a shard client was dialed during teardown");
+}
+
+std::size_t ShardRouter::pending_calls() const {
+  std::size_t pending = 0;
+  for (const auto& entry : clients_) {
+    pending += entry.second->pending_calls();
+  }
+  return pending;
 }
 
 std::shared_ptr<const ShardRouter::Ring> ShardRouter::BuildRing(
-    const RingRecord& record, std::size_t vnodes_per_shard) {
+    const RingRecord& record, std::size_t vnodes_per_shard, std::size_t replication) {
   auto ring = std::make_shared<Ring>();
   ring->epoch = record.epoch;
   ring->shards = record.shards;
-  ring->points.reserve(record.shards.size() * vnodes_per_shard);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> points;  // (point, shard)
+  points.reserve(record.shards.size() * vnodes_per_shard);
   for (std::size_t i = 0; i < record.shards.size(); ++i) {
     for (std::size_t v = 0; v < vnodes_per_shard; ++v) {
       // Ring points are named by shard INDEX, not address: the same shard count always
@@ -403,46 +410,54 @@ std::shared_ptr<const ShardRouter::Ring> ShardRouter::BuildRing(
       // building its own) routes identically.
       std::uint64_t point =
           ShardHash("shard/" + std::to_string(i) + "/vnode/" + std::to_string(v));
-      ring->points.emplace_back(point, static_cast<std::uint32_t>(i));
+      points.emplace_back(point, static_cast<std::uint32_t>(i));
     }
   }
-  std::sort(ring->points.begin(), ring->points.end());
+  std::sort(points.begin(), points.end());
+  // Each point's replica row: walk clockwise from it (wrapping past the top) collecting
+  // DISTINCT shards until `width` are found.
+  ring->width = std::min(replication, record.shards.size());
+  ring->points.reserve(points.size());
+  ring->replicas.reserve(points.size() * ring->width);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    ring->points.push_back(points[p].first);
+    std::size_t row = ring->replicas.size();
+    for (std::size_t walked = 0;
+         walked < points.size() && ring->replicas.size() - row < ring->width; ++walked) {
+      auto shard = static_cast<std::uint8_t>(points[(p + walked) % points.size()].second);
+      if (std::find(ring->replicas.begin() + static_cast<std::ptrdiff_t>(row),
+                    ring->replicas.end(), shard) == ring->replicas.end()) {
+        ring->replicas.push_back(shard);
+      }
+    }
+  }
   return ring;
 }
 
-std::vector<std::uint32_t> ShardRouter::Ring::ReplicasFor(std::uint64_t hash,
-                                                          std::size_t r) const {
-  r = std::min(r, shards.size());
-  std::vector<std::uint32_t> replicas;
-  replicas.reserve(r);
-  // First ring point clockwise from the key's hash (wrapping past the top), then keep
-  // walking clockwise collecting DISTINCT shards until R are found.
-  auto it = std::upper_bound(points.begin(), points.end(),
-                             std::make_pair(hash, std::uint32_t{0xffffffff}));
-  for (std::size_t walked = 0; walked < points.size() && replicas.size() < r; ++walked) {
-    if (it == points.end()) {
-      it = points.begin();
-    }
-    std::uint32_t shard = it->second;
-    if (std::find(replicas.begin(), replicas.end(), shard) == replicas.end()) {
-      replicas.push_back(shard);
-    }
-    ++it;
+ShardRouter::ReplicaSet ShardRouter::Ring::ReplicasFor(std::uint64_t hash,
+                                                       std::size_t r) const {
+  // First ring point clockwise from the key's hash, wrapping past the top.
+  std::size_t point = static_cast<std::size_t>(
+      std::upper_bound(points.begin(), points.end(), hash) - points.begin());
+  if (point == points.size()) {
+    point = 0;
   }
-  return replicas;
+  ReplicaSet set;
+  set.size = std::min(r, width);
+  std::memcpy(set.shards.data(), replicas.data() + point * width, set.size);
+  return set;
 }
 
 std::size_t ShardRouter::ShardFor(std::string_view key) const {
-  return ring_->ReplicasFor(ShardHash(key), 1).front();
+  return *ring_->ReplicasFor(ShardHash(key), 1).begin();
 }
 
-std::vector<std::uint32_t> ShardRouter::ReadOrder(const Ring& ring, std::string_view key) {
-  std::vector<std::uint32_t> replicas =
-      ring.ReplicasFor(ShardHash(key), config_.replication);
+ShardRouter::ReplicaSet ShardRouter::ReadOrder(const Ring& ring, std::string_view key) {
+  ReplicaSet replicas = ring.ReplicasFor(ShardHash(key), config_.replication);
   // Healthy replicas first, ring order preserved within each class: a suspect primary stops
   // eating a timeout per read, but stays reachable as the last resort.
   std::stable_partition(replicas.begin(), replicas.end(),
-                        [this](std::uint32_t shard) { return suspect_[shard] == 0; });
+                        [this](std::uint8_t shard) { return !Suspect(shard); });
   return replicas;
 }
 
@@ -522,10 +537,9 @@ void ShardRouter::FinishOpTrace(const OpTrace& trace, std::uint16_t opcode,
 
 Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
   std::shared_ptr<const Ring> ring = ring_;  // op-wide snapshot (RCU read side)
-  std::vector<std::uint32_t> replicas = ReadOrder(*ring, key);
+  ReplicaSet replicas = ReadOrder(*ring, key);
   OpTrace trace = BeginOpTrace();
-  Future<GetResult> result =
-      TryGet(std::move(ring), std::string(key), std::move(replicas), 0, trace);
+  Future<GetResult> result = TryGet(std::move(ring), std::string(key), replicas, 0, trace);
   if (trace.trace_id == 0) {
     return result;
   }
@@ -542,10 +556,9 @@ Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
 }
 
 Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> ring,
-                                                   std::string key,
-                                                   std::vector<std::uint32_t> replicas,
+                                                   std::string key, ReplicaSet replicas,
                                                    std::size_t index, OpTrace trace) {
-  std::uint32_t shard = replicas[index];
+  std::uint32_t shard = replicas.shards[index];
   if (shard < per_shard_ops_.size()) {
     per_shard_ops_[shard]++;
   }
@@ -559,8 +572,7 @@ Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> r
   }
   return ClientFor(ring->shards[shard])
       ->Call(kShardOpGet, 0, IOBuf::CopyBuffer(key), config_.read_options)
-      .Then([this, ring = std::move(ring), key = std::move(key),
-             replicas = std::move(replicas), index,
+      .Then([this, ring = std::move(ring), key = std::move(key), replicas, index,
              trace](Future<dist::RpcClient::Response> f) mutable -> Future<GetResult> {
         try {
           dist::RpcClient::Response response = f.Get();
@@ -570,70 +582,83 @@ Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> r
           return MakeReadyFuture<GetResult>(std::move(result));
         } catch (const dist::RpcTransportError&) {
           // No response will ever come from this replica: suspect it and try the key's
-          // next one. Application errors (server threw) fall through untouched.
-          MarkSuspect(ring, replicas[index]);
-          if (index + 1 < replicas.size()) {
+          // next one. Application errors (server threw) fall through untouched, and so does
+          // everything once the router is closing.
+          if (closing_) {
+            throw;
+          }
+          MarkSuspect(ring, replicas.shards[index]);
+          if (index + 1 < replicas.size) {
             ++stats_.failovers;
-            return TryGet(std::move(ring), std::move(key), std::move(replicas), index + 1,
-                          trace);
+            return TryGet(std::move(ring), std::move(key), replicas, index + 1, trace);
           }
           throw;  // every replica failed: surface the last transport error
         }
       });
 }
 
+ShardRouter::Batch& ShardRouter::AcquireBatch(std::uint16_t opcode) {
+  if (free_batches_.empty()) {
+    batches_.push_back(std::make_unique<Batch>());
+    batches_.back()->router = this;
+    free_batches_.push_back(batches_.back().get());
+  }
+  Batch& batch = *free_batches_.back();
+  free_batches_.pop_back();
+  batch.ring = ring_;  // op-wide snapshot (RCU read side)
+  batch.opcode = opcode;
+  batch.trace = BeginOpTrace();
+  batch.outstanding = 1;  // the issuing call's hold, dropped by its Done()
+  return batch;
+}
+
+ShardRouter::Group& ShardRouter::NewGroup(Batch& batch, std::uint32_t shard) {
+  if (batch.groups_used == batch.groups.size()) {
+    batch.groups.push_back(std::make_unique<Group>());
+    batch.groups.back()->batch = &batch;
+  }
+  Group& group = *batch.groups[batch.groups_used++];
+  group.shard = shard;
+  group.begin = 0;
+  group.count = 0;
+  ++batch.outstanding;
+  return group;
+}
+
 Future<void> ShardRouter::Set(std::string_view key, std::string_view value) {
-  std::shared_ptr<const Ring> ring = ring_;
-  std::vector<std::uint32_t> replicas =
-      ring->ReplicasFor(ShardHash(key), config_.replication);
-  bool all_suspect = true;
-  for (std::uint32_t shard : replicas) {
-    if (suspect_[shard] == 0) {
-      all_suspect = false;
-      break;
-    }
-  }
-  OpTrace trace = BeginOpTrace();
-  std::optional<obs::ObsRoot::TraceScope> scope;
-  if (trace.trace_id != 0) {
-    if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
-      scope.emplace(*obs_root, trace.trace_id, trace.span_id);
-    }
-  }
-  std::vector<Future<void>> pending;
-  pending.reserve(replicas.size());
-  for (std::uint32_t shard : replicas) {
-    if (!all_suspect && suspect_[shard] != 0) {
+  Batch& batch = AcquireBatch(kShardOpSet);
+  batch.set_done.emplace();
+  Future<void> result = batch.set_done->GetFuture();
+  ReplicaSet replicas = batch.ring->ReplicasFor(ShardHash(key), config_.replication);
+  bool all_suspect = std::all_of(replicas.begin(), replicas.end(),
+                                 [this](std::uint8_t shard) { return Suspect(shard); });
+  ReplicaSet targets;
+  for (std::uint8_t shard : replicas) {
+    if (!all_suspect && Suspect(shard)) {
       ++stats_.write_skips;  // don't burn a deadline on a replica believed dead
       continue;
     }
-    per_shard_ops_[shard]++;
-    pending.push_back(
-        ClientFor(ring->shards[shard])
-            ->Call(kShardOpSet, 0, dist::BuildLenPrefixedBody(key, value),
-                   config_.write_options)
-            .Then([this, ring, shard](Future<dist::RpcClient::Response> f) {
-              try {
-                f.Get();
-              } catch (const dist::RpcTransportError&) {
-                MarkSuspect(ring, shard);
-                throw;
-              }
-            }));
+    targets.shards[targets.size++] = shard;
   }
-  Future<void> joined = WhenAll(std::move(pending)).Then([](Future<void> f) { f.Get(); });
-  if (trace.trace_id == 0) {
-    return joined;
-  }
-  return joined.Then([this, trace](Future<void> f) {
-    try {
-      f.Get();
-      FinishOpTrace(trace, kShardOpSet, obs::SpanStatus::kOk);
-    } catch (...) {
-      FinishOpTrace(trace, kShardOpSet, obs::SpanStatus::kError);
-      throw;
+  std::optional<obs::ObsRoot::TraceScope> scope;
+  if (batch.trace.trace_id != 0) {
+    if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
+      scope.emplace(*obs_root, batch.trace.trace_id, batch.trace.span_id);
     }
-  });
+  }
+  // One body for every replica: the others ride clones (views of the same bytes).
+  std::unique_ptr<IOBuf> body = dist::BuildLenPrefixedBody(key, value);
+  for (std::size_t i = 0; i < targets.size; ++i) {
+    std::uint8_t shard = targets.shards[i];
+    per_shard_ops_[shard]++;
+    Group& group = NewGroup(batch, shard);
+    ClientFor(batch.ring->shards[shard])
+        ->Call(kShardOpSet, 0, i + 1 < targets.size ? body->Clone() : std::move(body),
+               config_.write_options, &group);
+  }
+  scope.reset();
+  Done(batch);
+  return result;
 }
 
 Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
@@ -641,124 +666,206 @@ Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
   if (keys.empty()) {
     return MakeReadyFuture<std::vector<GetResult>>(std::vector<GetResult>{});
   }
-  // Keys are copied once into the shared batch state: a group re-issued after a replica
-  // failure runs long after the caller's string_views died.
-  auto state = std::make_shared<MgState>();
-  state->ring = ring_;
-  state->keys.assign(keys.begin(), keys.end());
-  state->results.resize(keys.size());
-  state->trace = BeginOpTrace();
-  std::vector<std::size_t> slots(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    slots[i] = i;
+  Batch& batch = AcquireBatch(kShardOpMultiGet);
+  batch.multiget_done.emplace();
+  Future<std::vector<GetResult>> result = batch.multiget_done->GetFuture();
+  // Keys are copied once into the batch's arena: a group re-issued after a replica failure
+  // runs long after the caller's string_views died.
+  std::size_t bytes = 0;
+  for (std::string_view key : keys) {
+    bytes += key.size();
   }
-  // Shards that already failed THIS BATCH: a re-issued group must not bounce back to the
-  // replica that just timed out (suspect_ alone can't guarantee that — a ring swap between
-  // rounds clears it).
-  auto excluded = std::make_shared<std::vector<char>>(state->ring->shards.size(), 0);
-  return MultiGetSlots(state, std::move(slots), excluded)
-      .Then([this, state](Future<void> f) {
-        try {
-          f.Get();
-        } catch (...) {
-          FinishOpTrace(state->trace, kShardOpMultiGet, obs::SpanStatus::kError);
-          throw;
-        }
-        FinishOpTrace(state->trace, kShardOpMultiGet, obs::SpanStatus::kOk);
-        return std::move(state->results);
-      });
+  batch.arena.resize(bytes);
+  batch.keys.resize(keys.size());
+  batch.order.resize(keys.size());
+  batch.results.resize(keys.size());
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::memcpy(batch.arena.data() + offset, keys[i].data(), keys[i].size());
+    batch.keys[i] = KeySpan{ShardHash(keys[i]), static_cast<std::uint32_t>(offset),
+                            static_cast<std::uint32_t>(keys[i].size())};
+    batch.order[i] = static_cast<std::uint32_t>(i);
+    offset += keys[i].size();
+  }
+  Scatter(batch, 0, keys.size());
+  Done(batch);
+  return result;
 }
 
-Future<void> ShardRouter::MultiGetSlots(std::shared_ptr<MgState> state,
-                                        std::vector<std::size_t> slots,
-                                        std::shared_ptr<std::vector<char>> excluded) {
-  // Scatter: each key goes to its first replica that hasn't failed this batch, preferring
-  // non-suspect ones. slots group by chosen shard so the gather can write results straight
-  // into request-order slots (duplicate keys simply occupy two slots of a sub-batch).
-  constexpr std::uint32_t kNoShard = 0xffffffffu;
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> groups;
-  for (std::size_t slot : slots) {
-    std::vector<std::uint32_t> replicas =
-        state->ring->ReplicasFor(ShardHash(state->keys[slot]), config_.replication);
-    std::uint32_t chosen = kNoShard;
-    for (std::uint32_t shard : replicas) {
-      if ((*excluded)[shard] == 0 && suspect_[shard] == 0) {
+void ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
+  // Choose: each key goes to its first replica that hasn't failed THIS batch, preferring
+  // non-suspect ones (suspect_ alone can't keep a re-issue off the replica that just failed
+  // — a ring swap between rounds clears it). Count keys and key bytes per shard as we go.
+  constexpr std::uint8_t kNoShard = 0xff;
+  std::array<std::uint32_t, kMaxShards> counts{};
+  std::array<std::size_t, kMaxShards> bytes{};
+  batch.chosen.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t slot = batch.order[begin + i];
+    ReplicaSet replicas =
+        batch.ring->ReplicasFor(batch.keys[slot].hash, config_.replication);
+    std::uint8_t chosen = kNoShard;
+    for (std::uint8_t shard : replicas) {
+      if ((batch.excluded >> shard & 1) == 0 && !Suspect(shard)) {
         chosen = shard;
         break;
       }
     }
     if (chosen == kNoShard) {
-      for (std::uint32_t shard : replicas) {
-        if ((*excluded)[shard] == 0) {
+      for (std::uint8_t shard : replicas) {
+        if ((batch.excluded >> shard & 1) == 0) {
           chosen = shard;
           break;
         }
       }
     }
     if (chosen == kNoShard) {
-      return MakeFailedFuture<void>(std::make_exception_ptr(dist::RpcPeerLost(
-          "shard: every replica of '" + state->keys[slot] + "' failed")));
+      if (!batch.error) {
+        batch.error = std::make_exception_ptr(dist::RpcPeerLost(
+            "shard: every replica of '" + std::string(batch.Key(slot)) + "' failed"));
+      }
+      return;
     }
-    groups[chosen].push_back(slot);
+    batch.chosen[i] = chosen;
+    counts[chosen]++;
+    bytes[chosen] += batch.keys[slot].length;
+  }
+  // Group: a counting sort by shard appends the slots to `order`, one run per shard, so the
+  // gather writes each reply straight into request-order result slots (duplicate keys
+  // simply occupy two slots of a run).
+  std::size_t shards = batch.ring->shards.size();
+  std::array<std::uint32_t, kMaxShards> cursor{};
+  auto base = static_cast<std::uint32_t>(batch.order.size());
+  for (std::size_t shard = 0, run = base; shard < shards; ++shard) {
+    cursor[shard] = static_cast<std::uint32_t>(run);
+    run += counts[shard];
+  }
+  batch.order.resize(base + count);
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.order[cursor[batch.chosen[i]]++] = batch.order[begin + i];
   }
   // Scatter under the batch's root span: every per-shard RPC — first round or a failover
   // re-issue rounds later — records its client span as a child of the same root.
   std::optional<obs::ObsRoot::TraceScope> scope;
-  if (state->trace.trace_id != 0) {
+  if (batch.trace.trace_id != 0) {
     if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
-      scope.emplace(*obs_root, state->trace.trace_id, state->trace.span_id);
+      scope.emplace(*obs_root, batch.trace.trace_id, batch.trace.span_id);
     }
   }
-  std::vector<Future<void>> pending;
-  pending.reserve(groups.size());
-  for (auto& group : groups) {
-    std::uint32_t shard = group.first;
-    std::vector<std::size_t> group_slots = std::move(group.second);
-    std::size_t count = group_slots.size();
-    if (shard < per_shard_ops_.size()) {
-      per_shard_ops_[shard] += count;
+  std::uint32_t run = base;
+  for (std::uint32_t shard = 0; shard < shards; ++shard) {
+    if (counts[shard] == 0) {
+      continue;
     }
-    std::vector<std::string_view> group_keys;
-    group_keys.reserve(count);
-    for (std::size_t slot : group_slots) {
-      group_keys.push_back(state->keys[slot]);
+    if (shard < per_shard_ops_.size()) {
+      per_shard_ops_[shard] += counts[shard];
+    }
+    Group& group = NewGroup(batch, shard);
+    group.begin = run;
+    group.count = counts[shard];
+    run += counts[shard];
+    dist::KeyVectorBuilder body(group.count, bytes[shard]);
+    for (std::uint32_t j = 0; j < group.count; ++j) {
+      body.Add(batch.Key(batch.order[group.begin + j]));
     }
     // ONE RPC per shard touched: the whole sub-batch rides a single kShardOpMultiGet frame
     // (and, via the Messenger's auto-cork, the whole fan-out leaves this event as at most
     // one wire segment per shard).
-    pending.push_back(
-        ClientFor(state->ring->shards[shard])
-            ->Call(kShardOpMultiGet, static_cast<std::uint32_t>(count),
-                   dist::BuildKeyVectorBody(group_keys), config_.read_options)
-            .Then([this, state, excluded, shard, group_slots = std::move(group_slots),
-                   count](Future<dist::RpcClient::Response> f) mutable -> Future<void> {
-              try {
-                dist::RpcClient::Response response = f.Get();
-                std::vector<GetResult> partial;
-                if (!ParseMultiGetReply(std::move(response.body), count, &partial)) {
-                  throw std::runtime_error("shard: malformed MULTIGET reply");
-                }
-                for (std::size_t j = 0; j < count; ++j) {
-                  state->results[group_slots[j]] = std::move(partial[j]);
-                }
-                return MakeReadyFuture<void>();
-              } catch (const dist::RpcTransportError&) {
-                // Exactly this group's keys re-scatter to their next replicas; groups that
-                // answered keep their results (the batch fails only when some key exhausts
-                // its replica set). Application errors propagate through WhenAll untouched.
-                MarkSuspect(state->ring, shard);
-                (*excluded)[shard] = 1;
-                ++stats_.failovers;
-                return MultiGetSlots(state, std::move(group_slots), excluded);
-              }
-            }));
+    ClientFor(batch.ring->shards[shard])
+        ->Call(kShardOpMultiGet, group.count, body.Finish(), config_.read_options, &group);
   }
-  return WhenAll(std::move(pending)).Then([](Future<void> f) { f.Get(); });
+}
+
+void ShardRouter::Group::OnResponse(dist::RpcResponse response) {
+  if (batch->opcode == kShardOpMultiGet &&
+      !ParseMultiGetReply(std::move(response.body), batch->order.data() + begin, count,
+                          batch->results.data()) &&
+      !batch->error) {
+    batch->error =
+        std::make_exception_ptr(std::runtime_error("shard: malformed MULTIGET reply"));
+  }
+  batch->router->Done(*batch);
+}
+
+void ShardRouter::Group::OnFailure(std::exception_ptr error) {
+  ShardRouter& router = *batch->router;
+  bool transport = false;
+  try {
+    std::rethrow_exception(error);
+  } catch (const dist::RpcTransportError&) {
+    transport = true;
+  } catch (...) {
+  }
+  if (transport && !router.closing_) {
+    router.MarkSuspect(batch->ring, shard);
+    if (batch->opcode == kShardOpMultiGet) {
+      // Exactly this group's keys re-scatter to their next replicas; groups that answered
+      // keep their results (the batch fails only when some key exhausts its replica set).
+      batch->excluded |= std::uint32_t{1} << shard;
+      ++router.stats_.failovers;
+      router.Scatter(*batch, begin, count);
+      router.Done(*batch);
+      return;
+    }
+  }
+  // Application errors, failed writes, and everything once the router is closing are final.
+  if (!batch->error) {
+    batch->error = std::move(error);
+  }
+  router.Done(*batch);
+}
+
+void ShardRouter::Done(Batch& batch) {
+  if (--batch.outstanding != 0) {
+    return;
+  }
+  // Take the outcome out and recycle the batch BEFORE resolving: the caller's continuation
+  // usually issues its next op synchronously, and that op reuses this (cache-warm) state.
+  std::exception_ptr error = std::exchange(batch.error, nullptr);
+  OpTrace trace = batch.trace;
+  obs::SpanStatus status = error ? obs::SpanStatus::kError : obs::SpanStatus::kOk;
+  if (batch.opcode == kShardOpMultiGet) {
+    Promise<std::vector<GetResult>> done = std::move(*batch.multiget_done);
+    std::vector<GetResult> results = std::move(batch.results);
+    Recycle(batch);
+    FinishOpTrace(trace, kShardOpMultiGet, status);
+    if (error) {
+      done.SetException(std::move(error));
+    } else {
+      done.SetValue(std::move(results));
+    }
+    return;
+  }
+  Promise<void> done = std::move(*batch.set_done);
+  Recycle(batch);
+  FinishOpTrace(trace, kShardOpSet, status);
+  if (error) {
+    done.SetException(std::move(error));
+  } else {
+    done.SetValue();
+  }
+}
+
+void ShardRouter::Recycle(Batch& batch) {
+  batch.multiget_done.reset();
+  batch.set_done.reset();
+  batch.ring.reset();
+  batch.excluded = 0;
+  batch.arena.clear();
+  batch.keys.clear();
+  batch.results.clear();
+  batch.order.clear();
+  batch.groups_used = 0;
+  free_batches_.push_back(&batch);
 }
 
 bool ShardRouter::AdoptRing(const RingRecord& record) {
   if (record.shards.empty()) {
     return false;  // never adopt an unroutable ring (ParseRingRecord rejects these anyway)
+  }
+  if (record.shards.size() > kMaxShards) {
+    ++stats_.malformed_rings;  // more shards than there are shard service ids
+    return false;
   }
   if (record.epoch < ring_->epoch) {
     ++stats_.stale_rings;
@@ -779,7 +886,7 @@ bool ShardRouter::AdoptRing(const RingRecord& record) {
   }
   // The swap: in-flight ops drain against the snapshot they captured; everything issued
   // after this line routes on the new epoch with a clean slate of suspicion.
-  ring_ = BuildRing(record, config_.vnodes_per_shard);
+  ring_ = BuildRing(record, config_.vnodes_per_shard, config_.replication);
   suspect_.assign(ring_->shards.size(), 0);
   if (!same_shards) {
     per_shard_ops_.assign(ring_->shards.size(), 0);

@@ -22,8 +22,10 @@
 #ifndef EBBRT_SRC_APPS_MEMCACHED_SHARD_H_
 #define EBBRT_SRC_APPS_MEMCACHED_SHARD_H_
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,9 +49,9 @@ inline constexpr std::uint16_t kShardOpGet = 1;
 inline constexpr std::uint16_t kShardOpSet = 2;
 // Bulk GET: one RPC carries a whole key batch to a shard — the 16-byte RpcHeader, the
 // pending-table entry, and the per-frame dispatch are paid once per SHARD instead of once
-// per KEY. Request body is dist::BuildKeyVectorBody's packed key vector (aux = key count);
+// per KEY. Request body is dist::KeyVectorBuilder's packed key vector (aux = key count);
 // the reply is one IOBuf chain of per-key records in request order (aux = hit count), each
-// [u32 status word][value bytes if found] — see BuildMultiGetReply/ParseMultiGetReply.
+// [u32 status word][value bytes if found] — see MultiGetReplyBuilder/ParseMultiGetReply.
 inline constexpr std::uint16_t kShardOpMultiGet = 3;
 
 // Per-key reply status word: top bit = found, low 31 bits = value length. A miss is a bare
@@ -110,9 +112,18 @@ class ShardService final : public dist::RpcServer {
   void HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint16_t opcode,
                   std::uint32_t aux, std::unique_ptr<IOBuf> body) override;
 
+  // Per-core parse scratch (HandleCall runs on the request connection's core): key views of
+  // the batch being served, and the flattened body when it spanned segments. Capacity is
+  // kept across requests, so the steady state parses without allocating.
+  struct alignas(kCacheLineSize) Scratch {
+    std::vector<std::string_view> keys;
+    std::vector<char> flat;
+  };
+
   std::size_t shard_index_;
   Config config_;
   KvStore store_;
+  std::vector<Scratch> scratch_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
 };
@@ -197,6 +208,9 @@ class ShardRouter {
               std::size_t vnodes_per_shard = 128);
   // Replicated router over a versioned ring.
   ShardRouter(Runtime& runtime, RingRecord ring, Config config);
+  // Fails every op still in flight exactly once with RpcPeerLost and re-issues nothing:
+  // tearing the RPC clients down resolves their pending calls, and a closing router treats
+  // those failures as final instead of failing over.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -217,19 +231,24 @@ class ShardRouter {
   // Write-all: the value goes to every non-suspect replica of the key (all of them when
   // every replica is suspect — total blindness must not wedge writes); skipped replicas
   // tick stats().write_skips. A transport failure marks the replica suspect and fails the
-  // future (the caller decides whether a partially applied write is worth retrying).
+  // future (the caller decides whether a partially applied write is worth retrying). Like
+  // MultiGet, it runs on pooled batch state: the future's state is its only allocation.
   Future<void> Set(std::string_view key, std::string_view value);
 
   // Bulk scatter-gather GET. Partitions `keys` per shard on the ring, ships EXACTLY ONE
   // kShardOpMultiGet RPC per shard touched (requests issued in one event cork per shard:
   // the whole fan-out leaves as at most one wire segment per shard), and joins the partial
   // replies zero-copy — each per-key value is a shared view carved out of its shard's
-  // reply chain (IOBufQueue::Split), never memcpy'd — into request order via WhenAll.
+  // reply chain (IOBufQueue::Split), never memcpy'd — straight into request order.
   // Duplicate keys are answered per occurrence. Partial-failure policy: per-key misses are
   // found=false results; a shard group's transport error marks that replica suspect and
   // RE-ISSUES exactly that group's keys against their next replicas (the batch only fails
-  // when some key runs out of replicas); application errors fail the whole batch (WhenAll's
-  // first-error-wins join).
+  // when some key runs out of replicas); application errors fail the whole batch. The first
+  // error wins, reported only once every group has finished.
+  //
+  // Steady state allocates nothing but the returned future's state and result vector: the
+  // op's keys, slot lists and per-shard completions live in a batch state recycled through
+  // the router's pool.
   Future<std::vector<GetResult>> MultiGet(const std::vector<std::string_view>& keys);
 
   // Adopts `record` if its epoch is newer than the installed ring's: routing state is
@@ -256,6 +275,8 @@ class ShardRouter {
   std::size_t shard_count() const { return ring_->shards.size(); }
 
   const Stats& stats() const { return stats_; }
+  // Shard RPCs issued and not yet resolved, summed over this router's clients.
+  std::size_t pending_calls() const;
 
   // Per-shard request counters (routing balance), indexed into the CURRENT ring's shard
   // list (reset when a swap changes the shard set). The router is per-core client state
@@ -266,6 +287,16 @@ class ShardRouter {
   double Imbalance() const;
 
  private:
+  // A key's replica set: up to kMaxShards distinct shard indices, inline (no allocation).
+  struct ReplicaSet {
+    std::array<std::uint8_t, kMaxShards> shards{};
+    std::size_t size = 0;
+    const std::uint8_t* begin() const { return shards.data(); }
+    const std::uint8_t* end() const { return shards.data() + size; }
+    std::uint8_t* begin() { return shards.data(); }
+    std::uint8_t* end() { return shards.data() + size; }
+  };
+
   // One immutable routing snapshot per epoch, RCU-published through `ring_`: ops capture
   // the shared_ptr once and use that snapshot end-to-end, so a concurrent AdoptRing never
   // yanks state out from under an in-flight failover chain (the old Ring lives until its
@@ -273,10 +304,14 @@ class ShardRouter {
   struct Ring {
     std::uint64_t epoch = 0;
     std::vector<ShardEndpoint> shards;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> points;  // (point, shard), sorted
+    std::vector<std::uint64_t> points;  // ring point hashes, sorted
+    // For each ring point, the first `width` DISTINCT shards clockwise from it (width =
+    // min(replication, shards)), precomputed so a lookup is one upper_bound and a copy.
+    std::vector<std::uint8_t> replicas;
+    std::size_t width = 0;
 
-    // The key's replica set: first `r` DISTINCT shards clockwise from `hash`.
-    std::vector<std::uint32_t> ReplicasFor(std::uint64_t hash, std::size_t r) const;
+    // The key's replica set: first min(r, width) DISTINCT shards clockwise from `hash`.
+    ReplicaSet ReplicasFor(std::uint64_t hash, std::size_t r) const;
   };
 
   // Trace identity of one routed operation's ROOT span (the kLocal span every shard RPC of
@@ -293,26 +328,74 @@ class ShardRouter {
   // Records the op's kLocal root span (no-op for an untraced OpTrace).
   void FinishOpTrace(const OpTrace& trace, std::uint16_t opcode, obs::SpanStatus status);
 
-  // Shared MultiGet state: owned key copies (retried groups outlive the caller's views)
-  // and the request-order result slots.
-  struct MgState {
+  struct Batch;
+  // One shard RPC of a batch, and its completion target: a MultiGet group carries the
+  // slots [begin, begin + count) of the batch's `order` list; a Set group carries none.
+  struct Group final : dist::RpcCompletion {
+    Batch* batch = nullptr;
+    std::uint32_t shard = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+    void OnResponse(dist::RpcResponse response) override;
+    void OnFailure(std::exception_ptr error) override;
+  };
+  // One MultiGet's key bytes within its batch's arena.
+  struct KeySpan {
+    std::uint64_t hash;
+    std::uint32_t offset;
+    std::uint32_t length;
+  };
+  // Per-op state of a MultiGet or Set, recycled through the router's pool (every vector
+  // keeps its capacity). `outstanding` counts groups in flight plus one hold while a
+  // scatter issues; the op finishes when it reaches zero.
+  struct Batch {
+    ShardRouter* router = nullptr;
     std::shared_ptr<const Ring> ring;
-    std::vector<std::string> keys;
-    std::vector<GetResult> results;
     OpTrace trace;
+    std::uint16_t opcode = 0;
+    std::uint32_t excluded = 0;  // shards that failed THIS batch (bit per ring index)
+    std::size_t outstanding = 0;
+    std::exception_ptr error;    // first error observed
+    std::vector<char> arena;     // key bytes (MultiGet): owned, so re-issues outlive the caller
+    std::vector<KeySpan> keys;   // request order
+    std::vector<GetResult> results;
+    // Slot lists grouped by shard: the first keys.size() entries are the request order,
+    // then each scatter appends its slots sorted by chosen shard (a counting sort).
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint8_t> chosen;  // scatter scratch: each slot's shard
+    std::vector<std::unique_ptr<Group>> groups;  // stable: clients hold Group* completions
+    std::size_t groups_used = 0;
+    std::optional<Promise<std::vector<GetResult>>> multiget_done;
+    std::optional<Promise<void>> set_done;
+
+    std::string_view Key(std::uint32_t slot) const {
+      return {arena.data() + keys[slot].offset, keys[slot].length};
+    }
   };
 
   static std::shared_ptr<const Ring> BuildRing(const RingRecord& record,
-                                               std::size_t vnodes_per_shard);
+                                               std::size_t vnodes_per_shard,
+                                               std::size_t replication);
   // The key's replicas ordered for a read: ring order, non-suspect first.
-  std::vector<std::uint32_t> ReadOrder(const Ring& ring, std::string_view key);
+  ReplicaSet ReadOrder(const Ring& ring, std::string_view key);
+  bool Suspect(std::uint32_t shard) const {
+    return shard < suspect_.size() && suspect_[shard] != 0;
+  }
   dist::RpcClient* ClientFor(const ShardEndpoint& endpoint);
   void MarkSuspect(const std::shared_ptr<const Ring>& ring, std::uint32_t shard);
   Future<GetResult> TryGet(std::shared_ptr<const Ring> ring, std::string key,
-                           std::vector<std::uint32_t> replicas, std::size_t index,
-                           OpTrace trace);
-  Future<void> MultiGetSlots(std::shared_ptr<MgState> state, std::vector<std::size_t> slots,
-                             std::shared_ptr<std::vector<char>> excluded);
+                           ReplicaSet replicas, std::size_t index, OpTrace trace);
+
+  Batch& AcquireBatch(std::uint16_t opcode);
+  Group& NewGroup(Batch& batch, std::uint32_t shard);
+  // Routes order[begin, begin + count) to each slot's first replica not excluded from the
+  // batch (non-suspect first) and issues one kShardOpMultiGet per shard chosen. When some
+  // key has no replica left, records the batch error and issues nothing.
+  void Scatter(Batch& batch, std::size_t begin, std::size_t count);
+  // Drops one `outstanding` reference; the last one returns the batch to the pool and then
+  // resolves the op (the caller's continuation usually issues the next op at once).
+  void Done(Batch& batch);
+  void Recycle(Batch& batch);
 
   Runtime& runtime_;
   Config config_;
@@ -327,6 +410,10 @@ class ShardRouter {
   Stats stats_;
   std::uint64_t watcher_timer_ = 0;
   bool refresh_inflight_ = false;
+  bool closing_ = false;  // set by the destructor: failures are final, nothing re-issues
+  // The batch pool: every batch ever made (owned), and the ones not in flight.
+  std::vector<std::unique_ptr<Batch>> batches_;
+  std::vector<Batch*> free_batches_;
   // Re-homes the router's failover stats and its RpcClients' fault counters (timeouts,
   // retries, late drops, peer failures) into the machine's metric registry as a pull-style
   // collector — sampled at snapshot time only, removed in the destructor.
@@ -337,18 +424,32 @@ class ShardRouter {
 // Exposed (rather than buried in the service/router) so both ends and the zero-copy tests
 // share one wire definition.
 
-// Builds the reply chain: per entry one status word, then the value chain when non-null
-// (null = miss). Values are spliced in as-is — for the service these are MakeValueBuffer
-// views of stored items, so the reply references the store's bytes without copying. O(total
-// chain elements) via IOBuf::JoinChains.
-std::unique_ptr<IOBuf> BuildMultiGetReply(std::vector<std::unique_ptr<IOBuf>> values);
+// Builds the reply chain record by record: per entry one status word, then the value chain
+// when non-null (null = miss). Values are spliced in as-is — for the service these are
+// MakeValueBuffer views of stored items, so the reply references the store's bytes without
+// copying. A running tail keeps each Add O(elements added).
+class MultiGetReplyBuilder {
+ public:
+  void Add(std::unique_ptr<IOBuf> value);
+  std::unique_ptr<IOBuf> Finish() {
+    tail_ = nullptr;
+    return std::move(head_);
+  }
 
-// Parses a received reply chain into `expected` results (request key order). Zero-copy:
-// status words are chain-copied out (scalars), value bytes are Split off as shared views of
-// the reply chain's storage. False on a truncated/malformed reply (wrong record count,
-// short value, trailing bytes).
-bool ParseMultiGetReply(std::unique_ptr<IOBuf> body, std::size_t expected,
-                        std::vector<ShardRouter::GetResult>* out);
+ private:
+  void Link(std::unique_ptr<IOBuf> chain);
+
+  std::unique_ptr<IOBuf> head_;
+  IOBuf* tail_ = nullptr;
+};
+
+// Parses a received reply chain of `count` records, writing record j into
+// results[slots[j]] (the request-order slot of the j-th key sent). Zero-copy: status words
+// are chain-copied out (scalars), value bytes are Split off as shared views of the reply
+// chain's storage. False on a truncated/malformed reply (too few records, short value,
+// trailing bytes); slots already written then hold partial results.
+bool ParseMultiGetReply(std::unique_ptr<IOBuf> body, const std::uint32_t* slots,
+                        std::size_t count, ShardRouter::GetResult* results);
 
 }  // namespace memcached
 }  // namespace ebbrt

@@ -70,12 +70,14 @@ class FileSystemServer final : public RpcServer {
   }
 
   void HandleWrite(Ipv4Addr from, std::uint64_t request_id, std::unique_ptr<IOBuf> body) {
-    std::string path;
-    std::string contents;
-    if (!ParseLenPrefixedBody(ChainToString(body.get()), &path, &contents)) {
+    std::string raw = ChainToString(body.get());
+    std::string_view path_view;
+    std::string_view contents;
+    if (!ParseLenPrefixedBody(raw, &path_view, &contents)) {
       ReplyError(from, request_id, "FileSystem::WriteFile: malformed request");
       return;
     }
+    std::string path(path_view);
     std::string full = Resolve(path);
     if (full.empty()) {
       ReplyError(from, request_id, "FileSystem::WriteFile: rejected path: " + path);

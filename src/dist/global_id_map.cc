@@ -22,9 +22,10 @@ class GlobalIdMapServer final : public RpcServer {
                   std::uint32_t aux, std::unique_ptr<IOBuf> body) override {
     switch (static_cast<GlobalIdMap::Opcode>(opcode)) {
       case GlobalIdMap::kSet: {
-        std::string key;
-        std::string value;
-        if (!ParseLenPrefixedBody(ChainToString(body.get()), &key, &value)) {
+        std::string raw = ChainToString(body.get());
+        std::string_view key;
+        std::string_view value;
+        if (!ParseLenPrefixedBody(raw, &key, &value)) {
           ReplyError(from, request_id, "GlobalIdMap::Set: malformed request");
           return;
         }
@@ -33,7 +34,7 @@ class GlobalIdMapServer final : public RpcServer {
           // connections RSS-steer to different frontend cores, so the authority state is
           // locked (a name lookup is not a datapath).
           std::lock_guard<std::mutex> lock(mu_);
-          map_[std::move(key)] = std::move(value);
+          map_[std::string(key)] = std::string(value);
         }
         Reply(from, request_id, 0, nullptr);
         return;

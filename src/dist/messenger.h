@@ -38,7 +38,6 @@
 #define EBBRT_SRC_DIST_MESSENGER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,6 +49,7 @@
 #include "src/iobuf/iobuf_queue.h"
 #include "src/net/network_manager.h"
 #include "src/net/tcp.h"
+#include "src/platform/ring_queue.h"
 #include "src/rcu/rcu_hash_table.h"
 
 namespace ebbrt {
@@ -182,7 +182,9 @@ class Messenger {
     IOBufQueue backlog_;  // framed messages awaiting connection / send window
     // Frame lengths of the backlog's messages, popped as Drain's byte stream crosses each
     // boundary — so teardown counts only messages that never fully reached TCP as dropped.
-    std::deque<std::size_t> backlog_lens_;
+    // A RingQueue: every message passes through it, and a deque would allocate a chunk
+    // every few dozen.
+    RingQueue<std::size_t> backlog_lens_;
     std::size_t front_sent_ = 0;  // bytes of backlog_lens_.front() already sent
   };
 

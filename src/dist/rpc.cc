@@ -68,6 +68,18 @@ std::string ChainToString(const IOBuf* chain) {
   return out;
 }
 
+std::string_view ContiguousView(const IOBuf* chain, std::vector<char>* scratch) {
+  if (chain == nullptr) {
+    return {};
+  }
+  if (chain->Next() == nullptr) {
+    return chain->AsStringView();
+  }
+  scratch->resize(chain->ComputeChainDataLength());
+  chain->CopyOut(scratch->data(), scratch->size());
+  return {scratch->data(), scratch->size()};
+}
+
 std::unique_ptr<IOBuf> BuildLenPrefixedBody(std::string_view head, std::string_view rest) {
   std::uint32_t head_len = HostToNet32(static_cast<std::uint32_t>(head.size()));
   auto body = IOBuf::Create(sizeof(head_len) + head.size());
@@ -80,71 +92,8 @@ std::unique_ptr<IOBuf> BuildLenPrefixedBody(std::string_view head, std::string_v
   return body;
 }
 
-std::unique_ptr<IOBuf> BuildKeyVectorBody(const std::vector<std::string_view>& keys) {
-  Kassert(keys.size() <= kMaxVectorKeys, "BuildKeyVectorBody: too many keys");
-  std::size_t total = sizeof(std::uint32_t);
-  for (std::string_view key : keys) {
-    Kassert(key.size() <= 0xffff, "BuildKeyVectorBody: key too long");
-    total += sizeof(std::uint16_t) + key.size();
-  }
-  auto body = IOBuf::Create(total);
-  std::uint8_t* p = body->WritableData();
-  std::uint32_t count = HostToNet32(static_cast<std::uint32_t>(keys.size()));
-  std::memcpy(p, &count, sizeof(count));
-  p += sizeof(count);
-  for (std::string_view key : keys) {
-    std::uint16_t klen = HostToNet16(static_cast<std::uint16_t>(key.size()));
-    std::memcpy(p, &klen, sizeof(klen));
-    p += sizeof(klen);
-    std::memcpy(p, key.data(), key.size());
-    p += key.size();
-  }
-  return body;
-}
-
-bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string>* keys) {
-  keys->clear();
-  if (chain == nullptr) {
-    return false;
-  }
-  std::size_t remaining = chain->ComputeChainDataLength();
-  std::size_t offset = 0;
-  std::uint32_t count = 0;
-  if (remaining < sizeof(count)) {
-    return false;
-  }
-  chain->CopyOut(&count, sizeof(count), offset);
-  count = NetToHost32(count);
-  offset += sizeof(count);
-  remaining -= sizeof(count);
-  if (count > kMaxVectorKeys) {
-    return false;
-  }
-  keys->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint16_t klen = 0;
-    if (remaining < sizeof(klen)) {
-      return false;
-    }
-    chain->CopyOut(&klen, sizeof(klen), offset);
-    klen = NetToHost16(klen);
-    offset += sizeof(klen);
-    remaining -= sizeof(klen);
-    if (remaining < klen) {
-      return false;
-    }
-    std::string key(klen, '\0');
-    if (klen != 0) {
-      chain->CopyOut(key.data(), klen, offset);
-    }
-    offset += klen;
-    remaining -= klen;
-    keys->push_back(std::move(key));
-  }
-  return remaining == 0;  // exact consumption: trailing bytes are malformed
-}
-
-bool ParseLenPrefixedBody(const std::string& raw, std::string* head, std::string* rest) {
+bool ParseLenPrefixedBody(std::string_view raw, std::string_view* head,
+                          std::string_view* rest) {
   std::uint32_t head_len = 0;
   if (raw.size() < sizeof(head_len)) {
     return false;
@@ -157,6 +106,70 @@ bool ParseLenPrefixedBody(const std::string& raw, std::string* head, std::string
   *head = raw.substr(sizeof(head_len), head_len);
   *rest = raw.substr(sizeof(head_len) + head_len);
   return true;
+}
+
+KeyVectorBuilder::KeyVectorBuilder(std::size_t count, std::size_t key_bytes)
+    : body_(IOBuf::Create(sizeof(std::uint32_t) + count * sizeof(std::uint16_t) + key_bytes)),
+      cursor_(body_->WritableData()), remaining_keys_(count) {
+  Kassert(count <= kMaxVectorKeys, "KeyVectorBuilder: too many keys");
+  std::uint32_t net_count = HostToNet32(static_cast<std::uint32_t>(count));
+  std::memcpy(cursor_, &net_count, sizeof(net_count));
+  cursor_ += sizeof(net_count);
+}
+
+void KeyVectorBuilder::Add(std::string_view key) {
+  Kassert(remaining_keys_ != 0, "KeyVectorBuilder: more keys than declared");
+  Kassert(key.size() <= 0xffff, "KeyVectorBuilder: key too long");
+  Kassert(cursor_ + sizeof(std::uint16_t) + key.size() <= body_->WritableTail(),
+          "KeyVectorBuilder: more key bytes than declared");
+  std::uint16_t klen = HostToNet16(static_cast<std::uint16_t>(key.size()));
+  std::memcpy(cursor_, &klen, sizeof(klen));
+  cursor_ += sizeof(klen);
+  std::memcpy(cursor_, key.data(), key.size());
+  cursor_ += key.size();
+  --remaining_keys_;
+}
+
+std::unique_ptr<IOBuf> KeyVectorBuilder::Finish() {
+  Kassert(remaining_keys_ == 0 && cursor_ == body_->WritableTail(),
+          "KeyVectorBuilder: fewer keys or bytes than declared");
+  return std::move(body_);
+}
+
+bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string_view>* keys,
+                        std::vector<char>* scratch) {
+  keys->clear();
+  if (chain == nullptr) {
+    return false;
+  }
+  std::uint32_t count = 0;
+  if (chain->ComputeChainDataLength() < sizeof(count)) {
+    return false;
+  }
+  // Bound the count before flattening anything: a hostile count never sizes a buffer.
+  chain->CopyOut(&count, sizeof(count));
+  count = NetToHost32(count);
+  if (count > kMaxVectorKeys) {
+    return false;
+  }
+  std::string_view raw = ContiguousView(chain, scratch);
+  raw.remove_prefix(sizeof(count));
+  keys->reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint16_t klen = 0;
+    if (raw.size() < sizeof(klen)) {
+      return false;
+    }
+    std::memcpy(&klen, raw.data(), sizeof(klen));
+    klen = NetToHost16(klen);
+    raw.remove_prefix(sizeof(klen));
+    if (raw.size() < klen) {
+      return false;
+    }
+    keys->push_back(raw.substr(0, klen));
+    raw.remove_prefix(klen);
+  }
+  return raw.empty();  // exact consumption: trailing bytes are malformed
 }
 
 // --- RpcDemuxRoot -----------------------------------------------------------------------------
@@ -265,17 +278,43 @@ void RpcDemuxRoot::DispatchFrame(EbbId service, Ipv4Addr from,
 
 // --- RpcClient --------------------------------------------------------------------------------
 
+namespace {
+
+// The completion behind the Future flavour of Call: owns the promise, frees itself once it
+// has handed the outcome over.
+class PromiseCompletion final : public RpcCompletion {
+ public:
+  Future<RpcResponse> GetFuture() { return promise_.GetFuture(); }
+
+  void OnResponse(RpcResponse response) override {
+    Promise<RpcResponse> promise = std::move(promise_);
+    delete this;
+    promise.SetValue(std::move(response));
+  }
+
+  void OnFailure(std::exception_ptr error) override {
+    Promise<RpcResponse> promise = std::move(promise_);
+    delete this;
+    promise.SetException(std::move(error));
+  }
+
+ private:
+  Promise<RpcResponse> promise_;
+};
+
+}  // namespace
+
+RpcClient::CoreLane::~CoreLane() {
+  for (std::atomic<PendingCall*>& chunk : chunks) {
+    delete[] chunk.load(std::memory_order_relaxed);
+  }
+}
+
 RpcClient::RpcClient(Runtime& runtime, EbbId service, Ipv4Addr server)
     : runtime_(runtime), messenger_(Messenger::For(runtime)), service_(service),
       server_(server), cores_(std::max<std::size_t>(1, runtime.num_cores())) {
-  RcuManagerRoot& rcu = RcuManagerRoot::For(runtime);
   for (std::shared_ptr<CoreLane>& lane : cores_) {
     lane = std::make_shared<CoreLane>();
-    // Per-core pending windows are small (a pipeline's worth); 32 buckets keeps chains
-    // short without bloating per-client footprint across many services.
-    lane->pending =
-        std::make_unique<RcuHashTable<std::uint64_t, std::shared_ptr<PendingCall>>>(
-            rcu, /*bucket_bits=*/5);
   }
   RpcDemuxRoot::For(runtime).Install(service, this, nullptr);
   // Peer death fails everything in flight to that peer: no call waits out a deadline for a
@@ -290,44 +329,32 @@ RpcClient::RpcClient(Runtime& runtime, EbbId service, Ipv4Addr server)
 
 RpcClient::~RpcClient() {
   // Unhook the resolution sources first — observer fan-out and frame dispatch must not see
-  // a half-dead client — then orphan whatever is still unresolved.
+  // a half-dead client — then orphan whatever is still unresolved: every armed call through
+  // the same claim the other paths use, and every call parked between retry attempts (a
+  // backoff timer that fires later finds its lane gone). Destruction on a machine whose
+  // loops are still dispatching was never legal (see DispatchFrame's lifetime note); armed
+  // deadline timers outlive us harmlessly — they hold weak lane references.
   messenger_.RemovePeerObserver(peer_observer_);
   RpcDemuxRoot::For(messenger_.runtime()).Remove(service_, this, nullptr);
-  // Claim every still-pending call through Extract (the same exactly-once gate the
-  // response/timeout/peer-down paths use), then fail the promises. Calls parked between
-  // retry attempts live outside the table; they are drained from `parked` and flagged
-  // abandoned so a backoff timer that fires later does nothing. Destruction on a machine
-  // whose loops are still dispatching was never legal (see DispatchFrame's lifetime note);
-  // armed sweep timers outlive us harmlessly — they hold weak lane references.
-  std::vector<std::shared_ptr<PendingCall>> orphaned;
+  std::vector<RpcCompletion*> orphaned;
+  for (auto& [core, call] : ClaimAll()) {
+    orphaned.push_back(call->completion);
+  }
   for (std::shared_ptr<CoreLane>& lane : cores_) {
-    std::vector<std::uint64_t> ids;
-    lane->pending->ForEach(
-        [&ids](const std::uint64_t& id, const std::shared_ptr<PendingCall>&) {
-          ids.push_back(id);
-        });
-    for (std::uint64_t id : ids) {
-      std::shared_ptr<PendingCall> call;
-      if (lane->pending->Extract(id, &call)) {
-        orphaned.push_back(std::move(call));
-      }
-    }
-    for (auto& call : lane->parked) {
-      call->abandoned = true;
-      orphaned.push_back(call);
+    for (std::uint32_t index : lane->parked) {
+      orphaned.push_back(lane->Slot(index).completion);
     }
     lane->parked.clear();
   }
-  for (auto& call : orphaned) {
-    call->promise.SetException(
-        std::make_exception_ptr(RpcPeerLost("rpc: client torn down")));
+  for (RpcCompletion* completion : orphaned) {
+    completion->OnFailure(std::make_exception_ptr(RpcPeerLost("rpc: client torn down")));
   }
 }
 
 std::size_t RpcClient::pending_calls() const {
   std::size_t total = 0;
   for (const std::shared_ptr<CoreLane>& lane : cores_) {
-    total += lane->pending->size() + lane->parked.size();
+    total += lane->in_use.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -336,27 +363,136 @@ std::uint64_t RpcClient::NowNs() const {
   return runtime_.GetSubsystem<TimerRoot>(Subsystem::kTimer).executor().Now();
 }
 
+RpcClient::PendingCall& RpcClient::AcquireSlot(CoreLane& lane) {
+  if (lane.free_slots.empty()) {
+    // Slots claimed on other cores came home through the return stack: take them all.
+    for (PendingCall* call = lane.returned.exchange(nullptr, std::memory_order_acquire);
+         call != nullptr; call = call->next_returned) {
+      lane.free_slots.push_back(call->index);
+    }
+  }
+  if (lane.free_slots.empty()) {
+    // More calls in flight on this core than ever before: publish the next chunk, as large
+    // as all the earlier ones together.
+    std::uint32_t base = lane.num_slots.load(std::memory_order_relaxed);
+    Kassert(base < kMaxSlots, "RpcClient: too many calls in flight");
+    std::size_t c = CoreLane::ChunkOf(base);
+    std::uint32_t slots = std::min(kFirstChunkSlots << c, kMaxSlots - base);
+    auto* chunk = new PendingCall[slots];
+    for (std::uint32_t i = 0; i < slots; ++i) {
+      chunk[i].index = base + i;
+    }
+    lane.chunks[c].store(chunk, std::memory_order_release);
+    lane.num_slots.store(base + slots, std::memory_order_release);
+    for (std::uint32_t i = slots; i-- > 0;) {
+      lane.free_slots.push_back(base + i);
+    }
+  }
+  std::uint32_t index = lane.free_slots.back();
+  lane.free_slots.pop_back();
+  lane.in_use.fetch_add(1, std::memory_order_relaxed);
+  return lane.Slot(index);
+}
+
+std::uint64_t RpcClient::Arm(std::size_t core, PendingCall& call) {
+  if (++call.generation == 0) {
+    call.generation = 1;  // 0 is the claim word's "nothing to claim"
+  }
+  // Release: a claimant on another core that wins this generation sees every field above.
+  call.armed.store(call.generation, std::memory_order_release);
+  return (static_cast<std::uint64_t>(core) << kCoreShift) |
+         (static_cast<std::uint64_t>(call.index) << kSlotShift) | call.generation;
+}
+
+RpcClient::PendingCall* RpcClient::Claim(std::uint64_t request_id) {
+  auto core = static_cast<std::size_t>(request_id >> kCoreShift);
+  auto index = static_cast<std::uint32_t>((request_id >> kSlotShift) & 0xffff);
+  auto generation = static_cast<std::uint32_t>(request_id);
+  if (core >= cores_.size() || generation == 0) {
+    return nullptr;
+  }
+  CoreLane& lane = *cores_[core];
+  if (index >= lane.num_slots.load(std::memory_order_acquire)) {
+    return nullptr;  // a slot this lane never had: stale or corrupt
+  }
+  PendingCall& call = lane.Slot(index);
+  std::uint32_t expected = generation;
+  if (!call.armed.compare_exchange_strong(expected, 0, std::memory_order_acq_rel)) {
+    return nullptr;
+  }
+  return &call;
+}
+
+std::vector<std::pair<std::size_t, RpcClient::PendingCall*>> RpcClient::ClaimAll() {
+  std::vector<std::pair<std::size_t, PendingCall*>> claimed;
+  for (std::size_t core = 0; core < cores_.size(); ++core) {
+    CoreLane& lane = *cores_[core];
+    std::uint32_t slots = lane.num_slots.load(std::memory_order_acquire);
+    for (std::uint32_t index = 0; index < slots; ++index) {
+      PendingCall& call = lane.Slot(index);
+      std::uint32_t generation = call.armed.load(std::memory_order_acquire);
+      if (generation != 0 &&
+          call.armed.compare_exchange_strong(generation, 0, std::memory_order_acq_rel)) {
+        claimed.emplace_back(core, &call);
+      }
+    }
+  }
+  return claimed;
+}
+
+RpcCompletion* RpcClient::Release(std::size_t core, PendingCall& call) {
+  RpcCompletion* completion = call.completion;
+  call.completion = nullptr;
+  call.retry_body.reset();
+  CoreLane& lane = *cores_[core];
+  lane.in_use.fetch_sub(1, std::memory_order_relaxed);
+  if (HaveContext() && &CurrentRuntime() == &runtime_ &&
+      CurrentContext().machine_core == core) {
+    if (call.deadline_timer != 0) {
+      Timer::Instance()->Stop(call.deadline_timer);
+      call.deadline_timer = 0;
+    }
+    lane.free_slots.push_back(call.index);
+  } else {
+    // Route the slot home: the free list is the home core's alone.
+    PendingCall* head = lane.returned.load(std::memory_order_relaxed);
+    do {
+      call.next_returned = head;
+    } while (!lane.returned.compare_exchange_weak(head, &call, std::memory_order_release,
+                                                  std::memory_order_relaxed));
+  }
+  return completion;
+}
+
 Future<RpcClient::Response> RpcClient::Call(std::uint16_t opcode, std::uint32_t aux,
                                             std::unique_ptr<IOBuf> body,
                                             const CallOptions& options) {
-  // The pending entry lives in the ISSUING core's table, and the request id carries the
-  // core so the response (arriving on whichever core owns the server connection) can find
-  // it. Same-core issue/complete is the steady state — symmetric RSS brings the reply back
-  // to the dialing core — so the bucket spinlocks below are uncontended in practice.
+  auto* completion = new PromiseCompletion();
+  Future<Response> result = completion->GetFuture();
+  Call(opcode, aux, std::move(body), options, completion);
+  return result;
+}
+
+void RpcClient::Call(std::uint16_t opcode, std::uint32_t aux, std::unique_ptr<IOBuf> body,
+                     const CallOptions& options, RpcCompletion* completion) {
+  // The slot lives in the ISSUING core's lane, and the request id names the core and slot
+  // so the response (arriving on whichever core owns the server connection) claims it with
+  // one CAS. Same-core issue/complete is the steady state — symmetric RSS brings the reply
+  // back to the dialing core.
   std::size_t core = CurrentContext().machine_core;
-  CoreLane& lane = *cores_[core];
-  std::uint64_t request_id =
-      (static_cast<std::uint64_t>(core) << kCoreShift) | lane.next_seq++;
-  auto call = std::make_shared<PendingCall>();
-  call->opcode = opcode;
-  call->aux = aux;
-  call->options = options;
-  call->backoff_ns = options.retry.initial_backoff_ns;
+  PendingCall& call = AcquireSlot(*cores_[core]);
+  call.completion = completion;
+  call.opcode = opcode;
+  call.aux = aux;
+  call.options = options;
+  call.attempts = 1;
+  call.backoff_ns = options.retry.initial_backoff_ns;
   if (options.deadline_ns != 0 && options.retry.max_attempts > 1 && body != nullptr) {
     // Keep a master copy for re-sends: Clone is a refcounted view of the same storage, so
     // this is descriptor cost, not a byte copy.
-    call->retry_body = body->Clone();
+    call.retry_body = body->Clone();
   }
+  call.trace = RpcTrace{};
   obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_);
   if (obs_root != nullptr && obs_root->tracing_on()) {
     // Adopt the core's ambient trace (a router fan-out, a traced handler) or start a fresh
@@ -364,133 +500,107 @@ Future<RpcClient::Response> RpcClient::Call(std::uint16_t opcode, std::uint32_t 
     // so the server's spans parent into the same tree no matter how many attempts it took.
     obs::MetricRegistry& rep = obs_root->RepFor(core);
     obs::MetricRegistry::TraceContext ctx = rep.current();
-    call->trace.trace_id = ctx.trace_id != 0 ? ctx.trace_id : rep.NewTraceId();
-    call->trace.parent_span = ctx.trace_id != 0 ? ctx.span_id : 0;
-    call->trace.span_id = rep.NewSpanId();
-    call->span_start_ns = NowNs();
+    call.trace.trace_id = ctx.trace_id != 0 ? ctx.trace_id : rep.NewTraceId();
+    call.trace.parent_span = ctx.trace_id != 0 ? ctx.span_id : 0;
+    call.trace.span_id = rep.NewSpanId();
+    call.span_start_ns = NowNs();
   }
-  RpcTrace trace = call->trace;
-  Future<Response> result = call->promise.GetFuture();
-  lane.pending->Insert(request_id, std::move(call));
-  if (options.deadline_ns != 0) {
-    std::uint64_t now = NowNs();
-    ScheduleExpiry(core, request_id, now + options.deadline_ns, now);
-  }
+  RpcTrace trace = call.trace;
+  std::uint64_t request_id = Arm(core, call);
+  StartDeadline(core, call, request_id);
   messenger_.Send(server_, service_,
                   BuildRpcFrame(request_id, opcode, /*flags=*/0, aux, std::move(body), trace));
-  return result;
 }
 
-void RpcClient::ScheduleExpiry(std::size_t core, std::uint64_t request_id,
-                               std::uint64_t deadline, std::uint64_t now) {
-  CoreLane& lane = *cores_[core];
-  lane.expiries.push(Expiry{deadline, request_id});
-  // One armed sweep covers every deadline at or after it; with a uniform deadline_ns calls
-  // expire in issue order, so this arms roughly once per deadline WINDOW (the sweep
-  // re-arms itself while work remains), not once per call.
-  if (deadline < lane.armed_until) {
-    ArmSweep(core, deadline, now);
+void RpcClient::StartDeadline(std::size_t core, PendingCall& call, std::uint64_t request_id) {
+  if (call.deadline_timer != 0) {
+    // Left armed by a claim won on another core; this is the home core, so stop it now.
+    Timer::Instance()->Stop(call.deadline_timer);
+    call.deadline_timer = 0;
   }
-}
-
-void RpcClient::ArmSweep(std::size_t core, std::uint64_t deadline, std::uint64_t now) {
-  CoreLane& lane = *cores_[core];
-  lane.armed_until = deadline;
+  if (call.options.deadline_ns == 0) {
+    return;
+  }
   std::weak_ptr<CoreLane> weak = cores_[core];
   RpcClient* self = this;
-  Timer::Instance()->Start(deadline > now ? deadline - now : 0, [self, weak, core] {
-    if (weak.lock() == nullptr) {
-      return;  // client torn down; its teardown already resolved everything
-    }
-    self->Sweep(core);
-  });
-}
-
-void RpcClient::Sweep(std::size_t core) {
-  CoreLane& lane = *cores_[core];
-  lane.armed_until = kNoSweep;
-  std::uint64_t now = NowNs();
-  while (!lane.expiries.empty() && lane.expiries.top().deadline <= now) {
-    std::uint64_t request_id = lane.expiries.top().request_id;
-    lane.expiries.pop();
-    std::shared_ptr<PendingCall> call;
-    if (!lane.pending->Extract(request_id, &call)) {
-      continue;  // completed (or otherwise claimed) before its deadline: lazy heap entry
-    }
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    if (call->attempts < call->options.retry.max_attempts) {
-      // Park for the backoff, then re-send under a FRESH id: a straggler response to this
-      // attempt must find nothing (late_drops), not the retry's entry.
-      stats_.retries.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t delay = call->backoff_ns;
-      call->backoff_ns = call->options.retry.NextBackoff(call->backoff_ns);
-      call->attempts++;
-      lane.parked.push_back(call);
-      std::weak_ptr<CoreLane> weak = cores_[core];
-      RpcClient* self = this;
-      Timer::Instance()->Start(delay, [self, weak, core, call] {
-        if (weak.lock() == nullptr || call->abandoned) {
-          return;
+  call.deadline_timer =
+      Timer::Instance()->Start(call.options.deadline_ns, [self, weak, core, request_id] {
+        if (weak.lock() == nullptr) {
+          return;  // client torn down; its teardown already resolved everything
         }
-        self->Resend(core, call);
+        self->Expire(core, request_id);
       });
-    } else {
-      RecordClientSpan(*call, obs::SpanStatus::kTimeout);
-      call->promise.SetException(std::make_exception_ptr(RpcTimeout(
-          "rpc: deadline expired (service " + std::to_string(service_) + ", opcode " +
-          std::to_string(call->opcode) + ", " + std::to_string(call->attempts) +
-          " attempt(s))")));
-    }
-  }
-  if (!lane.expiries.empty()) {
-    ArmSweep(core, lane.expiries.top().deadline, now);
-  }
 }
 
-void RpcClient::Resend(std::size_t core, const std::shared_ptr<PendingCall>& call) {
+void RpcClient::Expire(std::size_t core, std::uint64_t request_id) {
+  PendingCall* call = Claim(request_id);
+  if (call == nullptr) {
+    return;  // resolved on another core first, which could not stop this timer
+  }
+  call->deadline_timer = 0;  // this timer is the one firing
+  stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+  if (call->attempts < call->options.retry.max_attempts) {
+    // Park the slot (still owned, claim word 0) for the backoff, then re-send under a FRESH
+    // generation: a straggler response to this attempt must find nothing (late_drops), not
+    // the retry.
+    stats_.retries.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t delay = call->backoff_ns;
+    call->backoff_ns = call->options.retry.NextBackoff(call->backoff_ns);
+    call->attempts++;
+    cores_[core]->parked.push_back(call->index);
+    std::weak_ptr<CoreLane> weak = cores_[core];
+    RpcClient* self = this;
+    std::uint32_t index = call->index;
+    Timer::Instance()->Start(delay, [self, weak, core, index] {
+      if (weak.lock() == nullptr) {
+        return;  // client torn down; teardown failed the parked call
+      }
+      self->Resend(core, index);
+    });
+    return;
+  }
+  RecordClientSpan(*call, obs::SpanStatus::kTimeout);
+  std::exception_ptr error = std::make_exception_ptr(RpcTimeout(
+      "rpc: deadline expired (service " + std::to_string(service_) + ", opcode " +
+      std::to_string(call->opcode) + ", " + std::to_string(call->attempts) + " attempt(s))"));
+  Release(core, *call)->OnFailure(std::move(error));
+}
+
+void RpcClient::Resend(std::size_t core, std::uint32_t index) {
   CoreLane& lane = *cores_[core];
   for (auto it = lane.parked.begin(); it != lane.parked.end(); ++it) {
-    if (it->get() == call.get()) {
+    if (*it == index) {
       lane.parked.erase(it);
       break;
     }
   }
-  std::uint64_t request_id =
-      (static_cast<std::uint64_t>(core) << kCoreShift) | lane.next_seq++;
-  lane.pending->Insert(request_id, call);
-  std::uint64_t now = NowNs();
-  ScheduleExpiry(core, request_id, now + call->options.deadline_ns, now);
+  PendingCall& call = lane.Slot(index);
   std::unique_ptr<IOBuf> body =
-      call->retry_body != nullptr ? call->retry_body->Clone() : nullptr;
+      call.retry_body != nullptr ? call.retry_body->Clone() : nullptr;
+  std::uint64_t request_id = Arm(core, call);
+  StartDeadline(core, call, request_id);
   // Fresh request id, SAME trace ids: the retry is the same logical call on the wire.
   messenger_.Send(server_, service_,
-                  BuildRpcFrame(request_id, call->opcode, /*flags=*/0, call->aux,
-                                std::move(body), call->trace));
+                  BuildRpcFrame(request_id, call.opcode, /*flags=*/0, call.aux,
+                                std::move(body), call.trace));
 }
 
 void RpcClient::OnPeerDown() {
   // The connection carrying every outstanding call just died: no response is coming. Claim
-  // each entry through Extract — concurrent sweeps/responses on other cores race safely,
-  // exactly one path wins each id. Calls parked for a retry backoff are left alone: their
-  // re-send dials a fresh connection, which is the desired recovery.
-  std::vector<std::shared_ptr<PendingCall>> lost;
-  for (std::shared_ptr<CoreLane>& lane : cores_) {
-    std::vector<std::uint64_t> ids;
-    lane->pending->ForEach(
-        [&ids](const std::uint64_t& id, const std::shared_ptr<PendingCall>&) {
-          ids.push_back(id);
-        });
-    for (std::uint64_t id : ids) {
-      std::shared_ptr<PendingCall> call;
-      if (lane->pending->Extract(id, &call)) {
-        lost.push_back(std::move(call));
-      }
-    }
-  }
+  // each armed call — concurrent deadlines/responses on other cores race safely, exactly one
+  // path wins each generation — and only then resolve, so a completion that re-issues on
+  // this client is not swept up by this same fan-out. Calls parked for a retry backoff are
+  // left alone: their re-send dials a fresh connection, which is the desired recovery.
+  std::vector<std::pair<std::size_t, PendingCall*>> lost = ClaimAll();
   stats_.peer_failures.fetch_add(lost.size(), std::memory_order_relaxed);
-  for (auto& call : lost) {
+  std::vector<RpcCompletion*> completions;
+  completions.reserve(lost.size());
+  for (auto& [core, call] : lost) {
     RecordClientSpan(*call, obs::SpanStatus::kPeerLost);
-    call->promise.SetException(std::make_exception_ptr(
+    completions.push_back(Release(core, *call));
+  }
+  for (RpcCompletion* completion : completions) {
+    completion->OnFailure(std::make_exception_ptr(
         RpcPeerLost("rpc: connection to " + server_.ToString() + " lost (service " +
                     std::to_string(service_) + ")")));
   }
@@ -502,29 +612,23 @@ void RpcClient::HandleFrame(Ipv4Addr, std::unique_ptr<IOBuf> message) {
   if (!ParseFrame(std::move(message), &header, &body)) {
     return;  // runt frame: drop (transport corruption cannot happen in-sim; belt and braces)
   }
-  std::size_t core = static_cast<std::size_t>(header.request_id >> kCoreShift);
-  if (core >= cores_.size()) {
-    return;  // id from a core this client never had: stale or corrupt
-  }
-  // Extract claims the promise exactly once: a duplicate response — or a straggler whose
-  // attempt already timed out, failed over, or was re-sent under a fresh id — finds the
-  // entry gone and is dropped WITH A STAT, never double-resolved.
-  std::shared_ptr<PendingCall> call;
-  if (!cores_[core]->pending->Extract(header.request_id, &call)) {
+  // The claim resolves the call exactly once: a duplicate response — or a straggler whose
+  // attempt already timed out, failed over, or was re-sent under a fresh generation — finds
+  // the claim word moved on and is dropped WITH A STAT, never double-resolved.
+  PendingCall* call = Claim(header.request_id);
+  if (call == nullptr) {
     stats_.late_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  auto core = static_cast<std::size_t>(header.request_id >> kCoreShift);
   if (header.flags & kRpcError) {
     RecordClientSpan(*call, obs::SpanStatus::kError);
-    call->promise.SetException(
+    Release(core, *call)->OnFailure(
         std::make_exception_ptr(std::runtime_error(ChainToString(body.get()))));
     return;
   }
   RecordClientSpan(*call, obs::SpanStatus::kOk);
-  Response response;
-  response.aux = header.aux;
-  response.body = std::move(body);
-  call->promise.SetValue(std::move(response));
+  Release(core, *call)->OnResponse(RpcResponse{header.aux, std::move(body)});
 }
 
 void RpcClient::RecordClientSpan(const PendingCall& call, obs::SpanStatus status) {

@@ -4,14 +4,15 @@
 // the call and ships it to the hosted frontend's representative, which executes it for real
 // and ships the result back. This header is the one place the call/return machinery lives:
 //
-//   * RpcHeader — 16-byte request/response frame rode inside a Messenger message.
-//   * RpcClient — the caller side: per-core request-id -> Promise tables; Call() returns a
-//     Future that fulfills with the response (or throws the server's error — errors cross
-//     the wire as flagged responses and surface as std::runtime_error through Future::Get,
-//     so a caller's continuation chain handles remote failures exactly like local
-//     exceptions, §3.5). Every call carries CallOptions{deadline_ns, RetryPolicy}: expired
-//     attempts are re-sent with bounded backoff and finally fail with RpcTimeout; a dead
-//     peer connection fails everything routed through it with RpcPeerLost.
+//   * RpcHeader — 32-byte request/response frame rode inside a Messenger message.
+//   * RpcClient — the caller side. Every call resolves through an RpcCompletion the caller
+//     owns: exactly one of OnResponse / OnFailure runs, exactly once. The Future-returning
+//     Call wraps a promise-backed completion (errors cross the wire as flagged responses and
+//     surface as std::runtime_error through Future::Get, so a caller's continuation chain
+//     handles remote failures exactly like local exceptions, §3.5). Every call carries
+//     CallOptions{deadline_ns, RetryPolicy}: expired attempts are re-sent with bounded
+//     backoff and finally fail with RpcTimeout; a dead peer connection fails everything
+//     routed through it with RpcPeerLost.
 //   * RpcServer — the callee side: dispatches requests to a subclass's HandleCall and sends
 //     Reply/ReplyError back to the requesting machine.
 //   * RpcDemuxRoot — the per-machine service table: service id -> (client, server) endpoint
@@ -19,13 +20,16 @@
 //     from many cores/machines demultiplexes without a shared lock; only endpoint
 //     install/remove (object construction/destruction) serializes.
 //
-// Request-id plumbing is per-core: ids carry the issuing core in their top bits and each
-// core owns its own id counter and RcuHashTable of pending promises, so two cores issuing
-// calls on the same client never touch the same cache line, and a response (which arrives
-// on the core whose connection carried it — normally the issuing core, by symmetric RSS)
-// claims its promise with one uncontended bucket operation. Exactly-once completion comes
-// from RcuHashTable::Extract: whoever unlinks the entry fulfills it; a duplicate or stale
-// response finds nothing.
+// Pending calls live in per-core slot tables (one lane per issuing core). A request id names
+// its slot directly — [core:16][slot:16][generation:32] — so a response finds its call with
+// one index, no hash table and no per-call allocation: slots are recycled through the lane's
+// free list, and a lane only grows (by a chunk as large as the lane so far, which never
+// moves) when more calls are in flight than ever before. Exactly-once completion is a CAS on the slot's claim word, from
+// the id's generation to zero: the response, the deadline timer, peer-down fan-out and
+// teardown all claim through it, and a duplicate or straggling response (its generation is
+// stale once the slot is reused) finds nothing. A claim won on a core other than the lane's
+// pushes the slot onto the lane's lock-free return stack; only the home core touches its
+// free list.
 //
 // The response body is carried as an IOBuf chain end-to-end: the server appends its result
 // chain behind the header buffer, and the client receives the chain that Messenger carved
@@ -38,10 +42,13 @@
 #ifndef EBBRT_SRC_DIST_RPC_H_
 #define EBBRT_SRC_DIST_RPC_H_
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,19 +146,26 @@ std::unique_ptr<IOBuf> BuildRpcFrame(std::uint64_t request_id, std::uint16_t opc
 // results; the zero-copy representation stays available to callers that keep the chain).
 std::string ChainToString(const IOBuf* chain);
 
+// The chain's bytes as one contiguous view: a single-element chain is viewed in place; a
+// chain spanning elements is flattened into `*scratch` (whose capacity is reused call to
+// call) and the view points there. Valid while the chain and the scratch are untouched.
+std::string_view ContiguousView(const IOBuf* chain, std::vector<char>* scratch);
+
 // The services' shared two-string body marshal: [u32 head_len][head][rest...], network
 // order. `rest` rides as its own chain element (never flattened into the head buffer).
 std::unique_ptr<IOBuf> BuildLenPrefixedBody(std::string_view head, std::string_view rest);
-// Splits a received body back into (head, rest). False on a malformed (truncated) body.
-bool ParseLenPrefixedBody(const std::string& raw, std::string* head, std::string* rest);
+// Splits a received body back into views of (head, rest) over `raw`. False on a malformed
+// (truncated) body.
+bool ParseLenPrefixedBody(std::string_view raw, std::string_view* head,
+                          std::string_view* rest);
 
 // --- Vectored (batch) body marshaling ---------------------------------------------------------
 //
 // Batch ops ship many small records under ONE RpcHeader — the whole point of bulk RPC is
-// that the 16-byte header and the per-frame dispatch are paid once per shard, not once per
-// key. The request direction is a packed key vector (keys are tiny; one buffer, one copy is
-// the marshal itself). The response direction is where zero-copy matters: a vectored reply
-// is an IOBuf chain of [scalar word][payload view] pairs, and ChainSplitter lets the caller
+// that the header and the per-frame dispatch are paid once per shard, not once per key. The
+// request direction is a packed key vector (keys are tiny; one buffer, one copy is the
+// marshal itself). The response direction is where zero-copy matters: a vectored reply is
+// an IOBuf chain of [scalar word][payload view] pairs, and ChainSplitter lets the caller
 // carve the payloads back out as shared views of the received segment — scalars are
 // chain-copied out (they may straddle segment boundaries), payload bytes never are.
 
@@ -159,12 +173,28 @@ bool ParseLenPrefixedBody(const std::string& raw, std::string* head, std::string
 // remote-supplied count before trusting it).
 inline constexpr std::size_t kMaxVectorKeys = 4096;
 
-// [u32 count][count x (u16 klen)(key bytes)], network order, packed into one buffer.
-std::unique_ptr<IOBuf> BuildKeyVectorBody(const std::vector<std::string_view>& keys);
-// Unpacks a received key-vector body. False when malformed: count above kMaxVectorKeys,
-// truncated entries, or trailing bytes beyond the declared keys (an exact-consumption rule,
-// so a corrupt length can't smuggle payload past validation).
-bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string>* keys);
+// Writes [u32 count][count x (u16 klen)(key bytes)], network order, into one buffer sized
+// up front: construct with the key count and their total bytes, Add each key in order, then
+// Finish.
+class KeyVectorBuilder {
+ public:
+  KeyVectorBuilder(std::size_t count, std::size_t key_bytes);
+  void Add(std::string_view key);
+  std::unique_ptr<IOBuf> Finish();
+
+ private:
+  std::unique_ptr<IOBuf> body_;
+  std::uint8_t* cursor_;
+  std::size_t remaining_keys_;
+};
+
+// Unpacks a received key-vector body into views (see ContiguousView: a body spanning
+// segments is flattened into `*scratch` first; the views point into the body or the
+// scratch). `keys` is cleared first and keeps its capacity. False when malformed: count
+// above kMaxVectorKeys, truncated entries, or trailing bytes beyond the declared keys (an
+// exact-consumption rule, so a corrupt length can't smuggle payload past validation).
+bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string_view>* keys,
+                        std::vector<char>* scratch);
 
 // Consuming reader over an owned reply chain. Scalars are Peek-copied (headers, not
 // payload); SplitBytes carves payload off as a zero-copy shared view (IOBufQueue::Split).
@@ -238,12 +268,31 @@ class RpcDemuxRoot {
   RcuHashTable<EbbId, Endpoint> services_;
 };
 
+// A call's response: the scalar result from the header and the result bytes (a chain; may
+// be empty).
+struct RpcResponse {
+  std::uint32_t aux = 0;
+  std::unique_ptr<IOBuf> body;
+};
+
+// Caller-owned completion target of one call. Exactly one of the two runs, exactly once:
+// OnResponse with the server's answer, or OnFailure with the server's error
+// (std::runtime_error), RpcTimeout, or RpcPeerLost. It runs on the core that resolved the
+// call (the response's connection core, the issuing core's deadline timer, the dead
+// connection's core, or wherever the client is destroyed), after the client has released
+// the call — so it may issue new calls. The object must stay alive until it runs.
+class RpcCompletion {
+ public:
+  virtual void OnResponse(RpcResponse response) = 0;
+  virtual void OnFailure(std::exception_ptr error) = 0;
+
+ protected:
+  ~RpcCompletion() = default;
+};
+
 class RpcClient {
  public:
-  struct Response {
-    std::uint32_t aux = 0;          // scalar result from the header
-    std::unique_ptr<IOBuf> body;    // result bytes (chain; may be empty)
-  };
+  using Response = RpcResponse;
 
   // Registers this machine's client half of `service` with its Messenger. `server` is the
   // machine whose representative executes the calls (the hosted frontend).
@@ -253,16 +302,19 @@ class RpcClient {
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  // Ships opcode(aux, body) to the server; the future fulfills with the response or throws
-  // the server's error as std::runtime_error. Requests issued in one event are auto-corked
-  // into as few wire segments as fit (the Messenger's batching). Callable from any core;
-  // the pending entry lands in the calling core's table.
+  // Ships opcode(aux, body) to the server and resolves `completion` with the outcome.
+  // Requests issued in one event are auto-corked into as few wire segments as fit (the
+  // Messenger's batching). Callable from any core; the pending slot lands in the calling
+  // core's lane.
   //
   // No call with a deadline can stay pending forever: exactly one of response, deadline
   // expiry (RpcTimeout, after `options.retry` re-sends), peer death (RpcPeerLost, via the
-  // Messenger's peer-down observers), or client teardown resolves the promise. All four
-  // paths claim the pending entry through RcuHashTable::Extract, so "exactly once" is the
-  // table's unlink atomicity, not a convention.
+  // Messenger's peer-down observers), or client teardown (RpcPeerLost) resolves it. All four
+  // paths claim the slot through one CAS, so "exactly once" is that CAS, not a convention.
+  void Call(std::uint16_t opcode, std::uint32_t aux, std::unique_ptr<IOBuf> body,
+            const CallOptions& options, RpcCompletion* completion);
+  // Future flavour of the same call: the future fulfills with the response or throws what
+  // OnFailure would have received.
   Future<Response> Call(std::uint16_t opcode, std::uint32_t aux, std::unique_ptr<IOBuf> body,
                         const CallOptions& options);
   Future<Response> Call(std::uint16_t opcode, std::uint32_t aux,
@@ -271,9 +323,10 @@ class RpcClient {
   }
 
   Ipv4Addr server() const { return server_; }
+  // Calls issued and not yet resolved, including calls waiting out a retry backoff.
   std::size_t pending_calls() const;
 
-  // Fault-path observability (atomics: expiry sweeps run per issuing core, peer-down
+  // Fault-path observability (atomics: deadline timers run per issuing core, peer-down
   // fan-out on the dead connection's core).
   struct Stats {
     std::atomic<std::uint64_t> timeouts{0};       // attempts that expired undelivered
@@ -287,60 +340,87 @@ class RpcClient {
   friend class RpcDemuxRoot;
   void HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message);
 
-  // A pending call, owned by the per-core table from issue to completion. Held by
-  // shared_ptr so Extract's winner can fulfill it after the node is unlinked — and, across
-  // a retry, by the backoff timer while the call is parked outside the table.
+  // One pending call's slot. The claim word `armed` holds the generation a response may
+  // claim (0: nothing to claim — free, parked for a retry, or already claimed). Everything
+  // else is written by the lane's home core while it owns the slot, and read by whichever
+  // core wins the claim.
   struct PendingCall {
-    Promise<Response> promise;
+    std::atomic<std::uint32_t> armed{0};
+    std::uint32_t generation = 0;  // last generation issued (home core only)
+    std::uint32_t index = 0;       // slot number within its lane
+    RpcCompletion* completion = nullptr;
     std::uint16_t opcode = 0;
     std::uint32_t aux = 0;
     CallOptions options;
     int attempts = 1;                     // sends so far
     std::uint64_t backoff_ns = 0;         // delay before the NEXT re-send
+    // The armed attempt's deadline Timer (0: none). A claim on the home core stops it at
+    // once; a claim won elsewhere cannot (timers are core-local), so that timer fires
+    // later, finds its generation claimed, and does nothing.
+    std::uint64_t deadline_timer = 0;
     std::unique_ptr<IOBuf> retry_body;    // master copy, cloned per re-send (null: no retry)
-    bool abandoned = false;               // set by teardown; a parked re-send must not fire
     // Trace identity of the LOGICAL call: one client span covers every attempt (the span's
     // `attempts` field says how many), so retries re-send under these same ids.
     RpcTrace trace;
     std::uint64_t span_start_ns = 0;      // first send time (span start, virtual ns)
+    PendingCall* next_returned = nullptr;  // link on the lane's return stack
   };
-  // How many id bits the issuing core occupies. 16 bits of core leaves 48 bits of per-core
-  // sequence — enough to never wrap in any run we could simulate.
-  static constexpr unsigned kCoreShift = 48;
 
-  // Deadline bookkeeping is core-local (like the id counter): expiries for calls issued on
-  // a core are swept by a one-shot Timer on that same core. The lane is shared_ptr-anchored
-  // so a sweep or parked re-send that fires after the client died locks a dead weak_ptr and
-  // does nothing. Completed calls leave STALE heap entries behind; the sweep pops them at
-  // their would-be deadline and finds the table entry already gone — lazy deletion, no
-  // per-completion Timer::Stop (which would be illegal cross-core anyway).
-  struct Expiry {
-    std::uint64_t deadline;
-    std::uint64_t request_id;
-    friend bool operator>(const Expiry& a, const Expiry& b) {
-      return a.deadline != b.deadline ? a.deadline > b.deadline
-                                      : a.request_id > b.request_id;
+  // Request id layout: [core:16][slot:16][generation:32]. A generation is never 0, so a
+  // zero claim word never matches a live id.
+  static constexpr unsigned kCoreShift = 48;
+  static constexpr unsigned kSlotShift = 32;
+  // Chunk c holds kFirstChunkSlots << c slots, so a lane's table doubles as it grows and a
+  // lightly used lane stays small; kChunks of them cover the 16-bit slot space.
+  static constexpr std::uint32_t kFirstChunkSlots = 16;
+  static constexpr std::uint32_t kMaxSlots = std::uint32_t{1} << 16;
+  static constexpr std::size_t kChunks = 13;
+  static_assert(kFirstChunkSlots * ((std::uint64_t{1} << kChunks) - 1) >= kMaxSlots);
+
+  // The lane is shared_ptr-anchored so a deadline timer or parked re-send that fires after
+  // the client died locks a dead weak_ptr and does nothing.
+  struct alignas(kCacheLineSize) CoreLane {
+    ~CoreLane();
+    // Slot storage: chunks published once (release) and never moved, so a claimant on any
+    // core indexes them while the home core grows the table.
+    std::array<std::atomic<PendingCall*>, kChunks> chunks{};
+    std::atomic<std::uint32_t> num_slots{0};
+    std::atomic<std::size_t> in_use{0};  // slots off the free list (pending or parked)
+    // Home core only: the free list (LIFO, so a recycled slot is cache-warm) and the next
+    // sequence of work. Slots claimed on other cores come home through `returned`.
+    std::vector<std::uint32_t> free_slots;
+    std::atomic<PendingCall*> returned{nullptr};
+    // Slots claimed on expiry and awaiting their backoff re-send; drained by teardown.
+    std::vector<std::uint32_t> parked;
+
+    // Slots [kFirstChunkSlots * (2^c - 1), kFirstChunkSlots * (2^(c+1) - 1)) live in chunk c.
+    static std::size_t ChunkOf(std::uint32_t index) {
+      return std::bit_width(index / kFirstChunkSlots + 1) - 1;
+    }
+    PendingCall& Slot(std::uint32_t index) const {
+      std::size_t chunk = ChunkOf(index);
+      return chunks[chunk].load(std::memory_order_acquire)
+          [index - kFirstChunkSlots * ((std::uint32_t{1} << chunk) - 1)];
     }
   };
-  struct alignas(kCacheLineSize) CoreLane {
-    std::uint64_t next_seq = 1;  // only this core's events advance it: no atomics
-    std::unique_ptr<RcuHashTable<std::uint64_t, std::shared_ptr<PendingCall>>> pending;
-    std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
-    // Earliest virtual time an armed sweep will fire (kNoSweep: none armed). One sweep
-    // covers every later deadline — calls with one deadline_ns expire in issue order, so
-    // arming is ~once per deadline window, not per call (no per-call Timer allocation on
-    // the steady-state path).
-    std::uint64_t armed_until = kNoSweep;
-    // Calls extracted on expiry and awaiting their backoff re-send; drained by teardown.
-    std::vector<std::shared_ptr<PendingCall>> parked;
-  };
-  static constexpr std::uint64_t kNoSweep = ~std::uint64_t{0};
 
-  void ScheduleExpiry(std::size_t core, std::uint64_t request_id, std::uint64_t deadline,
-                      std::uint64_t now);
-  void ArmSweep(std::size_t core, std::uint64_t deadline, std::uint64_t now);
-  void Sweep(std::size_t core);
-  void Resend(std::size_t core, const std::shared_ptr<PendingCall>& call);
+  // Takes a slot off the home core's free list (growing the lane when none is free).
+  PendingCall& AcquireSlot(CoreLane& lane);
+  // Arms `call` under a fresh generation and returns its request id.
+  std::uint64_t Arm(std::size_t core, PendingCall& call);
+  // The exactly-once gate: the call `request_id` names, if this caller won it.
+  PendingCall* Claim(std::uint64_t request_id);
+  // Claims every armed call in every lane (peer-down fan-out and teardown), as (lane core,
+  // call) pairs.
+  std::vector<std::pair<std::size_t, PendingCall*>> ClaimAll();
+  // Releases a claimed call's slot to its lane and returns the completion to run. On the
+  // home core the slot goes straight onto the free list; elsewhere onto the return stack.
+  RpcCompletion* Release(std::size_t core, PendingCall& call);
+  // Arms the attempt's deadline on the home core's Timer (see PendingCall::deadline_timer).
+  void StartDeadline(std::size_t core, PendingCall& call, std::uint64_t request_id);
+  // The attempt `request_id` reached its deadline: re-send after a backoff or fail.
+  void Expire(std::size_t core, std::uint64_t request_id);
+  void Resend(std::size_t core, std::uint32_t index);
   void OnPeerDown();
   std::uint64_t NowNs() const;
   // Writes the call's client span into the current core's ring (no-op when the call was

@@ -31,7 +31,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -43,6 +42,7 @@
 #include "src/obs/histogram.h"
 #include "src/platform/fiber.h"
 #include "src/platform/move_function.h"
+#include "src/platform/ring_queue.h"
 #include "src/platform/spinlock.h"
 
 namespace ebbrt {
@@ -279,8 +279,9 @@ class EventManager {
   Executor& executor_;
   std::size_t machine_core_;
 
-  // Core-local synthetic event queue (paper: Spawn). Plain deque: single writer/reader.
-  std::deque<QueueEntry> local_queue_;
+  // Core-local synthetic event queue (paper: Spawn). Single writer/reader. A RingQueue, not
+  // a deque: once grown to the working depth, cycling spawns through it never allocates.
+  RingQueue<QueueEntry> local_queue_;
 
   // Vector table: fixed array of release-published entries, so a device thread can raise
   // concurrently with this core allocating new vectors (no map rehash to race with).

@@ -2,11 +2,17 @@
 // by the hosted frontend, and the FileSystem Ebb function-shipping to real POSIX files.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/ebb_allocator.h"
 #include "src/dist/file_system.h"
+#include "src/dist/rpc.h"
+#include "src/event/timer.h"
 #include "src/sim/testbed.h"
 
 namespace ebbrt {
@@ -255,6 +261,214 @@ TEST_F(DistTest, GlobalIdMapNamingAndIdBlocks) {
   EXPECT_EQ(value, "10.0.0.3:11211");
   EXPECT_NE(block_a, 0u);
   EXPECT_EQ(block_b, block_a + 64);
+}
+
+// --- RpcClient completion targets ----------------------------------------------------------
+
+// Echo RPC server that records the request ids it saw; `silent` swallows requests.
+class RecordingEcho final : public dist::RpcServer {
+ public:
+  RecordingEcho(Runtime& runtime, EbbId service, bool silent)
+      : dist::RpcServer(runtime, service), silent_(silent) {}
+
+  std::vector<std::uint64_t> request_ids;
+
+ private:
+  void HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint16_t /*opcode*/,
+                  std::uint32_t aux, std::unique_ptr<IOBuf> body) override {
+    request_ids.push_back(request_id);
+    if (!silent_) {
+      Reply(from, request_id, aux, std::move(body));
+    }
+  }
+
+  bool silent_;
+};
+
+// Counts how the completion ran; `then` (optional) runs after either outcome, from inside it.
+struct CountingCompletion final : dist::RpcCompletion {
+  int responses = 0;
+  int timeouts = 0;
+  int peer_lost = 0;
+  int other_failures = 0;
+  std::string body;
+  std::function<void()> then;
+
+  int runs() const { return responses + timeouts + peer_lost + other_failures; }
+
+  void OnResponse(dist::RpcResponse response) override {
+    ++responses;
+    body = dist::ChainToString(response.body.get());
+    if (then) {
+      then();
+    }
+  }
+  void OnFailure(std::exception_ptr error) override {
+    try {
+      std::rethrow_exception(error);
+    } catch (const dist::RpcTimeout&) {
+      ++timeouts;
+    } catch (const dist::RpcPeerLost&) {
+      ++peer_lost;
+    } catch (...) {
+      ++other_failures;
+    }
+    if (then) {
+      then();
+    }
+  }
+};
+
+TEST_F(DistTest, EveryResolutionPathRunsTheCompletionExactlyOnce) {
+  // The four ways a call resolves — response, deadline expiry after its retries, peer loss,
+  // client teardown — each run the caller's completion target exactly once, and leave
+  // nothing pending.
+  constexpr EbbId kEcho = kFirstStaticUserId + 50;
+  constexpr EbbId kMute = kFirstStaticUserId + 51;
+  frontend_.Spawn(0, [&] {
+    frontend_.runtime->Adopt(std::make_shared<RecordingEcho>(*frontend_.runtime, kEcho, false));
+    frontend_.runtime->Adopt(std::make_shared<RecordingEcho>(*frontend_.runtime, kMute, true));
+  });
+  std::shared_ptr<dist::RpcClient> echo;
+  std::shared_ptr<dist::RpcClient> mute;
+  CountingCompletion answered;
+  CountingCompletion expired;
+  native_.Spawn(0, [&] {
+    echo = std::make_shared<dist::RpcClient>(*native_.runtime, kEcho, kFrontendIp);
+    mute = std::make_shared<dist::RpcClient>(*native_.runtime, kMute, kFrontendIp);
+    echo->Call(1, 0, IOBuf::CopyBuffer("ping"), dist::CallOptions{}, &answered);
+    mute->Call(1, 0, IOBuf::CopyBuffer("lost"),
+               dist::CallOptions{/*deadline_ns=*/200'000,
+                                 dist::RetryPolicy{/*max_attempts=*/2,
+                                                   /*initial_backoff_ns=*/100'000,
+                                                   /*max_backoff_ns=*/100'000}},
+               &expired);
+  });
+  bed_.world().Run();
+  EXPECT_EQ(answered.responses, 1);
+  EXPECT_EQ(answered.runs(), 1);
+  EXPECT_EQ(answered.body, "ping");
+  EXPECT_EQ(expired.timeouts, 1);
+  EXPECT_EQ(expired.runs(), 1);
+  EXPECT_EQ(mute->stats().retries.load(), 1u);
+  EXPECT_EQ(mute->stats().timeouts.load(), 2u);
+  EXPECT_EQ(echo->pending_calls(), 0u);
+  EXPECT_EQ(mute->pending_calls(), 0u);
+
+  // Peer loss: no deadline, so only the dead connection can resolve the call.
+  CountingCompletion severed;
+  native_.Spawn(0, [&] {
+    mute->Call(1, 0, IOBuf::CopyBuffer("stuck"),
+               dist::CallOptions{/*deadline_ns=*/0, dist::RetryPolicy{/*max_attempts=*/1}},
+               &severed);
+    Timer::Instance()->Start(100'000, [&] { native_.net->tcp().SeverPeer(kFrontendIp); });
+  });
+  bed_.world().Run();
+  EXPECT_EQ(severed.peer_lost, 1);
+  EXPECT_EQ(severed.runs(), 1);
+  EXPECT_EQ(mute->stats().peer_failures.load(), 1u);
+  EXPECT_EQ(mute->pending_calls(), 0u);
+
+  // Teardown: one call pending on each core's lane when the client dies.
+  CountingCompletion orphans[2];
+  for (std::size_t core = 0; core < 2; ++core) {
+    native_.Spawn(core, [&, core] {
+      mute->Call(1, 0, IOBuf::CopyBuffer("orphan"),
+                 dist::CallOptions{/*deadline_ns=*/0, dist::RetryPolicy{/*max_attempts=*/1}},
+                 &orphans[core]);
+    });
+  }
+  bed_.world().Run();
+  EXPECT_EQ(mute->pending_calls(), 2u);
+  native_.Spawn(0, [&] { mute.reset(); });
+  bed_.world().Run();
+  for (const CountingCompletion& orphan : orphans) {
+    EXPECT_EQ(orphan.peer_lost, 1);
+    EXPECT_EQ(orphan.runs(), 1);
+  }
+  EXPECT_EQ(answered.runs(), 1);
+  EXPECT_EQ(expired.runs(), 1);
+  EXPECT_EQ(severed.runs(), 1);
+}
+
+TEST_F(DistTest, ManyCallsInFlightGrowTheLaneAndEachGetsItsOwnReply) {
+  // 200 calls outstanding at once on one core spread over several slot chunks (16, 32, 64,
+  // 128 slots): every completion receives the reply to its own request. Each call arms a
+  // deadline timer on its core, and each completion there stops it: nothing lingers.
+  constexpr EbbId kEcho = kFirstStaticUserId + 53;
+  constexpr std::size_t kCalls = 200;
+  frontend_.Spawn(0, [&] {
+    frontend_.runtime->Adopt(std::make_shared<RecordingEcho>(*frontend_.runtime, kEcho, false));
+  });
+  std::shared_ptr<dist::RpcClient> client;
+  std::vector<CountingCompletion> completions(kCalls);
+  std::size_t pending_after_issue = 0;
+  std::size_t timers_after_issue = 0;
+  std::size_t timers_after_replies = ~std::size_t{0};
+  native_.Spawn(1, [&] {
+    client = std::make_shared<dist::RpcClient>(*native_.runtime, kEcho, kFrontendIp);
+    // Replies arrive in order on this core; the last one looks before any deadline passes.
+    completions.back().then = [&] { timers_after_replies = Timer::Instance()->pending(); };
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      client->Call(1, 0, IOBuf::CopyBuffer("call-" + std::to_string(i)), dist::CallOptions{},
+                   &completions[i]);
+    }
+    pending_after_issue = client->pending_calls();
+    timers_after_issue = Timer::Instance()->pending();
+  });
+  bed_.world().Run();
+  EXPECT_EQ(pending_after_issue, kCalls);
+  EXPECT_GE(timers_after_issue, kCalls);
+  EXPECT_LE(timers_after_replies, timers_after_issue - kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(completions[i].responses, 1) << i;
+    EXPECT_EQ(completions[i].runs(), 1) << i;
+    EXPECT_EQ(completions[i].body, "call-" + std::to_string(i));
+  }
+  EXPECT_EQ(client->pending_calls(), 0u);
+  EXPECT_EQ(client->stats().late_drops.load(), 0u);
+}
+
+TEST_F(DistTest, LateResponseToARecycledSlotIsDroppedNotMisrouted) {
+  // Call A times out and frees its slot; call B, issued from A's failure, takes the same
+  // slot under a newer generation. A's reply then arrives (a 2 ms link delay): it must tick
+  // late_drops and leave B pending, and B must later resolve with ITS reply.
+  constexpr EbbId kEcho = kFirstStaticUserId + 52;
+  std::shared_ptr<RecordingEcho> server;
+  frontend_.Spawn(0, [&] {
+    server = std::make_shared<RecordingEcho>(*frontend_.runtime, kEcho, false);
+    frontend_.runtime->Adopt(server);
+  });
+  bed_.fabric().SetLinkFault(frontend_.nic->port(),
+                             {.drop_rate = 0, .extra_delay_ns = 2'000'000});
+  std::shared_ptr<dist::RpcClient> client;
+  CountingCompletion first;
+  CountingCompletion second;
+  std::uint64_t late_drops_when_b_resolved = 0;
+  native_.Spawn(0, [&] {
+    client = std::make_shared<dist::RpcClient>(*native_.runtime, kEcho, kFrontendIp);
+    first.then = [&] {
+      client->Call(1, 0, IOBuf::CopyBuffer("second"),
+                   dist::CallOptions{/*deadline_ns=*/0, dist::RetryPolicy{1}}, &second);
+    };
+    // A's reply must have been dropped BEFORE B's reply arrived, not after.
+    second.then = [&] { late_drops_when_b_resolved = client->stats().late_drops.load(); };
+    client->Call(1, 0, IOBuf::CopyBuffer("first"),
+                 dist::CallOptions{/*deadline_ns=*/500'000, dist::RetryPolicy{1}}, &first);
+  });
+  bed_.world().Run();
+  EXPECT_EQ(first.timeouts, 1);
+  EXPECT_EQ(first.runs(), 1);
+  EXPECT_EQ(second.responses, 1);
+  EXPECT_EQ(second.runs(), 1);
+  EXPECT_EQ(second.body, "second");
+  EXPECT_EQ(client->stats().late_drops.load(), 1u);
+  EXPECT_EQ(late_drops_when_b_resolved, 1u);
+  EXPECT_EQ(client->pending_calls(), 0u);
+  // Same lane and slot, different generation.
+  ASSERT_EQ(server->request_ids.size(), 2u);
+  EXPECT_EQ(server->request_ids[0] >> 32, server->request_ids[1] >> 32);
+  EXPECT_NE(server->request_ids[0], server->request_ids[1]);
 }
 
 }  // namespace

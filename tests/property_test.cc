@@ -5,12 +5,20 @@
 //    byte-wise RFC 1071 reference for every length, alignment, split and fill.
 //  * Slab caches hand out non-overlapping, correctly-sized objects for every size class.
 //  * The buddy allocator conserves pages for arbitrary alloc/free interleavings.
+//  * The key-vector body parser reads the same keys from one segment and from a chain split
+//    anywhere, and rejects every malformed body on both paths.
 #include <numeric>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/apps/memcached/protocol.h"
+#include "src/apps/memcached/shard.h"
+#include "src/dist/rpc.h"
 #include "src/mem/gp_allocator.h"
 #include "src/sim/testbed.h"
 
@@ -309,6 +317,158 @@ TEST_P(BuddyConservation, FreePagesRestoredAfterChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyConservation, ::testing::Values(11u, 22u, 33u, 44u));
+
+// --- Key-vector body parser: one segment vs. every split -------------------------------------
+
+std::string KeyVectorBytes(const std::vector<std::string>& keys) {
+  std::size_t bytes = 0;
+  for (const std::string& key : keys) {
+    bytes += key.size();
+  }
+  dist::KeyVectorBuilder builder(keys.size(), bytes);
+  for (const std::string& key : keys) {
+    builder.Add(key);
+  }
+  return dist::ChainToString(builder.Finish().get());
+}
+
+// `bytes` as a chain cut at each offset in `cuts` (ascending; empty pieces allowed).
+std::unique_ptr<IOBuf> ChainOf(const std::string& bytes, const std::vector<std::size_t>& cuts) {
+  std::unique_ptr<IOBuf> head;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    std::size_t end = i < cuts.size() ? cuts[i] : bytes.size();
+    auto piece = IOBuf::CopyBuffer(bytes.data() + start, end - start);
+    if (head == nullptr) {
+      head = std::move(piece);
+    } else {
+      head->AppendChain(std::move(piece));
+    }
+    start = end;
+  }
+  return head;
+}
+
+// Parses `chain`, returning the keys as owned strings (or nullopt when rejected).
+std::optional<std::vector<std::string>> ParseKeys(const IOBuf* chain) {
+  std::vector<std::string_view> views;
+  std::vector<char> scratch;
+  if (!dist::ParseKeyVectorBody(chain, &views, &scratch)) {
+    return std::nullopt;
+  }
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
+TEST(KeyVectorParser, EverySplitParsesTheSameKeysAsOneSegment) {
+  const std::vector<std::string> keys = {"user:1",         "",
+                                         "k",              std::string(70, 'a'),
+                                         std::string(300, 'b'), "user:2:" + std::string(20, 'c')};
+  const std::string bytes = KeyVectorBytes(keys);
+  auto whole = ChainOf(bytes, {});
+  ASSERT_EQ(whole->Next(), nullptr);
+  std::optional<std::vector<std::string>> flat = ParseKeys(whole.get());
+  ASSERT_TRUE(flat.has_value());
+  EXPECT_EQ(*flat, keys);
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    auto chain = ChainOf(bytes, {cut});
+    EXPECT_EQ(ParseKeys(chain.get()), flat) << "split at " << cut;
+  }
+  std::vector<std::size_t> every_byte(bytes.size() - 1);
+  std::iota(every_byte.begin(), every_byte.end(), 1);
+  auto shredded = ChainOf(bytes, every_byte);
+  EXPECT_EQ(ParseKeys(shredded.get()), flat);
+}
+
+TEST(KeyVectorParser, MalformedBodiesRejectedOnBothPaths) {
+  auto u32 = [](std::uint32_t v) {
+    v = HostToNet32(v);
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto u16 = [](std::uint16_t v) {
+    v = HostToNet16(v);
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const std::string valid = KeyVectorBytes({"alpha", "beta"});
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {"count above kMaxVectorKeys",
+       u32(static_cast<std::uint32_t>(dist::kMaxVectorKeys) + 1) + u16(1) + "k"},
+      {"shorter than the count word", u32(1).substr(0, 3)},
+      {"truncated length word", u32(2) + u16(5) + "alpha" + u16(4).substr(0, 1)},
+      {"truncated key bytes", u32(1) + u16(10) + "short"},
+      {"missing keys", u32(3) + u16(5) + "alpha"},
+      {"trailing bytes", valid + "x"},
+  };
+  for (const auto& [name, bytes] : malformed) {
+    auto whole = ChainOf(bytes, {});
+    EXPECT_FALSE(ParseKeys(whole.get()).has_value()) << name << ", one segment";
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+      auto chain = ChainOf(bytes, {cut});
+      EXPECT_FALSE(ParseKeys(chain.get()).has_value()) << name << ", split at " << cut;
+    }
+  }
+  EXPECT_FALSE(ParseKeys(nullptr).has_value());
+}
+
+TEST(KeyVectorParser, ShardServiceAnswersMalformedBatchesWithAnRpcError) {
+  // End to end through a ShardService, with bodies small enough for one segment and large
+  // enough to span several: a malformed batch is an RPC error (not a transport failure, not
+  // a bad frame); an oversized key inside a well-formed batch is a miss that ticks
+  // bad_frames; a well-formed batch is answered whatever its segmentation.
+  sim::Testbed bed;
+  sim::TestbedNode shard = bed.AddNode("shard", 1, Ipv4Addr::Of(10, 0, 0, 20));
+  sim::TestbedNode client = bed.AddNode("client", 1, Ipv4Addr::Of(10, 0, 0, 3));
+  memcached::ShardService* service = nullptr;
+  shard.Spawn(0, [&] {
+    auto owned = std::make_shared<memcached::ShardService>(*shard.runtime, 0);
+    service = owned.get();
+    shard.runtime->Adopt(owned);
+  });
+  std::vector<std::string> small_keys = {"a", "b"};
+  std::vector<std::string> large_keys;  // ~4 KiB of keys: the request spans segments
+  for (int i = 0; i < 64; ++i) {
+    large_keys.push_back("large:" + std::to_string(i) + std::string(56, 'x'));
+  }
+  std::vector<std::string> oversized = {"ok", std::string(memcached::kMaxKeyLen + 1, 'o')};
+  struct Outcome {
+    bool answered = false;
+    std::uint32_t aux = 0;
+    bool app_error = false;
+  };
+  std::vector<Outcome> outcomes(6);
+  std::shared_ptr<dist::RpcClient> rpc;
+  client.Spawn(0, [&] {
+    rpc = std::make_shared<dist::RpcClient>(*client.runtime, memcached::kShardServiceBase,
+                                            Ipv4Addr::Of(10, 0, 0, 20));
+    auto call = [&](std::size_t i, const std::string& bytes, std::uint32_t count) {
+      rpc->Call(memcached::kShardOpMultiGet, count, IOBuf::CopyBuffer(bytes))
+          .Then([&, i](Future<dist::RpcClient::Response> f) {
+            try {
+              outcomes[i].aux = f.Get().aux;
+              outcomes[i].answered = true;
+            } catch (const dist::RpcTransportError&) {
+            } catch (const std::runtime_error&) {
+              outcomes[i].app_error = true;
+            }
+          });
+    };
+    call(0, KeyVectorBytes(small_keys), 2);
+    call(1, KeyVectorBytes(small_keys) + "x", 2);
+    call(2, KeyVectorBytes(large_keys), 64);
+    call(3, KeyVectorBytes(large_keys) + "x", 64);
+    call(4, KeyVectorBytes(large_keys).substr(0, 3000), 64);
+    call(5, KeyVectorBytes(oversized), 2);
+  });
+  bed.world().Run();
+  EXPECT_TRUE(outcomes[0].answered);
+  EXPECT_EQ(outcomes[0].aux, 0u);  // misses: nothing stored
+  EXPECT_TRUE(outcomes[1].app_error);
+  EXPECT_TRUE(outcomes[2].answered);
+  EXPECT_TRUE(outcomes[3].app_error);
+  EXPECT_TRUE(outcomes[4].app_error);
+  EXPECT_TRUE(outcomes[5].answered);
+  EXPECT_EQ(service->bad_frames(), 1u);  // only the oversized key inside a sound batch
+  EXPECT_EQ(rpc->pending_calls(), 0u);
+}
 
 }  // namespace
 }  // namespace ebbrt

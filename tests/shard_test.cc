@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/memcached/shard.h"
+#include "src/event/timer.h"
+#include "src/mem/gp_allocator.h"
 #include "src/sim/testbed.h"
 
 namespace ebbrt {
@@ -302,56 +304,267 @@ TEST_F(ShardWorldTest, MultiGetAllKeysOnOneShardShipsOneRpc) {
   }
 }
 
+TEST_F(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
+  // The allocation-free shard path, pinned: once warm, a 16-key MultiGet at R=2 over four
+  // shards allocates exactly its future's state and its result vector, and a Set exactly
+  // its future's state — across the router, the RPC clients, the Messenger, TCP, the fabric
+  // and the shards. The counter sees every ::operator new in the process. The driver polls
+  // from a periodic timer (invoked in place) instead of chaining Then, which would add a
+  // promise of its own per op. Warm-up runs one RPC deadline of virtual time, so every
+  // per-core table on the path (timer slots, pending slots, queues, batch pool) has reached
+  // its working depth.
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kKeySpace = 64;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kBatches = 8;
+  constexpr int kMeasured = 256;  // of each kind
+  BuildWorld(kShards);
+
+  struct Driver {
+    memcached::ShardRouter* router = nullptr;
+    std::vector<std::string> keys;
+    std::vector<std::vector<std::string_view>> batches;  // prebuilt: issuing copies nothing
+    std::string value = std::string(100, 'v');
+    Future<std::vector<memcached::ShardRouter::GetResult>> multiget;
+    Future<void> set;
+    std::uint64_t warm_until = 0;     // virtual ns: ops issued later are counted
+    std::uint64_t allocs_at_issue = 0;
+    bool counting = false;            // the op in flight was issued after warm-up
+    std::size_t next = 0;             // ops issued
+    int multigets = 0;
+    int sets = 0;
+    std::uint64_t multiget_allocs = 0;
+    std::uint64_t set_allocs = 0;
+    int bad_results = 0;
+    std::uint64_t timer = 0;
+    bool done = false;
+
+    void Tick(std::uint64_t now) {
+      auto& counter = mem::stats().generic_heap_allocs;
+      if (multiget.Valid()) {
+        if (!multiget.Ready()) {
+          return;
+        }
+        std::uint64_t allocs = counter.load() - allocs_at_issue;
+        std::vector<memcached::ShardRouter::GetResult> results = multiget.Get();
+        for (const auto& result : results) {
+          bad_results += result.found ? 0 : 1;
+        }
+        bad_results += results.size() == kBatch ? 0 : 1;
+        results.clear();
+        multiget = {};
+        if (counting) {
+          multiget_allocs += allocs;
+          ++multigets;
+        }
+      } else if (set.Valid()) {
+        if (!set.Ready()) {
+          return;
+        }
+        std::uint64_t allocs = counter.load() - allocs_at_issue;
+        set.Get();
+        set = {};
+        if (counting) {
+          set_allocs += allocs;
+          ++sets;
+        }
+      }
+      if (multigets == kMeasured && sets == kMeasured) {
+        Timer::Instance()->Stop(timer);
+        done = true;
+        return;
+      }
+      // Preload every key, then alternate MultiGet and Set.
+      counting = now >= warm_until;
+      allocs_at_issue = counter.load();
+      std::size_t op = next++;
+      if (op < kKeySpace || op % 2 == 1) {
+        set = router->Set(keys[op % kKeySpace], value);
+      } else {
+        multiget = router->MultiGet(batches[op / 2 % kBatches]);
+      }
+    }
+  };
+
+  Driver driver;
+  for (std::size_t i = 0; i < kKeySpace; ++i) {
+    driver.keys.push_back("steady:" + std::to_string(i) + std::string(24, 'k'));
+  }
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    driver.batches.emplace_back();
+    for (std::size_t j = 0; j < kBatch; ++j) {
+      driver.batches.back().push_back(driver.keys[(b * kBatch + j * 7) % kKeySpace]);
+    }
+  }
+  std::unique_ptr<memcached::ShardRouter> router;
+  client_->Spawn(0, [&] {
+    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
+        .Then([&](Future<std::vector<ShardEndpoint>> f) {
+          memcached::RingRecord ring;
+          ring.epoch = 1;
+          ring.shards = f.Get();
+          memcached::ShardRouter::Config config;
+          config.replication = 2;
+          router = std::make_unique<memcached::ShardRouter>(*client_->runtime,
+                                                            std::move(ring), config);
+          driver.router = router.get();
+          std::uint64_t now = bed_.world().Now();
+          driver.warm_until = now + dist::kDefaultRpcDeadlineNs;
+          driver.timer = Timer::Instance()->Start(
+              2'000, [&driver, this] { driver.Tick(bed_.world().Now()); }, /*periodic=*/true);
+        });
+  });
+  bed_.world().Run();
+  ASSERT_TRUE(driver.done);
+  EXPECT_EQ(driver.bad_results, 0);
+  EXPECT_EQ(driver.multiget_allocs, 2u * kMeasured);  // future state + result vector
+  EXPECT_EQ(driver.set_allocs, 1u * kMeasured);       // future state
+}
+
+TEST_F(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
+  // Destroying the router with ops in flight: tearing its RPC clients down fails their
+  // pending calls, and a closing router must take those failures as final — no suspect
+  // marking, no failover re-scatter into the client map being destroyed. Shard 0 is
+  // black-holed, so the MultiGet group and the Set replica addressed to it stay pending
+  // until the teardown fails them.
+  constexpr std::size_t kShards = 3;
+  std::uint64_t live_before = memcached::Item::live_count();
+  BuildWorld(kShards);
+  std::unique_ptr<memcached::ShardRouter> router;
+  std::vector<std::string> keys;
+  int multiget_resolved = 0;
+  int multiget_peer_lost = 0;
+  int set_resolved = 0;
+  int set_peer_lost = 0;
+  std::size_t pending_at_teardown = 0;
+  std::vector<std::uint64_t> requests_at_teardown(kShards, 0);
+  client_->Spawn(0, [&] {
+    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
+        .Then([&](Future<std::vector<ShardEndpoint>> f) {
+          memcached::RingRecord ring;
+          ring.epoch = 1;
+          ring.shards = f.Get();
+          memcached::ShardRouter::Config config;
+          config.replication = 2;
+          router = std::make_unique<memcached::ShardRouter>(*client_->runtime,
+                                                            std::move(ring), config);
+          // Two keys whose primary is the black-holed shard, two whose primary is not.
+          std::size_t on_zero = 0;
+          std::size_t elsewhere = 0;
+          for (std::size_t i = 0; on_zero < 2 || elsewhere < 2; ++i) {
+            std::string key = "teardown:" + std::to_string(i);
+            std::size_t& have = router->ShardFor(key) == 0 ? on_zero : elsewhere;
+            if (have < 2) {
+              ++have;
+              keys.push_back(std::move(key));
+            }
+          }
+          bed_.fabric().SetLinkFault(shard_nodes_[0].nic->port(), {.blackhole = true});
+          std::vector<std::string_view> views(keys.begin(), keys.end());
+          router->MultiGet(views).Then(
+              [&](Future<std::vector<memcached::ShardRouter::GetResult>> mf) {
+                ++multiget_resolved;
+                try {
+                  mf.Get();
+                } catch (const dist::RpcPeerLost&) {
+                  ++multiget_peer_lost;
+                }
+              });
+          std::string set_key;
+          for (const std::string& key : keys) {
+            if (router->ShardFor(key) == 0) {
+              set_key = key;
+            }
+          }
+          router->Set(set_key, "value").Then([&](Future<void> sf) {
+            ++set_resolved;
+            try {
+              sf.Get();
+            } catch (const dist::RpcPeerLost&) {
+              ++set_peer_lost;
+            }
+          });
+          Timer::Instance()->Start(1'000'000, [&] {
+            pending_at_teardown = router->pending_calls();
+            for (std::size_t s = 0; s < kShards; ++s) {
+              requests_at_teardown[s] = services_[s]->requests();
+            }
+            router.reset();
+          });
+        });
+  });
+  bed_.world().Run();
+  ASSERT_EQ(router, nullptr);
+  EXPECT_EQ(pending_at_teardown, 2u);  // the black-holed MultiGet group and Set replica
+  EXPECT_EQ(multiget_resolved, 1);
+  EXPECT_EQ(multiget_peer_lost, 1);
+  EXPECT_EQ(set_resolved, 1);
+  EXPECT_EQ(set_peer_lost, 1);
+  // Nothing was re-issued: no shard saw a request after the teardown began.
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(services_[s]->requests(), requests_at_teardown[s]) << "shard " << s;
+  }
+  // No reply view still pins an item: the only live items are the ones the stores hold.
+  std::size_t stored = 0;
+  for (memcached::ShardService* service : services_) {
+    stored += service->store().size();
+  }
+  EXPECT_EQ(memcached::Item::live_count(), live_before + stored);
+}
+
 TEST(MultiGetReply, RoundTripIsZeroCopy) {
   // The no-memcpy pin for the gather side: parse a reply whose values live in known storage
   // and assert the parsed views are the SAME bytes (same data pointers, shared storage) —
   // not copies. A second live view (the clone) makes the share count observable.
   const std::string v0(100, 'a');
   const std::string v2(1000, 'c');
-  std::vector<std::unique_ptr<IOBuf>> values;
-  values.push_back(IOBuf::CopyBuffer(v0));
-  values.push_back(nullptr);  // miss
-  values.push_back(IOBuf::CopyBuffer(v2));
-  const std::uint8_t* v0_data = values[0]->Data();
-  const std::uint8_t* v2_data = values[2]->Data();
-  auto reply = memcached::BuildMultiGetReply(std::move(values));
+  auto value0 = IOBuf::CopyBuffer(v0);
+  auto value2 = IOBuf::CopyBuffer(v2);
+  const std::uint8_t* v0_data = value0->Data();
+  const std::uint8_t* v2_data = value2->Data();
+  memcached::MultiGetReplyBuilder builder;
+  builder.Add(std::move(value0));
+  builder.Add(nullptr);  // miss
+  builder.Add(std::move(value2));
+  auto reply = builder.Finish();
   ASSERT_NE(reply, nullptr);
   auto clone = reply->Clone();  // second view of the same storage, held across the parse
-  std::vector<memcached::ShardRouter::GetResult> results;
-  ASSERT_TRUE(memcached::ParseMultiGetReply(std::move(reply), 3, &results));
-  ASSERT_EQ(results.size(), 3u);
-  ASSERT_TRUE(results[0].found);
+  // Records land in the slots they name: here the reverse of wire order.
+  const std::uint32_t slots[] = {2, 1, 0};
+  std::vector<memcached::ShardRouter::GetResult> results(3);
+  ASSERT_TRUE(memcached::ParseMultiGetReply(std::move(reply), slots, 3, results.data()));
   ASSERT_TRUE(results[2].found);
+  ASSERT_TRUE(results[0].found);
   EXPECT_FALSE(results[1].found);
   EXPECT_EQ(results[1].value, nullptr);
   // Same bytes, not equal bytes: the parsed value views point INTO the reply's storage.
-  ASSERT_NE(results[0].value, nullptr);
   ASSERT_NE(results[2].value, nullptr);
-  EXPECT_EQ(results[0].value->Data(), v0_data);
-  EXPECT_EQ(results[2].value->Data(), v2_data);
-  EXPECT_EQ(dist::ChainToString(results[0].value.get()), v0);
-  EXPECT_EQ(dist::ChainToString(results[2].value.get()), v2);
+  ASSERT_NE(results[0].value, nullptr);
+  EXPECT_EQ(results[2].value->Data(), v0_data);
+  EXPECT_EQ(results[0].value->Data(), v2_data);
+  EXPECT_EQ(dist::ChainToString(results[2].value.get()), v0);
+  EXPECT_EQ(dist::ChainToString(results[0].value.get()), v2);
   // And the storage is shared (parsed view + clone's view at least), not re-owned.
-  EXPECT_GE(results[0].value->StorageRefCount(), 2u);
   EXPECT_GE(results[2].value->StorageRefCount(), 2u);
+  EXPECT_GE(results[0].value->StorageRefCount(), 2u);
 }
 
 TEST(MultiGetReply, MalformedRepliesRejected) {
-  std::vector<memcached::ShardRouter::GetResult> results;
+  const std::uint32_t slots[] = {0, 1};
+  std::vector<memcached::ShardRouter::GetResult> results(2);
   // Fewer records than expected.
   {
-    std::vector<std::unique_ptr<IOBuf>> values;
-    values.push_back(IOBuf::CopyBuffer(std::string(8, 'x')));
-    auto reply = memcached::BuildMultiGetReply(std::move(values));
-    EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(reply), 2, &results));
+    memcached::MultiGetReplyBuilder builder;
+    builder.Add(IOBuf::CopyBuffer(std::string(8, 'x')));
+    EXPECT_FALSE(memcached::ParseMultiGetReply(builder.Finish(), slots, 2, results.data()));
   }
   // Trailing bytes beyond the declared records.
   {
-    std::vector<std::unique_ptr<IOBuf>> values;
-    values.push_back(IOBuf::CopyBuffer(std::string(8, 'x')));
-    auto reply = memcached::BuildMultiGetReply(std::move(values));
+    memcached::MultiGetReplyBuilder builder;
+    builder.Add(IOBuf::CopyBuffer(std::string(8, 'x')));
+    auto reply = builder.Finish();
     reply->AppendChain(IOBuf::CopyBuffer("junk"));
-    EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(reply), 1, &results));
+    EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(reply), slots, 1, results.data()));
   }
   // Value bytes run short of the declared length (truncated chain).
   {
@@ -360,11 +573,11 @@ TEST(MultiGetReply, MalformedRepliesRejected) {
     std::uint32_t w = HostToNet32(memcached::kMultiGetFoundBit | 64);
     std::memcpy(word->WritableData(), &w, sizeof(w));
     word->AppendChain(IOBuf::CopyBuffer(std::string(10, 'y')));  // 10 < declared 64
-    EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(word), 1, &results));
+    EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(word), slots, 1, results.data()));
   }
   // An empty reply against a zero-key expectation parses (and exactly consumes).
-  EXPECT_TRUE(memcached::ParseMultiGetReply(nullptr, 0, &results));
-  EXPECT_TRUE(results.empty());
+  EXPECT_TRUE(memcached::ParseMultiGetReply(nullptr, nullptr, 0, nullptr));
+  EXPECT_TRUE(memcached::MultiGetReplyBuilder().Finish() == nullptr);
 }
 
 TEST(ShardRing, BalanceAndDeterminismWithoutAWorld) {
