@@ -120,19 +120,6 @@ std::uint32_t EventManager::AllocateVector(MoveFunction<void()> handler) {
   return vector;
 }
 
-void EventManager::SetVectorHandler(std::uint32_t vector, MoveFunction<void()> handler) {
-  Kbugon(vector >= kNumVectors, "EventManager: bad vector %u", vector);
-  VectorEntry* entry = vector_table_[vector].load(std::memory_order_acquire);
-  if (entry == nullptr) {
-    vector_table_[vector].store(new VectorEntry(std::move(handler)),
-                                std::memory_order_release);
-    return;
-  }
-  // Handler replacement happens on the owner core (where Fire also runs), so the swap
-  // cannot race an invocation; raisers only touch `pending`.
-  entry->handler = std::move(handler);
-}
-
 void EventManager::RaiseVector(std::uint32_t vector) {
   Kbugon(vector >= kNumVectors, "EventManager: bad vector %u", vector);
   VectorEntry* entry = vector_table_[vector].load(std::memory_order_acquire);

@@ -100,7 +100,6 @@ class EventManager {
   // --- Spawning ---------------------------------------------------------------------------
   // Queues `fn` as a synthetic event on this core. Spawned events run exactly once.
   void Spawn(MoveFunction<void()> fn);
-  void SpawnLocal(MoveFunction<void()> fn) { Spawn(std::move(fn)); }
   // Queues `fn` on another core of this machine (cross-core safe).
   void SpawnRemote(MoveFunction<void()> fn, std::size_t machine_core);
 
@@ -108,7 +107,6 @@ class EventManager {
   // Devices allocate a vector and bind a persistent handler (paper: "Devices can allocate a
   // hardware interrupt from the EventManager and then bind a handler to that interrupt").
   std::uint32_t AllocateVector(MoveFunction<void()> handler);
-  void SetVectorHandler(std::uint32_t vector, MoveFunction<void()> handler);
   // Fires a vector on this core. Safe from any thread: the raiser bumps the entry's pending
   // count and only the 0->1 transition publishes the (embedded) node — no lock, no
   // allocation, coalesced redelivery. The handler is invoked from the event loop with

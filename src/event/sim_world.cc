@@ -22,6 +22,7 @@ Runtime& SimWorld::AddMachine(std::string name, std::size_t cores, RuntimeKind k
   auto timer_root = std::make_unique<TimerRoot>(*executor, *em_root, cores);
   rt.InstallRoot(kTimerId, timer_root.get());
   rt.SetSubsystem(Subsystem::kTimer, timer_root.get());
+  rt.SetSubsystem(Subsystem::kMachine, executor.get());
 
   // Every simulated machine runs the full memory subsystem: per-NUMA buddy pages, per-core
   // slab caches, the GP allocator, and the datapath buffer pool. This is what makes IOBuf
@@ -38,6 +39,8 @@ Runtime& SimWorld::AddMachine(std::string name, std::size_t cores, RuntimeKind k
     core->executor = executor.get();
     core->machine_core = i;
     core->global_core = rt.global_core(i);
+    core->wake_slot = calendar_.Acquire();
+    calendar_[core->wake_slot].core = core.get();
     executor->cores_.push_back(core.get());
     cores_.push_back(std::move(core));
   }
@@ -56,12 +59,10 @@ void SimWorld::SpawnOn(Runtime& runtime, std::size_t core, MoveFunction<void()> 
 }
 
 void SimWorld::At(std::uint64_t t, MoveFunction<void()> fn) {
-  CalendarEntry entry;
-  entry.time = std::max(t, Now());
-  entry.seq = next_seq_++;
-  entry.core = nullptr;
-  entry.action = std::move(fn);
-  PushEntry(std::move(entry));
+  std::uint32_t slot = calendar_.Acquire();
+  calendar_[slot].action = std::move(fn);
+  calendar_.Set(slot, std::max(t, Now()), next_seq_++);
+  NoteCalendarDepth();
 }
 
 void SimWorld::After(std::uint64_t dt, MoveFunction<void()> fn) {
@@ -91,28 +92,14 @@ void SimWorld::OnHandlerComplete() {
   }
 }
 
-void SimWorld::PushEntry(CalendarEntry entry) {
-  calendar_.push_back(std::move(entry));
-  std::push_heap(calendar_.begin(), calendar_.end(), EntryLater{});
-}
-
-SimWorld::CalendarEntry SimWorld::PopEntry() {
-  std::pop_heap(calendar_.begin(), calendar_.end(), EntryLater{});
-  CalendarEntry entry = std::move(calendar_.back());
-  calendar_.pop_back();
-  return entry;
-}
-
 void SimWorld::PushWake(SimCore* core, std::uint64_t t) {
-  if (core->wake_scheduled_at <= t) {
-    return;  // an existing wake at or before `t` already covers this request
+  const auto* queued = calendar_.Find(core->wake_slot);
+  if (queued != nullptr && queued->time <= t) {
+    return;  // the core's wake at or before `t` already covers this request
   }
-  core->wake_scheduled_at = t;
-  CalendarEntry entry;
-  entry.time = t;
-  entry.seq = next_seq_++;
-  entry.core = core;
-  PushEntry(std::move(entry));
+  // The seq a fresh entry would get: ties order exactly as if the wake were pushed anew.
+  calendar_.Set(core->wake_slot, t, next_seq_++);
+  NoteCalendarDepth();
 }
 
 void SimWorld::WakeSimCore(SimCore* core) {
@@ -144,7 +131,7 @@ void SimWorld::YieldCore(SimCore* core) {
     return;
   }
   std::uint64_t slice_now = SliceNow();
-  if (calendar_.front().time >= slice_now) {
+  if (calendar_.top().time >= slice_now) {
     return;  // nothing the core's progress would miss
   }
   // Park with an immediate self-wake at the core's clock: earlier calendar entries (packet
@@ -199,43 +186,44 @@ void SimWorld::RunSlice(SimCore* core, std::uint64_t t) {
   current_ = nullptr;
 }
 
-bool SimWorld::DispatchEntry(CalendarEntry entry) {
-  now_ = std::max(now_, entry.time);
+void SimWorld::DispatchNext() {
+  auto [time, seq, slot] = calendar_.top();
+  calendar_.Pop();
+  now_ = std::max(now_, time);
   ++stats_.entries_dispatched;
+  CalendarSlot& entry = calendar_[slot];
   if (entry.core == nullptr) {
+    // Run in place (slots never move, so At() from the action is safe), free after.
     ++stats_.actions;
     entry.action();
-    return true;
+    entry.action = nullptr;
+    calendar_.Release(slot);
+    return;
   }
   SimCore* core = entry.core;
-  if (entry.time != core->wake_scheduled_at) {
-    return false;  // stale duplicate: a tighter wake superseded this entry
-  }
-  core->wake_scheduled_at = kNoWakeup;
-  if (core->killed) {
+  if (core->executor->killed_) {
     // Killed machine: the wake is consumed and discarded. Work (timers, interconnect
     // nodes) stays queued in the machine's own state; ReviveMachine re-wakes the core so
     // it drains everything it missed.
     ++stats_.entries_dropped_killed;
-    return false;
+    return;
   }
   // A core whose virtual clock is ahead of the calendar is logically still busy: defer the
   // wake to its clock so work arriving "while busy" queues up behind it. This is what makes
   // interrupt coalescing, adaptive polling, and queueing delay emerge correctly in the DES.
-  if (core->clock > entry.time && !stopped_) {
+  if (core->clock > time && !stopped_) {
     ++stats_.entries_deferred;
     PushWake(core, core->clock);
-    return false;
+    return;
   }
   RunSlice(core, now_);
-  return true;
 }
 
 void SimWorld::Run() {
   Kassert(!in_run_, "SimWorld: reentrant Run");
   in_run_ = true;
   while (!stopped_ && !calendar_.empty()) {
-    DispatchEntry(PopEntry());
+    DispatchNext();
   }
   in_run_ = false;
 }
@@ -248,11 +236,11 @@ bool SimWorld::RunUntil(std::uint64_t t) {
     if (calendar_.empty()) {
       break;
     }
-    if (calendar_.front().time > t) {
+    if (calendar_.top().time > t) {
       quiescent = false;
       break;
     }
-    DispatchEntry(PopEntry());
+    DispatchNext();
   }
   now_ = std::max(now_, t);
   in_run_ = false;
@@ -262,33 +250,29 @@ bool SimWorld::RunUntil(std::uint64_t t) {
 void SimWorld::KillMachine(Runtime& runtime) {
   Kassert(current_ == nullptr || current_->runtime != &runtime,
           "KillMachine: a machine cannot kill itself from its own core slice");
-  if (!killed_.insert(&runtime).second) {
+  auto& machine = runtime.GetSubsystem<MachineExecutor>(Subsystem::kMachine);
+  if (std::exchange(machine.killed_, true)) {
     return;  // already dead
   }
   ++stats_.kills;
-  for (auto& core : cores_) {
-    if (core->runtime == &runtime) {
-      core->killed = true;
-      core->wake_pending = false;
-    }
+  for (SimCore* core : machine.cores_) {
+    core->wake_pending = false;
   }
 }
 
 void SimWorld::ReviveMachine(Runtime& runtime) {
   Kassert(current_ == nullptr || current_->runtime != &runtime,
           "ReviveMachine: not from the machine's own core slice");
-  if (killed_.erase(&runtime) == 0) {
+  auto& machine = runtime.GetSubsystem<MachineExecutor>(Subsystem::kMachine);
+  if (!std::exchange(machine.killed_, false)) {
     return;  // not dead
   }
   ++stats_.revives;
-  for (auto& core : cores_) {
-    if (core->runtime == &runtime) {
-      core->killed = false;
-      // Unconditional wake: anything that queued during the outage (overdue timers,
-      // interconnect pushes whose WakeCore was elided or dropped, posted frames) gets
-      // drained now. A core with nothing to do just parks again.
-      PushWake(core.get(), Now());
-    }
+  for (SimCore* core : machine.cores_) {
+    // Unconditional wake: anything that queued during the outage (overdue timers,
+    // interconnect pushes whose WakeCore was elided or dropped, posted frames) gets
+    // drained now. A core with nothing to do just parks again.
+    PushWake(core, Now());
   }
 }
 
@@ -304,7 +288,11 @@ void SimWorld::Shutdown() {
       RunSlice(core.get(), now_);
     }
   }
-  calendar_.clear();
+  // Drop every queued action (the stopped world recycles no slots); one running now, the
+  // caller of Shutdown, is not queued.
+  while (!calendar_.empty()) {
+    MoveFunction<void()> action = std::move(calendar_[calendar_.Pop()].action);
+  }
   // The event loops are gone, but the EventManagerRoots die BEFORE the runtimes (member
   // order), so each runtime's kEventManager slot is about to dangle. Clear it now: teardown
   // paths that consult it — RCU grace periods issued from adopted destructors, e.g. an

@@ -7,7 +7,8 @@
 //   * Machines are Runtimes whose cores run the genuine EventManager loop, one core at a time
 //     on a single host thread, each inside its own fiber.
 //   * A calendar orders wakeups (interrupt deliveries, timer deadlines, device completions)
-//     by virtual time; cores advance their own virtual clocks while they run.
+//     by virtual time; cores advance their own virtual clocks while they run. The calendar
+//     is a SlotHeap keyed by (time, seq) holding one wake slot per core plus world actions.
 //   * Virtual time during a handler comes from either (a) measured host cycles scaled to the
 //     paper's 2.6 GHz clock — so code that does less work earns proportionally less virtual
 //     time — or (b) a fixed per-handler cost for bitwise-deterministic tests.
@@ -23,7 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -32,6 +33,7 @@
 #include "src/event/timer.h"
 #include "src/platform/clock.h"
 #include "src/platform/fiber.h"
+#include "src/platform/slot_heap.h"
 
 namespace ebbrt {
 
@@ -88,8 +90,8 @@ class SimWorld {
   // machine's core slice — never from a core of the machine being killed.
   void KillMachine(Runtime& runtime);
   void ReviveMachine(Runtime& runtime);
-  bool MachineKilled(const Runtime& runtime) const {
-    return killed_.count(&runtime) != 0;
+  static bool MachineKilled(const Runtime& runtime) {
+    return runtime.GetSubsystem<MachineExecutor>(Subsystem::kMachine).killed_;
   }
 
   bool stopped() const { return stopped_; }
@@ -104,6 +106,7 @@ class SimWorld {
     std::uint64_t kills = 0;
     std::uint64_t revives = 0;
     std::uint64_t entries_dropped_killed = 0;  // core wakes discarded while killed
+    std::uint64_t calendar_peak = 0;           // high-water mark of queued entries
   };
   const WorldStats& world_stats() const { return stats_; }
 
@@ -131,6 +134,7 @@ class SimWorld {
     friend class SimWorld;
     SimWorld& world_;
     std::vector<SimCore*> cores_;
+    bool killed_ = false;  // machine kill: core wakes and frame deliveries are dropped
   };
 
   struct SimCore {
@@ -142,30 +146,20 @@ class SimWorld {
     bool fiber_started = false;
     bool loop_exited = false;
     bool wake_pending = false;
-    bool killed = false;  // machine kill: wakes are dropped until revival
-    // Earliest outstanding calendar wake for this core (kNoWakeup when none). Maintained so
-    // each core has at most ONE live wake entry; later-scheduled duplicates are dropped on
-    // pop. Without this, every halt adds an entry and the calendar grows with traffic.
-    std::uint64_t wake_scheduled_at = kNoWakeup;
+    std::uint32_t wake_slot = 0;  // this core's calendar slot, queued while a wake is due
     std::unique_ptr<FiberStack> stack;
     void* fiber_sp = nullptr;
   };
 
-  struct CalendarEntry {
-    std::uint64_t time;
-    std::uint64_t seq;
-    SimCore* core;                // non-null => core wake
-    MoveFunction<void()> action;  // else world action
-  };
-  struct EntryLater {
-    bool operator()(const CalendarEntry& a, const CalendarEntry& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
+  // A calendar slot: a core's wake (core set) or a world action.
+  struct CalendarSlot {
+    SimCore* core = nullptr;
+    MoveFunction<void()> action;
   };
 
   static void CoreFiberEntry(void* arg);
-  // Dispatches one calendar entry; returns false when the entry was deferred (core busy).
-  bool DispatchEntry(CalendarEntry entry);
+  // Pops and dispatches the earliest calendar entry.
+  void DispatchNext();
   void RunSlice(SimCore* core, std::uint64_t t);
   void WakeSimCore(SimCore* core);
   void HaltCore(SimCore* core, std::uint64_t wake_at);
@@ -173,15 +167,16 @@ class SimWorld {
   // Schedules (or tightens) the core's single outstanding wake to time `t`.
   void PushWake(SimCore* core, std::uint64_t t);
   void OnHandlerComplete();
-  void PushEntry(CalendarEntry entry);
-  CalendarEntry PopEntry();
+  void NoteCalendarDepth() {
+    stats_.calendar_peak = std::max<std::uint64_t>(stats_.calendar_peak, calendar_.size());
+  }
   std::uint64_t SliceNow() const;
 
   CostMode mode_;
   std::uint64_t fixed_event_cost_ns_;
   WorldStats stats_;
 
-  std::vector<CalendarEntry> calendar_;  // heap ordered by EntryLater
+  SlotHeap<CalendarSlot> calendar_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t now_ = 0;
   bool stopped_ = false;
@@ -193,8 +188,6 @@ class SimWorld {
   std::uint64_t slice_start_cycles_ = 0;
   std::uint64_t slice_charge_ = 0;
   void* calendar_sp_ = nullptr;
-
-  std::unordered_set<const Runtime*> killed_;
 
   std::vector<std::unique_ptr<Runtime>> runtimes_;
   std::vector<std::unique_ptr<MachineExecutor>> executors_;

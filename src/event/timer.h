@@ -5,19 +5,19 @@
 // event loop invokes it at the top of each dispatch pass ("timer completions" are interrupt
 // sources in the paper's model), and uses the reported next deadline to bound Halt.
 //
-// Storage is a slot table plus an indexed min-heap over the armed slots. A handle names a
-// slot and the slot's generation, so Stop on a fired or stopped timer (even after its slot
-// was reused) is a no-op. Stop unlinks the heap entry eagerly in O(log n): the heap holds
-// only live timers, and the core's halt deadline never points at a cancelled one. Ties on
-// the deadline fire in Start order. Slots never move (std::deque grows at the back without
-// relocating), so a periodic callback, invoked in place, survives the Start calls it makes;
-// if it Stops itself, its slot is released only after it returns. A periodic callback must
-// not suspend (SaveContext): its slot is reused once it is stopped.
+// Storage is a SlotHeap (src/platform/slot_heap.h): a slot table plus an indexed min-heap
+// over the armed slots, keyed by (deadline, Start seq). A handle names a slot and the slot's
+// generation, so Stop on a fired or stopped timer (even after its slot was reused) is a
+// no-op. Stop unlinks the heap key eagerly in O(log n): the heap holds only live timers, and
+// the core's halt deadline never points at a cancelled one. Ties on the deadline fire in
+// Start order; a periodic re-arm keeps its original seq. Slots never move, so a periodic
+// callback, invoked in place, survives the Start calls it makes; if it Stops itself, its
+// slot is released only after it returns. A periodic callback must not suspend
+// (SaveContext): its slot is reused once it is stopped.
 #ifndef EBBRT_SRC_EVENT_TIMER_H_
 #define EBBRT_SRC_EVENT_TIMER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -26,6 +26,7 @@
 #include "src/core/runtime.h"
 #include "src/event/event_manager.h"
 #include "src/platform/move_function.h"
+#include "src/platform/slot_heap.h"
 
 namespace ebbrt {
 
@@ -57,37 +58,21 @@ class Timer {
   std::uint64_t Start(std::uint64_t delay_ns, MoveFunction<void()> fn, bool periodic = false);
   void Stop(std::uint64_t handle);
 
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return timers_.size(); }
 
   // Invoked by the event loop: runs all due callbacks, returns count + next deadline.
   EventManager::TimerPollResult Poll(std::uint64_t now);
 
  private:
-  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
-
   struct Slot {
     MoveFunction<void()> fn;
-    std::uint64_t period_ns = 0;          // 0 => one-shot
-    std::uint32_t generation = 0;         // bumped when a one-shot fires or a timer stops
-    std::uint32_t heap_pos = kNotQueued;  // index into heap_ while armed
-  };
-  struct HeapItem {
-    std::uint64_t deadline;
-    std::uint64_t seq;  // Start order: ties fire first-started first
-    std::uint32_t slot;
-    friend bool operator<(const HeapItem& a, const HeapItem& b) {
-      return a.deadline != b.deadline ? a.deadline < b.deadline : a.seq < b.seq;
-    }
+    std::uint64_t period_ns = 0;   // 0 => one-shot
+    std::uint32_t generation = 0;  // bumped when a one-shot fires or a timer stops
   };
 
   // Resolves a handle to its armed (or running) slot index; kNotQueued when stale.
-  std::uint32_t Lookup(std::uint64_t handle) const;
+  std::uint32_t Lookup(std::uint64_t handle);
   void Release(std::uint32_t slot);
-  void HeapPush(HeapItem item);
-  void HeapRemove(std::uint32_t pos);
-  void SiftUp(std::uint32_t pos);
-  void SiftDown(std::uint32_t pos);
-  void Place(std::uint32_t pos, HeapItem item);
   // Points the core's halt deadline at the earliest live timer.
   void PublishDeadline();
 
@@ -95,11 +80,9 @@ class Timer {
   std::size_t machine_core_;
   EventManager& em_;  // this core's loop: runs the callbacks, bounds its halt by our deadline
   std::uint64_t next_seq_ = 0;
-  std::deque<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapItem> heap_;
+  SlotHeap<Slot> timers_;
+  static constexpr std::uint32_t kNotQueued = SlotHeap<Slot>::kNotQueued;
   std::uint32_t running_ = kNotQueued;  // periodic slot whose callback is on the stack
-  bool running_stopped_ = false;        // ...and was stopped from inside it
 };
 
 }  // namespace ebbrt

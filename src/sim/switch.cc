@@ -8,33 +8,36 @@ namespace sim {
 std::size_t Switch::Attach(Nic* nic) {
   ports_.push_back(nic);
   tx_link_free_.push_back(0);
+  link_faults_.emplace_back();
   return ports_.size() - 1;
 }
 
 void Switch::SetLinkFault(std::size_t port, const FaultPlan& plan) {
   Kassert(port < ports_.size(), "Switch: bad port");
-  LinkFault fault;
-  fault.plan = plan;
-  fault.rng.seed(plan.seed);
+  auto fault = std::make_unique<LinkFault>();
+  fault->plan = plan;
+  fault->rng.seed(plan.seed);
   link_faults_[port] = std::move(fault);
 }
 
-void Switch::ClearLinkFault(std::size_t port) { link_faults_.erase(port); }
+void Switch::ClearLinkFault(std::size_t port) {
+  if (port < link_faults_.size()) {
+    link_faults_[port].reset();
+  }
+}
 
-bool Switch::FaultEats(std::size_t port) {
-  auto it = link_faults_.find(port);
-  if (it == link_faults_.end()) {
+bool Switch::FaultEats(LinkFault* fault) {
+  if (fault == nullptr) {
     return false;
   }
-  LinkFault& fault = it->second;
-  if (fault.plan.blackhole) {
+  if (fault->plan.blackhole) {
     ++frames_dropped_;
     ++faults_injected_;
     return true;
   }
-  if (fault.plan.drop_rate > 0.0) {
+  if (fault->plan.drop_rate > 0.0) {
     std::uniform_real_distribution<double> dist(0.0, 1.0);
-    if (dist(fault.rng) < fault.plan.drop_rate) {
+    if (dist(fault->rng) < fault->plan.drop_rate) {
       ++frames_dropped_;
       ++faults_injected_;
       return true;
@@ -43,9 +46,33 @@ bool Switch::FaultEats(std::size_t port) {
   return false;
 }
 
-std::uint64_t Switch::FaultDelay(std::size_t port) const {
-  auto it = link_faults_.find(port);
-  return it == link_faults_.end() ? 0 : it->second.plan.extra_delay_ns;
+std::int64_t Switch::FlatIndex(const MacAddr& mac) {
+  const auto& b = mac.bytes;
+  if (b[0] != 0x02 || b[1] != 0x00 || b[2] != 0 || b[3] != 0) {
+    return -1;
+  }
+  return (std::int64_t{b[4]} << 8) | b[5];
+}
+
+void Switch::Learn(const MacAddr& mac, std::size_t port) {
+  std::int64_t index = FlatIndex(mac);
+  if (index < 0) {
+    mac_table_[mac] = port;
+    return;
+  }
+  if (static_cast<std::size_t>(index) >= flat_macs_.size()) {
+    flat_macs_.resize(index + 1, kNoPort);
+  }
+  flat_macs_[index] = port;
+}
+
+std::size_t Switch::PortFor(const MacAddr& mac) const {
+  std::int64_t index = FlatIndex(mac);
+  if (index >= 0) {
+    return static_cast<std::size_t>(index) < flat_macs_.size() ? flat_macs_[index] : kNoPort;
+  }
+  auto it = mac_table_.find(mac);
+  return it == mac_table_.end() ? kNoPort : it->second;
 }
 
 void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {
@@ -57,7 +84,8 @@ void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {
       return;
     }
   }
-  if (FaultEats(from_port)) {
+  LinkFault* egress = link_faults_[from_port].get();
+  if (FaultEats(egress)) {
     return;  // egress fault on the sender's link
   }
   std::size_t frame_len = frame.ComputeChainDataLength();
@@ -68,20 +96,21 @@ void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {
   // Learn the source MAC, resolve the destination port.
   EthernetHeader eth;
   frame.CopyOut(&eth, sizeof(eth));
-  mac_table_[eth.src] = from_port;
+  Learn(eth.src, from_port);
 
   // Serialize on the sender's link: the link is busy until the frame's bits are on the wire.
   std::uint64_t now = world_.Now();
   std::uint64_t start = std::max(now, tx_link_free_[from_port]);
   std::uint64_t done = start + link_.SerializationNs(frame_len);
   tx_link_free_[from_port] = done;
-  std::uint64_t arrival = done + link_.propagation_ns + FaultDelay(from_port);
+  std::uint64_t arrival =
+      done + link_.propagation_ns + (egress != nullptr ? egress->plan.extra_delay_ns : 0);
 
   ++frames_forwarded_;
   if (!eth.dst.IsBroadcast()) {
-    auto it = mac_table_.find(eth.dst);
-    if (it != mac_table_.end()) {
-      DeliverTo(it->second, frame, arrival);
+    std::size_t port = PortFor(eth.dst);
+    if (port != kNoPort) {
+      DeliverTo(port, frame, arrival);
       return;
     }
   }
@@ -97,7 +126,8 @@ void Switch::DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at) {
   // Ingress fault on the receiver's link, then killed-machine drop: a dead machine's NIC
   // neither fills posted descriptors nor raises interrupts, so the frame dies here without
   // consuming the posted ring (which must survive intact for revival).
-  if (FaultEats(port)) {
+  LinkFault* ingress = link_faults_[port].get();
+  if (FaultEats(ingress)) {
     return;
   }
   Nic* nic = ports_[port];
@@ -106,7 +136,9 @@ void Switch::DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at) {
     ++killed_drops_;
     return;
   }
-  at += FaultDelay(port);
+  if (ingress != nullptr) {
+    at += ingress->plan.extra_delay_ns;
+  }
   // Copy at the fabric boundary: bytes physically leave the sender's memory. The destination
   // NIC writes them into its next driver-posted RX buffer (recycled pool memory, flattened —
   // receivers see one contiguous DMA buffer, as a real NIC would present), falling back to a

@@ -2,8 +2,11 @@
 //
 // Ports connect NICs; frames cross the fabric with per-link serialization (size/bandwidth,
 // serialized on the sender's link) plus propagation delay. MAC learning forwards unicast
-// frames; unknown/broadcast destinations flood. A deterministic loss rate can be injected for
-// protocol robustness tests (retransmission, reordering under loss).
+// frames; unknown/broadcast destinations flood. Testbed MACs (MacAddr::FromIndex, prefix
+// 02:00) are learned into a flat table indexed by that number, so learning and lookup index
+// an array; any other MAC goes to a hash map. Link fault plans sit in a per-port vector. A
+// deterministic loss rate can be injected for protocol robustness tests (retransmission,
+// reordering under loss).
 //
 // The switch runs entirely in SimWorld action context — single-threaded, no locks. Frames are
 // deep-copied at the fabric boundary: the wire is where payload bytes genuinely leave one
@@ -82,19 +85,25 @@ class Switch {
     std::mt19937 rng;
   };
 
+  static constexpr std::size_t kNoPort = SIZE_MAX;
+
   void DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at);
   // True when the plan says this frame dies on the link (ticks the fault counters).
-  bool FaultEats(std::size_t port);
-  std::uint64_t FaultDelay(std::size_t port) const;
+  bool FaultEats(LinkFault* fault);
+  // The MAC's FromIndex number when it is a testbed MAC numbered below 2^16, else -1.
+  static std::int64_t FlatIndex(const MacAddr& mac);
+  void Learn(const MacAddr& mac, std::size_t port);
+  std::size_t PortFor(const MacAddr& mac) const;
 
   SimWorld& world_;
   LinkModel link_;
   std::vector<Nic*> ports_;
-  std::unordered_map<MacAddr, std::size_t, MacHash> mac_table_;
+  std::vector<std::size_t> flat_macs_;  // FromIndex number -> port (kNoPort: not learned)
+  std::unordered_map<MacAddr, std::size_t, MacHash> mac_table_;  // every other MAC
   std::vector<std::uint64_t> tx_link_free_;  // per-port sender link availability
   double loss_rate_ = 0.0;
   std::mt19937 rng_{1234};
-  std::unordered_map<std::size_t, LinkFault> link_faults_;
+  std::vector<std::unique_ptr<LinkFault>> link_faults_;  // per port; null: no fault
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t faults_injected_ = 0;

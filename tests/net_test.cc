@@ -304,8 +304,8 @@ TEST(Net, TcpEstablishedRoundTripsDoNotTouchTheGenericHeap) {
   TestbedNode server = bed.AddNode("server", 1, kServerIp);
   TestbedNode client = bed.AddNode("client", 1, kClientIp);
   // Warm-up runs past one retransmission timeout (5 ms; a round trip takes about 5 us of
-  // virtual time): the simulator's calendar holds each halt's RTX-deadline wake until it
-  // expires, so only then have it and every other queue reached their working depth.
+  // virtual time), so every timer, ring and pool on the path has been exercised at its
+  // working depth before the count starts.
   constexpr int kWarmup = 1024;
   constexpr int kMeasured = 256;
   const std::string message(100, 'm');

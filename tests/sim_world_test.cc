@@ -2,6 +2,9 @@
 // interleaving, timers in virtual time, device actions, charges.
 #include "src/event/sim_world.h"
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -342,6 +345,78 @@ TEST(SimWorld, ShutdownUnwindsParkedCores) {
   world->Shutdown();
   world.reset();  // no crash, no leaked running fibers
   SUCCEED();
+}
+
+TEST(SimWorld, ActionsAndCoreWakesAtOneTimeDispatchInSchedulingOrder) {
+  SimWorld world(SimWorld::CostMode::kFixed, 100);
+  Runtime& a = world.AddMachine("a", 1);
+  Runtime& b = world.AddMachine("b", 1);
+  std::vector<std::string> log;
+  std::uint64_t t = 0;
+  // Core a halts with a far deadline; core b halts with its wake due at `t`, queued before
+  // any action at `t`.
+  SimWorld::SpawnOn(a, 0, [&] { Timer::Instance()->Start(50'000, [] {}); });
+  SimWorld::SpawnOn(b, 0, [&] {
+    t = world.Now() + 1'000;
+    Timer::Instance()->Start(1'000, [&] { log.push_back("b-timer"); });
+  });
+  world.RunUntil(500);
+  ASSERT_GT(t, 500u);
+  world.At(t, [&] {
+    log.push_back("x1");
+    // Tightens core a's queued wake from its far deadline to `t`, behind x2 (already
+    // queued at `t`) and ahead of x3 (queued after the tightening).
+    SimWorld::SpawnOn(a, 0, [&] { log.push_back("a-spawn"); });
+    world.At(t, [&] { log.push_back("x3"); });
+  });
+  world.At(t, [&] { log.push_back("x2"); });
+  world.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"b-timer", "x1", "x2", "a-spawn", "x3"}));
+}
+
+TEST(SimWorld, CalendarHoldsOneWakePerCore) {
+  // The core halts 10,000 times with a far timer deadline pending, each time woken early by
+  // a chain of actions (at most one queued at a time). Tightening re-keys the core's one
+  // wake entry instead of adding another, so the calendar never holds more than the core's
+  // wake plus the next action.
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 1);
+  constexpr int kWakes = 10'000;
+  int woken = 0;
+  SimWorld::SpawnOn(m, 0, [] { Timer::Instance()->Start(1'000'000'000, [] {}); });
+  std::function<void(int)> chain = [&](int left) {
+    SimWorld::SpawnOn(m, 0, [&woken] { ++woken; });
+    if (left > 1) {
+      world.After(1'000, [&chain, left] { chain(left - 1); });
+    }
+  };
+  world.At(1'000, [&chain] { chain(kWakes); });
+  world.Run();
+  EXPECT_EQ(woken, kWakes);
+  EXPECT_LE(world.world_stats().calendar_peak, 2u);
+}
+
+TEST(SimWorld, ActionMayScheduleActionsAndThenShutDown) {
+  SimWorld world;
+  Runtime& m = world.AddMachine("m", 2);
+  SimWorld::SpawnOn(m, 0, [] {});
+  SimWorld::SpawnOn(m, 1, [] { Timer::Instance()->Start(1'000'000, [] {}); });
+  auto alive = std::make_shared<int>(0);
+  bool finished = false;
+  bool queued_ran = false;
+  world.At(1'000, [&] {
+    // Enough actions to grow the slot table by several chunks while this one runs in place.
+    for (int i = 0; i < 200; ++i) {
+      world.After(100 + i, [&queued_ran, alive] { queued_ran = true; });
+    }
+    world.Shutdown();
+    finished = true;
+  });
+  world.Run();
+  EXPECT_TRUE(finished);
+  EXPECT_FALSE(queued_ran);
+  EXPECT_TRUE(world.stopped());
+  EXPECT_EQ(alive.use_count(), 1);  // every queued action was destroyed by the shutdown
 }
 
 }  // namespace
