@@ -46,33 +46,26 @@ bool Switch::FaultEats(LinkFault* fault) {
   return false;
 }
 
-std::int64_t Switch::FlatIndex(const MacAddr& mac) {
+std::size_t Switch::FlatIndex(const MacAddr& mac) {
   const auto& b = mac.bytes;
   if (b[0] != 0x02 || b[1] != 0x00 || b[2] != 0 || b[3] != 0) {
-    return -1;
+    return kNoPort;
   }
-  return (std::int64_t{b[4]} << 8) | b[5];
+  return (std::size_t{b[4]} << 8) | b[5];
 }
 
 void Switch::Learn(const MacAddr& mac, std::size_t port) {
-  std::int64_t index = FlatIndex(mac);
-  if (index < 0) {
-    mac_table_[mac] = port;
-    return;
-  }
-  if (static_cast<std::size_t>(index) >= flat_macs_.size()) {
+  std::size_t index = FlatIndex(mac);
+  Kassert(index != kNoPort, "Switch: source MAC is not a testbed MAC (FromIndex below 2^16)");
+  if (index >= flat_macs_.size()) {
     flat_macs_.resize(index + 1, kNoPort);
   }
   flat_macs_[index] = port;
 }
 
 std::size_t Switch::PortFor(const MacAddr& mac) const {
-  std::int64_t index = FlatIndex(mac);
-  if (index >= 0) {
-    return static_cast<std::size_t>(index) < flat_macs_.size() ? flat_macs_[index] : kNoPort;
-  }
-  auto it = mac_table_.find(mac);
-  return it == mac_table_.end() ? kNoPort : it->second;
+  std::size_t index = FlatIndex(mac);
+  return index < flat_macs_.size() ? flat_macs_[index] : kNoPort;
 }
 
 void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {

@@ -2,11 +2,11 @@
 //
 // Ports connect NICs; frames cross the fabric with per-link serialization (size/bandwidth,
 // serialized on the sender's link) plus propagation delay. MAC learning forwards unicast
-// frames; unknown/broadcast destinations flood. Testbed MACs (MacAddr::FromIndex, prefix
-// 02:00) are learned into a flat table indexed by that number, so learning and lookup index
-// an array; any other MAC goes to a hash map. Link fault plans sit in a per-port vector. A
-// deterministic loss rate can be injected for protocol robustness tests (retransmission,
-// reordering under loss).
+// frames; unknown/broadcast destinations flood. Every NIC on the fabric carries a testbed MAC
+// (MacAddr::FromIndex, prefix 02:00, number below 2^16), so learning and lookup index a flat
+// table by that number; learning any other source MAC is a fatal error. Link fault plans sit
+// in a per-port vector. A deterministic loss rate can be injected for protocol robustness
+// tests (retransmission, reordering under loss).
 //
 // The switch runs entirely in SimWorld action context — single-threaded, no locks. Frames are
 // deep-copied at the fabric boundary: the wire is where payload bytes genuinely leave one
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "src/event/sim_world.h"
@@ -72,14 +71,6 @@ class Switch {
   std::uint64_t killed_drops() const { return killed_drops_; }
 
  private:
-  struct MacHash {
-    std::size_t operator()(const MacAddr& m) const {
-      std::uint64_t v = 0;
-      std::memcpy(&v, m.bytes.data(), 6);
-      return std::hash<std::uint64_t>{}(v);
-    }
-  };
-
   struct LinkFault {
     FaultPlan plan;
     std::mt19937 rng;
@@ -90,8 +81,8 @@ class Switch {
   void DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at);
   // True when the plan says this frame dies on the link (ticks the fault counters).
   bool FaultEats(LinkFault* fault);
-  // The MAC's FromIndex number when it is a testbed MAC numbered below 2^16, else -1.
-  static std::int64_t FlatIndex(const MacAddr& mac);
+  // The MAC's FromIndex number when it is a testbed MAC numbered below 2^16, else kNoPort.
+  static std::size_t FlatIndex(const MacAddr& mac);
   void Learn(const MacAddr& mac, std::size_t port);
   std::size_t PortFor(const MacAddr& mac) const;
 
@@ -99,7 +90,6 @@ class Switch {
   LinkModel link_;
   std::vector<Nic*> ports_;
   std::vector<std::size_t> flat_macs_;  // FromIndex number -> port (kNoPort: not learned)
-  std::unordered_map<MacAddr, std::size_t, MacHash> mac_table_;  // every other MAC
   std::vector<std::uint64_t> tx_link_free_;  // per-port sender link availability
   double loss_rate_ = 0.0;
   std::mt19937 rng_{1234};

@@ -4,7 +4,7 @@
 Usage (from anywhere):
 
     tools/perf_ab.py PARENT_ROOT CHANGE_ROOT --workload set_large --seed 1 \\
-        --seconds 30 --pairs 10 [--metric host_ns_per_op] [--trace 0] [--out runs.json]
+        --seconds 30 --pairs 10 [--trace 0]
 
 PARENT_ROOT and CHANGE_ROOT are two checkouts of this repository (for example a clone of
 the parent commit next to the working tree). Each pair runs PARENT_ROOT/perfbench/run.py
@@ -12,9 +12,9 @@ and CHANGE_ROOT/perfbench/run.py once each, back to back, and the order flips ev
 neither side always runs first. One untimed 1-second run per side builds both first.
 
 The report gives, for every metric, the median and quartiles on each side, the relative
-gap of the medians, and how many pairs the change won. For the claimed metric (--metric)
-it applies the rule every host-time claim follows: the change wins at least 9 of 10 pairs
-and the medians differ by more than the parent's interquartile range. The modeled columns
+gap of the medians, and how many pairs the change won. For the claimed metric,
+host_ns_per_op, it applies the rule every host-time claim follows: the change wins at least
+9 of 10 pairs and the medians differ by more than the parent's interquartile range. The modeled columns
 (latencies, achieved rate, success rate) come from the fixed virtual clock; any that
 differ between any two runs are listed. Metric directions are read from the parent's
 BENCHMARK.json; nothing under perfbench/ is written except each root's own build.
@@ -27,6 +27,7 @@ import statistics
 import subprocess
 import sys
 
+CLAIMED = "host_ns_per_op"
 MODELED = ("p50_us", "p99_us", "achieved_ops_per_s", "success_rate")
 
 
@@ -69,8 +70,6 @@ def main():
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--metric", default="host_ns_per_op")
-    parser.add_argument("--out", help="write every run's metrics to this JSON file")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent_root),
              "change": os.path.abspath(args.change_root)}
@@ -83,9 +82,9 @@ def main():
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run(roots[side], args, args.seconds))
-        p, c = runs["parent"][-1].get(args.metric), runs["change"][-1].get(args.metric)
+        p, c = runs["parent"][-1].get(CLAIMED), runs["change"][-1].get(CLAIMED)
         print("pair %2d (%s first): %s parent %s change %s" %
-              (i + 1, order[0], args.metric, p, c), file=sys.stderr)
+              (i + 1, order[0], CLAIMED, p, c), file=sys.stderr)
 
     print("%s seed %d, %d alternating pairs of %d s, trace %d" %
           (args.workload, args.seed, args.pairs, args.seconds, args.trace))
@@ -101,7 +100,7 @@ def main():
         gap = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else 0.0
         print("%-32s %-32s %-32s %+7.2f%% %3d/%d" %
               (name, cell(pq), cell(cq), gap, wins, args.pairs))
-        if name == args.metric:
+        if name == CLAIMED:
             iqr = pq[2] - pq[0]
             improved = (cq[1] < pq[1]) if lower else (cq[1] > pq[1])
             holds = (improved and wins >= math.ceil(0.9 * args.pairs)
@@ -117,9 +116,6 @@ def main():
     print("modeled columns: " + ("; ".join(moved) if moved else "identical in every run"))
     if verdict:
         print(verdict)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"args": vars(args), "runs": runs}, f, indent=1)
     return 0
 
 
