@@ -447,6 +447,19 @@ TEST(Net, TcpRecoversFromPacketLoss) {
   EXPECT_GT(bed.fabric().frames_dropped(), 0u);  // the test actually exercised loss
 }
 
+// The fabric learns only testbed MACs (MacAddr::FromIndex below 2^16); any other source
+// address is a wiring bug, not a frame to forward.
+TEST(Net, SwitchRejectsNonTestbedSourceMac) {
+  SimWorld world;
+  sim::Switch fabric(world);
+  fabric.Attach(nullptr);
+  EthernetHeader eth{};
+  eth.dst = MacAddr::Broadcast();
+  eth.src.bytes = {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc};
+  auto frame = IOBuf::CopyBuffer(&eth, sizeof(eth));
+  EXPECT_DEATH(fabric.Transmit(0, *frame), "not a testbed MAC");
+}
+
 TEST(Net, TcpConnectionStateLivesOnRssCore) {
   Testbed bed;
   TestbedNode server = bed.AddNode("server", 4, kServerIp);
