@@ -53,10 +53,11 @@ class MulticoreEbb {
       return *static_cast<Rep*>(cached);
     }
     Runtime& rt = CurrentRuntime();
-    void* root = rt.GetOrCreateRoot(id, [] { return static_cast<void*>(new Root()); });
+    Root* root = rt.GetOrCreateRoot<Root>(id, [] { return new Root(); });
     // The per-machine root tracks reps so cross-rep protocols (e.g. cache rebalance) can
     // reach them; here we only need construct-and-cache.
-    auto* rep = new Rep(*static_cast<Root*>(root));
+    auto* rep = new Rep(*root);
+    rt.AdoptRep(rep);
     Runtime::CacheRep(id, rep);
     return *rep;
   }
@@ -71,6 +72,7 @@ class MulticoreEbb<Rep, void> {
       return *static_cast<Rep*>(cached);
     }
     auto* rep = new Rep();
+    CurrentRuntime().AdoptRep(rep);
     Runtime::CacheRep(id, rep);
     return *rep;
   }
@@ -94,16 +96,16 @@ class SharedEbb {
       return *static_cast<T*>(cached);
     }
     Runtime& rt = CurrentRuntime();
-    void* instance = rt.GetOrCreateRoot(id, [] {
+    T* instance = rt.GetOrCreateRoot<T>(id, []() -> T* {
       if constexpr (std::is_default_constructible_v<T>) {
-        return static_cast<void*>(new T());
+        return new T();
       } else {
         Kabort("SharedEbb: no instance installed and T is not default-constructible");
-        return static_cast<void*>(nullptr);
+        return nullptr;
       }
     });
     Runtime::CacheRep(id, instance);
-    return *static_cast<T*>(instance);
+    return *instance;
   }
 };
 

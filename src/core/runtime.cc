@@ -64,6 +64,16 @@ Runtime::~Runtime() {
   while (!adopted_.empty()) {
     adopted_.pop_back();
   }
+  // Then what fault handlers built: reps first (a rep may reference its root), then roots.
+  while (!reps_.empty()) {
+    reps_.back().deleter(reps_.back().ptr);
+    reps_.pop_back();
+  }
+  for (auto& entry : roots_) {
+    if (entry.second.deleter != nullptr) {
+      entry.second.deleter(entry.second.ptr);
+    }
+  }
   // Clear any representatives this machine's cores cached in the global translation tables so
   // a later test constructing a new Runtime does not see stale pointers.
   for (std::size_t core : cores_) {
@@ -90,15 +100,7 @@ std::size_t Runtime::AddCores(std::size_t n) {
 
 void Runtime::InstallRoot(EbbId id, void* root) {
   std::lock_guard<std::mutex> lock(roots_mu_);
-  RootEntry entry;
-  entry.ptr = root;
-  entry.deleter = [](void*) {};
-  roots_[id] = entry;
-}
-
-void Runtime::EraseRoot(EbbId id) {
-  std::lock_guard<std::mutex> lock(roots_mu_);
-  roots_.erase(id);
+  roots_[id] = Owned{root, nullptr};
 }
 
 void* Runtime::HostedCacheLookup(std::size_t machine_core, EbbId id) {

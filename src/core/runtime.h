@@ -80,19 +80,25 @@ class Runtime {
 
   // --- Root registry -----------------------------------------------------
   // Returns the root object for `id`, constructing it with `factory` under the registry lock
-  // if absent. Roots are type-erased; MulticoreEbb supplies the typed wrapper.
-  template <typename Factory>
-  void* GetOrCreateRoot(EbbId id, Factory&& factory) {
+  // if absent. A root the factory built is owned by this runtime: ~Runtime deletes it.
+  template <typename T, typename Factory>
+  T* GetOrCreateRoot(EbbId id, Factory&& factory) {
     std::lock_guard<std::mutex> lock(roots_mu_);
     auto it = roots_.find(id);
     if (it != roots_.end()) {
-      return it->second.ptr;
+      return static_cast<T*>(it->second.ptr);
     }
-    RootEntry entry;
-    entry.ptr = factory();
-    entry.deleter = [](void*) {};  // roots are owned by their Ebb type by default
-    roots_.emplace(id, entry);
-    return roots_.find(id)->second.ptr;
+    T* root = factory();
+    roots_.emplace(id, Owned{root, [](void* p) { delete static_cast<T*>(p); }});
+    return root;
+  }
+
+  // Takes ownership of a representative a fault handler built. ~Runtime deletes reps
+  // before the roots they may reference.
+  template <typename Rep>
+  void AdoptRep(Rep* rep) {
+    std::lock_guard<std::mutex> lock(roots_mu_);
+    reps_.push_back(Owned{rep, [](void* p) { delete static_cast<Rep*>(p); }});
   }
 
   void* FindRoot(EbbId id) {
@@ -101,9 +107,8 @@ class Runtime {
     return it == roots_.end() ? nullptr : it->second.ptr;
   }
 
-  // Installs an externally-owned root (used when a root must outlive registry erasure rules).
+  // Installs a root the caller owns: ~Runtime never deletes it.
   void InstallRoot(EbbId id, void* root);
-  void EraseRoot(EbbId id);
 
   // Adopts ownership of a subsystem object so it dies with this machine (in reverse adoption
   // order — installers adopt foundations first). Benches build and tear down many short-lived
@@ -141,7 +146,8 @@ class Runtime {
   EbbId AllocateLocalId();
 
  private:
-  struct RootEntry {
+  // An object in the registry; `deleter` is null when the runtime does not own it.
+  struct Owned {
     void* ptr;
     void (*deleter)(void*);
   };
@@ -152,7 +158,8 @@ class Runtime {
   std::vector<std::size_t> cores_;
 
   std::mutex roots_mu_;
-  std::unordered_map<EbbId, RootEntry> roots_;
+  std::unordered_map<EbbId, Owned> roots_;
+  std::vector<Owned> reps_;  // built by fault handlers, deleted in reverse by ~Runtime
 
   std::mutex hosted_mu_;
   std::vector<std::unordered_map<EbbId, void*>> hosted_cache_;

@@ -14,8 +14,18 @@
 namespace ebbrt {
 namespace {
 
+// Counts constructions and destructions of T, so a test can prove a runtime frees what its
+// fault handlers built.
+template <typename T>
+struct Census {
+  Census() { constructed.fetch_add(1); }
+  ~Census() { destroyed.fetch_add(1); }
+  static inline std::atomic<int> constructed{0};
+  static inline std::atomic<int> destroyed{0};
+};
+
 // A per-core counter Ebb with no root.
-class Counter : public MulticoreEbb<Counter, void> {
+class Counter : public MulticoreEbb<Counter, void>, Census<Counter> {
  public:
   void Add(int n) { count_ += n; }
   int Get() const { return count_; }
@@ -25,11 +35,11 @@ class Counter : public MulticoreEbb<Counter, void> {
 };
 
 // Per-core rep sharing a per-machine root that tallies rep constructions.
-struct TallyRoot {
+struct TallyRoot : Census<TallyRoot> {
   std::atomic<int> reps_created{0};
 };
 
-class Tally : public MulticoreEbb<Tally, TallyRoot> {
+class Tally : public MulticoreEbb<Tally, TallyRoot>, Census<Tally> {
  public:
   explicit Tally(TallyRoot& root) : root_(root) { root.reps_created.fetch_add(1); }
   TallyRoot& root() { return root_; }
@@ -39,7 +49,7 @@ class Tally : public MulticoreEbb<Tally, TallyRoot> {
 };
 
 // Machine-wide shared Ebb.
-class Registry : public SharedEbb<Registry> {
+class Registry : public SharedEbb<Registry>, Census<Registry> {
  public:
   void Put(int v) { values_.insert(v); }
   std::size_t Size() const { return values_.size(); }
@@ -102,14 +112,14 @@ TEST_F(EbbTest, RootSharedAcrossCores) {
 }
 
 TEST_F(EbbTest, ExplicitRootInstall) {
-  auto* root = new TallyRoot();
+  TallyRoot root;
   EbbRef<Tally> tally;
   {
     ScopedContext ctx(*runtime_, first_core_, 0, false);
-    tally = Tally::Create(root, kFirstStaticUserId + 3);
+    tally = Tally::Create(&root, kFirstStaticUserId + 3);
     tally->root();
   }
-  EXPECT_EQ(root->reps_created.load(), 1);
+  EXPECT_EQ(root.reps_created.load(), 1);
 }
 
 TEST_F(EbbTest, SharedEbbSingleInstance) {
@@ -271,6 +281,62 @@ TEST_F(EbbTest, ConcurrentFaultsOneRootManyReps) {
   }
   EXPECT_FALSE(mismatch.load());
   EXPECT_EQ(seen_root.load()->reps_created.load(), 4);
+}
+
+// Live objects of each Ebb type: constructions minus destructions.
+struct Live {
+  int counter = Census<Counter>::constructed - Census<Counter>::destroyed;
+  int tally = Census<Tally>::constructed - Census<Tally>::destroyed;
+  int tally_root = Census<TallyRoot>::constructed - Census<TallyRoot>::destroyed;
+  int registry = Census<Registry>::constructed - Census<Registry>::destroyed;
+};
+
+TEST(EbbTeardown, RuntimeFreesWhatFaultHandlersBuilt) {
+  // Every rep and root a fault handler builds belongs to the runtime it was built on: a
+  // native and a hosted machine each fault in two cores' worth of every Ebb shape, and once
+  // both runtimes are gone every one of those objects has been destroyed.
+  const Live before;
+  {
+    Runtime native(RuntimeKind::kNative, "native");
+    Runtime hosted(RuntimeKind::kHosted, "hosted");
+    for (Runtime* runtime : {&native, &hosted}) {
+      std::size_t first = runtime->AddCores(2);
+      for (std::size_t core = 0; core < 2; ++core) {
+        ScopedContext ctx(*runtime, first + core, core, runtime->hosted());
+        EbbRef<Counter>(kFirstStaticUserId + 20)->Add(1);
+        EbbRef<Tally>(kFirstStaticUserId + 21)->root();
+        EbbRef<Registry>(kFirstStaticUserId + 22)->Put(static_cast<int>(core));
+      }
+    }
+    const Live during;
+    EXPECT_EQ(during.counter - before.counter, 4);  // one rep per core per machine
+    EXPECT_EQ(during.tally - before.tally, 4);
+    EXPECT_EQ(during.tally_root - before.tally_root, 2);  // one root per machine
+    EXPECT_EQ(during.registry - before.registry, 2);
+  }
+  const Live after;
+  EXPECT_EQ(after.counter, before.counter);
+  EXPECT_EQ(after.tally, before.tally);
+  EXPECT_EQ(after.tally_root, before.tally_root);
+  EXPECT_EQ(after.registry, before.registry);
+}
+
+TEST(EbbTeardown, CallerInstalledRootOutlivesTheRuntime) {
+  // A root installed with Create stays its caller's: the runtime frees the reps it built
+  // over that root and leaves the root alone.
+  const Live before;
+  TallyRoot root;
+  {
+    Runtime runtime(RuntimeKind::kNative, "owner");
+    std::size_t core = runtime.AddCores(1);
+    ScopedContext ctx(runtime, core, 0, false);
+    EbbRef<Tally> tally = Tally::Create(&root, kFirstStaticUserId + 23);
+    EXPECT_EQ(&tally->root(), &root);
+  }
+  const Live after;
+  EXPECT_EQ(after.tally, before.tally);             // the rep was freed
+  EXPECT_EQ(after.tally_root, before.tally_root + 1);  // the caller's root still lives
+  EXPECT_EQ(root.reps_created.load(), 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Sharded memcached tests: the consistent-hash ring's determinism and balance, GlobalIdMap
 // discovery plumbing, and the end-to-end router -> shard datapath (values round-trip, keys
-// land on the ring-chosen shard, misses surface as found=false).
+// land on the ring-chosen shard, misses surface as found=false), plus the closed-loop GET
+// and MultiGet gates over 1, 2 and 4 shards.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -14,6 +15,7 @@
 #include "src/event/timer.h"
 #include "src/mem/gp_allocator.h"
 #include "src/sim/testbed.h"
+#include "tests/cluster_fixture.h"
 
 namespace ebbrt {
 namespace {
@@ -46,121 +48,77 @@ TEST(ShardHashTest, Fnv1aFmixIsDeterministic) {
   EXPECT_NE(ShardHash("user:0") >> 48, ShardHash("user:1") >> 48);
 }
 
-class ShardWorldTest : public ::testing::Test {
- protected:
-  static constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
+using test::Cluster;
+using test::ClusterConfig;
 
-  // Brings up frontend + `n` shard machines with announced services, and a client node.
-  void BuildWorld(std::size_t n) {
-    frontend_ = std::make_unique<sim::TestbedNode>(
-        bed_.AddNode("frontend", 1, kFrontendIp, sim::HypervisorModel::Native(),
-                     RuntimeKind::kHosted));
-    for (std::size_t i = 0; i < n; ++i) {
-      shard_nodes_.push_back(bed_.AddNode("shard" + std::to_string(i), 1,
-                                          Ipv4Addr::Of(10, 0, 0, 20 + (unsigned)i)));
-    }
-    client_ = std::make_unique<sim::TestbedNode>(
-        bed_.AddNode("client", 1, Ipv4Addr::Of(10, 0, 0, 3),
-                     sim::HypervisorModel::Native()));
-    frontend_->Spawn(0, [this] { dist::GlobalIdMap::ServeOn(*frontend_->runtime); });
-    services_.resize(n, nullptr);
-    for (std::size_t i = 0; i < n; ++i) {
-      sim::TestbedNode node = shard_nodes_[i];
-      node.Spawn(0, [this, node, i] {
-        auto service = std::make_shared<memcached::ShardService>(*node.runtime, i);
-        services_[i] = service.get();
-        node.runtime->Adopt(std::move(service));  // dies with the machine, not never
-        memcached::AnnounceShard(*node.runtime, kFrontendIp, i, node.iface->addr())
-            .Then([](Future<void> f) { f.Get(); });
-      });
-    }
-  }
-
-  sim::Testbed bed_;
-  std::unique_ptr<sim::TestbedNode> frontend_;
-  std::vector<sim::TestbedNode> shard_nodes_;
-  std::unique_ptr<sim::TestbedNode> client_;
-  std::vector<memcached::ShardService*> services_;
-  std::vector<std::string> batch_keys_;  // stable storage for MultiGet string_views
-};
-
-TEST_F(ShardWorldTest, DiscoverRouteAndRoundTrip) {
+TEST(ShardWorldTest, DiscoverRouteAndRoundTrip) {
   constexpr std::size_t kShards = 3;
   constexpr std::size_t kKeys = 48;
-  BuildWorld(kShards);
-  std::unique_ptr<memcached::ShardRouter> router;
+  Cluster cluster({.shards = kShards});
   std::size_t verified = 0;
   bool missing_found = false;
   bool done = false;
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
-        .Then([&](Future<std::vector<ShardEndpoint>> f) {
-          std::vector<ShardEndpoint> endpoints = f.Get();
-          ASSERT_EQ(endpoints.size(), kShards);
-          router = std::make_unique<memcached::ShardRouter>(*client_->runtime,
-                                                            std::move(endpoints));
-          auto step = std::make_shared<std::function<void(std::size_t, int)>>();
-          *step = [&, step](std::size_t index, int phase) {
-            if (index == kKeys) {
-              if (phase == 0) {
-                (*step)(0, 1);
-                return;
-              }
-              // Phase 2: a key nobody wrote comes back found=false, not an error.
-              router->Get("never-written").Then(
-                  [&, step](Future<memcached::ShardRouter::GetResult> gf) {
-                    memcached::ShardRouter::GetResult result = gf.Get();
-                    missing_found = result.found;
-                    done = true;
-                    *step = nullptr;
-                  });
-              return;
-            }
-            std::string key = "k" + std::to_string(index);
-            if (phase == 0) {
-              router->Set(key, "v" + std::to_string(index)).Then([&, step, index](
-                                                                     Future<void> sf) {
-                sf.Get();
-                (*step)(index + 1, 0);
-              });
-            } else {
-              router->Get(key).Then([&, step, index](
-                                        Future<memcached::ShardRouter::GetResult> gf) {
-                memcached::ShardRouter::GetResult result = gf.Get();
-                if (result.found &&
-                    dist::ChainToString(result.value.get()) ==
-                        "v" + std::to_string(index)) {
-                  ++verified;
-                }
-                (*step)(index + 1, 1);
-              });
-            }
-          };
-          (*step)(0, 0);
+  cluster.Start([&] {
+    memcached::ShardRouter& router = *cluster.router;
+    auto step = std::make_shared<std::function<void(std::size_t, int)>>();
+    *step = [&, step](std::size_t index, int phase) {
+      if (index == kKeys) {
+        if (phase == 0) {
+          (*step)(0, 1);
+          return;
+        }
+        // Phase 2: a key nobody wrote comes back found=false, not an error.
+        router.Get("never-written").Then(
+            [&, step](Future<memcached::ShardRouter::GetResult> gf) {
+              memcached::ShardRouter::GetResult result = gf.Get();
+              missing_found = result.found;
+              done = true;
+              *step = nullptr;
+            });
+        return;
+      }
+      std::string key = "k" + std::to_string(index);
+      if (phase == 0) {
+        router.Set(key, "v" + std::to_string(index)).Then([&, step, index](Future<void> sf) {
+          sf.Get();
+          (*step)(index + 1, 0);
         });
+      } else {
+        router.Get(key).Then([&, step, index](Future<memcached::ShardRouter::GetResult> gf) {
+          memcached::ShardRouter::GetResult result = gf.Get();
+          if (result.found &&
+              dist::ChainToString(result.value.get()) == "v" + std::to_string(index)) {
+            ++verified;
+          }
+          (*step)(index + 1, 1);
+        });
+      }
+    };
+    (*step)(0, 0);
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   ASSERT_TRUE(done);
+  ASSERT_EQ(cluster.router->shard_count(), kShards);
   EXPECT_EQ(verified, kKeys);
   EXPECT_FALSE(missing_found);
 
   // Every key landed on exactly the shard the ring names, and every shard took part.
   std::map<std::size_t, std::size_t> expected_per_shard;
   for (std::size_t i = 0; i < kKeys; ++i) {
-    expected_per_shard[router->ShardFor("k" + std::to_string(i))]++;
+    expected_per_shard[cluster.router->ShardFor("k" + std::to_string(i))]++;
   }
   for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(services_[s]->store().size(), expected_per_shard[s]) << "shard " << s;
-    EXPECT_GT(services_[s]->requests(), 0u) << "shard " << s;
+    EXPECT_EQ(cluster.services[s]->store().size(), expected_per_shard[s]) << "shard " << s;
+    EXPECT_GT(cluster.services[s]->requests(), 0u) << "shard " << s;
   }
 }
 
-TEST_F(ShardWorldTest, DiscoveryFailsCleanlyWhenShardMissing) {
+TEST(ShardWorldTest, DiscoveryFailsCleanlyWhenShardMissing) {
   // Only 2 shards announce; asking for 3 must fail through the future (no infinite retry).
-  BuildWorld(2);
+  Cluster cluster({.shards = 2});
   bool failed = false;
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, 3)
+  cluster.client.Spawn(0, [&] {
+    memcached::DiscoverShards(*cluster.client.runtime, Cluster::kFrontendIp, 3)
         .Then([&](Future<std::vector<ShardEndpoint>> f) {
           try {
             f.Get();
@@ -169,57 +127,51 @@ TEST_F(ShardWorldTest, DiscoveryFailsCleanlyWhenShardMissing) {
           }
         });
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   EXPECT_TRUE(failed);
 }
 
-TEST_F(ShardWorldTest, MultiGetSpansShardsWithMissesAndDuplicates) {
+TEST(ShardWorldTest, MultiGetSpansShardsWithMissesAndDuplicates) {
   // One batch mixing hits across every shard, a never-written key, and a duplicate: results
   // come back in request order, the miss is found=false (the batch itself succeeds), the
   // duplicate is answered per occurrence — and each shard touched saw exactly ONE RPC frame
   // for the whole batch (the scatter-gather contract).
   constexpr std::size_t kShards = 3;
   constexpr std::size_t kKeys = 12;
-  BuildWorld(kShards);
-  std::unique_ptr<memcached::ShardRouter> router;
+  Cluster cluster({.shards = kShards});
+  std::vector<std::string> batch_keys;  // stable storage for the MultiGet's string_views
   std::vector<memcached::ShardRouter::GetResult> results;
   std::vector<std::uint64_t> frames_before(kShards, 0);
   bool done = false;
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
-        .Then([&](Future<std::vector<ShardEndpoint>> f) {
-          router = std::make_unique<memcached::ShardRouter>(*client_->runtime, f.Get());
-          auto preload = std::make_shared<std::function<void(std::size_t)>>();
-          *preload = [&, preload](std::size_t index) {
-            if (index == kKeys) {
-              for (std::size_t s = 0; s < kShards; ++s) {
-                frames_before[s] = services_[s]->requests();
-              }
-              std::vector<std::string_view> keys;
-              for (std::size_t i = 0; i < kKeys; ++i) {
-                keys.push_back(batch_keys_[i]);
-              }
-              keys.push_back("never-written");
-              keys.push_back(batch_keys_[0]);  // duplicate of slot 0
-              router->MultiGet(keys).Then(
-                  [&, preload](Future<std::vector<memcached::ShardRouter::GetResult>> bf) {
-                    results = bf.Get();
-                    done = true;
-                    *preload = nullptr;  // break the self-capture cycle (not re-entrantly)
-                  });
-              return;
-            }
-            batch_keys_.push_back("mg" + std::to_string(index));
-            router->Set(batch_keys_.back(), "val" + std::to_string(index))
-                .Then([&, preload, index](Future<void> sf) {
-                  sf.Get();
-                  (*preload)(index + 1);
-                });
-          };
-          (*preload)(0);
-        });
+  cluster.Start([&] {
+    memcached::ShardRouter& router = *cluster.router;
+    auto preload = std::make_shared<std::function<void(std::size_t)>>();
+    *preload = [&, preload](std::size_t index) {
+      if (index == kKeys) {
+        for (std::size_t s = 0; s < kShards; ++s) {
+          frames_before[s] = cluster.services[s]->requests();
+        }
+        std::vector<std::string_view> keys(batch_keys.begin(), batch_keys.end());
+        keys.push_back("never-written");
+        keys.push_back(batch_keys[0]);  // duplicate of slot 0
+        router.MultiGet(keys).Then(
+            [&, preload](Future<std::vector<memcached::ShardRouter::GetResult>> bf) {
+              results = bf.Get();
+              done = true;
+              *preload = nullptr;  // break the self-capture cycle (not re-entrantly)
+            });
+        return;
+      }
+      batch_keys.push_back("mg" + std::to_string(index));
+      router.Set(batch_keys.back(), "val" + std::to_string(index))
+          .Then([&, preload, index](Future<void> sf) {
+            sf.Get();
+            (*preload)(index + 1);
+          });
+    };
+    (*preload)(0);
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   ASSERT_TRUE(done);
   ASSERT_EQ(results.size(), kKeys + 2);
   for (std::size_t i = 0; i < kKeys; ++i) {
@@ -233,63 +185,58 @@ TEST_F(ShardWorldTest, MultiGetSpansShardsWithMissesAndDuplicates) {
   // The schedule spans every shard (12 striped keys over 3 shards), and the batch cost each
   // touched shard exactly one frame.
   for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(services_[s]->requests() - frames_before[s], 1u) << "shard " << s;
+    EXPECT_EQ(cluster.services[s]->requests() - frames_before[s], 1u) << "shard " << s;
   }
 }
 
-TEST_F(ShardWorldTest, MultiGetAllKeysOnOneShardShipsOneRpc) {
+TEST(ShardWorldTest, MultiGetAllKeysOnOneShardShipsOneRpc) {
   constexpr std::size_t kShards = 3;
-  BuildWorld(kShards);
-  std::unique_ptr<memcached::ShardRouter> router;
+  Cluster cluster({.shards = kShards});
   std::vector<memcached::ShardRouter::GetResult> results;
   std::vector<std::uint64_t> frames_before(kShards, 0);
   std::size_t target_shard = 0;
   std::vector<std::string> keys_storage;
   bool empty_done = false;
   bool done = false;
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
-        .Then([&](Future<std::vector<ShardEndpoint>> f) {
-          router = std::make_unique<memcached::ShardRouter>(*client_->runtime, f.Get());
-          // Pick keys that the ring itself maps to one shard (placement is deterministic
-          // but not enumerable by hand — ask the router).
-          target_shard = router->ShardFor("pin:0");
-          for (std::size_t i = 0; keys_storage.size() < 5; ++i) {
-            std::string key = "pin:" + std::to_string(i);
-            if (router->ShardFor(key) == target_shard) {
-              keys_storage.push_back(std::move(key));
-            }
-          }
-          auto preload = std::make_shared<std::function<void(std::size_t)>>();
-          *preload = [&, preload](std::size_t index) {
-            if (index == keys_storage.size()) {
-              // An empty batch resolves immediately with no results and no wire traffic.
-              router->MultiGet({}).Then(
-                  [&](Future<std::vector<memcached::ShardRouter::GetResult>> ef) {
-                    empty_done = ef.Get().empty();
-                  });
-              for (std::size_t s = 0; s < kShards; ++s) {
-                frames_before[s] = services_[s]->requests();
-              }
-              std::vector<std::string_view> keys(keys_storage.begin(), keys_storage.end());
-              router->MultiGet(keys).Then(
-                  [&, preload](Future<std::vector<memcached::ShardRouter::GetResult>> bf) {
-                    results = bf.Get();
-                    done = true;
-                    *preload = nullptr;  // break the self-capture cycle (not re-entrantly)
-                  });
-              return;
-            }
-            router->Set(keys_storage[index], "pinned")
-                .Then([&, preload, index](Future<void> sf) {
-                  sf.Get();
-                  (*preload)(index + 1);
-                });
-          };
-          (*preload)(0);
-        });
+  cluster.Start([&] {
+    memcached::ShardRouter& router = *cluster.router;
+    // Pick keys that the ring itself maps to one shard (placement is deterministic but not
+    // enumerable by hand — ask the router).
+    target_shard = router.ShardFor("pin:0");
+    for (std::size_t i = 0; keys_storage.size() < 5; ++i) {
+      std::string key = "pin:" + std::to_string(i);
+      if (router.ShardFor(key) == target_shard) {
+        keys_storage.push_back(std::move(key));
+      }
+    }
+    auto preload = std::make_shared<std::function<void(std::size_t)>>();
+    *preload = [&, preload](std::size_t index) {
+      if (index == keys_storage.size()) {
+        // An empty batch resolves immediately with no results and no wire traffic.
+        router.MultiGet({}).Then(
+            [&](Future<std::vector<memcached::ShardRouter::GetResult>> ef) {
+              empty_done = ef.Get().empty();
+            });
+        for (std::size_t s = 0; s < kShards; ++s) {
+          frames_before[s] = cluster.services[s]->requests();
+        }
+        std::vector<std::string_view> keys(keys_storage.begin(), keys_storage.end());
+        router.MultiGet(keys).Then(
+            [&, preload](Future<std::vector<memcached::ShardRouter::GetResult>> bf) {
+              results = bf.Get();
+              done = true;
+              *preload = nullptr;  // break the self-capture cycle (not re-entrantly)
+            });
+        return;
+      }
+      router.Set(keys_storage[index], "pinned").Then([&, preload, index](Future<void> sf) {
+        sf.Get();
+        (*preload)(index + 1);
+      });
+    };
+    (*preload)(0);
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(empty_done);
   ASSERT_EQ(results.size(), keys_storage.size());
@@ -298,13 +245,13 @@ TEST_F(ShardWorldTest, MultiGetAllKeysOnOneShardShipsOneRpc) {
   }
   // Exactly one frame, and only on the shard the ring named.
   for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(services_[s]->requests() - frames_before[s],
+    EXPECT_EQ(cluster.services[s]->requests() - frames_before[s],
               s == target_shard ? 1u : 0u)
         << "shard " << s;
   }
 }
 
-TEST_F(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
+TEST(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
   // The allocation-free shard path, pinned: once warm, a 16-key MultiGet at R=2 over four
   // shards allocates exactly its future's state and its result vector, and a Set exactly
   // its future's state — across the router, the RPC clients, the Messenger, TCP, the fabric
@@ -318,7 +265,7 @@ TEST_F(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
   constexpr std::size_t kBatch = 16;
   constexpr std::size_t kBatches = 8;
   constexpr int kMeasured = 256;  // of each kind
-  BuildWorld(kShards);
+  Cluster cluster({.shards = kShards, .router = {}});  // the replicated router, R=2
 
   struct Driver {
     memcached::ShardRouter* router = nullptr;
@@ -396,32 +343,20 @@ TEST_F(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
       driver.batches.back().push_back(driver.keys[(b * kBatch + j * 7) % kKeySpace]);
     }
   }
-  std::unique_ptr<memcached::ShardRouter> router;
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
-        .Then([&](Future<std::vector<ShardEndpoint>> f) {
-          memcached::RingRecord ring;
-          ring.epoch = 1;
-          ring.shards = f.Get();
-          memcached::ShardRouter::Config config;
-          config.replication = 2;
-          router = std::make_unique<memcached::ShardRouter>(*client_->runtime,
-                                                            std::move(ring), config);
-          driver.router = router.get();
-          std::uint64_t now = bed_.world().Now();
-          driver.warm_until = now + dist::kDefaultRpcDeadlineNs;
-          driver.timer = Timer::Instance()->Start(
-              2'000, [&driver, this] { driver.Tick(bed_.world().Now()); }, /*periodic=*/true);
-        });
+  cluster.Start([&] {
+    driver.router = cluster.router.get();
+    driver.warm_until = cluster.bed.world().Now() + dist::kDefaultRpcDeadlineNs;
+    driver.timer = Timer::Instance()->Start(
+        2'000, [&] { driver.Tick(cluster.bed.world().Now()); }, /*periodic=*/true);
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   ASSERT_TRUE(driver.done);
   EXPECT_EQ(driver.bad_results, 0);
   EXPECT_EQ(driver.multiget_allocs, 2u * kMeasured);  // future state + result vector
   EXPECT_EQ(driver.set_allocs, 1u * kMeasured);       // future state
 }
 
-TEST_F(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
+TEST(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   // Destroying the router with ops in flight: tearing its RPC clients down fails their
   // pending calls, and a closing router must take those failures as final — no suspect
   // marking, no failover re-scatter into the client map being destroyed. Shard 0 is
@@ -429,8 +364,8 @@ TEST_F(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   // until the teardown fails them.
   constexpr std::size_t kShards = 3;
   std::uint64_t live_before = memcached::Item::live_count();
-  BuildWorld(kShards);
-  std::unique_ptr<memcached::ShardRouter> router;
+  Cluster cluster({.shards = kShards, .router = {}});  // the replicated router, R=2
+  std::unique_ptr<memcached::ShardRouter>& router = cluster.router;
   std::vector<std::string> keys;
   int multiget_resolved = 0;
   int multiget_peer_lost = 0;
@@ -438,62 +373,52 @@ TEST_F(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   int set_peer_lost = 0;
   std::size_t pending_at_teardown = 0;
   std::vector<std::uint64_t> requests_at_teardown(kShards, 0);
-  client_->Spawn(0, [&] {
-    memcached::DiscoverShards(*client_->runtime, kFrontendIp, kShards)
-        .Then([&](Future<std::vector<ShardEndpoint>> f) {
-          memcached::RingRecord ring;
-          ring.epoch = 1;
-          ring.shards = f.Get();
-          memcached::ShardRouter::Config config;
-          config.replication = 2;
-          router = std::make_unique<memcached::ShardRouter>(*client_->runtime,
-                                                            std::move(ring), config);
-          // Two keys whose primary is the black-holed shard, two whose primary is not.
-          std::size_t on_zero = 0;
-          std::size_t elsewhere = 0;
-          for (std::size_t i = 0; on_zero < 2 || elsewhere < 2; ++i) {
-            std::string key = "teardown:" + std::to_string(i);
-            std::size_t& have = router->ShardFor(key) == 0 ? on_zero : elsewhere;
-            if (have < 2) {
-              ++have;
-              keys.push_back(std::move(key));
-            }
+  cluster.Start([&] {
+    // Two keys whose primary is the black-holed shard, two whose primary is not.
+    std::size_t on_zero = 0;
+    std::size_t elsewhere = 0;
+    for (std::size_t i = 0; on_zero < 2 || elsewhere < 2; ++i) {
+      std::string key = "teardown:" + std::to_string(i);
+      std::size_t& have = router->ShardFor(key) == 0 ? on_zero : elsewhere;
+      if (have < 2) {
+        ++have;
+        keys.push_back(std::move(key));
+      }
+    }
+    cluster.bed.fabric().SetLinkFault(cluster.shards[0].nic->port(), {.blackhole = true});
+    std::vector<std::string_view> views(keys.begin(), keys.end());
+    router->MultiGet(views).Then(
+        [&](Future<std::vector<memcached::ShardRouter::GetResult>> mf) {
+          ++multiget_resolved;
+          try {
+            mf.Get();
+          } catch (const dist::RpcPeerLost&) {
+            ++multiget_peer_lost;
           }
-          bed_.fabric().SetLinkFault(shard_nodes_[0].nic->port(), {.blackhole = true});
-          std::vector<std::string_view> views(keys.begin(), keys.end());
-          router->MultiGet(views).Then(
-              [&](Future<std::vector<memcached::ShardRouter::GetResult>> mf) {
-                ++multiget_resolved;
-                try {
-                  mf.Get();
-                } catch (const dist::RpcPeerLost&) {
-                  ++multiget_peer_lost;
-                }
-              });
-          std::string set_key;
-          for (const std::string& key : keys) {
-            if (router->ShardFor(key) == 0) {
-              set_key = key;
-            }
-          }
-          router->Set(set_key, "value").Then([&](Future<void> sf) {
-            ++set_resolved;
-            try {
-              sf.Get();
-            } catch (const dist::RpcPeerLost&) {
-              ++set_peer_lost;
-            }
-          });
-          Timer::Instance()->Start(1'000'000, [&] {
-            pending_at_teardown = router->pending_calls();
-            for (std::size_t s = 0; s < kShards; ++s) {
-              requests_at_teardown[s] = services_[s]->requests();
-            }
-            router.reset();
-          });
         });
+    std::string set_key;
+    for (const std::string& key : keys) {
+      if (router->ShardFor(key) == 0) {
+        set_key = key;
+      }
+    }
+    router->Set(set_key, "value").Then([&](Future<void> sf) {
+      ++set_resolved;
+      try {
+        sf.Get();
+      } catch (const dist::RpcPeerLost&) {
+        ++set_peer_lost;
+      }
+    });
+    Timer::Instance()->Start(1'000'000, [&] {
+      pending_at_teardown = router->pending_calls();
+      for (std::size_t s = 0; s < kShards; ++s) {
+        requests_at_teardown[s] = cluster.services[s]->requests();
+      }
+      router.reset();
+    });
   });
-  bed_.world().Run();
+  cluster.bed.world().Run();
   ASSERT_EQ(router, nullptr);
   EXPECT_EQ(pending_at_teardown, 2u);  // the black-holed MultiGet group and Set replica
   EXPECT_EQ(multiget_resolved, 1);
@@ -502,14 +427,226 @@ TEST_F(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   EXPECT_EQ(set_peer_lost, 1);
   // Nothing was re-issued: no shard saw a request after the teardown began.
   for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(services_[s]->requests(), requests_at_teardown[s]) << "shard " << s;
+    EXPECT_EQ(cluster.services[s]->requests(), requests_at_teardown[s]) << "shard " << s;
   }
   // No reply view still pins an item: the only live items are the ones the stores hold.
   std::size_t stored = 0;
-  for (memcached::ShardService* service : services_) {
+  for (memcached::ShardService* service : cluster.services) {
     stored += service->store().size();
   }
   EXPECT_EQ(memcached::Item::live_count(), live_before + stored);
+}
+
+// --- Closed-loop gates over 1, 2 and 4 shards --------------------------------------------
+//
+// Every shard charges kServiceNs of modeled service time per key, the ~3 us a real memcached
+// core spends per op; sharding is what divides it. The client preloads the key space, runs
+// two warm-up rounds, then measures 512 keys whose striped sequence restarts at key 0, so
+// every point reads the same keys. On the fixed clock each number below is an exact count.
+
+constexpr std::uint64_t kServiceNs = 3000;
+constexpr std::size_t kMeasuredKeys = 512;
+
+// One point of the GET sweep: closed-loop rounds of `depth` GETs.
+struct GetPoint {
+  std::size_t shards = 0;
+  std::size_t depth = 0;
+  bool done = false;
+  double ops_per_sec = 0;
+  double segments_per_op = 0;  // client and shards, both directions
+  double allocs_per_op = 0;
+  double pool_hit_rate = 0;
+  double imbalance = 0;  // per-shard GETs: max/mean - 1
+  std::uint64_t control_locks = 0;
+};
+
+GetPoint RunGetPoint(std::size_t shards, std::size_t depth) {
+  Cluster cluster({.shards = shards, .service_ns = kServiceNs});
+  GetPoint point{.shards = shards, .depth = depth};
+  std::size_t issued = 0;
+  bool marked = false;
+  std::vector<std::uint64_t> ops_mark;
+  cluster.RunLoop(
+      [&] {
+        Future<void> round = cluster.GetRound(issued, depth);
+        issued += depth;
+        return round;
+      },
+      [&] {
+        if (!marked && issued >= 2 * depth) {
+          cluster.Mark();
+          ops_mark = cluster.router->per_shard_ops();
+          marked = true;
+          issued = 0;
+        }
+        if (!marked || issued < kMeasuredKeys) {
+          return true;
+        }
+        Cluster::Window window = cluster.Close();
+        point.done = true;
+        point.ops_per_sec = kMeasuredKeys * 1e9 / static_cast<double>(window.virtual_ns);
+        point.segments_per_op = static_cast<double>(window.data_segments) / kMeasuredKeys;
+        point.allocs_per_op = static_cast<double>(window.heap_allocs) / kMeasuredKeys;
+        point.pool_hit_rate = window.pool_hit_rate;
+        point.control_locks = window.control_locks;
+        std::uint64_t total_ops = 0;
+        std::uint64_t max_ops = 0;
+        for (std::size_t i = 0; i < shards; ++i) {
+          std::uint64_t ops = cluster.router->per_shard_ops()[i] - ops_mark[i];
+          total_ops += ops;
+          max_ops = std::max(max_ops, ops);
+        }
+        point.imbalance = static_cast<double>(max_ops * shards) / total_ops - 1.0;
+        return false;
+      });
+  return point;
+}
+
+std::vector<GetPoint> RunGetSweep() {
+  std::vector<GetPoint> points;
+  for (std::size_t shards : {1, 2, 4}) {
+    for (std::size_t depth : {1, 8, 32}) {
+      points.push_back(RunGetPoint(shards, depth));
+    }
+  }
+  return points;
+}
+
+TEST(ShardSweep, FourShardsServeTwoAndAHalfTimesOneShardAtDepth32) {
+  // Sharding buys parallel service capacity: at depth 32, four shards complete at least
+  // 2.5x the GETs per second of one (2.61x on the fixed clock).
+  GetPoint one = RunGetPoint(1, 32);
+  GetPoint four = RunGetPoint(4, 32);
+  ASSERT_TRUE(one.done);
+  ASSERT_TRUE(four.done);
+  EXPECT_GE(four.ops_per_sec, 2.5 * one.ops_per_sec);
+}
+
+TEST(ShardSweep, EveryPointRunsOnThePoolWithoutHeapAllocs) {
+  for (const GetPoint& p : RunGetSweep()) {
+    SCOPED_TRACE(testing::Message() << p.shards << " shards, depth " << p.depth);
+    ASSERT_TRUE(p.done);
+    EXPECT_LE(p.allocs_per_op, 0.05);
+    EXPECT_GT(p.pool_hit_rate, 0.0);
+  }
+}
+
+TEST(ShardSweep, DepthThirtyTwoRoundsCork) {
+  // A fanned-out round corks per shard: at depth 32 the round costs at most one segment
+  // per two GETs (0.156 / 0.168 / 0.25 at 1 / 2 / 4 shards).
+  for (std::size_t shards : {1, 2, 4}) {
+    GetPoint p = RunGetPoint(shards, 32);
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ASSERT_TRUE(p.done);
+    EXPECT_LE(p.segments_per_op, 0.5);
+  }
+}
+
+TEST(ShardSweep, FourShardRingStaysBalanced) {
+  // The FNV-1a ring spreads the striped schedule within 25% of even at four shards (0.125).
+  for (std::size_t depth : {1, 8, 32}) {
+    GetPoint p = RunGetPoint(4, depth);
+    SCOPED_TRACE(testing::Message() << "depth " << depth);
+    ASSERT_TRUE(p.done);
+    EXPECT_LE(p.imbalance, 0.25);
+  }
+}
+
+TEST(ShardSweep, SteadyStateTakesNoControlLocks) {
+  // The dispatch plane is lock-free: no machine's Messenger takes its control mutex once the
+  // cluster is warm.
+  for (const GetPoint& p : RunGetSweep()) {
+    SCOPED_TRACE(testing::Message() << p.shards << " shards, depth " << p.depth);
+    ASSERT_TRUE(p.done);
+    EXPECT_EQ(p.control_locks, 0u);
+  }
+}
+
+// One point of the MultiGet sweep: closed-loop rounds of one MultiGet of `batch` keys.
+struct MultiGetPoint {
+  std::size_t shards = 0;
+  std::size_t batch = 0;
+  bool done = false;
+  std::size_t hits = 0;
+  double ns_per_key = 0;
+  double segments_per_key = 0;  // client and shards, both directions
+  double allocs_per_key = 0;
+  double pool_hit_rate = 0;
+  std::uint64_t control_locks = 0;
+};
+
+MultiGetPoint RunMultiGetPoint(std::size_t shards, std::size_t batch) {
+  Cluster cluster({.shards = shards, .service_ns = kServiceNs});
+  MultiGetPoint point{.shards = shards, .batch = batch};
+  std::size_t issued = 0;
+  bool marked = false;
+  cluster.RunLoop(
+      [&] {
+        std::vector<std::string> keys;
+        for (std::size_t i = 0; i < batch; ++i) {
+          keys.push_back(Cluster::Key((issued + i) % Cluster::kKeySpace));
+        }
+        issued += batch;
+        std::vector<std::string_view> views(keys.begin(), keys.end());
+        return cluster.router->MultiGet(views).Then(
+            [&point, keys = std::move(keys)](
+                Future<std::vector<memcached::ShardRouter::GetResult>> f) {
+              for (const memcached::ShardRouter::GetResult& result : f.Get()) {
+                point.hits += result.found ? 1 : 0;
+              }
+            });
+      },
+      [&] {
+        if (!marked && issued >= 2 * batch) {
+          cluster.Mark();
+          marked = true;
+          issued = 0;
+          point.hits = 0;
+        }
+        if (!marked || issued < kMeasuredKeys) {
+          return true;
+        }
+        Cluster::Window window = cluster.Close();
+        point.done = true;
+        point.ns_per_key = static_cast<double>(window.virtual_ns) / kMeasuredKeys;
+        point.segments_per_key = static_cast<double>(window.data_segments) / kMeasuredKeys;
+        point.allocs_per_key = static_cast<double>(window.heap_allocs) / kMeasuredKeys;
+        point.pool_hit_rate = window.pool_hit_rate;
+        point.control_locks = window.control_locks;
+        return false;
+      });
+  return point;
+}
+
+TEST(MultiGetSweep, Batch64BeatsBatch1OnSegmentsAndNsPerKey) {
+  // A batch pays one request and one reply segment per shard touched instead of per key,
+  // and every key still charges its full service time: at 1 and 4 shards a batch-64 key
+  // costs under half the segments of a batch-1 key (0.078 vs 2.0, 0.133 vs 2.0) and less
+  // virtual time (3147 vs 8783 ns, 1052 vs 7766 ns).
+  for (std::size_t shards : {1, 4}) {
+    MultiGetPoint one = RunMultiGetPoint(shards, 1);
+    MultiGetPoint bulk = RunMultiGetPoint(shards, 64);
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ASSERT_TRUE(one.done);
+    ASSERT_TRUE(bulk.done);
+    EXPECT_LT(bulk.segments_per_key, one.segments_per_key);
+    EXPECT_LE(bulk.segments_per_key, 0.5 * one.segments_per_key);
+    EXPECT_LT(bulk.ns_per_key, one.ns_per_key);
+  }
+}
+
+TEST(MultiGetSweep, EveryKeyHitsWithoutHeapAllocsOrControlLocks) {
+  for (std::size_t shards : {1, 4}) {
+    for (std::size_t batch : {1, 8, 64}) {
+      MultiGetPoint p = RunMultiGetPoint(shards, batch);
+      SCOPED_TRACE(testing::Message() << shards << " shards, batch " << batch);
+      ASSERT_TRUE(p.done);
+      EXPECT_EQ(p.hits, kMeasuredKeys);
+      EXPECT_LE(p.allocs_per_key, 0.05);
+      EXPECT_GT(p.pool_hit_rate, 0.0);
+      EXPECT_EQ(p.control_locks, 0u);
+    }
+  }
 }
 
 TEST(MultiGetReply, RoundTripIsZeroCopy) {

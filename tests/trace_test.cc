@@ -1,7 +1,8 @@
 // Distributed-tracing tests: trace ids survive RPC retries under fresh request ids, and a
 // MultiGet that crosses a shard failover yields exactly the span tree the design promises —
 // one local root, one client span per frame issued (the dead primary's marked kTimeout),
-// and server spans on the survivors parented on the client spans that reached them.
+// and server spans on the survivors parented on the client spans that reached them. The
+// telemetry-level gates bound what the plane costs at kOff, kMetrics and kTracing.
 #include <memory>
 #include <set>
 #include <string>
@@ -14,16 +15,17 @@
 #include "src/event/timer.h"
 #include "src/obs/metrics.h"
 #include "src/sim/testbed.h"
+#include "tests/cluster_fixture.h"
 
 namespace ebbrt {
 namespace {
 
 using sim::Testbed;
 using sim::TestbedNode;
+using test::Cluster;
 
 constexpr Ipv4Addr kServerIp = Ipv4Addr::Of(10, 0, 0, 2);
 constexpr Ipv4Addr kClientIp = Ipv4Addr::Of(10, 0, 0, 3);
-constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
 constexpr EbbId kEchoService = kFirstStaticUserId + 34;
 
 class EchoServer final : public dist::RpcServer {
@@ -107,91 +109,59 @@ TEST(Tracing, MultiGetAcrossFailoverYieldsExactSpanTree) {
   //     failover re-issue; exactly the dead primary's span is kTimeout
   //   2 kServer spans on the SURVIVOR (original + re-issued slots), each parented on the
   //     client span that carried its frame; the corpse records nothing
-  Testbed bed;
-  TestbedNode frontend = bed.AddNode("frontend", 1, kFrontendIp,
-                                     sim::HypervisorModel::Native(), RuntimeKind::kHosted);
-  std::vector<TestbedNode> shards;
-  for (std::size_t i = 0; i < 2; ++i) {
-    shards.push_back(bed.AddNode("shard" + std::to_string(i), 1,
-                                 Ipv4Addr::Of(10, 0, 0, 20 + static_cast<unsigned>(i))));
-  }
-  TestbedNode client = bed.AddNode("client", 1, kClientIp);
-  frontend.Spawn(0, [&] { dist::GlobalIdMap::ServeOn(*frontend.runtime); });
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    TestbedNode node = shards[i];
-    node.Spawn(0, [node, i] {
-      obs::ObsRoot::For(*node.runtime);
-      node.runtime->Adopt(std::make_shared<memcached::ShardService>(*node.runtime, i));
-      memcached::AnnounceShard(*node.runtime, kFrontendIp, i, node.iface->addr())
-          .Then([](Future<void> f) { f.Get(); });
-    });
-  }
-
-  auto router = std::make_shared<std::unique_ptr<memcached::ShardRouter>>();
-  auto keys = std::make_shared<std::vector<std::string>>();
+  Cluster cluster({.shards = 2, .router = test::kFailFastRouter});
+  std::vector<std::string> keys;
   std::size_t primary = 0;
   std::size_t found = 0;
   bool done = false;
-  client.Spawn(0, [&, router, keys] {
-    memcached::DiscoverShards(*client.runtime, kFrontendIp, shards.size())
-        .Then([&, router, keys](Future<std::vector<memcached::ShardEndpoint>> f) {
-          memcached::RingRecord ring;
-          ring.epoch = 1;
-          ring.shards = f.Get();
-          memcached::ShardRouter::Config config;
-          config.replication = 2;
-          config.read_options =
-              dist::CallOptions{/*deadline_ns=*/500'000, dist::RetryPolicy{1}};
-          config.write_options =
-              dist::CallOptions{/*deadline_ns=*/500'000, dist::RetryPolicy{1}};
-          *router = std::make_unique<memcached::ShardRouter>(*client.runtime,
-                                                             std::move(ring), config);
-          // Pick keys whose primaries cover BOTH shards, so the scatter is two frames and
-          // the kill leaves a survivor holding replicated copies of the lost slots.
-          for (std::size_t i = 0; keys->size() < 4; ++i) {
-            std::string key = "key" + std::to_string(i);
-            std::size_t shard = (*router)->ShardFor(key);
-            std::size_t have = 0;
-            for (const std::string& k : *keys) {
-              if ((*router)->ShardFor(k) == shard) {
-                have++;
+  cluster.Start([&] {
+    memcached::ShardRouter& router = *cluster.router;
+    // Pick keys whose primaries cover BOTH shards, so the scatter is two frames and the kill
+    // leaves a survivor holding replicated copies of the lost slots.
+    for (std::size_t i = 0; keys.size() < 4; ++i) {
+      std::string key = "key" + std::to_string(i);
+      std::size_t shard = router.ShardFor(key);
+      std::size_t have = 0;
+      for (const std::string& k : keys) {
+        if (router.ShardFor(k) == shard) {
+          have++;
+        }
+      }
+      if (have < 2) {
+        keys.push_back(key);
+      }
+    }
+    primary = router.ShardFor(keys[0]);
+    std::vector<Future<void>> preload;
+    for (const std::string& key : keys) {
+      preload.push_back(router.Set(key, "value-of-" + key));
+    }
+    WhenAll(std::move(preload)).Then([&](Future<void> pf) {
+      pf.Get();  // every key on BOTH replicas
+      obs::ObsRoot::For(*cluster.client.runtime).ClearSpans();
+      for (TestbedNode& node : cluster.shards) {
+        obs::ObsRoot::For(*node.runtime).ClearSpans();
+      }
+      cluster.bed.world().KillMachine(*cluster.shards[primary].runtime);
+      std::vector<std::string_view> views(keys.begin(), keys.end());
+      router.MultiGet(views).Then(
+          [&](Future<std::vector<memcached::ShardRouter::GetResult>> mf) {
+            for (const memcached::ShardRouter::GetResult& r : mf.Get()) {
+              if (r.found) {
+                found++;
               }
             }
-            if (have < 2) {
-              keys->push_back(key);
-            }
-          }
-          primary = (*router)->ShardFor((*keys)[0]);
-          std::vector<Future<void>> preload;
-          for (const std::string& key : *keys) {
-            preload.push_back((*router)->Set(key, "value-of-" + key));
-          }
-          WhenAll(std::move(preload)).Then([&, router, keys](Future<void> pf) {
-            pf.Get();  // every key on BOTH replicas
-            obs::ObsRoot::For(*client.runtime).ClearSpans();
-            for (TestbedNode& node : shards) {
-              obs::ObsRoot::For(*node.runtime).ClearSpans();
-            }
-            bed.world().KillMachine(*shards[primary].runtime);
-            std::vector<std::string_view> views(keys->begin(), keys->end());
-            (*router)->MultiGet(views).Then(
-                [&](Future<std::vector<memcached::ShardRouter::GetResult>> mf) {
-                  for (const memcached::ShardRouter::GetResult& r : mf.Get()) {
-                    if (r.found) {
-                      found++;
-                    }
-                  }
-                  done = true;
-                });
+            done = true;
           });
-        });
+    });
   });
-  bed.world().Run();
+  cluster.bed.world().Run();
   ASSERT_TRUE(done);
-  EXPECT_EQ(found, keys->size());  // the failover answered every key
+  EXPECT_EQ(found, keys.size());  // the failover answered every key
 
   // --- The client's half of the tree: 1 root + 3 client spans, one trace id throughout.
-  std::vector<obs::SpanRecord> client_spans = obs::ObsRoot::For(*client.runtime).Spans();
+  std::vector<obs::SpanRecord> client_spans =
+      obs::ObsRoot::For(*cluster.client.runtime).Spans();
   std::vector<obs::SpanRecord> roots, rpcs;
   for (const obs::SpanRecord& span : client_spans) {
     if (span.kind == obs::SpanKind::kLocal) {
@@ -228,15 +198,107 @@ TEST(Tracing, MultiGetAcrossFailoverYieldsExactSpanTree) {
 
   // --- The shards' half: the corpse recorded nothing; the survivor served both frames.
   std::vector<obs::SpanRecord> dead_spans =
-      obs::ObsRoot::For(*shards[primary].runtime).Spans();
+      obs::ObsRoot::For(*cluster.shards[primary].runtime).Spans();
   EXPECT_TRUE(dead_spans.empty());
   std::vector<obs::SpanRecord> survivor_spans =
-      obs::ObsRoot::For(*shards[1 - primary].runtime).Spans();
+      obs::ObsRoot::For(*cluster.shards[1 - primary].runtime).Spans();
   ASSERT_EQ(survivor_spans.size(), 2u);
   for (const obs::SpanRecord& span : survivor_spans) {
     EXPECT_EQ(span.kind, obs::SpanKind::kServer);
     EXPECT_EQ(span.trace_id, root.trace_id);
     EXPECT_EQ(ok_rpc_ids.count(span.parent_span), 1u);
+  }
+}
+
+
+// --- What the telemetry plane costs at each level ---------------------------------------------
+//
+// The same four-shard workload at kOff, kMetrics and kTracing, every machine's plane set to
+// the level before any traffic: shards charging 3 us per key, a preload, two warm-up rounds
+// of 32 GETs, then 40 measured rounds.
+
+struct LevelRun {
+  bool done = false;
+  std::size_t ops = 0;  // measured GETs that succeeded
+  std::size_t errors = 0;
+  double ops_per_sec = 0;
+  double allocs_per_op = 0;
+  std::uint64_t control_locks = 0;  // every machine's Messenger
+  std::uint64_t spans = 0;          // written on every machine
+};
+
+LevelRun RunAtLevel(obs::Level level) {
+  constexpr std::size_t kDepth = 32;
+  Cluster cluster({.shards = 4, .service_ns = 3000, .obs_level = level});
+  LevelRun run;
+  std::size_t rounds_left = 2 + 40;
+  std::size_t issued = 0;
+  bool marked = false;
+  cluster.RunLoop(
+      [&] {
+        Future<void> round = cluster.GetRound(issued, kDepth, [&](bool ok) {
+          if (marked) {
+            ++(ok ? run.ops : run.errors);
+          }
+        });
+        issued += kDepth;
+        return round;
+      },
+      [&] {
+        if (!marked && issued >= 2 * kDepth) {
+          cluster.Mark();
+          marked = true;
+        }
+        if (--rounds_left > 0) {
+          return true;
+        }
+        Cluster::Window window = cluster.Close();
+        run.done = true;
+        run.ops_per_sec = run.ops * 1e9 / static_cast<double>(window.virtual_ns);
+        run.allocs_per_op = static_cast<double>(window.heap_allocs) / run.ops;
+        run.control_locks = window.control_locks;
+        run.spans = window.spans;
+        return false;
+      });
+  return run;
+}
+
+TEST(TelemetryLevels, TracingKeepsNinetySevenPercentOfDarkThroughput) {
+  // Trace ids ride the RpcHeader at every level, so full tracing may cost no modeled work,
+  // segments or stalls on the datapath: at least 0.97x the GETs per second of kOff.
+  LevelRun off = RunAtLevel(obs::Level::kOff);
+  LevelRun tracing = RunAtLevel(obs::Level::kTracing);
+  ASSERT_TRUE(off.done);
+  ASSERT_TRUE(tracing.done);
+  EXPECT_GE(tracing.ops_per_sec, 0.97 * off.ops_per_sec);
+}
+
+TEST(TelemetryLevels, TracingRecordsASpanPerGet) {
+  // Every measured GET writes a local root span and a client span on the client and a
+  // server span on a shard (3 per GET on the fixed clock).
+  LevelRun tracing = RunAtLevel(obs::Level::kTracing);
+  ASSERT_TRUE(tracing.done);
+  EXPECT_GE(tracing.spans, tracing.ops);
+}
+
+TEST(TelemetryLevels, NoSpansBelowTracing) {
+  for (obs::Level level : {obs::Level::kOff, obs::Level::kMetrics}) {
+    LevelRun run = RunAtLevel(level);
+    SCOPED_TRACE(testing::Message() << "level " << static_cast<int>(level));
+    ASSERT_TRUE(run.done);
+    EXPECT_EQ(run.spans, 0u);
+  }
+}
+
+TEST(TelemetryLevels, PlaneAllocatesNothingAndTakesNoControlLocks) {
+  for (obs::Level level : {obs::Level::kOff, obs::Level::kMetrics, obs::Level::kTracing}) {
+    LevelRun run = RunAtLevel(level);
+    SCOPED_TRACE(testing::Message() << "level " << static_cast<int>(level));
+    ASSERT_TRUE(run.done);
+    EXPECT_GT(run.ops, 0u);
+    EXPECT_EQ(run.errors, 0u);
+    EXPECT_LE(run.allocs_per_op, 0.05);
+    EXPECT_EQ(run.control_locks, 0u);
   }
 }
 

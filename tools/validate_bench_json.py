@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Schema + regression-gate validation for the committed BENCH_*.json artifacts.
 
-One validator per artifact, all in one place (they used to live as seven inline
-heredocs in .github/workflows/ci.yml). Each checks two things:
+One validator per artifact, all in one place. Each checks two things:
 
   * schema — every section carries the keys its bench promises, so a silently
     dropped column fails CI rather than producing an artifact nobody can plot;
   * gates  — the claims the committed numbers are supposed to evidence (zero
-    steady-state mallocs, zero control locks, corking engaged, failover bounded,
-    telemetry-plane overhead <= 3%, ...) hold for the numbers actually committed.
+    steady-state mallocs, zero control locks, corking engaged, ...) hold for the
+    numbers actually committed.
 
 Usage: validate_bench_json.py [file ...]     (default: every known artifact
 present in the current directory; a known artifact that is MISSING is an error
@@ -49,103 +48,6 @@ def validate_interconnect(data):
                      f'for {p["xcore_pushes"]} pushes')
 
 
-def validate_sharded_kv(data):
-    required = ('shards', 'pipeline', 'requests', 'ops_per_sec', 'tx_data_segments',
-                'segments_per_op', 'heap_allocs', 'allocs_per_op', 'pool_hit_rate',
-                'shard_ops', 'imbalance', 'control_locks')
-    for section, points in data.items():
-        assert isinstance(points, list) and points, f'{section}: empty section'
-        for p in points:
-            require(p, required, section)
-            assert len(p['shard_ops']) == p['shards'], f'{section}: shard_ops shape'
-            if p['shards'] >= 4 and p['imbalance'] > 0.25:
-                sys.exit(f'{section}: ring imbalance {p["imbalance"]} > 0.25 '
-                         f'at {p["shards"]} shards')
-            if p['allocs_per_op'] > 0.05:
-                sys.exit(f'{section}: sharded datapath mallocs '
-                         f'(allocs_per_op {p["allocs_per_op"]})')
-            if p['pipeline'] >= 32 and p['segments_per_op'] > 0.5:
-                sys.exit(f'{section}: fanned-out rounds not corking '
-                         f'(segments_per_op {p["segments_per_op"]})')
-            if p['control_locks'] != 0:
-                sys.exit(f'{section}: {p["control_locks"]} control locks on the '
-                         f'steady-state path')
-
-
-def validate_failover(data):
-    point_keys = ('phases', 't_kill_ns', 't_revive_ns', 'recovery_ns',
-                  'recovery_ratio', 'failovers', 'suspects_marked', 'ring_swaps',
-                  'write_skips', 'pre_kill_allocs_per_op', 'pre_kill_control_locks')
-    phase_keys = ('phase', 'ops', 'errors', 'error_rate', 'ops_per_sec',
-                  'virtual_ns') + HIST_KEYS
-    for section, points in data.items():
-        assert isinstance(points, list) and points, f'{section}: empty section'
-        for p in points:
-            require(p, point_keys, section)
-            names = [ph['phase'] for ph in p['phases']]
-            assert names == ['pre_kill', 'fault', 'recovery'], \
-                f'{section}: phase list {names}'
-            for ph in p['phases']:
-                require(ph, phase_keys, f'{section}: phase {ph.get("phase")}')
-                if ph['phase'] != 'pre_kill' and ph['error_rate'] > 0.02:
-                    sys.exit(f'{section}: {ph["phase"]} error rate {ph["error_rate"]} '
-                             f'> 0.02 — failover is leaking availability')
-            if p['recovery_ratio'] < 0.8:
-                sys.exit(f'{section}: recovery throughput only '
-                         f'{p["recovery_ratio"]}x pre-kill (< 0.8x)')
-            if p['failovers'] < 1 or p['suspects_marked'] < 1 or p['ring_swaps'] < 1:
-                sys.exit(f'{section}: failover machinery never engaged')
-            if p['pre_kill_allocs_per_op'] > 0.05:
-                sys.exit(f'{section}: deadline bookkeeping mallocs on the steady path '
-                         f'(allocs_per_op {p["pre_kill_allocs_per_op"]})')
-            if p['pre_kill_control_locks'] != 0:
-                sys.exit(f'{section}: {p["pre_kill_control_locks"]} control locks on '
-                         f'the pre-kill path')
-
-
-def validate_multiget(data):
-    required = ('shards', 'batch', 'keys', 'ops_per_sec', 'ns_per_key',
-                'tx_data_segments', 'segments_per_op', 'heap_allocs',
-                'allocs_per_op', 'pool_hit_rate', 'hits', 'control_locks',
-                'virtual_ns')
-    for section, points in data.items():
-        assert isinstance(points, list) and points, f'{section}: empty section'
-        base = {}  # shards -> batch-1 segments_per_op
-        for p in points:
-            require(p, required, section)
-            if p['hits'] != p['keys']:
-                sys.exit(f'{section}: {p["keys"] - p["hits"]} preloaded keys missed')
-            if p['allocs_per_op'] > 0.05:
-                sys.exit(f'{section}: bulk datapath mallocs '
-                         f'(allocs_per_op {p["allocs_per_op"]})')
-            if p['control_locks'] != 0:
-                sys.exit(f'{section}: {p["control_locks"]} control locks on the '
-                         f'steady-state path')
-            if p['batch'] == 1:
-                base[p['shards']] = p['segments_per_op']
-        for p in points:
-            if p['batch'] >= 64 and p['shards'] in base:
-                if p['segments_per_op'] > 0.5 * base[p['shards']]:
-                    sys.exit(f'{section}: batch-64 segments/key {p["segments_per_op"]} '
-                             f'> 0.5x batch-1 {base[p["shards"]]} at '
-                             f'{p["shards"]} shard(s)')
-
-
-def validate_dist_rpc(data):
-    required = ('pipeline', 'requests', 'rpcs_per_sec', 'tx_data_segments',
-                'segments_per_op', 'heap_allocs', 'allocs_per_op', 'pool_hit_rate')
-    for section, points in data.items():
-        assert isinstance(points, list) and points, f'{section}: empty section'
-        for p in points:
-            require(p, required, section)
-            if p['pipeline'] >= 32 and p['segments_per_op'] >= 0.5:
-                sys.exit(f'{section}: pipelined RPCs not batching '
-                         f'(segments_per_op {p["segments_per_op"]})')
-            if p['allocs_per_op'] > 0.1:
-                sys.exit(f'{section}: dist RPC datapath mallocs '
-                         f'(allocs_per_op {p["allocs_per_op"]})')
-
-
 def validate_tx_batching(data):
     required = ('pipeline', 'requests', 'tx_data_segments', 'sends_coalesced',
                 'bytes_per_segment', 'segments_per_op')
@@ -175,37 +77,6 @@ def validate_alloc_pool(data):
         sys.exit('buffer pool silently disabled: pool_hit_rate == 0 everywhere')
     if worst_allocs > 0.05:
         sys.exit(f'steady-state datapath mallocs: allocs_per_op {worst_allocs}')
-
-
-def validate_observability(data):
-    required = ('level', 'ops', 'ops_per_sec', 'heap_allocs', 'allocs_per_op',
-                'control_locks', 'spans', 'virtual_ns') + HIST_KEYS
-    for section, points in data.items():
-        assert isinstance(points, list) and points, f'{section}: empty section'
-        by_level = {}
-        for p in points:
-            require(p, required, section)
-            by_level[p['level']] = p
-            if p['ops'] == 0:
-                sys.exit(f'{section}: level {p["level"]} schedule did not complete')
-            if p['control_locks'] != 0:
-                sys.exit(f'{section}: {p["control_locks"]} control locks at level '
-                         f'{p["level"]}')
-            if p['allocs_per_op'] > 0.05:
-                sys.exit(f'{section}: telemetry plane mallocs at level {p["level"]} '
-                         f'(allocs_per_op {p["allocs_per_op"]})')
-        assert set(by_level) == {'off', 'metrics', 'tracing'}, \
-            f'{section}: levels {sorted(by_level)}'
-        off, tracing = by_level['off'], by_level['tracing']
-        # The headline gate: full tracing within 3% of the dark baseline.
-        if tracing['ops_per_sec'] < 0.97 * off['ops_per_sec']:
-            sys.exit(f'{section}: tracing ops/s {tracing["ops_per_sec"]} < 97% of '
-                     f'off {off["ops_per_sec"]}')
-        if tracing['spans'] < tracing['ops']:
-            sys.exit(f'{section}: only {tracing["spans"]} spans for '
-                     f'{tracing["ops"]} traced ops')
-        if off['spans'] != 0 or by_level['metrics']['spans'] != 0:
-            sys.exit(f'{section}: spans recorded below kTracing')
 
 
 def validate_item_plane(data):
@@ -257,13 +128,8 @@ def validate_item_plane(data):
 VALIDATORS = {
     'BENCH_interconnect.json': validate_interconnect,
     'BENCH_item_plane.json': validate_item_plane,
-    'BENCH_sharded_kv.json': validate_sharded_kv,
-    'BENCH_failover.json': validate_failover,
-    'BENCH_multiget.json': validate_multiget,
-    'BENCH_dist_rpc.json': validate_dist_rpc,
     'BENCH_tx_batching.json': validate_tx_batching,
     'BENCH_alloc_pool.json': validate_alloc_pool,
-    'BENCH_observability.json': validate_observability,
 }
 
 
