@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -342,10 +341,11 @@ ShardRouter::ShardRouter(Runtime& runtime, RingRecord ring, Config config)
   }
   StartRingWatcher();  // no-op unless Config asked for a periodic refresh
   // Join the machine's telemetry plane: the router's failover state machine and its RPC
-  // clients' fault counters become registry metrics, sampled only at snapshot time. The
+  // clients' fault counters become collector series, sampled only at snapshot time. The
   // router is per-core client state, so samples are a benign racy read of plain counters.
   obs_collector_ = obs::ObsRoot::For(runtime_).AddCollector(
-      [this](std::vector<obs::ObsRoot::Sample>& out) {
+      [this](obs::ObsRoot::MetricsSnapshot& snapshot) {
+        std::vector<obs::ObsRoot::Sample>& out = snapshot.samples;
         out.emplace_back("router_failovers", static_cast<double>(stats_.failovers));
         out.emplace_back("router_suspects_marked",
                          static_cast<double>(stats_.suspects_marked));
@@ -492,64 +492,24 @@ void ShardRouter::MarkSuspect(const std::shared_ptr<const Ring>& ring,
   RefreshRing();
 }
 
-ShardRouter::OpTrace ShardRouter::BeginOpTrace() {
-  OpTrace trace;
-  obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_);
-  if (obs_root == nullptr || !obs_root->tracing_on()) {
-    return trace;
-  }
-  // The op's root span: adopt the core's ambient trace (a traced handler driving the
-  // router) or start a fresh one. Every shard RPC the op issues — including failover
-  // re-issues rounds later — parents into this span.
-  obs::MetricRegistry& rep = obs_root->RepFor(CurrentContext().machine_core);
-  obs::MetricRegistry::TraceContext ctx = rep.current();
-  trace.trace_id = ctx.trace_id != 0 ? ctx.trace_id : rep.NewTraceId();
-  trace.parent_span = ctx.trace_id != 0 ? ctx.span_id : 0;
-  trace.span_id = rep.NewSpanId();
-  trace.start_ns = obs_root->NowNs();
-  return trace;
-}
-
-void ShardRouter::FinishOpTrace(const OpTrace& trace, std::uint16_t opcode,
-                                obs::SpanStatus status) {
-  if (trace.trace_id == 0) {
-    return;
-  }
-  obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_);
-  if (obs_root == nullptr) {
-    return;
-  }
-  std::size_t core = CurrentContext().machine_core;
-  obs::SpanRecord span;
-  span.trace_id = trace.trace_id;
-  span.span_id = trace.span_id;
-  span.parent_span = trace.parent_span;
-  span.service = kNullEbbId;  // logical router op, not a wire service
-  span.opcode = opcode;
-  span.kind = obs::SpanKind::kLocal;
-  span.status = status;
-  span.start_ns = trace.start_ns;
-  span.end_ns = obs_root->NowNs();
-  span.attempts = 1;
-  span.core = static_cast<std::uint32_t>(core);
-  obs_root->RepFor(core).RecordSpan(span);
-}
-
 Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
   std::shared_ptr<const Ring> ring = ring_;  // op-wide snapshot (RCU read side)
   ReplicaSet replicas = ReadOrder(*ring, key);
-  OpTrace trace = BeginOpTrace();
-  Future<GetResult> result = TryGet(std::move(ring), std::string(key), replicas, 0, trace);
-  if (trace.trace_id == 0) {
+  // The op's kLocal root span (kNullEbbId: a logical router op, not a wire service).
+  obs::Span span = obs::OpenSpan(runtime_);
+  Future<GetResult> result = TryGet(std::move(ring), std::string(key), replicas, 0, span);
+  if (span.trace_id == 0) {
     return result;
   }
-  return result.Then([this, trace](Future<GetResult> f) -> GetResult {
+  return result.Then([this, span](Future<GetResult> f) -> GetResult {
     try {
       GetResult r = f.Get();
-      FinishOpTrace(trace, kShardOpGet, obs::SpanStatus::kOk);
+      obs::CloseSpan(runtime_, span, obs::SpanKind::kLocal, kNullEbbId, kShardOpGet,
+                     obs::SpanStatus::kOk);
       return r;
     } catch (...) {
-      FinishOpTrace(trace, kShardOpGet, obs::SpanStatus::kError);
+      obs::CloseSpan(runtime_, span, obs::SpanKind::kLocal, kNullEbbId, kShardOpGet,
+                     obs::SpanStatus::kError);
       throw;
     }
   });
@@ -557,23 +517,18 @@ Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
 
 Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> ring,
                                                    std::string key, ReplicaSet replicas,
-                                                   std::size_t index, OpTrace trace) {
+                                                   std::size_t index, obs::Span span) {
   std::uint32_t shard = replicas.shards[index];
   if (shard < per_shard_ops_.size()) {
     per_shard_ops_[shard]++;
   }
   // The shard RPC is issued under the op's root span as ambient context, so the client span
   // it records parents correctly — on the first attempt AND on failover re-issues.
-  std::optional<obs::ObsRoot::TraceScope> scope;
-  if (trace.trace_id != 0) {
-    if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
-      scope.emplace(*obs_root, trace.trace_id, trace.span_id);
-    }
-  }
+  obs::ObsRoot::TraceScope scope(runtime_, span);
   return ClientFor(ring->shards[shard])
       ->Call(kShardOpGet, 0, IOBuf::CopyBuffer(key), config_.read_options)
       .Then([this, ring = std::move(ring), key = std::move(key), replicas, index,
-             trace](Future<dist::RpcClient::Response> f) mutable -> Future<GetResult> {
+             span](Future<dist::RpcClient::Response> f) mutable -> Future<GetResult> {
         try {
           dist::RpcClient::Response response = f.Get();
           GetResult result;
@@ -590,7 +545,7 @@ Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> r
           MarkSuspect(ring, replicas.shards[index]);
           if (index + 1 < replicas.size) {
             ++stats_.failovers;
-            return TryGet(std::move(ring), std::move(key), replicas, index + 1, trace);
+            return TryGet(std::move(ring), std::move(key), replicas, index + 1, span);
           }
           throw;  // every replica failed: surface the last transport error
         }
@@ -607,7 +562,7 @@ ShardRouter::Batch& ShardRouter::AcquireBatch(std::uint16_t opcode) {
   free_batches_.pop_back();
   batch.ring = ring_;  // op-wide snapshot (RCU read side)
   batch.opcode = opcode;
-  batch.trace = BeginOpTrace();
+  batch.span = obs::OpenSpan(runtime_);
   batch.outstanding = 1;  // the issuing call's hold, dropped by its Done()
   return batch;
 }
@@ -640,23 +595,19 @@ Future<void> ShardRouter::Set(std::string_view key, std::string_view value) {
     }
     targets.shards[targets.size++] = shard;
   }
-  std::optional<obs::ObsRoot::TraceScope> scope;
-  if (batch.trace.trace_id != 0) {
-    if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
-      scope.emplace(*obs_root, batch.trace.trace_id, batch.trace.span_id);
+  {
+    obs::ObsRoot::TraceScope scope(runtime_, batch.span);
+    // One body for every replica: the others ride clones (views of the same bytes).
+    std::unique_ptr<IOBuf> body = dist::BuildLenPrefixedBody(key, value);
+    for (std::size_t i = 0; i < targets.size; ++i) {
+      std::uint8_t shard = targets.shards[i];
+      per_shard_ops_[shard]++;
+      Group& group = NewGroup(batch, shard);
+      ClientFor(batch.ring->shards[shard])
+          ->Call(kShardOpSet, 0, i + 1 < targets.size ? body->Clone() : std::move(body),
+                 config_.write_options, &group);
     }
   }
-  // One body for every replica: the others ride clones (views of the same bytes).
-  std::unique_ptr<IOBuf> body = dist::BuildLenPrefixedBody(key, value);
-  for (std::size_t i = 0; i < targets.size; ++i) {
-    std::uint8_t shard = targets.shards[i];
-    per_shard_ops_[shard]++;
-    Group& group = NewGroup(batch, shard);
-    ClientFor(batch.ring->shards[shard])
-        ->Call(kShardOpSet, 0, i + 1 < targets.size ? body->Clone() : std::move(body),
-               config_.write_options, &group);
-  }
-  scope.reset();
   Done(batch);
   return result;
 }
@@ -746,12 +697,7 @@ void ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
   }
   // Scatter under the batch's root span: every per-shard RPC — first round or a failover
   // re-issue rounds later — records its client span as a child of the same root.
-  std::optional<obs::ObsRoot::TraceScope> scope;
-  if (batch.trace.trace_id != 0) {
-    if (obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_)) {
-      scope.emplace(*obs_root, batch.trace.trace_id, batch.trace.span_id);
-    }
-  }
+  obs::ObsRoot::TraceScope scope(runtime_, batch.span);
   std::uint32_t run = base;
   for (std::uint32_t shard = 0; shard < shards; ++shard) {
     if (counts[shard] == 0) {
@@ -822,13 +768,12 @@ void ShardRouter::Done(Batch& batch) {
   // Take the outcome out and recycle the batch BEFORE resolving: the caller's continuation
   // usually issues its next op synchronously, and that op reuses this (cache-warm) state.
   std::exception_ptr error = std::exchange(batch.error, nullptr);
-  OpTrace trace = batch.trace;
-  obs::SpanStatus status = error ? obs::SpanStatus::kError : obs::SpanStatus::kOk;
+  obs::CloseSpan(runtime_, batch.span, obs::SpanKind::kLocal, kNullEbbId, batch.opcode,
+                 error ? obs::SpanStatus::kError : obs::SpanStatus::kOk);
   if (batch.opcode == kShardOpMultiGet) {
     Promise<std::vector<GetResult>> done = std::move(*batch.multiget_done);
     std::vector<GetResult> results = std::move(batch.results);
     Recycle(batch);
-    FinishOpTrace(trace, kShardOpMultiGet, status);
     if (error) {
       done.SetException(std::move(error));
     } else {
@@ -838,7 +783,6 @@ void ShardRouter::Done(Batch& batch) {
   }
   Promise<void> done = std::move(*batch.set_done);
   Recycle(batch);
-  FinishOpTrace(trace, kShardOpSet, status);
   if (error) {
     done.SetException(std::move(error));
   } else {

@@ -314,20 +314,6 @@ class ShardRouter {
     ReplicaSet ReplicasFor(std::uint64_t hash, std::size_t r) const;
   };
 
-  // Trace identity of one routed operation's ROOT span (the kLocal span every shard RPC of
-  // the op parents into). Zero trace_id = the op runs untraced. Failover re-issues thread
-  // this through, so a key's second replica still stitches into the same tree.
-  struct OpTrace {
-    std::uint64_t trace_id = 0;
-    std::uint32_t span_id = 0;
-    std::uint32_t parent_span = 0;
-    std::uint64_t start_ns = 0;
-  };
-  // Starts a root span for one op (all-zero when tracing is off / the plane is absent).
-  OpTrace BeginOpTrace();
-  // Records the op's kLocal root span (no-op for an untraced OpTrace).
-  void FinishOpTrace(const OpTrace& trace, std::uint16_t opcode, obs::SpanStatus status);
-
   struct Batch;
   // One shard RPC of a batch, and its completion target: a MultiGet group carries the
   // slots [begin, begin + count) of the batch's `order` list; a Set group carries none.
@@ -351,7 +337,9 @@ class ShardRouter {
   struct Batch {
     ShardRouter* router = nullptr;
     std::shared_ptr<const Ring> ring;
-    OpTrace trace;
+    // The op's kLocal root span: every shard RPC of the op, failover re-issues included,
+    // is issued under it and so parents into it.
+    obs::Span span;
     std::uint16_t opcode = 0;
     std::uint32_t excluded = 0;  // shards that failed THIS batch (bit per ring index)
     std::size_t outstanding = 0;
@@ -384,7 +372,7 @@ class ShardRouter {
   dist::RpcClient* ClientFor(const ShardEndpoint& endpoint);
   void MarkSuspect(const std::shared_ptr<const Ring>& ring, std::uint32_t shard);
   Future<GetResult> TryGet(std::shared_ptr<const Ring> ring, std::string key,
-                           ReplicaSet replicas, std::size_t index, OpTrace trace);
+                           ReplicaSet replicas, std::size_t index, obs::Span span);
 
   Batch& AcquireBatch(std::uint16_t opcode);
   Group& NewGroup(Batch& batch, std::uint32_t shard);

@@ -113,7 +113,7 @@ void Constraint::AddConstraint(Planner& planner) {
   planner.IncrementalAdd(this);
 }
 
-Constraint* Constraint::Satisfy(std::uint64_t mark, Planner& planner) {
+Constraint* Constraint::Satisfy(std::uint64_t mark, Planner& /*planner*/) {
   ChooseMethod(mark);
   if (!IsSatisfied()) {
     Kbugon(strength_ == kRequired, "DeltaBlue: required constraint unsatisfiable");

@@ -190,7 +190,7 @@ bool MatchNode(const ReNode* node, const char* s, Cont k, void* ctx) {
   return false;
 }
 
-bool Accept(const char* s, void*) { return true; }  // unanchored tail
+bool Accept(const char*, void*) { return true; }  // unanchored tail
 
 bool Search(const ReNode* re, const char* s) {
   for (const char* p = s; *p != 0; ++p) {

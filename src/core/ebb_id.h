@@ -30,7 +30,6 @@ enum StaticEbbIds : EbbId {
   kFileSystemId = 11,         // offloaded to the hosted instance
   kRcuManagerId = 12,         // epoch tracking
   kNodeAllocatorId = 13,      // machine bring-up bookkeeping
-  kMetricRegistryId = 14,     // per-core observability plane (obs::MetricRegistry)
   kFirstStaticUserId = 32,    // first id tests/examples may claim statically
   kFirstFreeId = 0x100,       // first dynamically allocated id
 };

@@ -38,7 +38,7 @@ bool ParseFrame(std::unique_ptr<IOBuf> message, RpcHeader* header,
 
 std::unique_ptr<IOBuf> BuildRpcFrame(std::uint64_t request_id, std::uint16_t opcode,
                                      std::uint8_t flags, std::uint32_t aux,
-                                     std::unique_ptr<IOBuf> body, const RpcTrace& trace) {
+                                     std::unique_ptr<IOBuf> body, const obs::Span& span) {
   auto frame = IOBuf::CreateReserveFor<sizeof(RpcHeader)>(0);
   frame->Append(sizeof(RpcHeader));
   auto& header = frame->Get<RpcHeader>();
@@ -47,9 +47,9 @@ std::unique_ptr<IOBuf> BuildRpcFrame(std::uint64_t request_id, std::uint16_t opc
   header.flags = flags;
   header.reserved = 0;
   header.aux = HostToNet32(aux);
-  header.trace_id = HostToNet64(trace.trace_id);
-  header.span_id = HostToNet32(trace.span_id);
-  header.parent_span = HostToNet32(trace.parent_span);
+  header.trace_id = HostToNet64(span.trace_id);
+  header.span_id = HostToNet32(span.span_id);
+  header.parent_span = HostToNet32(span.parent_span);
   if (body != nullptr) {
     frame->AppendChain(std::move(body));
   }
@@ -359,10 +359,6 @@ std::size_t RpcClient::pending_calls() const {
   return total;
 }
 
-std::uint64_t RpcClient::NowNs() const {
-  return runtime_.GetSubsystem<TimerRoot>(Subsystem::kTimer).executor().Now();
-}
-
 RpcClient::PendingCall& RpcClient::AcquireSlot(CoreLane& lane) {
   if (lane.free_slots.empty()) {
     // Slots claimed on other cores came home through the return stack: take them all.
@@ -492,24 +488,16 @@ void RpcClient::Call(std::uint16_t opcode, std::uint32_t aux, std::unique_ptr<IO
     // this is descriptor cost, not a byte copy.
     call.retry_body = body->Clone();
   }
-  call.trace = RpcTrace{};
-  obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_);
-  if (obs_root != nullptr && obs_root->tracing_on()) {
-    // Adopt the core's ambient trace (a router fan-out, a traced handler) or start a fresh
-    // one. These ids name the LOGICAL call for its whole life: every retry re-sends them,
-    // so the server's spans parent into the same tree no matter how many attempts it took.
-    obs::MetricRegistry& rep = obs_root->RepFor(core);
-    obs::MetricRegistry::TraceContext ctx = rep.current();
-    call.trace.trace_id = ctx.trace_id != 0 ? ctx.trace_id : rep.NewTraceId();
-    call.trace.parent_span = ctx.trace_id != 0 ? ctx.span_id : 0;
-    call.trace.span_id = rep.NewSpanId();
-    call.span_start_ns = NowNs();
-  }
-  RpcTrace trace = call.trace;
+  // The span joins the core's ambient trace (a router fan-out, a traced handler) or starts
+  // a fresh one. Its ids name the LOGICAL call for its whole life: every retry re-sends
+  // them, so the server's spans parent into the same tree no matter how many attempts it
+  // took.
+  call.span = obs::OpenSpan(runtime_);
+  obs::Span span = call.span;
   std::uint64_t request_id = Arm(core, call);
   StartDeadline(core, call, request_id);
   messenger_.Send(server_, service_,
-                  BuildRpcFrame(request_id, opcode, /*flags=*/0, aux, std::move(body), trace));
+                  BuildRpcFrame(request_id, opcode, /*flags=*/0, aux, std::move(body), span));
 }
 
 void RpcClient::StartDeadline(std::size_t core, PendingCall& call, std::uint64_t request_id) {
@@ -559,7 +547,8 @@ void RpcClient::Expire(std::size_t core, std::uint64_t request_id) {
     });
     return;
   }
-  RecordClientSpan(*call, obs::SpanStatus::kTimeout);
+  obs::CloseSpan(runtime_, call->span, obs::SpanKind::kClient, service_, call->opcode,
+                 obs::SpanStatus::kTimeout, static_cast<std::uint32_t>(call->attempts));
   std::exception_ptr error = std::make_exception_ptr(RpcTimeout(
       "rpc: deadline expired (service " + std::to_string(service_) + ", opcode " +
       std::to_string(call->opcode) + ", " + std::to_string(call->attempts) + " attempt(s))"));
@@ -582,7 +571,7 @@ void RpcClient::Resend(std::size_t core, std::uint32_t index) {
   // Fresh request id, SAME trace ids: the retry is the same logical call on the wire.
   messenger_.Send(server_, service_,
                   BuildRpcFrame(request_id, call.opcode, /*flags=*/0, call.aux,
-                                std::move(body), call.trace));
+                                std::move(body), call.span));
 }
 
 void RpcClient::OnPeerDown() {
@@ -596,7 +585,8 @@ void RpcClient::OnPeerDown() {
   std::vector<RpcCompletion*> completions;
   completions.reserve(lost.size());
   for (auto& [core, call] : lost) {
-    RecordClientSpan(*call, obs::SpanStatus::kPeerLost);
+    obs::CloseSpan(runtime_, call->span, obs::SpanKind::kClient, service_, call->opcode,
+                   obs::SpanStatus::kPeerLost, static_cast<std::uint32_t>(call->attempts));
     completions.push_back(Release(core, *call));
   }
   for (RpcCompletion* completion : completions) {
@@ -621,38 +611,16 @@ void RpcClient::HandleFrame(Ipv4Addr, std::unique_ptr<IOBuf> message) {
     return;
   }
   auto core = static_cast<std::size_t>(header.request_id >> kCoreShift);
-  if (header.flags & kRpcError) {
-    RecordClientSpan(*call, obs::SpanStatus::kError);
+  bool error = (header.flags & kRpcError) != 0;
+  obs::CloseSpan(runtime_, call->span, obs::SpanKind::kClient, service_, call->opcode,
+                 error ? obs::SpanStatus::kError : obs::SpanStatus::kOk,
+                 static_cast<std::uint32_t>(call->attempts));
+  if (error) {
     Release(core, *call)->OnFailure(
         std::make_exception_ptr(std::runtime_error(ChainToString(body.get()))));
     return;
   }
-  RecordClientSpan(*call, obs::SpanStatus::kOk);
   Release(core, *call)->OnResponse(RpcResponse{header.aux, std::move(body)});
-}
-
-void RpcClient::RecordClientSpan(const PendingCall& call, obs::SpanStatus status) {
-  if (call.trace.trace_id == 0) {
-    return;  // issued untraced (tracing off, or the plane didn't exist yet)
-  }
-  obs::ObsRoot* obs_root = obs::ObsRoot::TryFor(runtime_);
-  if (obs_root == nullptr) {
-    return;
-  }
-  std::size_t core = CurrentContext().machine_core;
-  obs::SpanRecord span;
-  span.trace_id = call.trace.trace_id;
-  span.span_id = call.trace.span_id;
-  span.parent_span = call.trace.parent_span;
-  span.service = service_;
-  span.opcode = call.opcode;
-  span.kind = obs::SpanKind::kClient;
-  span.status = status;
-  span.start_ns = call.span_start_ns;
-  span.end_ns = NowNs();
-  span.attempts = static_cast<std::uint32_t>(call.attempts);
-  span.core = static_cast<std::uint32_t>(core);
-  obs_root->RepFor(core).RecordSpan(span);
 }
 
 // --- RpcServer --------------------------------------------------------------------------------
@@ -684,36 +652,20 @@ void RpcServer::HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message) {
   if (!ParseFrame(std::move(message), &header, &body)) {
     return;
   }
-  obs::ObsRoot* obs_root =
-      header.trace_id != 0 ? obs::ObsRoot::TryFor(messenger_.runtime()) : nullptr;
-  if (obs_root == nullptr || !obs_root->tracing_on()) {
-    HandleCall(from, header.request_id, header.opcode, header.aux, std::move(body));
-    return;
-  }
-  // Traced request: this hop gets its own span, parented on the caller's (the span id the
-  // frame carried), and the handler runs under it as the ambient context — so any RPC the
-  // handler issues in turn stitches into the same trace.
-  std::size_t core = CurrentContext().machine_core;
-  obs::MetricRegistry& rep = obs_root->RepFor(core);
-  obs::SpanRecord span;
-  span.trace_id = header.trace_id;
-  span.span_id = rep.NewSpanId();
-  span.parent_span = header.span_id;
-  span.service = service_;
-  span.opcode = header.opcode;
-  span.kind = obs::SpanKind::kServer;
-  span.status = obs::SpanStatus::kOk;
-  span.start_ns = obs_root->NowNs();
-  span.attempts = 1;
-  span.core = static_cast<std::uint32_t>(core);
+  // A traced request gets its own span on this hop, parented on the caller's (the span id
+  // the frame carried), and the handler runs under it as the ambient context — so any RPC
+  // the handler issues in turn stitches into the same trace. An untraced frame opens none.
+  Runtime& runtime = messenger_.runtime();
+  EbbId service = service_;  // the span outlives the handler, which may tear this server down
+  obs::Span span = obs::OpenSpan(runtime, obs::TraceContext{header.trace_id, header.span_id});
   {
-    obs::ObsRoot::TraceScope scope(*obs_root, span.trace_id, span.span_id);
+    obs::ObsRoot::TraceScope scope(runtime, span);
     HandleCall(from, header.request_id, header.opcode, header.aux, std::move(body));
   }
   // The span closes when the handler returns (every in-tree handler replies synchronously;
   // an async handler's span would cover dispatch, not the eventual reply).
-  span.end_ns = obs_root->NowNs();
-  rep.RecordSpan(span);
+  obs::CloseSpan(runtime, span, obs::SpanKind::kServer, service, header.opcode,
+                 obs::SpanStatus::kOk);
 }
 
 }  // namespace dist

@@ -57,13 +57,10 @@
 #include "src/dist/messenger.h"
 #include "src/dist/retry.h"
 #include "src/future/future.h"
+#include "src/obs/metrics.h"
 #include "src/rcu/rcu_hash_table.h"
 
 namespace ebbrt {
-
-namespace obs {
-enum class SpanStatus : std::uint8_t;
-}  // namespace obs
 
 namespace dist {
 
@@ -126,21 +123,15 @@ struct RpcHeader {
 } __attribute__((packed));
 static_assert(sizeof(RpcHeader) == 32);
 
-// Trace identifiers a frame carries (see RpcHeader). Default-constructed = untraced.
-struct RpcTrace {
-  std::uint64_t trace_id = 0;
-  std::uint32_t span_id = 0;
-  std::uint32_t parent_span = 0;
-};
-
 inline std::uint64_t HostToNet64(std::uint64_t v) { return __builtin_bswap64(v); }
 inline std::uint64_t NetToHost64(std::uint64_t v) { return __builtin_bswap64(v); }
 
 // Builds [RpcHeader | body...] with the body chained zero-copy behind the header buffer.
+// The header carries `span`'s ids (all-zero for an untraced span).
 std::unique_ptr<IOBuf> BuildRpcFrame(std::uint64_t request_id, std::uint16_t opcode,
                                      std::uint8_t flags, std::uint32_t aux,
                                      std::unique_ptr<IOBuf> body,
-                                     const RpcTrace& trace = RpcTrace{});
+                                     const obs::Span& span = obs::Span{});
 
 // Flattens an IOBuf chain into a std::string (marshalling convenience for string-valued
 // results; the zero-copy representation stays available to callers that keep the chain).
@@ -359,10 +350,9 @@ class RpcClient {
     // later, finds its generation claimed, and does nothing.
     std::uint64_t deadline_timer = 0;
     std::unique_ptr<IOBuf> retry_body;    // master copy, cloned per re-send (null: no retry)
-    // Trace identity of the LOGICAL call: one client span covers every attempt (the span's
-    // `attempts` field says how many), so retries re-send under these same ids.
-    RpcTrace trace;
-    std::uint64_t span_start_ns = 0;      // first send time (span start, virtual ns)
+    // The LOGICAL call's client span, opened at the first send: one span covers every
+    // attempt (the record's `attempts` says how many), so retries re-send these same ids.
+    obs::Span span;
     PendingCall* next_returned = nullptr;  // link on the lane's return stack
   };
 
@@ -422,11 +412,6 @@ class RpcClient {
   void Expire(std::size_t core, std::uint64_t request_id);
   void Resend(std::size_t core, std::uint32_t index);
   void OnPeerDown();
-  std::uint64_t NowNs() const;
-  // Writes the call's client span into the current core's ring (no-op when the call was
-  // issued untraced). Every completion path — response, error, timeout, peer loss — funnels
-  // through this; teardown skips it (the machine may have no event context).
-  void RecordClientSpan(const PendingCall& call, obs::SpanStatus status);
 
   Runtime& runtime_;
   Messenger& messenger_;

@@ -187,12 +187,6 @@ class EventManager {
     RunOnEventStack(fn, persistent);
   }
 
-  // Statistics (exported for tests, benches, and the adaptive-polling policy).
-  std::uint64_t interrupts_dispatched() const { return stats_.interrupts; }
-  std::uint64_t events_dispatched() const { return stats_.synthetic; }
-  std::uint64_t idle_passes() const { return stats_.idle_passes; }
-  std::uint64_t end_of_event_hooks_run() const { return stats_.end_of_event; }
-
   // Snapshot of this core's dispatch counters, including the interconnect's view of its
   // inbound cross-core traffic.
   struct Stats {

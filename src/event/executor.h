@@ -43,7 +43,7 @@ class Executor {
   // when world events (e.g. packet deliveries) are scheduled earlier than the core's virtual
   // clock, so device activity interleaves with polling loops exactly as on real hardware.
   // Real executors (true concurrency) need nothing.
-  virtual void MaybeYield(std::size_t machine_core) {}
+  virtual void MaybeYield(std::size_t /*machine_core*/) {}
 };
 
 }  // namespace ebbrt

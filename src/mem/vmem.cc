@@ -60,7 +60,7 @@ class VMemRegistry {
     sigaction(SIGSEGV, &sa, &previous_);
   }
 
-  static void OnFault(int signo, siginfo_t* info, void* ucontext) {
+  static void OnFault(int /*signo*/, siginfo_t* info, void* /*ucontext*/) {
     VMemRegion* region = Get().Find(info->si_addr);
     if (region == nullptr) {
       // Not ours: restore the previous disposition and re-raise so real crashes still crash.

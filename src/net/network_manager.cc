@@ -191,7 +191,7 @@ void NetworkManager::SendUdp(Ipv4Addr dst, std::uint16_t src_port, std::uint16_t
   iface.EthArpSend(kEthTypeIpv4, std::move(packet));
 }
 
-void NetworkManager::HandleUdp(Interface& iface, const Ipv4Header& ip,
+void NetworkManager::HandleUdp(Interface& /*iface*/, const Ipv4Header& ip,
                                std::unique_ptr<IOBuf> datagram) {
   if (datagram->Length() < sizeof(UdpHeader)) {
     stats_.udp_dropped.fetch_add(1, std::memory_order_relaxed);

@@ -3,27 +3,17 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/core/multicore_ebb.h"
 #include "src/dist/messenger.h"
 #include "src/event/event_manager.h"
 #include "src/mem/gp_allocator.h"
 #include "src/net/network_manager.h"
+#include "src/platform/context.h"
+#include "src/platform/debug.h"
 
 namespace ebbrt {
 namespace obs {
 
 // --- MetricRegistry --------------------------------------------------------------------------
-
-MetricRegistry& MetricRegistry::HandleFault(EbbId id) {
-  if (void* cached = ebb_internal::HostedLookup(id)) {
-    return *static_cast<MetricRegistry*>(cached);
-  }
-  Context& ctx = CurrentContext();
-  ObsRoot& root = ObsRoot::For(*ctx.runtime);
-  MetricRegistry& rep = root.RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
 
 MetricRegistry::MetricRegistry(ObsRoot& root, std::size_t machine_core)
     : root_(root), machine_core_(machine_core),
@@ -38,9 +28,14 @@ std::uint64_t MetricRegistry::NewTraceId() {
 }
 
 // Span ids carry (runtime, core, sequence) too: a trace's spans are recorded on several
-// machines, and parent links must stay unambiguous when the rings are merged.
+// machines, and parent links must stay unambiguous when the rings are merged. The 20-bit
+// sequence skips 0 when it wraps: on core 0 of a runtime whose id bits are 0 that would be
+// span id 0, the "no parent" value.
 std::uint32_t MetricRegistry::NewSpanId() {
-  span_seq_ = (span_seq_ + 1) & 0x000fffff;  // 20-bit per-core sequence
+  span_seq_ = (span_seq_ + 1) & 0x000fffff;
+  if (span_seq_ == 0) {
+    span_seq_ = 1;
+  }
   return ((static_cast<std::uint32_t>(root_.runtime().id() + 1) & 0xff) << 24) |
          ((static_cast<std::uint32_t>(machine_core_) & 0xf) << 20) | span_seq_;
 }
@@ -58,7 +53,6 @@ ObsRoot& ObsRoot::For(Runtime& runtime) {
     auto owned = std::make_shared<ObsRoot>(runtime);
     root = owned.get();
     runtime.SetSubsystem(Subsystem::kObservability, root);
-    runtime.InstallRoot(kMetricRegistryId, root);
     runtime.Adopt(std::move(owned));
   }
   return *root;
@@ -100,47 +94,10 @@ MetricRegistry& ObsRoot::RepFor(std::size_t machine_core) {
   return *reps_[machine_core];
 }
 
-namespace {
-MetricId RegisterName(std::vector<std::string>* names, const std::string& name,
-                      std::size_t cap, const char* what) {
-  for (std::size_t i = 0; i < names->size(); ++i) {
-    if ((*names)[i] == name) {
-      return static_cast<MetricId>(i);
-    }
-  }
-  (void)what;
-  Kassert(names->size() < cap, "ObsRoot: metric table full");
-  names->push_back(name);
-  return static_cast<MetricId>(names->size() - 1);
-}
-}  // namespace
-
-MetricId ObsRoot::RegisterCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&counter_names_, name, MetricRegistry::kMaxCounters, "counter");
-}
-
-MetricId ObsRoot::RegisterGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&gauge_names_, name, MetricRegistry::kMaxGauges, "gauge");
-}
-
-MetricId ObsRoot::RegisterHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&hist_names_, name, MetricRegistry::kMaxHistograms, "histogram");
-}
-
 std::uint64_t ObsRoot::AddCollector(Collector collector) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t handle = next_collector_++;
   collectors_.emplace_back(handle, std::move(collector));
-  return handle;
-}
-
-std::uint64_t ObsRoot::AddHistCollector(HistCollector collector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t handle = next_collector_++;
-  hist_collectors_.emplace_back(handle, std::move(collector));
   return handle;
 }
 
@@ -152,72 +109,17 @@ void ObsRoot::RemoveCollector(std::uint64_t handle) {
       return;
     }
   }
-  for (auto it = hist_collectors_.begin(); it != hist_collectors_.end(); ++it) {
-    if (it->first == handle) {
-      hist_collectors_.erase(it);
-      return;
-    }
-  }
 }
 
-// Accumulates one core's registered slots into `out`. The first core's visit lays the
-// samples out (names from the registration tables); later cores add into the same entries.
-// Reads are relaxed loads of that core's arrays — safe from the owner core (SnapshotAsync)
-// or any core (SnapshotNow).
-void ObsRoot::SampleCore(std::size_t machine_core, MetricsSnapshot* out) {
-  MetricRegistry* rep = reps_[machine_core].get();
-  std::vector<std::string> counters, gauges, hists;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters = counter_names_;
-    gauges = gauge_names_;
-    hists = hist_names_;
-  }
-  if (out->samples.empty() && !counters.empty()) {
-    out->samples.reserve(counters.size());
-    for (const std::string& name : counters) {
-      out->samples.emplace_back(name, 0.0);
-    }
-  }
-  if (out->hists.empty() && !hists.empty()) {
-    out->hists.resize(hists.size());
-    for (std::size_t i = 0; i < hists.size(); ++i) {
-      out->hists[i].first = hists[i];
-    }
-  }
-  if (rep == nullptr) {
-    return;  // core never recorded anything; zero contribution
-  }
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    out->samples[i].second += static_cast<double>(
-        rep->counters_[i].load(std::memory_order_relaxed));
-  }
-  // Gauges are per-core series (the autoscaler wants the imbalance, not just the sum).
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out->samples.emplace_back(
-        gauges[i] + "{core=\"" + std::to_string(machine_core) + "\"}",
-        static_cast<double>(rep->gauges_[i].load(std::memory_order_relaxed)));
-  }
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    rep->hists_[i].Sample(&out->hists[i].second);
-  }
-}
-
-// Appends collector output and plane self-metrics; runs once per snapshot, after every
-// core's slots are in.
-void ObsRoot::MergeAndFinish(MetricsSnapshot* out) {
+ObsRoot::MetricsSnapshot ObsRoot::SnapshotNow() {
   std::vector<std::pair<std::uint64_t, Collector>> collectors;
-  std::vector<std::pair<std::uint64_t, HistCollector>> hist_collectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
     collectors = collectors_;
-    hist_collectors = hist_collectors_;
   }
+  MetricsSnapshot out;
   for (auto& entry : collectors) {
-    entry.second(out->samples);
-  }
-  for (auto& entry : hist_collectors) {
-    entry.second(out->hists);
+    entry.second(out);
   }
   std::uint64_t spans = 0;
   for (const auto& rep : reps_) {
@@ -225,73 +127,9 @@ void ObsRoot::MergeAndFinish(MetricsSnapshot* out) {
       spans += rep->spans_recorded();
     }
   }
-  out->samples.emplace_back("obs_spans_recorded", static_cast<double>(spans));
-  out->samples.emplace_back("obs_level", static_cast<double>(level_.load()));
-}
-
-ObsRoot::MetricsSnapshot ObsRoot::SnapshotNow() {
-  MetricsSnapshot out;
-  for (std::size_t c = 0; c < reps_.size(); ++c) {
-    SampleCore(c, &out);
-  }
-  MergeAndFinish(&out);
+  out.samples.emplace_back("obs_spans_recorded", static_cast<double>(spans));
+  out.samples.emplace_back("obs_level", static_cast<double>(level_.load()));
   return out;
-}
-
-void ObsRoot::SnapshotAsync(std::function<void(MetricsSnapshot)> done) {
-  struct FanIn {
-    std::vector<MetricsSnapshot> partials;
-    std::atomic<std::size_t> remaining;
-  };
-  std::size_t cores = reps_.size();
-  std::size_t origin = CurrentContext().machine_core;
-  auto fan = std::make_shared<FanIn>();
-  fan->partials.resize(cores);
-  fan->remaining.store(cores, std::memory_order_relaxed);
-  auto shared_done = std::make_shared<std::function<void(MetricsSnapshot)>>(std::move(done));
-  for (std::size_t c = 0; c < cores; ++c) {
-    // One slab-carved interconnect node per core; each core samples ITS OWN slots at an
-    // event boundary, the last one to finish merges and hands the result back to the
-    // origin core. No mutex anywhere on this path.
-    event::Local().SpawnRemote(
-        [this, fan, shared_done, c, origin] {
-          SampleCore(c, &fan->partials[c]);
-          if (fan->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            event::Local().SpawnRemote(
-                [this, fan, shared_done] {
-                  MetricsSnapshot merged = std::move(fan->partials[0]);
-                  for (std::size_t i = 1; i < fan->partials.size(); ++i) {
-                    MetricsSnapshot& part = fan->partials[i];
-                    // Counter/hist entries share layout across partials; gauge samples
-                    // (appended per core) just concatenate.
-                    std::size_t named = 0;
-                    {
-                      std::lock_guard<std::mutex> lock(mu_);
-                      named = counter_names_.size();
-                    }
-                    for (std::size_t s = 0; s < part.samples.size(); ++s) {
-                      if (s < named && s < merged.samples.size()) {
-                        merged.samples[s].second += part.samples[s].second;
-                      } else {
-                        merged.samples.push_back(std::move(part.samples[s]));
-                      }
-                    }
-                    for (std::size_t h = 0; h < part.hists.size(); ++h) {
-                      if (h < merged.hists.size()) {
-                        merged.hists[h].second.Merge(part.hists[h].second);
-                      } else {
-                        merged.hists.push_back(std::move(part.hists[h]));
-                      }
-                    }
-                  }
-                  MergeAndFinish(&merged);
-                  (*shared_done)(std::move(merged));
-                },
-                origin);
-          }
-        },
-        c);
-  }
 }
 
 std::string ObsRoot::RenderText(const MetricsSnapshot& snapshot) {
@@ -354,16 +192,62 @@ std::uint64_t ObsRoot::NowNs() {
   return em_root == nullptr ? 0 : em_root->executor().Now();
 }
 
-ObsRoot::TraceScope::TraceScope(ObsRoot& root, std::uint64_t trace_id,
-                                std::uint32_t span_id)
-    : rep_(root.RepFor(CurrentContext().machine_core)), saved_(rep_.ctx_) {
-  rep_.ctx_.trace_id = trace_id;
-  rep_.ctx_.span_id = span_id;
+ObsRoot::TraceScope::TraceScope(Runtime& runtime, const Span& span) {
+  ObsRoot* root = span.trace_id != 0 ? TryFor(runtime) : nullptr;
+  if (root == nullptr) {
+    return;
+  }
+  rep_ = &root->RepFor(CurrentContext().machine_core);
+  saved_ = rep_->ctx_;
+  rep_->ctx_ = TraceContext{span.trace_id, span.span_id};
 }
 
-ObsRoot::TraceScope::~TraceScope() { rep_.ctx_ = saved_; }
+ObsRoot::TraceScope::~TraceScope() {
+  if (rep_ != nullptr) {
+    rep_->ctx_ = saved_;
+  }
+}
 
-// --- Default collectors: the legacy stats() structs, re-homed --------------------------------
+// --- Spans -----------------------------------------------------------------------------------
+
+Span OpenSpan(Runtime& runtime, std::optional<TraceContext> carried) {
+  Span span;
+  ObsRoot* root = carried && carried->trace_id == 0 ? nullptr : ObsRoot::TryFor(runtime);
+  if (root == nullptr || !root->tracing_on()) {
+    return span;
+  }
+  MetricRegistry& rep = root->RepFor(CurrentContext().machine_core);
+  TraceContext parent = carried ? *carried : rep.current();
+  span.trace_id = parent.trace_id != 0 ? parent.trace_id : rep.NewTraceId();
+  span.parent_span = parent.trace_id != 0 ? parent.span_id : 0;
+  span.span_id = rep.NewSpanId();
+  span.start_ns = root->NowNs();
+  return span;
+}
+
+void CloseSpan(Runtime& runtime, const Span& span, SpanKind kind, EbbId service,
+               std::uint16_t opcode, SpanStatus status, std::uint32_t attempts) {
+  ObsRoot* root = span.trace_id != 0 ? ObsRoot::TryFor(runtime) : nullptr;
+  if (root == nullptr) {
+    return;
+  }
+  std::size_t core = CurrentContext().machine_core;
+  SpanRecord record;
+  record.trace_id = span.trace_id;
+  record.span_id = span.span_id;
+  record.parent_span = span.parent_span;
+  record.service = service;
+  record.opcode = opcode;
+  record.kind = kind;
+  record.status = status;
+  record.start_ns = span.start_ns;
+  record.end_ns = root->NowNs();
+  record.attempts = attempts;
+  record.core = static_cast<std::uint32_t>(core);
+  root->RepFor(core).RecordSpan(record);
+}
+
+// --- Default collectors: the subsystems' stats() structs -------------------------------------
 //
 // Pull-only: nothing here touches a hot path. Each lambda re-resolves its subsystem at
 // sample time (TryGetSubsystem), so collectors installed before a subsystem exists — or
@@ -371,12 +255,14 @@ ObsRoot::TraceScope::~TraceScope() { rep_.ctx_ = saved_; }
 void ObsRoot::InstallDefaultCollectors() {
   Runtime* rt = &runtime_;
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& snapshot) {
     auto* em_root = rt->TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
     if (em_root == nullptr) {
       return;
     }
+    std::vector<Sample>& out = snapshot.samples;
     EventManager::Stats total;
+    Histogram::Snapshot handler, hook, batch, residency;
     for (std::size_t c = 0; c < em_root->num_cores(); ++c) {
       EventManager& em = em_root->RepFor(c);
       EventManager::Stats s = em.stats();
@@ -392,6 +278,10 @@ void ObsRoot::InstallDefaultCollectors() {
       total.control_locks += s.control_locks;
       out.emplace_back("event_run_queue_depth{core=\"" + std::to_string(c) + "\"}",
                        static_cast<double>(em.run_queue_depth()));
+      em.handler_latency_hist().Sample(&handler);
+      em.end_of_event_hook_hist().Sample(&hook);
+      em.xcore_batch_size_hist().Sample(&batch);
+      em.xcore_residency_hist().Sample(&residency);
     }
     out.emplace_back("event_interrupts", static_cast<double>(total.interrupts));
     out.emplace_back("event_synthetic", static_cast<double>(total.synthetic));
@@ -403,28 +293,14 @@ void ObsRoot::InstallDefaultCollectors() {
     out.emplace_back("event_xcore_pushes", static_cast<double>(total.xcore_pushes));
     out.emplace_back("event_xcore_wakeups", static_cast<double>(total.xcore_wakeups));
     out.emplace_back("event_control_locks", static_cast<double>(total.control_locks));
+    snapshot.hists.emplace_back("event_handler_latency_ns", handler);
+    snapshot.hists.emplace_back("event_end_of_event_hook_ns", hook);
+    snapshot.hists.emplace_back("interconnect_batch_size", batch);
+    snapshot.hists.emplace_back("interconnect_queue_residency_ns", residency);
   });
 
-  AddHistCollector([rt](std::vector<HistSample>& out) {
-    auto* em_root = rt->TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
-    if (em_root == nullptr) {
-      return;
-    }
-    Histogram::Snapshot handler, hook, batch, residency;
-    for (std::size_t c = 0; c < em_root->num_cores(); ++c) {
-      EventManager& em = em_root->RepFor(c);
-      em.handler_latency_hist().Sample(&handler);
-      em.end_of_event_hook_hist().Sample(&hook);
-      em.xcore_batch_size_hist().Sample(&batch);
-      em.xcore_residency_hist().Sample(&residency);
-    }
-    out.emplace_back("event_handler_latency_ns", handler);
-    out.emplace_back("event_end_of_event_hook_ns", hook);
-    out.emplace_back("interconnect_batch_size", batch);
-    out.emplace_back("interconnect_queue_residency_ns", residency);
-  });
-
-  AddCollector([](std::vector<Sample>& out) {
+  AddCollector([](MetricsSnapshot& snapshot) {
+    std::vector<Sample>& out = snapshot.samples;
     // Process-global memory-plane counters (benches snapshot deltas; the absolute values
     // are still the BufferPool occupancy signal the autoscaler wants).
     mem::Stats& m = mem::stats();
@@ -443,7 +319,8 @@ void ObsRoot::InstallDefaultCollectors() {
     out.emplace_back("mem_pool_cap_decays", get(m.pool_cap_decays));
   });
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& snapshot) {
+    std::vector<Sample>& out = snapshot.samples;
     auto* net = rt->TryGetSubsystem<NetworkManager>(Subsystem::kNetworkManager);
     if (net == nullptr) {
       return;
@@ -463,7 +340,8 @@ void ObsRoot::InstallDefaultCollectors() {
     out.emplace_back("net_checksum_drops", get(s.checksum_drops));
   });
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& snapshot) {
+    std::vector<Sample>& out = snapshot.samples;
     auto* messenger = rt->TryGetSubsystem<dist::Messenger>(Subsystem::kMessenger);
     if (messenger == nullptr) {
       return;

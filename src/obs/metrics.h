@@ -1,29 +1,23 @@
-// obs — the always-on telemetry plane (metrics registry + distributed trace plumbing).
+// obs — the always-on telemetry plane: one metrics surface plus distributed trace plumbing.
 //
-// The repo's visibility used to be a patchwork: five unrelated stats() structs, percentile
-// math re-implemented inside each loadgen, and no per-hop record of a cross-shard request at
-// all. This module gives the machine ONE per-core, lock-free, zero-allocation observability
-// Ebb, in the style of eBPF's always-on in-kernel instrumentation: cheap enough to leave
-// enabled, structured enough that the autoscaler and the benches can consume it directly.
+// Metrics have one surface, pull collectors. Every subsystem keeps plain counters in its own
+// stats() struct on its hot path; a collector registered with the machine's ObsRoot samples
+// them at snapshot time and appends named series and histograms to a MetricsSnapshot.
+// /metrics, the StatsService scrape and the benches all read that one snapshot, in the style
+// of eBPF's always-on instrumentation: one counter surface per program, nothing recorded
+// twice.
 //
-//   * MetricRegistry is the per-core representative (MulticoreEbb shape, static id
-//     kMetricRegistryId). Recording a counter/gauge/histogram is a plain array index bump
-//     into that core's fixed inline slots — no locks, no heap, no cross-core traffic.
-//   * ObsRoot is the per-machine root (Subsystem::kObservability): the name table, the
-//     global level switch (off / metrics / metrics+tracing), pull-style collectors that
-//     re-home the legacy stats() structs (EventManager, mem::stats, NetworkManager,
-//     Messenger, BufferPool occupancy) without touching their hot paths, and the span rings'
-//     control plane.
-//   * Snapshots: SnapshotNow() reads every core's slots with relaxed loads (any-core safe);
-//     SnapshotAsync() rides the PR 6 interconnect — one SpawnRemote per core samples that
-//     core's slots at an event boundary and an atomic fan-in completes on the origin core,
-//     taking zero control-plane locks (tests assert control_locks stays flat).
-//   * Tracing: each core carries a current {trace id, span id} context (TraceScope RAII).
-//     The RPC layer stamps both into every frame (rpc.h's widened RpcHeader) so a trace id
-//     survives retries under fresh request ids and ShardRouter failovers; completed hops are
-//     written as SpanRecords into a per-core preallocated ring. Ids derive from (runtime id,
-//     core, sequence) — fully deterministic under SimWorld, so tests assert exact span
-//     trees.
+//   * ObsRoot is the per-machine root (Subsystem::kObservability): the global level switch
+//     (off / metrics / metrics+tracing), the collectors — the defaults re-home the
+//     EventManager, mem::stats, NetworkManager and Messenger structs — and the control
+//     plane of the span rings.
+//   * MetricRegistry is the per-core representative and holds trace state only: the core's
+//     ambient {trace id, span id} context, its id sequences and a preallocated span ring.
+//   * Tracing: OpenSpan decides each new span's trace and parent, CloseSpan records it, and
+//     TraceScope installs it as the core's ambient context. The RPC layer stamps the ids into
+//     every frame (rpc.h's RpcHeader) so a trace id survives retries under fresh request ids
+//     and ShardRouter failovers. Ids derive from (runtime id, core, sequence) — fully
+//     deterministic under SimWorld, so tests assert exact span trees.
 #ifndef EBBRT_SRC_OBS_METRICS_H_
 #define EBBRT_SRC_OBS_METRICS_H_
 
@@ -32,16 +26,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/ebb_id.h"
-#include "src/core/ebb_ref.h"
 #include "src/core/runtime.h"
 #include "src/obs/histogram.h"
-#include "src/platform/context.h"
-#include "src/platform/debug.h"
 
 namespace ebbrt {
 namespace obs {
@@ -71,53 +63,36 @@ struct SpanRecord {
   std::uint32_t core = 0;         // recording core
 };
 
-// Dense handle for a registered metric (index into the per-core slot arrays).
-using MetricId = std::uint32_t;
+// The ids new spans are opened under: a core's ambient context, or what a frame carried.
+struct TraceContext {
+  std::uint64_t trace_id = 0;  // 0 = untraced
+  std::uint32_t span_id = 0;
+};
+
+// One open span: its identity and start time. A zero trace_id means untraced, and CloseSpan
+// and TraceScope then do nothing.
+struct Span {
+  std::uint64_t trace_id = 0;
+  std::uint32_t span_id = 0;
+  std::uint32_t parent_span = 0;  // 0 = root of its trace
+  std::uint64_t start_ns = 0;
+};
 
 class ObsRoot;
 
-// --- Per-core representative -----------------------------------------------------------------
+// --- Per-core representative: trace state ----------------------------------------------------
 //
-// All recording methods are owner-core only (the usual non-preemption argument); the slot
-// arrays are relaxed atomics so any core can snapshot them concurrently.
+// Everything but spans_recorded() is owner-core only (the usual non-preemption argument).
 class MetricRegistry {
  public:
-  // Capacity of the per-core slot arrays. Registration Kasserts on overflow — these are
-  // machine-level metric families, not per-request keys.
-  static constexpr std::size_t kMaxCounters = 64;
-  static constexpr std::size_t kMaxGauges = 32;
-  static constexpr std::size_t kMaxHistograms = 24;
   // Span ring capacity per core (power of two). The ring wraps: recent spans win.
   static constexpr std::size_t kSpanRingCap = 4096;
 
-  static EbbRef<MetricRegistry> Instance() {
-    return EbbRef<MetricRegistry>(kMetricRegistryId);
-  }
-  static MetricRegistry& HandleFault(EbbId id);
-
   MetricRegistry(ObsRoot& root, std::size_t machine_core);
 
-  ObsRoot& root() { return root_; }
-  std::size_t machine_core() const { return machine_core_; }
-
-  // --- Hot path (owner core) ---------------------------------------------------------------
-  void Add(MetricId id, std::uint64_t delta = 1) {
-    counters_[id].store(counters_[id].load(std::memory_order_relaxed) + delta,
-                        std::memory_order_relaxed);
-  }
-  void SetGauge(MetricId id, std::int64_t v) {
-    gauges_[id].store(v, std::memory_order_relaxed);
-  }
-  Histogram& Hist(MetricId id) { return hists_[id]; }
-  void RecordHist(MetricId id, std::uint64_t v) { hists_[id].Record(v); }
-
-  // --- Trace context (owner core) ------------------------------------------------------------
-  struct TraceContext {
-    std::uint64_t trace_id = 0;
-    std::uint32_t span_id = 0;
-  };
   TraceContext current() const { return ctx_; }
   std::uint64_t NewTraceId();
+  // Never returns a span id whose sequence bits are 0.
   std::uint32_t NewSpanId();
   // Writes one completed span into this core's ring. Never allocates; the ring wraps.
   void RecordSpan(const SpanRecord& span);
@@ -131,11 +106,7 @@ class MetricRegistry {
   ObsRoot& root_;
   std::size_t machine_core_;
 
-  std::atomic<std::uint64_t> counters_[kMaxCounters] = {};
-  std::atomic<std::int64_t> gauges_[kMaxGauges] = {};
-  Histogram hists_[kMaxHistograms];
-
-  TraceContext ctx_;               // current trace scope (owner core only)
+  TraceContext ctx_;               // ambient trace scope
   std::uint64_t trace_seq_ = 0;
   std::uint32_t span_seq_ = 0;
   // Preallocated at rep construction (control plane) — the recording path never allocates.
@@ -146,10 +117,9 @@ class MetricRegistry {
 // --- Per-machine root ------------------------------------------------------------------------
 class ObsRoot {
  public:
-  // The machine's plane, creating and installing it (Subsystem::kObservability, root under
-  // kMetricRegistryId) on first use. Must be called from one of `runtime`'s cores the first
-  // time. Construction attaches the level switch to every EventManager rep and installs the
-  // default collectors that re-home the legacy stats() structs.
+  // The machine's plane, creating it (Subsystem::kObservability) on first use. Must be
+  // called from one of `runtime`'s cores the first time. Construction attaches the level
+  // switch to every EventManager rep and installs the default collectors.
   static ObsRoot& For(Runtime& runtime);
   // The plane if it exists, nullptr otherwise — for hot paths that must not force creation.
   static ObsRoot* TryFor(Runtime& runtime) {
@@ -171,57 +141,49 @@ class ObsRoot {
   bool metrics_on() const { return level() >= Level::kMetrics; }
   bool tracing_on() const { return level() >= Level::kTracing; }
 
-  // --- Registration (control plane; idempotent by name) --------------------------------------
-  MetricId RegisterCounter(const std::string& name);
-  MetricId RegisterGauge(const std::string& name);
-  MetricId RegisterHistogram(const std::string& name);
-
-  // Pull-style collectors: sampled at snapshot time, never on a hot path. This is how the
-  // legacy stats() structs (and any labeled series, e.g. per-peer bad_frames) join the
-  // registry without being rewritten. Scalar samples carry their full exposition name,
-  // labels included.
+  // --- Metrics: collectors and snapshots -----------------------------------------------------
+  // Scalar samples carry their full exposition name, labels included.
   using Sample = std::pair<std::string, double>;
-  using Collector = std::function<void(std::vector<Sample>&)>;
   using HistSample = std::pair<std::string, Histogram::Snapshot>;
-  using HistCollector = std::function<void(std::vector<HistSample>&)>;
+  struct MetricsSnapshot {
+    std::vector<Sample> samples;    // collector output, then the plane's own two series
+    std::vector<HistSample> hists;  // collector histograms, already merged across cores
+  };
+  // Sampled at snapshot time, never on a hot path: this is how the subsystems' stats()
+  // structs (and labeled series such as per-peer bad_frames) reach the exposition surfaces
+  // without touching their hot paths.
+  using Collector = std::function<void(MetricsSnapshot&)>;
   std::uint64_t AddCollector(Collector collector);
-  std::uint64_t AddHistCollector(HistCollector collector);
   void RemoveCollector(std::uint64_t handle);
 
-  // --- Snapshots -----------------------------------------------------------------------------
-  struct MetricsSnapshot {
-    std::vector<Sample> samples;     // counters (summed across cores), gauges, collector output
-    std::vector<HistSample> hists;   // registered + collector histograms, merged across cores
-  };
-  // Direct cross-core relaxed reads; callable from any of the machine's cores.
+  // Runs every collector in registration order; callable from any of the machine's cores.
   MetricsSnapshot SnapshotNow();
-  // Interconnect-riding aggregation: one SpawnRemote per core samples that core's slots at
-  // an event boundary; an atomic fan-in merges and delivers `done` back on the calling core.
-  // Zero locks end to end (SpawnRemote is a slab-carved node + one CAS since PR 6).
-  void SnapshotAsync(std::function<void(MetricsSnapshot)> done);
   // The /metrics exposition text for a snapshot (Prometheus-flavored; histograms render as
   // _count/_sum plus q="0.5|0.99|0.999" quantile samples).
   static std::string RenderText(const MetricsSnapshot& snapshot);
 
-  // --- Tracing (control-plane views; recording goes through the reps) ------------------------
+  // --- Tracing (control-plane views; recording goes through OpenSpan/CloseSpan) --------------
   // All spans currently held in the per-core rings, oldest first per core. Control plane:
   // tests and debug endpoints, not the datapath.
   std::vector<SpanRecord> Spans() const;
   void ClearSpans();
+  // The machine's clock (virtual ns under SimWorld): the executor behind its event loops and
+  // timers.
   std::uint64_t NowNs();
 
-  // RAII trace scope for the current core: installs {trace_id, span_id} as the ambient
-  // context so RPC calls issued inside pick it up, restores the previous context on exit.
+  // RAII trace scope for the current core: installs `span` as the ambient context so spans
+  // opened inside (an RPC call, a router op) become its children, and restores the previous
+  // context on exit. Does nothing for an untraced span.
   class TraceScope {
    public:
-    TraceScope(ObsRoot& root, std::uint64_t trace_id, std::uint32_t span_id);
+    TraceScope(Runtime& runtime, const Span& span);
     ~TraceScope();
     TraceScope(const TraceScope&) = delete;
     TraceScope& operator=(const TraceScope&) = delete;
 
    private:
-    MetricRegistry& rep_;
-    MetricRegistry::TraceContext saved_;
+    MetricRegistry* rep_ = nullptr;
+    TraceContext saved_;
   };
 
   // The rep for `machine_core`, created on first use (control-plane lock on creation only).
@@ -232,28 +194,27 @@ class ObsRoot {
   std::size_t num_cores() const { return reps_.size(); }
 
  private:
-  friend class MetricRegistry;
-
-  void SampleCore(std::size_t machine_core, MetricsSnapshot* out);
-  void MergeAndFinish(MetricsSnapshot* out);
   void InstallDefaultCollectors();
 
   Runtime& runtime_;
   std::atomic<std::uint8_t> level_{static_cast<std::uint8_t>(Level::kTracing)};
 
-  mutable std::mutex mu_;  // registration + rep creation; never on a recording path
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> hist_names_;
+  mutable std::mutex mu_;  // collectors + rep creation; never on a recording path
   std::uint64_t next_collector_ = 1;
   std::vector<std::pair<std::uint64_t, Collector>> collectors_;
-  std::vector<std::pair<std::uint64_t, HistCollector>> hist_collectors_;
 
   std::vector<std::unique_ptr<MetricRegistry>> reps_;  // indexed by machine core
 };
 
-// The current core's representative (faults in the root and rep on first touch).
-inline MetricRegistry& Local() { return *MetricRegistry::Instance(); }
+// Opens a span on the current core. With `carried` (the ids a request frame brought) the span
+// is their child, and a zero carried trace means the caller ran untraced, so this span is
+// untraced too. Without it the span is a child of the core's ambient context, or the root of
+// a new trace when there is none. All-zero when the plane is absent or below kTracing.
+Span OpenSpan(Runtime& runtime, std::optional<TraceContext> carried = std::nullopt);
+
+// Records `span`, ending now, into the current core's ring. No-op for an untraced span.
+void CloseSpan(Runtime& runtime, const Span& span, SpanKind kind, EbbId service,
+               std::uint16_t opcode, SpanStatus status, std::uint32_t attempts = 1);
 
 }  // namespace obs
 }  // namespace ebbrt

@@ -194,7 +194,7 @@ TEST(Apps, BurstClientSpreadsFlowsAcrossAllServerCores) {
   EXPECT_EQ(responses, config.total_requests);
   auto& em = server.runtime->GetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
   for (std::size_t core = 0; core < kCores; ++core) {
-    EXPECT_GT(em.RepFor(core).interrupts_dispatched(), 0u)
+    EXPECT_GT(em.RepFor(core).stats().interrupts, 0u)
         << "server core " << core << " received no device events";
   }
 }

@@ -94,7 +94,7 @@ TEST(Net, ArpResolvesAcrossMachines) {
 
 TEST(Net, ArpCacheHitIsSynchronous) {
   Testbed bed;
-  TestbedNode server = bed.AddNode("server", 1, kServerIp);
+  bed.AddNode("server", 1, kServerIp);  // answers the client's ARP requests
   TestbedNode client = bed.AddNode("client", 1, kClientIp);
   bool second_was_sync = false;
   client.Spawn(0, [&] {

@@ -1,6 +1,6 @@
-// Telemetry-plane tests: obs::Histogram bucket math and quantile error bound, the per-core
-// MetricRegistry with cross-core snapshots (sync and interconnect-riding async), and the
-// two exposition surfaces — GET /metrics over sim TCP and the StatsService RPC scrape.
+// Telemetry-plane tests: obs::Histogram bucket math and quantile error bound, the pull
+// collectors' cross-core sums, the per-core span-id sequence, and the two exposition
+// surfaces — GET /metrics over sim TCP and the StatsService RPC scrape.
 #include <algorithm>
 #include <memory>
 #include <random>
@@ -11,6 +11,7 @@
 
 #include "src/apps/http/http_server.h"
 #include "src/dist/messenger.h"
+#include "src/event/event_manager.h"
 #include "src/obs/histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats_service.h"
@@ -109,104 +110,87 @@ TEST(Histogram, SnapshotMergeIsSampleUnion) {
   }
 }
 
-// --- MetricRegistry --------------------------------------------------------------------------
+// --- Collectors and the per-core trace state -------------------------------------------------
 
-TEST(MetricRegistry, CrossCoreSnapshotSumsEveryRep) {
-  // Two cores record into their own reps; SnapshotNow must sum counters and merge
-  // histograms across both, and gauges stay per-core labeled series.
+double Find(const obs::ObsRoot::MetricsSnapshot& snapshot, const std::string& name) {
+  for (const auto& sample : snapshot.samples) {
+    if (sample.first == name) {
+      return sample.second;
+    }
+  }
+  return -1;
+}
+
+TEST(Collectors, EventCollectorSumsEveryCore) {
+  // Both cores of a 2-core node run events; SnapshotNow's event totals and handler-latency
+  // histogram must be the sums of the per-core EventManager stats, the run-queue depth must
+  // stay a per-core series, and snapshotting itself must take no event-plane control locks.
   Testbed bed;
   TestbedNode node = bed.AddNode("node", 2, kServerIp);
-  obs::MetricId counter = 0, gauge = 0, histogram = 0;
-  double counter_sum = -1;
-  std::uint64_t hist_count = 0;
-  std::vector<std::string> gauge_series;
+  std::uint64_t synthetic[2] = {}, handlers[2] = {};
+  double synthetic_total = -1, locks_first = -1, locks_second = -2;
+  std::uint64_t handler_total = 0;
+  std::vector<std::string> depth_series;
   node.Spawn(0, [&] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*node.runtime);
-    counter = root.RegisterCounter("test_ops");
-    gauge = root.RegisterGauge("test_depth");
-    histogram = root.RegisterHistogram("test_latency_ns");
-    root.RepFor(0).Add(counter, 3);
-    root.RepFor(0).SetGauge(gauge, 7);
-    root.RepFor(0).RecordHist(histogram, 100);
+    obs::ObsRoot::For(*node.runtime);
     node.Spawn(1, [&] {
-      obs::ObsRoot& root1 = obs::ObsRoot::For(*node.runtime);
-      root1.RepFor(1).Add(counter, 4);
-      root1.RepFor(1).SetGauge(gauge, 9);
-      root1.RepFor(1).RecordHist(histogram, 200);
-      node.Spawn(0, [&] {
-        obs::ObsRoot::MetricsSnapshot snapshot = obs::ObsRoot::For(*node.runtime).SnapshotNow();
-        for (const auto& sample : snapshot.samples) {
-          if (sample.first == "test_ops") {
-            counter_sum = sample.second;
+      node.Spawn(1, [&] {
+        node.Spawn(0, [&] {
+          obs::ObsRoot& root = obs::ObsRoot::For(*node.runtime);
+          auto& em_root =
+              node.runtime->GetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
+          obs::ObsRoot::MetricsSnapshot snapshot = root.SnapshotNow();
+          for (std::size_t core = 0; core < 2; ++core) {
+            synthetic[core] = em_root.RepFor(core).stats().synthetic;
+            handlers[core] = em_root.RepFor(core).handler_latency_hist().count();
           }
-          if (sample.first.rfind("test_depth", 0) == 0) {
-            gauge_series.push_back(sample.first);
+          synthetic_total = Find(snapshot, "event_synthetic");
+          for (const auto& hist : snapshot.hists) {
+            if (hist.first == "event_handler_latency_ns") {
+              handler_total = hist.second.count;
+            }
           }
-        }
-        for (const auto& hist : snapshot.hists) {
-          if (hist.first == "test_latency_ns") {
-            hist_count = hist.second.count;
+          for (const auto& sample : snapshot.samples) {
+            if (sample.first.rfind("event_run_queue_depth", 0) == 0) {
+              depth_series.push_back(sample.first);
+            }
           }
-        }
+          locks_first = Find(snapshot, "event_control_locks");
+          locks_second = Find(root.SnapshotNow(), "event_control_locks");
+        });
       });
     });
   });
   bed.world().Run();
-  EXPECT_EQ(counter_sum, 7.0);
-  EXPECT_EQ(hist_count, 2u);
-  ASSERT_EQ(gauge_series.size(), 2u);
-  EXPECT_EQ(gauge_series[0], "test_depth{core=\"0\"}");
-  EXPECT_EQ(gauge_series[1], "test_depth{core=\"1\"}");
+  ASSERT_GT(synthetic[0], 0u);
+  ASSERT_GT(synthetic[1], 0u);
+  EXPECT_EQ(synthetic_total, static_cast<double>(synthetic[0] + synthetic[1]));
+  ASSERT_GT(handlers[1], 0u);
+  EXPECT_EQ(handler_total, handlers[0] + handlers[1]);
+  ASSERT_EQ(depth_series.size(), 2u);
+  EXPECT_EQ(depth_series[0], "event_run_queue_depth{core=\"0\"}");
+  EXPECT_EQ(depth_series[1], "event_run_queue_depth{core=\"1\"}");
+  ASSERT_GE(locks_first, 0.0);
+  EXPECT_EQ(locks_second, locks_first);
 }
 
-TEST(MetricRegistry, SnapshotAsyncMatchesSyncAndTakesNoLocks) {
-  // The interconnect-riding snapshot must agree with the direct-read one, and the plane's
-  // own event_control_locks counter must not move between two async snapshots — the
-  // aggregation path itself is lock-free.
+TEST(MetricRegistry, SpanIdSequenceSkipsZeroOnWrap) {
+  // 2^20 + 1 draws from one rep carry its 20-bit span sequence across the wrap. A zero
+  // sequence would make core 0 of a runtime whose id bits are 0 hand out span id 0, the
+  // "no parent" value, so the wrap must skip it.
   Testbed bed;
-  TestbedNode node = bed.AddNode("node", 4, kServerIp);
-  double async_sum = -1;
-  double sync_sum = -2;
-  double locks_first = -1, locks_second = -1;
-  auto find = [](const obs::ObsRoot::MetricsSnapshot& snapshot, const std::string& name) {
-    for (const auto& sample : snapshot.samples) {
-      if (sample.first == name) {
-        return sample.second;
+  TestbedNode node = bed.AddNode("node", 1, kServerIp);
+  std::size_t zero_sequences = 0;
+  node.Spawn(0, [&] {
+    obs::MetricRegistry& rep = obs::ObsRoot::For(*node.runtime).RepFor(0);
+    for (std::uint32_t i = 0; i <= (1u << 20); ++i) {
+      if ((rep.NewSpanId() & 0x000fffff) == 0) {
+        zero_sequences++;
       }
-    }
-    return -1.0;
-  };
-  auto recorded = std::make_shared<std::size_t>(0);
-  node.Spawn(0, [&, recorded] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*node.runtime);
-    obs::MetricId counter = root.RegisterCounter("async_ops");
-    for (std::size_t core = 0; core < 4; ++core) {
-      node.Spawn(core, [&, recorded, counter, core] {
-        obs::ObsRoot::For(*node.runtime).RepFor(core).Add(counter, core + 1);
-        if (++*recorded < 4) {
-          return;
-        }
-        node.Spawn(0, [&] {
-          obs::ObsRoot::For(*node.runtime)
-              .SnapshotAsync([&](obs::ObsRoot::MetricsSnapshot snapshot) {
-                async_sum = find(snapshot, "async_ops");
-                locks_first = find(snapshot, "event_control_locks");
-                obs::ObsRoot::For(*node.runtime)
-                    .SnapshotAsync([&](obs::ObsRoot::MetricsSnapshot second) {
-                      locks_second = find(second, "event_control_locks");
-                      sync_sum =
-                          find(obs::ObsRoot::For(*node.runtime).SnapshotNow(), "async_ops");
-                    });
-              });
-        });
-      });
     }
   });
   bed.world().Run();
-  EXPECT_EQ(async_sum, 1.0 + 2 + 3 + 4);
-  EXPECT_EQ(sync_sum, async_sum);
-  ASSERT_GE(locks_first, 0.0);
-  EXPECT_EQ(locks_second, locks_first);  // snapshotting itself took no event-plane locks
+  EXPECT_EQ(zero_sequences, 0u);
 }
 
 // --- Exposition surfaces ---------------------------------------------------------------------
@@ -265,7 +249,7 @@ TEST(Exposition, MetricsEndpointServesEveryDefaultFamily) {
 
 TEST(Exposition, StatsServiceScrapesRemoteMachine) {
   // The RPC scrape surface: a client machine pulls the server machine's rendered metrics
-  // text with one Call and sees the server's registered families.
+  // text with one Call and sees a series only the server's own collector emits.
   Testbed bed;
   TestbedNode server = bed.AddNode("server", 1, kServerIp);
   TestbedNode client = bed.AddNode("client", 1, kClientIp);
@@ -273,9 +257,9 @@ TEST(Exposition, StatsServiceScrapesRemoteMachine) {
   std::shared_ptr<obs::StatsClient> scraper;
   std::string text;
   server.Spawn(0, [&] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*server.runtime);
-    obs::MetricId counter = root.RegisterCounter("server_private_ops");
-    root.RepFor(0).Add(counter, 11);
+    obs::ObsRoot::For(*server.runtime).AddCollector([](obs::ObsRoot::MetricsSnapshot& out) {
+      out.samples.emplace_back("server_private_ops", 11);
+    });
     service = std::make_shared<obs::StatsService>(*server.runtime);
     server.runtime->Adopt(service);
   });

@@ -178,16 +178,19 @@ TEST_F(RcuTableTest, ReplaceIfPresentNeverResurrectsUnderChurn) {
   EXPECT_EQ(table->size(), 0u);
 }
 
+// Heterogeneous lookup needs is_transparent; at namespace scope, gcc no longer reports it
+// as an unused local typedef.
+struct TransparentHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
 TEST_F(RcuTableTest, HeterogeneousFindNeedsNoKeyMaterialization) {
   machine_.RunSync(0, [&] {
     // string-keyed table probed with a string_view: the transparent Hash/Eq pair resolves
     // the lookup without constructing a std::string.
-    struct TransparentHash {
-      using is_transparent = void;
-      std::size_t operator()(std::string_view s) const {
-        return std::hash<std::string_view>{}(s);
-      }
-    };
     RcuHashTable<std::string, int, TransparentHash> table(
         RcuManagerRoot::For(machine_.runtime()), 4);
     EXPECT_TRUE(table.Insert("alpha", 1));

@@ -210,6 +210,40 @@ TEST(Tracing, MultiGetAcrossFailoverYieldsExactSpanTree) {
   }
 }
 
+TEST(Tracing, RouterOpInsideTraceScopeJoinsTheAmbientTrace) {
+  // A ShardRouter::Get issued inside a TraceScope adopts the scope's trace instead of
+  // starting one: its kLocal root records in that trace parented on the scope's span, and
+  // the shard client span parents on that root.
+  Cluster cluster({.shards = 1});
+  obs::Span outer;
+  bool done = false;
+  cluster.Start([&] {
+    Runtime& runtime = *cluster.client.runtime;
+    obs::ObsRoot::For(runtime).ClearSpans();
+    outer = obs::OpenSpan(runtime);
+    obs::ObsRoot::TraceScope scope(runtime, outer);
+    cluster.router->Get("key").Then([&](Future<memcached::ShardRouter::GetResult> f) {
+      f.Get();
+      done = true;
+    });
+  });
+  cluster.bed.world().Run();
+  ASSERT_TRUE(done);
+  ASSERT_NE(outer.trace_id, 0u);
+
+  std::vector<obs::SpanRecord> roots, rpcs;
+  for (const obs::SpanRecord& span : obs::ObsRoot::For(*cluster.client.runtime).Spans()) {
+    (span.kind == obs::SpanKind::kLocal ? roots : rpcs).push_back(span);
+  }
+  ASSERT_EQ(roots.size(), 1u);
+  ASSERT_EQ(rpcs.size(), 1u);
+  EXPECT_EQ(roots[0].trace_id, outer.trace_id);
+  EXPECT_EQ(roots[0].parent_span, outer.span_id);
+  EXPECT_EQ(roots[0].opcode, memcached::kShardOpGet);
+  EXPECT_EQ(rpcs[0].kind, obs::SpanKind::kClient);
+  EXPECT_EQ(rpcs[0].trace_id, outer.trace_id);
+  EXPECT_EQ(rpcs[0].parent_span, roots[0].span_id);
+}
 
 // --- What the telemetry plane costs at each level ---------------------------------------------
 //
