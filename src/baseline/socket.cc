@@ -54,13 +54,6 @@ Future<std::shared_ptr<Socket>> SocketStack::Connect(Ipv4Addr dst, std::uint16_t
 
 Socket::Socket(SocketStack& stack, TcpPcb pcb) : stack_(stack), pcb_(std::move(pcb)) {}
 
-void Socket::OnPeerClosed() {
-  peer_closed_ = true;
-  if (closed_) {
-    closed_();
-  }
-}
-
 void Socket::OnSegment(std::unique_ptr<IOBuf> data) {
   // Kernel receive path: softirq processing, then queue into the socket buffer and wake the
   // reader. The application does NOT run here — that is precisely the indirection EbbRT

@@ -39,14 +39,12 @@ class SocketStack;
 class Socket {
  public:
   using DataReadyFn = std::function<void()>;
-  using ClosedFn = std::function<void()>;
 
   Socket(SocketStack& stack, TcpPcb pcb);
 
   // epoll-style readiness: invoked (as a separate event, after the kernel's softirq and
   // wakeup path) when the receive buffer has data.
   void SetDataReadyHandler(DataReadyFn fn) { data_ready_ = std::move(fn); }
-  void SetClosedHandler(ClosedFn fn) { closed_ = std::move(fn); }
   // EPOLLOUT analogue: invoked when kernel send-buffer space frees up after a short write.
   void SetWritableHandler(DataReadyFn fn) { writable_ = std::move(fn); }
 
@@ -78,7 +76,7 @@ class Socket {
       socket_->OnSegment(std::move(data));
     }
     void SendReady() override { socket_->OnAcked(); }
-    void Close() override { socket_->OnPeerClosed(); }
+    void Close() override {}  // peer FIN/RST: no socket-API caller observes it
 
    private:
     std::shared_ptr<Socket> socket_;
@@ -86,14 +84,12 @@ class Socket {
 
   void OnSegment(std::unique_ptr<IOBuf> data);  // kernel-side rx
   void OnAcked();                               // window opened: pump tx
-  void OnPeerClosed();                          // FIN/RST from the peer
   void PumpTx();                                // send from the kernel buffer as allowed
   void MaybeUpdateWindow();
 
   SocketStack& stack_;
   TcpPcb pcb_;
   DataReadyFn data_ready_;
-  ClosedFn closed_;
   DataReadyFn writable_;
 
   // Kernel receive buffer: IOBuf segments queued until the app Read()s them out.
@@ -105,7 +101,6 @@ class Socket {
 
   // Kernel send buffer (flat ring of copied user data).
   std::deque<std::uint8_t> tx_buffer_;
-  bool peer_closed_ = false;
 };
 
 class SocketStack {

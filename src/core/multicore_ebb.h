@@ -39,7 +39,7 @@ inline void* HostedLookup(EbbId id) {
 // --- Per-core representatives sharing a per-machine Root -----------------------------------
 //
 // Rep must be constructible as Rep(Root&). Root must be default-constructible unless a root
-// is installed explicitly with SetRoot() before first use.
+// is installed explicitly with Create(root, id) before first use.
 template <typename Rep, typename Root = void>
 class MulticoreEbb {
  public:
@@ -82,7 +82,7 @@ class MulticoreEbb<Rep, void> {
 //
 // The single rep is created under the root-registry lock on first touch from any core and then
 // cached into each core's translation table. T must be default-constructible, or installed
-// explicitly via SetInstance().
+// explicitly via Create(instance, id).
 template <typename T>
 class SharedEbb {
  public:

@@ -175,7 +175,7 @@ void EventManager::RunEndOfEventHooks() {
   if (end_of_event_queue_.empty()) {
     return;
   }
-  // Boundary-work duration: how long the TX flush / RCU epoch / pool decay machinery holds
+  // Boundary-work duration: how long the TX flush / RCU epoch machinery holds
   // the loop at each event edge. Only non-empty drains record, so the histogram measures
   // actual boundary work rather than a spike of zeros.
   bool measure = ObsMetricsOn();

@@ -59,7 +59,7 @@ class IOBuf {
   static std::unique_ptr<IOBuf> Create(std::size_t capacity, bool zero = false);
 
   // A buffer of `capacity` bytes with an *empty* view positioned `headroom` bytes in; callers
-  // extend with Append()/Prepend(). Useful for building headers in front of payload.
+  // extend with Append()/Retreat(). Useful for building headers in front of payload.
   static std::unique_ptr<IOBuf> CreateReserve(std::size_t capacity, std::size_t headroom);
 
   // Compile-time-capacity variant of CreateReserve for buffers whose size is static (protocol

@@ -10,7 +10,7 @@ namespace ebbrt {
 
 // A remotely-freed block riding the interconnect home. The node is placement-newed into the
 // dead SharedStorage header (sizeof(BlockNode) << IOBuf::kStorageHeaderBytes), so the block
-// itself is the message: zero allocations, and the old spinlocked magazine is simply gone.
+// itself is the message: zero allocations, no lock.
 // Fire runs on the owner core's loop — exactly where FreeLocal is legal.
 struct BufferPool::BlockNode final : InterconnectNode {
   explicit BlockNode(BufferPool* p) : pool(p) {}
@@ -37,18 +37,15 @@ void BufferPool::PoolDispose(IOBuf::SharedStorage* storage) {
   static_cast<BufferPoolRoot*>(storage->free_arg)->Release(storage);
 }
 
-BufferPoolRoot::BufferPoolRoot(Runtime& runtime, std::size_t num_cores, Config config)
-    : runtime_(runtime), config_(config) {
-  Kassert(config_.block_bytes > IOBuf::kStorageHeaderBytes + config_.headroom,
-          "BufferPoolRoot: block too small for header + headroom");
+static_assert(BufferPool::kBlockBytes > IOBuf::kStorageHeaderBytes + BufferPool::kHeadroom,
+              "BufferPool: block too small for header + headroom");
+
+BufferPoolRoot::BufferPoolRoot(Runtime& runtime, std::size_t num_cores) : runtime_(runtime) {
   reps_.reserve(num_cores);
   for (std::size_t i = 0; i < num_cores; ++i) {
     reps_.push_back(std::unique_ptr<BufferPool>(new BufferPool(*this, i)));
   }
 }
-
-BufferPoolRoot::BufferPoolRoot(Runtime& runtime, std::size_t num_cores)
-    : BufferPoolRoot(runtime, num_cores, Config{}) {}
 
 BufferPoolRoot::~BufferPoolRoot() = default;
 
@@ -58,27 +55,24 @@ BufferPool& BufferPoolRoot::RepFor(std::size_t machine_core) {
 }
 
 void BufferPoolRoot::Install(Runtime& runtime, std::size_t num_cores) {
-  Install(runtime, num_cores, Config{});
-}
-
-void BufferPoolRoot::Install(Runtime& runtime, std::size_t num_cores, Config config) {
   Kassert(runtime.TryGetSubsystem<GeneralPurposeAllocatorRoot>(
               Subsystem::kGeneralPurposeAllocator) != nullptr,
           "BufferPoolRoot::Install: memory subsystem must be installed first");
-  auto root = std::make_shared<BufferPoolRoot>(runtime, num_cores, config);
+  auto root = std::make_shared<BufferPoolRoot>(runtime, num_cores);
   runtime.SetSubsystem(Subsystem::kBufferPool, root.get());
   runtime.Adopt(std::move(root));
 }
 
 void BufferPoolRoot::Release(IOBuf::SharedStorage* storage) {
   BufferPool& rep = RepFor(storage->origin_core);
-  rep.NoteReleased();  // the block leaves the datapath here, whichever route it takes home
+  // The block leaves the datapath here, whichever route it takes home.
+  mem::stats().pool_in_use.fetch_sub(1, std::memory_order_relaxed);
   if (HaveContext() && &CurrentRuntime() == &runtime_ &&
       CurrentContext().machine_core == storage->origin_core) {
     rep.FreeLocal(storage);
     return;
   }
-  // A free routed home from another core/context: same meaning the magazine counter had.
+  // A free routed home from another core/context.
   mem::stats().remote_frees.fetch_add(1, std::memory_order_relaxed);
   rep.FreeRemote(storage);
 }
@@ -95,47 +89,47 @@ BufferPool* BufferPool::Local() {
 }
 
 BufferPool::BufferPool(BufferPoolRoot& root, std::size_t machine_core)
-    : root_(root), machine_core_(machine_core), cap_(root.config().per_core_cap) {}
+    : root_(root), machine_core_(machine_core) {}
 
 std::unique_ptr<IOBuf> BufferPool::Alloc() {
   Kassert(HaveContext() && &CurrentRuntime() == &root_.runtime() &&
               CurrentContext().machine_core == machine_core_,
           "BufferPool::Alloc: wrong core");
-  const BufferPoolRoot::Config& cfg = root_.config();
-  std::size_t data_bytes = cfg.block_bytes - IOBuf::kStorageHeaderBytes;
+  constexpr std::size_t kDataBytes = kBlockBytes - IOBuf::kStorageHeaderBytes;
+  mem::Stats& stats = mem::stats();
   void* block = nullptr;
   if (freelist_ != nullptr) {
     block = freelist_;
     freelist_ = freelist_->next;
-    --free_count_;
-    at_cap_miss_streak_ = 0;  // a hit breaks any "sustained misses" run (plain store: cheap)
-    mem::stats().pool_hits.fetch_add(1, std::memory_order_relaxed);
+    stats.pool_hits.fetch_add(1, std::memory_order_relaxed);
   } else {
     // Remote frees arrive through the interconnect between events, so a dry freelist here
     // genuinely means no block is home yet — carve (or fall back), never lock.
-    mem::stats().pool_misses.fetch_add(1, std::memory_order_relaxed);
-    if (outstanding_.load(std::memory_order_relaxed) < cap_) {
-      block = GeneralPurposeAllocator::Instance()->Alloc(cfg.block_bytes);
+    stats.pool_misses.fetch_add(1, std::memory_order_relaxed);
+    if (outstanding_.load(std::memory_order_relaxed) < kPerCoreCap) {
+      block = GeneralPurposeAllocator::Instance()->Alloc(kBlockBytes);
       if (block != nullptr) {
         outstanding_.fetch_add(1, std::memory_order_relaxed);
         // A carve is an IOBuf storage block taken from the slab — count it like every
         // other owned-storage allocation (the at-cap fallback below counts through
         // CreateReserve), so iobuf_allocs stays consistent across both miss paths.
-        mem::stats().iobuf_allocs.fetch_add(1, std::memory_order_relaxed);
-        mem::stats().iobuf_slab_allocs.fetch_add(1, std::memory_order_relaxed);
+        stats.iobuf_allocs.fetch_add(1, std::memory_order_relaxed);
+        stats.iobuf_slab_allocs.fetch_add(1, std::memory_order_relaxed);
       }
-    } else {
-      NoteAtCapMiss();  // demand the cap throttled: feed the adaptive policy
     }
     if (block == nullptr) {
       // Pool at cap (or arena exhausted): an ordinary slab-backed buffer — it returns to
       // the slab, not the pool, when released. No failure surface.
-      MaybeQueueBoundaryHook();
-      return IOBuf::CreateReserve(data_bytes, cfg.headroom);
+      return IOBuf::CreateReserve(kDataBytes, kHeadroom);
     }
   }
-  MaybeQueueBoundaryHook();
-  NoteCheckedOut();
+  // Occupancy: one relaxed RMW beside the pool_hits/misses tick on this same stats line;
+  // the hwm CAS only runs while a new process-wide peak is being set (ramp/burst).
+  std::uint64_t in_use = stats.pool_in_use.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t hwm = stats.pool_in_use_hwm.load(std::memory_order_relaxed);
+  while (in_use > hwm &&
+         !stats.pool_in_use_hwm.compare_exchange_weak(hwm, in_use, std::memory_order_relaxed)) {
+  }
   auto* storage = new (block) IOBuf::SharedStorage;
   storage->buffer = static_cast<std::uint8_t*>(block) + IOBuf::kStorageHeaderBytes;
   storage->dispose = &PoolDispose;
@@ -143,50 +137,15 @@ std::unique_ptr<IOBuf> BufferPool::Alloc() {
   storage->free_arg = &root_;
   storage->origin_core = static_cast<std::uint32_t>(machine_core_);
   return std::unique_ptr<IOBuf>(
-      new IOBuf(storage->buffer, data_bytes, storage->buffer + cfg.headroom, 0, storage));
-}
-
-void BufferPool::NoteCheckedOut() {
-  std::size_t now = in_use_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Per-core high-water mark: only this core checks blocks out, so a plain load/store pair
-  // cannot lose an update.
-  if (now > in_use_hwm_.load(std::memory_order_relaxed)) {
-    in_use_hwm_.store(now, std::memory_order_relaxed);
-  }
-  // Cost note: the global occupancy tick is one relaxed RMW beside the pool_hits/misses
-  // tick every Alloc already pays on this same stats line, and the hwm CAS only runs while
-  // a new process-wide peak is being set (ramp/burst) — steady state takes the cheap load.
-  mem::Stats& stats = mem::stats();
-  std::uint64_t global = stats.pool_in_use.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t hwm = stats.pool_in_use_hwm.load(std::memory_order_relaxed);
-  while (global > hwm &&
-         !stats.pool_in_use_hwm.compare_exchange_weak(hwm, global,
-                                                      std::memory_order_relaxed)) {
-  }
-}
-
-void BufferPool::NoteReleased() {
-  in_use_.fetch_sub(1, std::memory_order_relaxed);
-  mem::stats().pool_in_use.fetch_sub(1, std::memory_order_relaxed);
+      new IOBuf(storage->buffer, kDataBytes, storage->buffer + kHeadroom, 0, storage));
 }
 
 void BufferPool::FreeLocal(void* block) {
-  if (free_count_ >= cap_) {
-    // The pool is full (or the cap decayed below what is coming home): hand the block back
-    // to the slab path.
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    GeneralPurposeAllocator::Instance()->Free(block);
-    return;
-  }
+  // No bound check: only blocks carved under kPerCoreCap come home, so the freelist can
+  // never outgrow the cap.
   auto* link = static_cast<FreeLink*>(block);
   link->next = freelist_;
   freelist_ = link;
-  ++free_count_;
-  // Releases arm the boundary hook too: after a burst, a core that only sees its buffers
-  // trickle home (no further Allocs) still gets decay ticks, so a grown cap shrinks back
-  // and surplus blocks return to the slab. (A core with no pool activity at all keeps its
-  // cached blocks — there is no event to hang the policy on.)
-  MaybeQueueBoundaryHook();
 }
 
 void BufferPool::FreeRemote(void* block) {
@@ -210,75 +169,6 @@ void BufferPool::ReturnToSlab(void* block) {
   GeneralPurposeAllocatorRoot* owner = mem::FindOwningRoot(block);
   Kassert(owner != nullptr, "BufferPool: pooled block outside any arena");
   owner->FreeAnywhere(block);
-}
-
-void BufferPool::MaybeQueueBoundaryHook() {
-  if (hook_queued_) {
-    return;
-  }
-  hook_queued_ = true;
-  // Give the adaptive cap its decay tick at this event's boundary. (Remote frees no longer
-  // need a drain here — the interconnect delivers them to FreeLocal between events.)
-  event::Local().QueueEndOfEvent([this] {
-    hook_queued_ = false;
-    MaybeDecayCap();
-  });
-}
-
-// --- Adaptive cap (ROADMAP "descriptor-cache sizing") -----------------------------------------
-//
-// The cap self-tunes on the two signals PR 4's telemetry introduced: at-cap misses (the pool
-// bounced real demand to the slab) and the in_use high-water mark (how much demand there
-// actually was). Growth is demand-driven and bounded; decay is time-driven (event
-// boundaries, the machine's natural clock) and returns surplus blocks to the slab so an
-// idle core's pool genuinely shrinks.
-
-void BufferPool::NoteAtCapMiss() {
-  pressured_this_event_ = true;
-  quiet_events_ = 0;
-  const BufferPoolRoot::Config& cfg = root_.config();
-  if (++at_cap_miss_streak_ < cfg.grow_miss_streak || cap_ >= cfg.per_core_cap_max) {
-    return;
-  }
-  at_cap_miss_streak_ = 0;
-  // Grow toward observed demand: at least double, and never below the high-water mark the
-  // occupancy telemetry recorded (in_use_hwm includes the blocks whose absence caused
-  // these misses only once the cap admits them — hence the geometric floor).
-  std::size_t target = std::max(cap_ * 2, in_use_hwm());
-  cap_ = std::min(cfg.per_core_cap_max, target);
-  mem::stats().pool_cap_grows.fetch_add(1, std::memory_order_relaxed);
-}
-
-void BufferPool::MaybeDecayCap() {
-  const BufferPoolRoot::Config& cfg = root_.config();
-  if (pressured_this_event_) {
-    pressured_this_event_ = false;
-    quiet_events_ = 0;
-    return;
-  }
-  if (cap_ <= cfg.per_core_cap) {
-    return;  // already at the floor
-  }
-  if (++quiet_events_ < cfg.decay_quiet_events) {
-    return;
-  }
-  quiet_events_ = 0;
-  // Halve the excess above the floor (reaching the floor itself on the last step), then
-  // hand surplus recycled blocks back to the slab so the decay frees real memory.
-  std::size_t excess = cap_ - cfg.per_core_cap;
-  cap_ = cfg.per_core_cap + excess / 2;
-  mem::stats().pool_cap_decays.fetch_add(1, std::memory_order_relaxed);
-  TrimFreelistToCap();
-}
-
-void BufferPool::TrimFreelistToCap() {
-  while (outstanding_.load(std::memory_order_relaxed) > cap_ && freelist_ != nullptr) {
-    FreeLink* link = freelist_;
-    freelist_ = link->next;
-    --free_count_;
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    GeneralPurposeAllocator::Instance()->Free(link);
-  }
 }
 
 }  // namespace ebbrt

@@ -15,12 +15,14 @@
 // into the (dead) storage header and CAS-published onto the owner core's exchange list, so
 // the return ride is the same lock-free mesh every other cross-core message takes. The
 // owner's dispatch loop fires the node between events and the block snaps back onto its
-// freelist — remote frees are recycled within one event boundary without any spinlock
-// (the old remote-free magazine and its lock are gone).
+// freelist — remote frees are recycled within one event boundary without any spinlock.
 //
-// Exhaustion is not an error: when a core holds no recycled block and the pool is at its
-// cap, Alloc falls back to an ordinary slab-backed IOBuf (mem::stats().pool_misses ticks and
-// that buffer simply returns to the slab when released).
+// Fixed cap: each core carves at most kPerCoreCap pooled blocks (256 blocks of 3 KiB, 64 B of
+// headroom each) and recycles them from then on. The cap is a constant, not a policy: no
+// Alloc on the repository benchmark's workloads reaches it (docs/ARCHITECTURE.md "Buffer
+// lifecycle" has the numbers). Exhaustion is not an error either way: when a core holds no
+// recycled block and has carved its cap, Alloc falls back to an ordinary slab-backed IOBuf
+// (mem::stats().pool_misses ticks and that buffer simply returns to the slab when released).
 #ifndef EBBRT_SRC_MEM_BUFFER_POOL_H_
 #define EBBRT_SRC_MEM_BUFFER_POOL_H_
 
@@ -39,36 +41,14 @@ class BufferPool;
 
 class BufferPoolRoot {
  public:
-  struct Config {
-    // Whole-block size, chosen to land exactly on a GP size class: the data area is
-    // block_bytes - IOBuf::kStorageHeaderBytes (3008 B — an MTU frame plus headroom).
-    std::size_t block_bytes = 3072;
-    std::size_t headroom = 64;        // pre-reserved for Ethernet/IP/TCP header prepends
-    std::size_t per_core_cap = 256;   // initial pooled blocks per core; the adaptive FLOOR
-
-    // --- Adaptive cap (ROADMAP "descriptor-cache sizing") ----------------------------------
-    // The effective per-core cap starts at per_core_cap and self-tunes between it and
-    // per_core_cap_max: `grow_miss_streak` consecutive at-cap misses (demand the pool had
-    // to bounce to the slab) grow it toward the observed in_use high-water mark; once
-    // `decay_quiet_events` consecutive pool-touching event boundaries (an Alloc or a
-    // same-core release arms the hook) pass with no at-cap pressure, the excess halves
-    // back toward the floor and surplus recycled blocks return to the slab.
-    std::size_t per_core_cap_max = 1024;
-    std::size_t grow_miss_streak = 8;
-    std::size_t decay_quiet_events = 16;
-  };
-
-  BufferPoolRoot(Runtime& runtime, std::size_t num_cores, Config config);
   BufferPoolRoot(Runtime& runtime, std::size_t num_cores);
   ~BufferPoolRoot();
 
   BufferPool& RepFor(std::size_t machine_core);
   Runtime& runtime() { return runtime_; }
-  const Config& config() const { return config_; }
 
   // Installs a pool on `runtime` (requires mem::Install to have run) and adopts its
   // lifetime. The pool becomes reachable as Subsystem::kBufferPool.
-  static void Install(Runtime& runtime, std::size_t num_cores, Config config);
   static void Install(Runtime& runtime, std::size_t num_cores);
 
   // Routes a released block back to its owner core — called by the IOBuf storage dispose
@@ -78,36 +58,29 @@ class BufferPoolRoot {
 
  private:
   Runtime& runtime_;
-  Config config_;
   std::vector<std::unique_ptr<BufferPool>> reps_;
 };
 
 class alignas(kCacheLineSize) BufferPool {
  public:
+  // Whole-block size, chosen to land exactly on a GP size class: the data area is
+  // kBlockBytes - IOBuf::kStorageHeaderBytes (3008 B — an MTU frame plus headroom).
+  static constexpr std::size_t kBlockBytes = 3072;
+  static constexpr std::size_t kHeadroom = 64;  // pre-reserved for Ethernet/IP/TCP headers
+  static constexpr std::size_t kPerCoreCap = 256;  // pooled blocks a core may carve
+
   BufferPool(BufferPoolRoot& root, std::size_t machine_core);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // A recycled (or freshly carved) buffer with `headroom` pre-reserved and an empty view —
+  // A recycled (or freshly carved) buffer with kHeadroom pre-reserved and an empty view —
   // CreateReserve semantics. Never fails: pool exhaustion falls back to the ordinary
   // slab-backed IOBuf path (pool_misses). Must run on this rep's core.
   std::unique_ptr<IOBuf> Alloc();
 
   // The current core's pool rep (nullptr when no pool subsystem is installed).
   static BufferPool* Local();
-
-  // Observability.
-  std::size_t free_blocks() const { return free_count_; }
-  std::size_t outstanding() const { return outstanding_.load(std::memory_order_relaxed); }
-  // The adaptive per-core cap currently in force (see Config): floor per_core_cap, ceiling
-  // per_core_cap_max, moved by at-cap pressure and event-boundary quiet.
-  std::size_t cap() const { return cap_; }
-  // Occupancy telemetry (ROADMAP "descriptor-cache sizing"): pooled blocks of THIS core
-  // currently checked out, and the most that has ever been at once. Atomic because a block
-  // may be released from another core/context (the magazine path).
-  std::size_t in_use() const { return in_use_.load(std::memory_order_relaxed); }
-  std::size_t in_use_hwm() const { return in_use_hwm_.load(std::memory_order_relaxed); }
 
  private:
   friend class BufferPoolRoot;
@@ -117,39 +90,23 @@ class alignas(kCacheLineSize) BufferPool {
     FreeLink* next;
   };
   // A remotely-freed block in flight home: an interconnect node placement-newed into the
-  // dead storage header (the block IS the message — no allocation, no magazine, no lock).
+  // dead storage header (the block IS the message — no allocation, no lock).
   // Defined in the .cc.
   struct BlockNode;
 
   static void PoolDispose(IOBuf::SharedStorage* storage);
 
-  void NoteCheckedOut();          // occupancy accounting around Alloc/Release
-  void NoteReleased();
   void FreeLocal(void* block);    // owner core only: lock-free push
   void FreeRemote(void* block);   // any context: publish a BlockNode on the interconnect
   void ReturnToSlab(void* block); // any context: give the block back to the GP allocator
-  void MaybeQueueBoundaryHook();  // owner core: adaptive-cap decay tick at the event edge
-  void NoteAtCapMiss();           // adaptive policy: grow after a sustained miss streak
-  void MaybeDecayCap();           // adaptive policy: event-boundary decay when quiet
-  void TrimFreelistToCap();       // return surplus recycled blocks to the slab
 
   BufferPoolRoot& root_;
   std::size_t machine_core_;
   FreeLink* freelist_ = nullptr;
-  std::size_t free_count_ = 0;
-  // Pooled blocks currently alive (bounds carving at the cap). Atomic because the no-event-
-  // plane fallback of FreeRemote retires a block from a foreign context; every other access
-  // is owner-core-only, so relaxed ops cost nothing.
+  // Pooled blocks carved and not yet returned to the slab (bounds carving at kPerCoreCap).
+  // Atomic because the no-event-plane fallback of FreeRemote retires a block from a foreign
+  // context; every other access is owner-core-only, so relaxed ops cost nothing.
   std::atomic<std::size_t> outstanding_{0};
-  bool hook_queued_ = false;
-
-  // Adaptive cap state (owner core only, like the freelist).
-  std::size_t cap_;                    // effective cap: [per_core_cap, per_core_cap_max]
-  std::size_t at_cap_miss_streak_ = 0; // consecutive at-cap misses (reset by any hit)
-  std::size_t quiet_events_ = 0;       // event boundaries since the last at-cap miss
-  bool pressured_this_event_ = false;  // an at-cap miss happened since the last boundary
-  std::atomic<std::size_t> in_use_{0};      // pooled blocks currently checked out
-  std::atomic<std::size_t> in_use_hwm_{0};  // high-water mark of in_use_
 };
 
 }  // namespace ebbrt

@@ -150,7 +150,7 @@ struct Stats {
                                                        // (no machine context, or arena full)
   std::atomic<std::uint64_t> pool_hits{0};     // BufferPool allocs served from recycled blocks
   std::atomic<std::uint64_t> pool_misses{0};   // ...that had to carve from the slab path
-  std::atomic<std::uint64_t> remote_frees{0};  // frees routed home via magazine/depot locks
+  std::atomic<std::uint64_t> remote_frees{0};  // frees routed home from another core/context
 
   // Every ::operator new in the process (counted by the replacement operators in
   // heap_count.cc). The IOBuf-path counters above only see the allocations the datapath
@@ -159,19 +159,13 @@ struct Stats {
   // so "zero-alloc" claims are measured against the whole process, not a subsystem.
   std::atomic<std::uint64_t> generic_heap_allocs{0};
 
-  // --- BufferPool occupancy (descriptor-cache sizing input) --------------------------------
+  // --- BufferPool occupancy ------------------------------------------------------------------
   // Pooled blocks currently checked out of any pool (in flight on a datapath), and the
-  // high-water mark that value has reached. The per-core view lives on each BufferPool rep
-  // (in_use()/in_use_hwm()); these are the process-wide aggregates an adaptive sizing policy
-  // would watch: hwm >> steady occupancy means the static per-core cap is oversized, hwm
-  // pinned at the cap means it is throttling bursts.
+  // high-water mark that value has reached: the evidence that the fixed per-core cap
+  // (BufferPool::kPerCoreCap) is large enough. A benchmark's teardown check also expects
+  // pool_in_use back at its idle value once every buffer has been released.
   std::atomic<std::uint64_t> pool_in_use{0};
   std::atomic<std::uint64_t> pool_in_use_hwm{0};
-  // Adaptive-cap transitions (the policy that consumes the occupancy signal above): caps
-  // grown after sustained at-cap misses, and caps decayed back toward the floor after
-  // pressure-free event boundaries.
-  std::atomic<std::uint64_t> pool_cap_grows{0};
-  std::atomic<std::uint64_t> pool_cap_decays{0};
 };
 Stats& stats();
 }  // namespace mem

@@ -276,7 +276,6 @@ class TcpManager {
     AcceptFn accept;
   };
 
-  std::shared_ptr<TcpEntry>* FindEntry(const FourTuple& tuple) { return table_.Find(tuple); }
   void HandleSyn(Interface& iface, const Ipv4Header& ip, const TcpHeader& tcp);
   void ProcessSegment(std::shared_ptr<TcpEntry> entry, const TcpHeader& tcp,
                       std::unique_ptr<IOBuf> payload);

@@ -301,8 +301,8 @@ void ObsRoot::InstallDefaultCollectors() {
 
   AddCollector([](MetricsSnapshot& snapshot) {
     std::vector<Sample>& out = snapshot.samples;
-    // Process-global memory-plane counters (benches snapshot deltas; the absolute values
-    // are still the BufferPool occupancy signal the autoscaler wants).
+    // Process-global memory-plane counters (benches snapshot deltas; pool_in_use and its
+    // high-water mark are absolute BufferPool occupancy).
     mem::Stats& m = mem::stats();
     auto get = [](const std::atomic<std::uint64_t>& a) {
       return static_cast<double>(a.load(std::memory_order_relaxed));
@@ -315,8 +315,6 @@ void ObsRoot::InstallDefaultCollectors() {
     out.emplace_back("mem_pool_remote_frees", get(m.remote_frees));
     out.emplace_back("mem_pool_in_use", get(m.pool_in_use));
     out.emplace_back("mem_pool_in_use_hwm", get(m.pool_in_use_hwm));
-    out.emplace_back("mem_pool_cap_grows", get(m.pool_cap_grows));
-    out.emplace_back("mem_pool_cap_decays", get(m.pool_cap_decays));
   });
 
   AddCollector([rt](MetricsSnapshot& snapshot) {

@@ -45,10 +45,6 @@ inline std::uint64_t CyclesToNs(std::uint64_t cycles) {
   return static_cast<std::uint64_t>(static_cast<double>(cycles) / kPaperCpuGhz);
 }
 
-inline std::uint64_t NsToCycles(std::uint64_t ns) {
-  return static_cast<std::uint64_t>(static_cast<double>(ns) * kPaperCpuGhz);
-}
-
 // Monotonic wall clock in nanoseconds (real time, used by the thread executor).
 inline std::uint64_t WallNowNs() {
   return static_cast<std::uint64_t>(

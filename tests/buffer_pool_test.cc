@@ -4,7 +4,9 @@
 //   * pool recycle-reuse round trip,
 //   * cross-core free routed home over the lock-free interconnect and recycled at the event
 //     boundary,
-//   * pool exhaustion falling back to the slab path (pool_misses tick, no failure),
+//   * pool exhaustion at the fixed per-core cap falling back to the slab path (pool_misses
+//     tick, no failure), and occupancy telemetry that counts only pooled blocks,
+//   * pool-only events queueing no end-of-event work,
 //   * refcounted Clone keeping a recycled buffer alive past the originating event.
 //
 // Everything runs on a deterministic SimWorld machine (mem + pool are installed by
@@ -12,6 +14,8 @@
 #include "src/mem/buffer_pool.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/event/sim_world.h"
 #include "src/mem/gp_allocator.h"
@@ -130,34 +134,41 @@ TEST(BufferPool, CrossCoreFreeRidesTheInterconnectHome) {
 TEST(BufferPool, ExhaustionFallsBackToSlabWithoutFailure) {
   SimWorld world;
   Runtime& rt = world.AddMachine("exhaust", 1);
-  // Re-install a tiny pool over the default one: two recycled blocks per core, so the third
-  // concurrent alloc must fall back.
-  BufferPoolRoot::Config tiny;
-  tiny.per_core_cap = 2;
-  BufferPoolRoot::Install(rt, 1, tiny);
   bool checked = false;
   SimWorld::SpawnOn(rt, 0, [&] {
     BufferPool* pool = BufferPool::Local();
     ASSERT_NE(pool, nullptr);
+    // Check out every block the core may carve: each one a cold miss, each one pooled.
+    std::vector<std::unique_ptr<IOBuf>> held;
+    std::vector<const std::uint8_t*> blocks;
+    std::uint64_t in_use_base = mem::stats().pool_in_use.load();
+    for (std::size_t i = 0; i < BufferPool::kPerCoreCap; ++i) {
+      held.push_back(pool->Alloc());
+      blocks.push_back(held.back()->Data());
+    }
+    EXPECT_EQ(mem::stats().pool_in_use.load(), in_use_base + BufferPool::kPerCoreCap);
     MemDelta before = MemDelta::Snap();
-    auto a = pool->Alloc();
-    auto b = pool->Alloc();
-    auto c = pool->Alloc();  // beyond the cap: ordinary slab-backed buffer, not a failure
+    auto extra = pool->Alloc();  // beyond the cap: ordinary slab-backed buffer, not a failure
     MemDelta after = MemDelta::Snap();
-    ASSERT_NE(c, nullptr);
-    EXPECT_GT(c->Tailroom(), 1500u);  // still MTU-class and usable
-    EXPECT_EQ(after.misses - before.misses, 3u);  // cold carves + the fallback all count
-    EXPECT_EQ(after.heap - before.heap, 0u);      // ...but none of them touched malloc
-    // All three release cleanly; the two pooled blocks recycle.
-    const std::uint8_t* block_b = b->Data();
-    a.reset();
-    b.reset();
-    c.reset();
+    ASSERT_NE(extra, nullptr);
+    EXPECT_GT(extra->Tailroom(), 1500u);  // still MTU-class and usable
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ(after.slab - before.slab, 1u);  // served by the slab...
+    EXPECT_EQ(after.heap - before.heap, 0u);  // ...without touching malloc
+    // Everything releases cleanly; the pooled blocks recycle LIFO.
+    extra.reset();
+    for (auto& buf : held) {
+      buf.reset();
+    }
     MemDelta b2 = MemDelta::Snap();
-    auto again = pool->Alloc();
+    auto first = pool->Alloc();
+    auto second = pool->Alloc();
     MemDelta a2 = MemDelta::Snap();
-    EXPECT_EQ(a2.hits - b2.hits, 1u);
-    EXPECT_EQ(again->Data(), block_b);  // LIFO recycle
+    EXPECT_EQ(a2.hits - b2.hits, 2u);
+    EXPECT_EQ(a2.misses - b2.misses, 0u);
+    EXPECT_EQ(first->Data(), blocks[BufferPool::kPerCoreCap - 1]);
+    EXPECT_EQ(second->Data(), blocks[BufferPool::kPerCoreCap - 2]);
     checked = true;
   });
   world.Run();
@@ -171,110 +182,63 @@ TEST(BufferPool, OccupancyTelemetryTracksCheckedOutBlocks) {
   SimWorld::SpawnOn(rt, 0, [&] {
     BufferPool* pool = BufferPool::Local();
     ASSERT_NE(pool, nullptr);
-    // Fresh machine: nothing checked out yet, high-water untouched.
-    EXPECT_EQ(pool->in_use(), 0u);
-    EXPECT_EQ(pool->in_use_hwm(), 0u);
-    std::uint64_t global_base = mem::stats().pool_in_use.load();
+    const mem::Stats& stats = mem::stats();
+    std::uint64_t base = stats.pool_in_use.load();
     auto a = pool->Alloc();
     auto b = pool->Alloc();
     auto c = pool->Alloc();
-    EXPECT_EQ(pool->in_use(), 3u);
-    EXPECT_EQ(pool->in_use_hwm(), 3u);
-    EXPECT_EQ(mem::stats().pool_in_use.load(), global_base + 3);
-    EXPECT_GE(mem::stats().pool_in_use_hwm.load(), global_base + 3);
+    EXPECT_EQ(stats.pool_in_use.load(), base + 3);
+    EXPECT_GE(stats.pool_in_use_hwm.load(), base + 3);
+    std::uint64_t hwm = stats.pool_in_use_hwm.load();
     // Releases bring occupancy down; the high-water mark stays at the burst's peak.
     a.reset();
     b.reset();
-    EXPECT_EQ(pool->in_use(), 1u);
-    EXPECT_EQ(pool->in_use_hwm(), 3u);
-    EXPECT_EQ(mem::stats().pool_in_use.load(), global_base + 1);
+    EXPECT_EQ(stats.pool_in_use.load(), base + 1);
+    EXPECT_EQ(stats.pool_in_use_hwm.load(), hwm);
     // A recycled re-alloc counts as checked out again but does not move the peak.
     auto d = pool->Alloc();
-    EXPECT_EQ(pool->in_use(), 2u);
-    EXPECT_EQ(pool->in_use_hwm(), 3u);
+    EXPECT_EQ(stats.pool_in_use.load(), base + 2);
+    EXPECT_EQ(stats.pool_in_use_hwm.load(), hwm);
     c.reset();
     d.reset();
-    EXPECT_EQ(pool->in_use(), 0u);
-    EXPECT_EQ(mem::stats().pool_in_use.load(), global_base);
+    EXPECT_EQ(stats.pool_in_use.load(), base);
     // The at-cap slab fallback is NOT a pooled block and must not count as occupancy.
-    BufferPoolRoot::Config tiny;
-    tiny.per_core_cap = 1;
-    BufferPoolRoot::Install(rt, 1, tiny);
-    BufferPool* small = BufferPool::Local();
-    auto e = small->Alloc();  // the one pooled block
-    auto f = small->Alloc();  // beyond the cap: slab fallback
-    EXPECT_EQ(small->in_use(), 1u);
-    EXPECT_EQ(small->in_use_hwm(), 1u);
-    e.reset();
-    f.reset();
-    EXPECT_EQ(small->in_use(), 0u);
+    std::vector<std::unique_ptr<IOBuf>> held;
+    for (std::size_t i = 0; i < BufferPool::kPerCoreCap; ++i) {
+      held.push_back(pool->Alloc());
+    }
+    EXPECT_EQ(stats.pool_in_use.load(), base + BufferPool::kPerCoreCap);
+    auto fallback = pool->Alloc();
+    EXPECT_EQ(stats.pool_in_use.load(), base + BufferPool::kPerCoreCap);
+    fallback.reset();
+    held.clear();
+    EXPECT_EQ(stats.pool_in_use.load(), base);
     checked = true;
   });
   world.Run();
   EXPECT_TRUE(checked);
 }
 
-TEST(BufferPool, AdaptiveCapGrowsUnderPressureAndDecaysWhenIdle) {
-  // The adaptive-cap policy (ROADMAP "descriptor-cache sizing"): sustained at-cap misses
-  // grow the effective per-core cap toward demand; pressure-free event boundaries decay it
-  // back to the floor and return surplus blocks to the slab.
+TEST(BufferPool, PoolOnlyEventQueuesNoBoundaryHook) {
+  // The pool is a freelist pop and push with no policy behind it: an event that only
+  // carves, recycles and releases pool blocks leaves no work for its event boundary.
   SimWorld world;
-  Runtime& rt = world.AddMachine("adaptive", 1);
-  BufferPoolRoot::Config cfg;
-  cfg.per_core_cap = 2;        // floor
-  cfg.per_core_cap_max = 8;    // ceiling
-  cfg.grow_miss_streak = 3;    // grow after 3 consecutive at-cap misses
-  cfg.decay_quiet_events = 2;  // decay after 2 pressure-free event boundaries
-  BufferPoolRoot::Install(rt, 1, cfg);
-  bool grew = false;
-  bool decayed = false;
-  bool done = false;
+  Runtime& rt = world.AddMachine("nohook", 1);
+  EventManager& em = rt.GetSubsystem<EventManagerRoot>(Subsystem::kEventManager).RepFor(0);
+  std::uint64_t hooks_before = em.stats().end_of_event;
+  bool ran = false;
   SimWorld::SpawnOn(rt, 0, [&] {
     BufferPool* pool = BufferPool::Local();
     ASSERT_NE(pool, nullptr);
-    EXPECT_EQ(pool->cap(), 2u);
-    std::uint64_t grows_before = mem::stats().pool_cap_grows.load();
-
-    // Event 1: demand far above the cap. The first 2 allocs carve; the next ones are
-    // at-cap misses — after `grow_miss_streak` of them the cap must grow (geometric:
-    // max(2*cap, hwm) = 4), letting subsequent allocs carve again.
-    std::vector<std::unique_ptr<IOBuf>> burst;
-    for (int i = 0; i < 7; ++i) {
-      burst.push_back(pool->Alloc());
-    }
-    EXPECT_GT(pool->cap(), 2u);
-    EXPECT_EQ(pool->cap(), 4u);  // one grow step: 3 misses -> cap 2*2
-    EXPECT_GT(mem::stats().pool_cap_grows.load(), grows_before);
-    grew = true;
-    burst.clear();  // everything recycles (freelist_ holds up to cap_ blocks)
-
-    // Quiet events: each does one in-cap alloc (queues the boundary hook) and no at-cap
-    // miss. After `decay_quiet_events` boundaries the cap halves its excess toward the
-    // floor, and surplus recycled blocks go back to the slab.
-    std::uint64_t decays_before = mem::stats().pool_cap_decays.load();
-    auto quiet = std::make_shared<std::function<void(int)>>();
-    *quiet = [&, quiet](int remaining) {
-      BufferPool* p = BufferPool::Local();
-      auto buf = p->Alloc();  // pool hit: no pressure, but arms the end-of-event hook
-      buf.reset();
-      if (remaining > 0) {
-        event::Local().Spawn([&, quiet, remaining] { (*quiet)(remaining - 1); });
-        return;
-      }
-      EXPECT_EQ(p->cap(), 2u);  // 4 -> 3 -> 2 over two decay steps
-      EXPECT_GE(mem::stats().pool_cap_decays.load(), decays_before + 2);
-      EXPECT_LE(p->free_blocks(), p->cap());
-      EXPECT_LE(p->outstanding(), p->cap());  // trim returned the surplus to the slab
-      decayed = true;
-      done = true;
-      *quiet = nullptr;
-    };
-    (*quiet)(6);
+    auto carved = pool->Alloc();
+    carved.reset();
+    auto recycled = pool->Alloc();
+    recycled.reset();
+    ran = true;
   });
   world.Run();
-  EXPECT_TRUE(grew);
-  EXPECT_TRUE(decayed);
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(em.stats().end_of_event, hooks_before);
 }
 
 TEST(BufferPool, CloneKeepsRecycledBufferAlivePastOriginatingEvent) {
