@@ -38,7 +38,9 @@ class EtcWorkload {
     std::mt19937 krng(static_cast<unsigned>(index) * 2654435761u + 1);
     int size = static_cast<int>(d(krng));
     size = std::max(20, std::min(70, size));
-    std::string key = "k" + std::to_string(index);
+    // Built in place: gcc 12 -O3 reports a false -Wrestrict for `"k" + std::to_string(...)`.
+    std::string key = std::to_string(index);
+    key.insert(key.begin(), 'k');
     key.resize(static_cast<std::size_t>(size), 'K');
     return key;
   }

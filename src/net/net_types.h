@@ -161,6 +161,20 @@ inline constexpr bool SeqLe(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) <= 0;
 }
 
+// --- Device offload metadata -----------------------------------------------------------------
+
+// Side-band metadata passed by value beside a frame between the stack and the NIC; the name
+// and flag values are virtio_net_hdr's, as in EbbRT. Only checksum offload is modeled.
+//   * TX, kNeedsCsum: the L4 checksum is left to the device. The stack has written the
+//     folded pseudo-header sum into the checksum field (Linux's CHECKSUM_PARTIAL).
+//   * RX, kDataValid: the device vouches for the L4 checksum, so the stack skips its sum.
+// The flags stay out of IOBuf: a field there would grow every buffer descriptor.
+struct PacketInfo {
+  static constexpr std::uint8_t kNeedsCsum = 1;  // VIRTIO_NET_HDR_F_NEEDS_CSUM
+  static constexpr std::uint8_t kDataValid = 2;  // VIRTIO_NET_HDR_F_DATA_VALID
+  std::uint8_t flags = 0;
+};
+
 // --- Flow identification ---------------------------------------------------------------------
 
 struct FourTuple {

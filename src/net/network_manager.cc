@@ -78,6 +78,13 @@ void AddPseudoHeader(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::
   acc.Add(&pseudo, sizeof(pseudo));
 }
 
+std::uint16_t PseudoHeaderSum(Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
+                              std::uint16_t l4_len) {
+  ChecksumAccumulator acc;
+  AddPseudoHeader(acc, src, dst, proto, l4_len);
+  return static_cast<std::uint16_t>(~acc.Finish());
+}
+
 void FillIpv4(IOBuf& buf, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
               std::size_t l4_header_len, std::size_t payload_len) {
   std::size_t headers = sizeof(Ipv4Header) + l4_header_len;
@@ -222,7 +229,8 @@ void NetworkManager::HandleUdp(Interface& /*iface*/, const Ipv4Header& ip,
 
 Interface::Interface(NetworkManager& manager, sim::Nic& nic, IpConfig config)
     : manager_(manager), nic_(nic), config_(config) {
-  nic_.SetReceiveHandler([this](std::unique_ptr<IOBuf> frame) { Receive(std::move(frame)); });
+  nic_.SetReceiveHandler(
+      [this](std::unique_ptr<IOBuf> frame, PacketInfo info) { Receive(std::move(frame), info); });
 }
 
 Future<MacAddr> Interface::ArpFind(Ipv4Addr dest) {
@@ -285,25 +293,27 @@ void Interface::ScheduleArpRetry(Ipv4Addr target, int attempt) {
 // headroom, transmit. A cached translation (the per-segment case) frames and transmits before
 // EthArpSend returns, with no future, continuation or shared state; a miss parks the packet
 // on ArpFind's future chain until the reply (or the retry budget) resolves it.
-void Interface::EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet) {
+void Interface::EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet,
+                           PacketInfo info) {
   Ipv4Addr local_dest = Route(packet->Get<Ipv4Header>().DstAddr());
   if (const MacAddr* cached = manager_.arp_cache().Find(local_dest.raw)) {
-    FrameAndTransmit(proto, *cached, std::move(packet));
+    FrameAndTransmit(proto, *cached, std::move(packet), info);
     return;
   }
-  ArpFind(local_dest).Then([this, proto, packet = std::move(packet)](Future<MacAddr> f) mutable {
-    FrameAndTransmit(proto, f.Get(), std::move(packet));
-  });
+  ArpFind(local_dest).Then(
+      [this, proto, info, packet = std::move(packet)](Future<MacAddr> f) mutable {
+        FrameAndTransmit(proto, f.Get(), std::move(packet), info);
+      });
 }
 
 void Interface::FrameAndTransmit(std::uint16_t proto, MacAddr dst,
-                                 std::unique_ptr<IOBuf> packet) {
+                                 std::unique_ptr<IOBuf> packet, PacketInfo info) {
   packet->Retreat(sizeof(EthernetHeader));
   auto& eth = packet->Get<EthernetHeader>();
   eth.dst = dst;
   eth.src = mac();
   eth.type = HostToNet16(proto);
-  nic_.Transmit(std::move(packet));
+  nic_.Transmit(std::move(packet), info);
 }
 
 void Interface::SendArpRequest(Ipv4Addr target) {
@@ -325,7 +335,7 @@ void Interface::SendArpRequest(Ipv4Addr target) {
   nic_.Transmit(std::move(frame));
 }
 
-void Interface::Receive(std::unique_ptr<IOBuf> frame) {
+void Interface::Receive(std::unique_ptr<IOBuf> frame, PacketInfo info) {
   if (frame->Length() < sizeof(EthernetHeader)) {
     return;
   }
@@ -335,7 +345,7 @@ void Interface::Receive(std::unique_ptr<IOBuf> frame) {
       ReceiveArp(std::move(frame));
       break;
     case kEthTypeIpv4:
-      ReceiveIpv4(std::move(frame));
+      ReceiveIpv4(std::move(frame), info);
       break;
     default:
       break;  // unknown ethertype: drop
@@ -385,7 +395,7 @@ void Interface::ReceiveArp(std::unique_ptr<IOBuf> frame) {
   }
 }
 
-void Interface::ReceiveIpv4(std::unique_ptr<IOBuf> frame) {
+void Interface::ReceiveIpv4(std::unique_ptr<IOBuf> frame, PacketInfo info) {
   if (frame->Length() < sizeof(EthernetHeader) + sizeof(Ipv4Header)) {
     return;
   }
@@ -413,7 +423,7 @@ void Interface::ReceiveIpv4(std::unique_ptr<IOBuf> frame) {
       break;
     case kIpProtoTcp:
       manager_.stats().tcp_rx.fetch_add(1, std::memory_order_relaxed);
-      manager_.tcp().HandleSegment(*this, ip, std::move(frame));
+      manager_.tcp().HandleSegment(*this, ip, std::move(frame), info);
       break;
     default:
       break;

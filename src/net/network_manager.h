@@ -71,8 +71,8 @@ class Interface {
 
   // Figure 2: route, ARP-resolve, prepend the Ethernet header, transmit. `packet` must start
   // with a fully-formed IPv4 header and have >= sizeof(EthernetHeader) headroom. A packet
-  // whose next hop never answers ARP is dropped.
-  void EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet);
+  // whose next hop never answers ARP is dropped. `info` goes to the NIC with the frame.
+  void EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet, PacketInfo info = {});
 
   // ARP resolution with a future (synchronous continuation on cache hit).
   Future<MacAddr> ArpFind(Ipv4Addr dest);
@@ -86,15 +86,17 @@ class Interface {
     return config_.gateway;
   }
 
-  // Driver entry point: runs on the RSS-selected core with frame ownership.
-  void Receive(std::unique_ptr<IOBuf> frame);
+  // Driver entry point: runs on the RSS-selected core with frame ownership. `info` is the
+  // device's RX metadata; a frame injected without it gets every checksum in software.
+  void Receive(std::unique_ptr<IOBuf> frame, PacketInfo info = {});
 
  private:
   void ReceiveArp(std::unique_ptr<IOBuf> frame);
-  void ReceiveIpv4(std::unique_ptr<IOBuf> frame);
+  void ReceiveIpv4(std::unique_ptr<IOBuf> frame, PacketInfo info);
   void SendArpRequest(Ipv4Addr target);
   // Writes the Ethernet header into the packet's headroom and hands it to the NIC.
-  void FrameAndTransmit(std::uint16_t proto, MacAddr dst, std::unique_ptr<IOBuf> packet);
+  void FrameAndTransmit(std::uint16_t proto, MacAddr dst, std::unique_ptr<IOBuf> packet,
+                        PacketInfo info);
   // ARP requests are retransmitted until answered (frames can be lost); after the retry
   // budget the waiting futures fail, which propagates to e.g. pending TCP connects.
   void ScheduleArpRetry(Ipv4Addr target, int attempt);
@@ -219,6 +221,11 @@ namespace net_internal {
 // Adds the UDP/TCP checksum pseudo-header (RFC 768/793) for an L4 datagram of `l4_len` bytes.
 void AddPseudoHeader(ChecksumAccumulator& acc, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
                      std::uint16_t l4_len);
+
+// The folded, uncomplemented pseudo-header sum: what a checksum-offload device expects in
+// the L4 checksum field of a frame sent with PacketInfo::kNeedsCsum.
+std::uint16_t PseudoHeaderSum(Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
+                              std::uint16_t l4_len);
 
 // Writes an IPv4 header at the front of `buf`'s view, which must already cover the IP + L4
 // header bytes (with Ethernet headroom reserved behind it).

@@ -411,17 +411,16 @@ void TcpManager::TransmitSegment(TcpEntry& entry, std::uint8_t flags,
   tcp.SetHeaderWords(5);
   tcp.flags = flags;
   tcp.window = HostToNet16(entry.rcv_wnd);
-  tcp.checksum = 0;
   tcp.urgent = 0;
-  ChecksumAccumulator acc;
-  net_internal::AddPseudoHeader(acc, entry.tuple.local_ip, entry.tuple.remote_ip, kIpProtoTcp,
-                                static_cast<std::uint16_t>(sizeof(TcpHeader) + payload_len));
-  acc.Add(&tcp, sizeof(TcpHeader));
+  // Checksum offload (kNeedsCsum): the sum over header and payload is the device's. The
+  // field holds the pseudo-header sum a completing device starts from (CHECKSUM_PARTIAL);
+  // no payload byte is read here.
+  tcp.checksum = net_internal::PseudoHeaderSum(
+      entry.tuple.local_ip, entry.tuple.remote_ip, kIpProtoTcp,
+      static_cast<std::uint16_t>(sizeof(TcpHeader) + payload_len));
   if (payload) {
-    acc.AddChain(*payload);
     packet->AppendChain(std::move(payload));
   }
-  tcp.checksum = acc.Finish();
   if (flags & kTcpAck) {
     entry.pending_ack = false;  // this segment carries the acknowledgment
   }
@@ -431,7 +430,8 @@ void TcpManager::TransmitSegment(TcpEntry& entry, std::uint8_t flags,
     stats.tcp_tx_data_segments.fetch_add(1, std::memory_order_relaxed);
     stats.tcp_tx_payload_bytes.fetch_add(payload_len, std::memory_order_relaxed);
   }
-  entry.iface.EthArpSend(kEthTypeIpv4, std::move(packet));
+  entry.iface.EthArpSend(kEthTypeIpv4, std::move(packet),
+                         PacketInfo{PacketInfo::kNeedsCsum});
 }
 
 void TcpManager::ArmRtxTimer(TcpEntry& entry) {
@@ -546,12 +546,12 @@ void TcpManager::RemoveEntry(TcpEntry& entry) {
 }
 
 void TcpManager::HandleSegment(Interface& iface, const Ipv4Header& ip,
-                               std::unique_ptr<IOBuf> segment) {
+                               std::unique_ptr<IOBuf> segment, PacketInfo info) {
   if (segment->Length() < sizeof(TcpHeader)) {
     return;
   }
-  // Verify the TCP checksum over pseudo-header + segment.
-  {
+  // Verify the TCP checksum over pseudo-header + segment unless the device already did.
+  if (!(info.flags & PacketInfo::kDataValid)) {
     ChecksumAccumulator acc;
     net_internal::AddPseudoHeader(acc, ip.SrcAddr(), ip.DstAddr(), kIpProtoTcp,
                                   static_cast<std::uint16_t>(segment->ComputeChainDataLength()));

@@ -240,8 +240,10 @@ class TcpManager {
   // the connection back to this core, then completes the handshake.
   Future<TcpPcb> Connect(Interface& iface, Ipv4Addr dst, std::uint16_t dst_port);
 
-  // Segment input from the IP layer (on the RSS core).
-  void HandleSegment(Interface& iface, const Ipv4Header& ip, std::unique_ptr<IOBuf> segment);
+  // Segment input from the IP layer (on the RSS core). The TCP checksum is summed in
+  // software unless the device vouched for it (PacketInfo::kDataValid in `info`).
+  void HandleSegment(Interface& iface, const Ipv4Header& ip, std::unique_ptr<IOBuf> segment,
+                     PacketInfo info);
 
   std::size_t active_connections() const { return table_.size(); }
 

@@ -14,7 +14,10 @@
 namespace ebbrt {
 namespace sim {
 
-// Hypervisor/virtualization overheads applied by the NIC model.
+// Hypervisor/virtualization overheads applied by the NIC model. Every model offloads the TCP
+// checksum (virtio-net VIRTIO_NET_F_CSUM / F_GUEST_CSUM, which Linux negotiates by default;
+// the X520 behind Native() in hardware); see PacketInfo. Offload is host-side work removed,
+// not a modeled cost, so no field here charges or toggles it.
 struct HypervisorModel {
   bool virtualized = true;
   // Guest->host notification (virtio kick): one VM exit + vhost wakeup. Charged per

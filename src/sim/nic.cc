@@ -31,7 +31,7 @@ Nic::Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric, Config 
   }
 }
 
-void Nic::Transmit(std::unique_ptr<IOBuf> frame) {
+void Nic::Transmit(std::unique_ptr<IOBuf> frame, PacketInfo info) {
   ++frames_transmitted_;
   bytes_transmitted_ += frame->ComputeChainDataLength();
   // Per-frame TX work (descriptor setup + device descriptor fetch): the fixed cost each
@@ -49,7 +49,7 @@ void Nic::Transmit(std::unique_ptr<IOBuf> frame) {
       event::Local().QueueEndOfEvent([this, core] { kick_charged_[core] = 0; });
     }
   }
-  fabric_.Transmit(port_, *frame);
+  fabric_.Transmit(port_, *frame, info);
   // The frame's ownership ends here; the fabric cloned what it needed.
 }
 
@@ -110,7 +110,8 @@ void Nic::ReplenishPostedRx(Queue& queue) {
   }
 }
 
-void Nic::DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue_index) {
+void Nic::DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue_index,
+                       PacketInfo info) {
   if (world_.MachineKilled(runtime_)) {
     // Kill-after-schedule race: the frame was already in flight (calendar action queued)
     // when the machine died. It dies at the device boundary — no ring push, no interrupt.
@@ -118,7 +119,12 @@ void Nic::DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue_index) {
     return;
   }
   Queue& queue = *queues_[queue_index];
-  queue.ring.push_back(std::move(frame));
+  // RX checksum offload: vouch for exactly the frames sent with kNeedsCsum (see nic.h).
+  PacketInfo rx;
+  if (info.flags & PacketInfo::kNeedsCsum) {
+    rx.flags = PacketInfo::kDataValid;
+  }
+  queue.ring.push_back(RxEntry{std::move(frame), rx});
   if (queue.interrupts_enabled && !queue.irq_pending) {
     queue.irq_pending = true;
     ++interrupts_raised_;
@@ -132,15 +138,12 @@ void Nic::DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue_index) {
 void Nic::ServiceQueue(Queue& queue, bool from_interrupt) {
   if (from_interrupt) {
     queue.irq_pending = false;
-    if (config_.hv.virtualized) {
-      world_.Charge(config_.hv.irq_inject_ns);
-    } else {
-      world_.Charge(config_.hv.irq_inject_ns);  // bare-metal MSI cost (smaller, see model)
-    }
+    world_.Charge(config_.hv.irq_inject_ns);  // Native(): bare-metal MSI-X, smaller
   }
   std::size_t handled = 0;
   while (!queue.ring.empty()) {
-    std::unique_ptr<IOBuf> frame = std::move(queue.ring.front());
+    std::unique_ptr<IOBuf> frame = std::move(queue.ring.front().frame);
+    PacketInfo info = queue.ring.front().info;
     queue.ring.pop_front();
     ++handled;
     ++frames_received_;
@@ -166,7 +169,7 @@ void Nic::ServiceQueue(Queue& queue, bool from_interrupt) {
       ++frames_polled_;
     }
     if (rx_handler_) {
-      rx_handler_(std::move(frame));
+      rx_handler_(std::move(frame), info);
     }
   }
   // Re-post RX descriptors for the buffers this pass consumed (the driver half of the

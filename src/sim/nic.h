@@ -10,6 +10,14 @@
 // polls the ring each idle pass; when polls come up empty repeatedly, it re-enables the
 // interrupt and stops polling.
 //
+// Checksum offload (virtio-net's VIRTIO_NET_F_CSUM / F_GUEST_CSUM): a PacketInfo travels
+// beside each frame. A frame transmitted with kNeedsCsum is handed to the receiving driver
+// with kDataValid, and no other frame is. The mark is sound because the fabric never alters
+// bytes: today's faults drop, delay or black-hole frames and never corrupt them. A future
+// corruption fault must clear kDataValid on the frames it touches, so the receiver falls
+// back to its software sum and drops them. No device completes the TX sum, since every
+// receiver takes the mark; the checksum field carries the pseudo-header seed on the wire.
+//
 // Cost accounting: the transmitting core is charged the virtio kick (VM exit) per
 // notification; the receiving core is charged interrupt injection and, under virtualization,
 // the hypervisor's RX copy (a real memcpy into a fresh buffer, plus modeled per-byte cost in
@@ -52,7 +60,8 @@ class Nic {
     std::uint32_t poll_exit_threshold = 64;
   };
 
-  using FrameHandler = MoveFunction<void(std::unique_ptr<IOBuf>)>;
+  // Receives a frame and the device's RX metadata (PacketInfo::kDataValid or nothing).
+  using FrameHandler = MoveFunction<void(std::unique_ptr<IOBuf>, PacketInfo)>;
 
   Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric, Config config);
   // Default configuration (KVM hypervisor model, one queue per core).
@@ -70,7 +79,8 @@ class Nic {
   void SetReceiveHandler(FrameHandler handler) { rx_handler_ = std::move(handler); }
 
   // Transmits a frame chain (called from a core of this machine). Charges the virtio kick.
-  void Transmit(std::unique_ptr<IOBuf> frame);
+  // `info` carries the TX offload request (PacketInfo::kNeedsCsum) to the receiving device.
+  void Transmit(std::unique_ptr<IOBuf> frame, PacketInfo info = {});
 
   // The machine core that receives traffic for the given flow (RSS steering preview — used by
   // active connectors to pick a source port landing on the desired core).
@@ -88,7 +98,9 @@ class Nic {
   // computes this once per frame and passes it to both calls below.
   std::size_t QueueForFrame(const IOBuf& frame) const { return SteerFrame(frame); }
 
-  void DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue);
+  // `info` is the sender's TX metadata; a frame sent with kNeedsCsum reaches the driver
+  // marked kDataValid, and no other frame does.
+  void DeliverFrame(std::unique_ptr<IOBuf> frame, std::size_t queue, PacketInfo info);
 
   // Copies `frame` into this NIC's next posted RX buffer for `queue` (the DMA write into a
   // driver-posted descriptor), falling back to a DeepClone when none is posted.
@@ -111,11 +123,16 @@ class Nic {
   std::uint64_t rx_killed_drops() const { return rx_killed_drops_; }
 
  private:
+  struct RxEntry {
+    std::unique_ptr<IOBuf> frame;
+    PacketInfo info;
+  };
+
   struct Queue {
     std::size_t index = 0;
     std::size_t target_core = 0;
     std::uint32_t vector = 0;
-    RingQueue<std::unique_ptr<IOBuf>> ring;
+    RingQueue<RxEntry> ring;
     // Driver-posted RX buffers (pool-backed), filled by the device side in FIFO order and
     // replenished by ServiceQueue on the target core.
     RingQueue<std::unique_ptr<IOBuf>> posted_rx;

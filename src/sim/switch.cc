@@ -68,7 +68,7 @@ std::size_t Switch::PortFor(const MacAddr& mac) const {
   return index < flat_macs_.size() ? flat_macs_[index] : kNoPort;
 }
 
-void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {
+void Switch::Transmit(std::size_t from_port, const IOBuf& frame, PacketInfo info) {
   Kassert(from_port < ports_.size(), "Switch: bad port");
   if (loss_rate_ > 0.0) {
     std::uniform_real_distribution<double> dist(0.0, 1.0);
@@ -103,19 +103,20 @@ void Switch::Transmit(std::size_t from_port, const IOBuf& frame) {
   if (!eth.dst.IsBroadcast()) {
     std::size_t port = PortFor(eth.dst);
     if (port != kNoPort) {
-      DeliverTo(port, frame, arrival);
+      DeliverTo(port, frame, info, arrival);
       return;
     }
   }
   // Flood: broadcast or unknown destination.
   for (std::size_t port = 0; port < ports_.size(); ++port) {
     if (port != from_port) {
-      DeliverTo(port, frame, arrival);
+      DeliverTo(port, frame, info, arrival);
     }
   }
 }
 
-void Switch::DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at) {
+void Switch::DeliverTo(std::size_t port, const IOBuf& frame, PacketInfo info,
+                       std::uint64_t at) {
   // Ingress fault on the receiver's link, then killed-machine drop: a dead machine's NIC
   // neither fills posted descriptors nor raises interrupts, so the frame dies here without
   // consuming the posted ring (which must survive intact for revival).
@@ -139,8 +140,8 @@ void Switch::DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at) {
   // the copy (posted ring) and the delivery.
   std::size_t queue = nic->QueueForFrame(frame);
   auto copy = nic->CopyForDelivery(frame, queue);
-  world_.At(at, [nic, queue, copy = std::move(copy)]() mutable {
-    nic->DeliverFrame(std::move(copy), queue);
+  world_.At(at, [nic, queue, info, copy = std::move(copy)]() mutable {
+    nic->DeliverFrame(std::move(copy), queue, info);
   });
 }
 

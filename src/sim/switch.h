@@ -37,8 +37,9 @@ class Switch {
   std::size_t Attach(Nic* nic);
 
   // Called by a NIC's transmit path (during its machine's core slice). The frame is cloned
-  // onto the fabric and delivered to the destination port(s) after link delays.
-  void Transmit(std::size_t from_port, const IOBuf& frame);
+  // onto the fabric and delivered to the destination port(s) after link delays, with the
+  // sender's TX metadata beside it.
+  void Transmit(std::size_t from_port, const IOBuf& frame, PacketInfo info = {});
 
   // Deterministic packet loss for robustness tests: drops each frame with probability
   // `rate` using the given seed.
@@ -78,7 +79,7 @@ class Switch {
 
   static constexpr std::size_t kNoPort = SIZE_MAX;
 
-  void DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at);
+  void DeliverTo(std::size_t port, const IOBuf& frame, PacketInfo info, std::uint64_t at);
   // True when the plan says this frame dies on the link (ticks the fault counters).
   bool FaultEats(LinkFault* fault);
   // The MAC's FromIndex number when it is a testbed MAC numbered below 2^16, else kNoPort.

@@ -294,6 +294,104 @@ TEST(Net, TcpChecksumDropsSegmentWithOneCorruptPayloadByte) {
   EXPECT_EQ(stats.checksum_drops.load(), offsets.size());
 }
 
+TEST(Net, DeviceVouchedSegmentSkipsSoftwareChecksum) {
+  // The checksum-offload contract. A frame sent through the NIC with kNeedsCsum carries only
+  // the pseudo-header sum, as TransmitSegment writes it; the receiving NIC marks it
+  // kDataValid and TCP skips its software sum. The same bytes injected without the mark fail
+  // that sum, and a frame that crossed the NIC unmarked is still verified in software.
+  Testbed bed;
+  TestbedNode server = bed.AddNode("server", 1, kServerIp);
+  TestbedNode client = bed.AddNode("client", 1, kClientIp);
+  const std::string payload(64, 'p');
+  constexpr std::size_t kPayloadOffset =
+      sizeof(EthernetHeader) + sizeof(Ipv4Header) + sizeof(TcpHeader);
+  // full_sum: the complete software checksum; otherwise the pseudo-header sum only.
+  auto make_frame = [&](bool full_sum) {
+    auto frame = IOBuf::CopyBuffer(std::string(kPayloadOffset, '\0') + payload);
+    frame->Advance(sizeof(EthernetHeader));
+    net_internal::FillIpv4(*frame, kClientIp, kServerIp, kIpProtoTcp, sizeof(TcpHeader),
+                           payload.size());
+    auto& tcp = frame->Get<TcpHeader>(sizeof(Ipv4Header));
+    tcp.src_port = HostToNet16(40001);
+    tcp.dst_port = HostToNet16(8011);
+    tcp.seq = HostToNet32(1);
+    tcp.SetHeaderWords(5);
+    tcp.flags = kTcpAck | kTcpPsh;
+    tcp.window = HostToNet16(1000);
+    auto l4_len = static_cast<std::uint16_t>(sizeof(TcpHeader) + payload.size());
+    if (full_sum) {
+      ChecksumAccumulator acc;
+      net_internal::AddPseudoHeader(acc, kClientIp, kServerIp, kIpProtoTcp, l4_len);
+      acc.Add(frame->Data() + sizeof(Ipv4Header), l4_len);
+      tcp.checksum = acc.Finish();
+    } else {
+      tcp.checksum = net_internal::PseudoHeaderSum(kClientIp, kServerIp, kIpProtoTcp, l4_len);
+    }
+    frame->Retreat(sizeof(EthernetHeader));
+    auto& eth = frame->Get<EthernetHeader>();
+    eth.dst = server.iface->mac();
+    eth.src = client.iface->mac();
+    eth.type = HostToNet16(kEthTypeIpv4);
+    return frame;
+  };
+  auto& stats = server.net->stats();
+
+  // The seed is the one a completing device starts from: summing the L4 bytes over it gives
+  // the full software checksum.
+  {
+    auto partial = make_frame(false);
+    ChecksumAccumulator device;
+    device.Add(partial->Data() + sizeof(EthernetHeader) + sizeof(Ipv4Header),
+               sizeof(TcpHeader) + payload.size());
+    auto full = make_frame(true);
+    EXPECT_EQ(device.Finish(), full->Get<TcpHeader>(sizeof(EthernetHeader) + sizeof(Ipv4Header))
+                                   .checksum);
+  }
+
+  // Offloaded: the device vouches, so the partial sum is never checked in software.
+  client.Spawn(0, [&] {
+    client.nic->Transmit(make_frame(false), PacketInfo{PacketInfo::kNeedsCsum});
+  });
+  bed.world().Run();
+  EXPECT_EQ(stats.tcp_rx.load(), 1u);
+  EXPECT_EQ(stats.checksum_drops.load(), 0u);
+
+  // The same bytes with no device mark: the software sum sees a partial checksum.
+  server.Spawn(0, [&] { server.iface->Receive(make_frame(false)); });
+  bed.world().Run();
+  EXPECT_EQ(stats.tcp_rx.load(), 2u);
+  EXPECT_EQ(stats.checksum_drops.load(), 1u);
+
+  // A corrupt frame sent without kNeedsCsum arrives unmarked and fails the software sum.
+  client.Spawn(0, [&] {
+    auto frame = make_frame(true);
+    frame->WritableData()[kPayloadOffset + 7] ^= 0x5a;
+    client.nic->Transmit(std::move(frame));
+  });
+  bed.world().Run();
+  EXPECT_EQ(stats.tcp_rx.load(), 3u);
+  EXPECT_EQ(stats.checksum_drops.load(), 2u);
+
+  // Both ARP caches are still cold, so the SYN parks on ArpFind. It keeps its kNeedsCsum
+  // through the ARP-miss continuation: the server accepts it without a software drop.
+  bool accepted = false;
+  server.Spawn(0, [&] {
+    server.net->tcp().Listen(8012, [&accepted](TcpPcb pcb) {
+      accepted = true;
+      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<EchoHandler>()));
+    });
+  });
+  client.Spawn(0, [&] {
+    client.net->tcp().Connect(*client.iface, kServerIp, 8012).Then([](Future<TcpPcb> f) {
+      f.Get().Close();
+    });
+  });
+  bed.world().Run();
+  EXPECT_TRUE(accepted);
+  EXPECT_EQ(stats.checksum_drops.load(), 2u);
+  EXPECT_EQ(client.net->stats().checksum_drops.load(), 0u);
+}
+
 TEST(Net, TcpEstablishedRoundTripsDoNotTouchTheGenericHeap) {
   // The per-segment claim: with the connection established and the ARP cache warm, a data
   // segment's whole life (TCP segmenting and checksum, IPv4 + Ethernet framing, the cache-hit
