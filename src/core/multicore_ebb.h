@@ -27,7 +27,9 @@ namespace ebbrt {
 
 namespace ebb_internal {
 // Looks up a hosted-cached rep for (current core, id); returns nullptr when absent or native.
-inline void* HostedLookup(EbbId id) {
+// gcc 12 miscompiles this TLS null check (`je` after a flag-less `lea`); noinline keeps the
+// no_sanitize in force, as gcc drops it once the body is inlined into a sanitized caller.
+__attribute__((noinline, no_sanitize("null"))) inline void* HostedLookup(EbbId id) {
   Context& ctx = CurrentContext();
   if (!ctx.runtime->hosted()) {
     return nullptr;

@@ -10,8 +10,11 @@
 //     maps, reproducing the paper's userspace translation cost),
 //   * the global core slots assigned to it,
 //   * the root registry: EbbId -> root object used by representative miss handlers,
-//   * typed subsystem slots for the default Ebbs (event manager, allocators, network stack),
-//     installed during bring-up by each subsystem.
+//   * typed subsystem slots for the default Ebbs (event manager, allocators, network stack).
+//
+// A runtime owns every subsystem it creates: GetOrCreateSubsystem/InstallSubsystem adopt it,
+// and ~Runtime destroys it in reverse creation order. InstallRoot is only for caller-owned
+// roots, and only the executors (SimWorld, ThreadMachine) fill a slot they own themselves.
 #ifndef EBBRT_SRC_CORE_RUNTIME_H_
 #define EBBRT_SRC_CORE_RUNTIME_H_
 
@@ -20,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/ebb_id.h"
@@ -33,21 +37,18 @@ enum class RuntimeKind : std::uint8_t {
   kHosted,  // userspace library instance: per-core hash-table translation
 };
 
-// Typed slots for boot-time subsystems. Subsystems register themselves at bring-up;
-// representatives fetch them from the current runtime without a registry lookup.
+// Typed slots for per-machine subsystems; representatives fetch them from the current
+// runtime without a registry lookup.
 enum class Subsystem : std::size_t {
   kEventManager = 0,
-  kTimer,
   kPageAllocator,
-  kSlabRoot,
   kGeneralPurposeAllocator,
-  kVMemAllocator,
   kRcuManager,
-  kNic,
   kBufferPool,
   kNetworkManager,
   kMessenger,
   kGlobalIdMap,
+  kFileSystem,  // client of the hosted frontend's file service (dist::FileSystem)
   kRpcDemux,  // per-machine RPC service demultiplexer (dist::rpc)
   kObservability,  // per-machine telemetry plane root (obs::ObsRoot)
   kMachine,  // simulated machine this runtime is attached to (if any)
@@ -125,9 +126,24 @@ class Runtime {
   static void CacheRep(EbbId id, void* rep);
 
   // --- Subsystem slots ----------------------------------------------------
+  // The subsystem in `which`'s slot, built by `factory` (returning std::shared_ptr<T>) and
+  // adopted if the slot is empty. The hit path is one slot load and a null test.
+  template <typename T, typename Factory>
+  T& GetOrCreateSubsystem(Subsystem which, Factory&& factory) {
+    if (T* existing = TryGetSubsystem<T>(which)) {
+      return *existing;
+    }
+    return InstallSubsystem(which, std::shared_ptr<T>(std::forward<Factory>(factory)()));
+  }
+
+  // Fills `which`'s empty slot with `obj` and adopts it.
   template <typename T>
-  void SetSubsystem(Subsystem which, T* ptr) {
-    subsystems_[static_cast<std::size_t>(which)] = ptr;
+  T& InstallSubsystem(Subsystem which, std::shared_ptr<T> obj) {
+    Kassert(TryGetSubsystem<T>(which) == nullptr, "InstallSubsystem: slot already filled");
+    T& ref = *obj;
+    SetSubsystem(which, &ref);
+    Adopt(std::move(obj));
+    return ref;
   }
 
   template <typename T>
@@ -146,6 +162,14 @@ class Runtime {
   EbbId AllocateLocalId();
 
  private:
+  // Only the executors fill a slot without adopting: they own the event plane they install.
+  friend class SimWorld;
+  friend class ThreadMachine;
+  template <typename T>
+  void SetSubsystem(Subsystem which, T* ptr) {
+    subsystems_[static_cast<std::size_t>(which)] = ptr;
+  }
+
   // An object in the registry; `deleter` is null when the runtime does not own it.
   struct Owned {
     void* ptr;

@@ -148,17 +148,12 @@ FileSystem::FileSystem(Runtime& runtime, Ipv4Addr frontend)
     : client_(runtime, kFileSystemId, frontend) {}
 
 FileSystem& FileSystem::For(Runtime& runtime, Ipv4Addr frontend) {
-  auto* fs = static_cast<FileSystem*>(runtime.FindRoot(kFileSystemId));
-  if (fs == nullptr) {
-    auto owned = std::make_shared<FileSystem>(runtime, frontend);
-    fs = owned.get();
-    runtime.InstallRoot(kFileSystemId, fs);
-    runtime.Adopt(std::move(owned));
-  }
+  FileSystem& fs = runtime.GetOrCreateSubsystem<FileSystem>(
+      Subsystem::kFileSystem, [&] { return std::make_shared<FileSystem>(runtime, frontend); });
   // The frontend binding is fixed at first use; a different address later would silently
   // ship calls to the wrong machine — fail fast instead.
-  Kassert(fs->client_.server() == frontend, "FileSystem::For: frontend already bound");
-  return *fs;
+  Kassert(fs.client_.server() == frontend, "FileSystem::For: frontend already bound");
+  return fs;
 }
 
 void FileSystem::ServeOn(Runtime& runtime, std::string root) {

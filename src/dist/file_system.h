@@ -32,8 +32,8 @@ class FileSystem {
     kGetFileSize = 3,
   };
 
-  // The machine's client representative (root-registered under kFileSystemId), created on
-  // first use; calls ship to the frontend at `frontend`.
+  // The machine's client representative, created on first use (Subsystem::kFileSystem);
+  // calls ship to the frontend at `frontend`, fixed at first use.
   static FileSystem& For(Runtime& runtime, Ipv4Addr frontend);
 
   // Brings up the hosted representative: real POSIX I/O confined to the directory `root`

@@ -101,18 +101,12 @@ GlobalIdMap::GlobalIdMap(Runtime& runtime, Ipv4Addr frontend)
     : client_(runtime, kGlobalIdMapId, frontend) {}
 
 GlobalIdMap& GlobalIdMap::For(Runtime& runtime, Ipv4Addr frontend) {
-  auto* map = runtime.TryGetSubsystem<GlobalIdMap>(Subsystem::kGlobalIdMap);
-  if (map == nullptr) {
-    auto owned = std::make_shared<GlobalIdMap>(runtime, frontend);
-    map = owned.get();
-    runtime.SetSubsystem(Subsystem::kGlobalIdMap, map);
-    runtime.InstallRoot(kGlobalIdMapId, map);
-    runtime.Adopt(std::move(owned));
-  }
+  GlobalIdMap& map = runtime.GetOrCreateSubsystem<GlobalIdMap>(
+      Subsystem::kGlobalIdMap, [&] { return std::make_shared<GlobalIdMap>(runtime, frontend); });
   // The frontend binding is fixed at first use; a different address later would silently
   // resolve names against the wrong authority — fail fast instead.
-  Kassert(map->client_.server() == frontend, "GlobalIdMap::For: frontend already bound");
-  return *map;
+  Kassert(map.client_.server() == frontend, "GlobalIdMap::For: frontend already bound");
+  return map;
 }
 
 void GlobalIdMap::ServeOn(Runtime& runtime) {

@@ -10,15 +10,8 @@ namespace ebbrt {
 namespace dist {
 
 Messenger& Messenger::For(Runtime& runtime) {
-  auto* messenger = runtime.TryGetSubsystem<Messenger>(Subsystem::kMessenger);
-  if (messenger == nullptr) {
-    auto owned = std::make_shared<Messenger>(runtime);
-    messenger = owned.get();
-    runtime.SetSubsystem(Subsystem::kMessenger, messenger);
-    runtime.InstallRoot(kMessengerId, messenger);
-    runtime.Adopt(std::move(owned));
-  }
-  return *messenger;
+  return runtime.GetOrCreateSubsystem<Messenger>(
+      Subsystem::kMessenger, [&] { return std::make_shared<Messenger>(runtime); });
 }
 
 Messenger::Messenger(Runtime& runtime)

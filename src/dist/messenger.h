@@ -78,8 +78,8 @@ class Messenger {
   // device event — run-to-completion rules apply.
   using Receiver = std::function<void(Ipv4Addr from, std::unique_ptr<IOBuf> payload)>;
 
-  // The per-machine instance (Subsystem::kMessenger slot, root registered under
-  // kMessengerId), created on first use: brings up the listen socket on kMessengerPort.
+  // The per-machine instance, created on first use (Subsystem::kMessenger): brings up the
+  // listen socket on kMessengerPort.
   // Must first be called from one of `runtime`'s cores.
   static Messenger& For(Runtime& runtime);
 

@@ -175,14 +175,8 @@ bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string_view>* keys,
 // --- RpcDemuxRoot -----------------------------------------------------------------------------
 
 RpcDemuxRoot& RpcDemuxRoot::For(Runtime& runtime) {
-  auto* root = runtime.TryGetSubsystem<RpcDemuxRoot>(Subsystem::kRpcDemux);
-  if (root == nullptr) {
-    auto owned = std::make_shared<RpcDemuxRoot>(runtime);
-    root = owned.get();
-    runtime.SetSubsystem(Subsystem::kRpcDemux, root);
-    runtime.Adopt(std::move(owned));
-  }
-  return *root;
+  return runtime.GetOrCreateSubsystem<RpcDemuxRoot>(
+      Subsystem::kRpcDemux, [&] { return std::make_shared<RpcDemuxRoot>(runtime); });
 }
 
 RpcDemuxRoot::RpcDemuxRoot(Runtime& runtime)

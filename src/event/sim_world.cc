@@ -21,7 +21,6 @@ Runtime& SimWorld::AddMachine(std::string name, std::size_t cores, RuntimeKind k
   rt.SetSubsystem(Subsystem::kEventManager, em_root.get());
   auto timer_root = std::make_unique<TimerRoot>(*executor, *em_root, cores);
   rt.InstallRoot(kTimerId, timer_root.get());
-  rt.SetSubsystem(Subsystem::kTimer, timer_root.get());
   rt.SetSubsystem(Subsystem::kMachine, executor.get());
 
   // Every simulated machine runs the full memory subsystem: per-NUMA buddy pages, per-core

@@ -7,22 +7,17 @@ namespace ebbrt {
 ThreadMachine::ThreadMachine(std::size_t num_cores, RuntimeKind kind, std::string name)
     : runtime_(std::make_unique<Runtime>(kind, std::move(name))), epoch_ns_(WallNowNs()) {
   runtime_->AddCores(num_cores);
-  em_root_ = new EventManagerRoot(*this, num_cores);
-  runtime_->InstallRoot(kEventManagerId, em_root_);
-  runtime_->SetSubsystem(Subsystem::kEventManager, em_root_);
-  timer_root_ = new TimerRoot(*this, *em_root_, num_cores);
-  runtime_->InstallRoot(kTimerId, timer_root_);
-  runtime_->SetSubsystem(Subsystem::kTimer, timer_root_);
+  em_root_ = std::make_unique<EventManagerRoot>(*this, num_cores);
+  runtime_->InstallRoot(kEventManagerId, em_root_.get());
+  runtime_->SetSubsystem(Subsystem::kEventManager, em_root_.get());
+  timer_root_ = std::make_unique<TimerRoot>(*this, *em_root_, num_cores);
+  runtime_->InstallRoot(kTimerId, timer_root_.get());
   for (std::size_t i = 0; i < num_cores; ++i) {
     cores_.push_back(std::make_unique<CoreState>());
   }
 }
 
-ThreadMachine::~ThreadMachine() {
-  Shutdown();
-  delete timer_root_;
-  delete em_root_;
-}
+ThreadMachine::~ThreadMachine() { Shutdown(); }
 
 void ThreadMachine::Start() {
   if (started_) {

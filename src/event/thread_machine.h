@@ -62,8 +62,9 @@ class ThreadMachine : public Executor {
   void CoreMain(std::size_t machine_core);
 
   std::unique_ptr<Runtime> runtime_;
-  EventManagerRoot* em_root_ = nullptr;  // owned by runtime root registry conventions
-  TimerRoot* timer_root_ = nullptr;
+  // Caller-owned roots (InstallRoot): declared after runtime_, so they die before it.
+  std::unique_ptr<EventManagerRoot> em_root_;
+  std::unique_ptr<TimerRoot> timer_root_;
   std::vector<std::unique_ptr<CoreState>> cores_;
   std::uint64_t epoch_ns_;
   std::atomic<bool> stopped_{false};

@@ -58,9 +58,8 @@ void BufferPoolRoot::Install(Runtime& runtime, std::size_t num_cores) {
   Kassert(runtime.TryGetSubsystem<GeneralPurposeAllocatorRoot>(
               Subsystem::kGeneralPurposeAllocator) != nullptr,
           "BufferPoolRoot::Install: memory subsystem must be installed first");
-  auto root = std::make_shared<BufferPoolRoot>(runtime, num_cores);
-  runtime.SetSubsystem(Subsystem::kBufferPool, root.get());
-  runtime.Adopt(std::move(root));
+  runtime.InstallSubsystem(Subsystem::kBufferPool,
+                          std::make_shared<BufferPoolRoot>(runtime, num_cores));
 }
 
 void BufferPoolRoot::Release(IOBuf::SharedStorage* storage) {

@@ -148,7 +148,8 @@ GeneralPurposeAllocator& GeneralPurposeAllocatorRoot::RepFor(std::size_t machine
 
 GeneralPurposeAllocator& GeneralPurposeAllocator::HandleFault(EbbId id) {
   Context& ctx = CurrentContext();
-  auto* root = static_cast<GeneralPurposeAllocatorRoot*>(ctx.runtime->FindRoot(id));
+  auto* root = ctx.runtime->TryGetSubsystem<GeneralPurposeAllocatorRoot>(
+      Subsystem::kGeneralPurposeAllocator);
   Kbugon(root == nullptr, "GeneralPurposeAllocator: memory subsystem not installed on '%s'",
          ctx.runtime->name().c_str());
   GeneralPurposeAllocator& rep = root->RepFor(ctx.machine_core);
@@ -212,24 +213,21 @@ void GeneralPurposeAllocator::FreeLarge(void* p, PageInfo& info) {
 namespace mem {
 
 void Install(Runtime& runtime, std::size_t num_cores, Config config) {
+  // Adoption order = destruction constraints reversed: the GP root (adopted last) dies
+  // first, unregistering its arena from the routed-free registry before the arena unmaps.
   auto arena = std::make_shared<PhysArena>(config.arena_bytes, config.numa_nodes);
+  runtime.Adopt(arena);
   std::size_t cores_per_node = config.cores_per_node != 0
                                    ? config.cores_per_node
                                    : (num_cores + config.numa_nodes - 1) / config.numa_nodes;
-  auto page_root = std::make_shared<PageAllocatorRoot>(*arena, cores_per_node);
-  runtime.InstallRoot(kPageAllocatorId, page_root.get());
-  runtime.SetSubsystem(Subsystem::kPageAllocator, page_root.get());
+  auto& pages = runtime.InstallSubsystem(
+      Subsystem::kPageAllocator, std::make_shared<PageAllocatorRoot>(*arena, cores_per_node));
   // GP root construction allocates Ebb ids, which needs a current-runtime context; callers
   // install memory before the loops run, so borrow core 0's identity.
   ScopedContext ctx(runtime, runtime.global_core(0), 0, runtime.hosted());
-  auto gp_root = std::make_shared<GeneralPurposeAllocatorRoot>(*page_root, num_cores, &runtime);
-  runtime.InstallRoot(kGeneralPurposeAllocatorId, gp_root.get());
-  runtime.SetSubsystem(Subsystem::kGeneralPurposeAllocator, gp_root.get());
-  // Adoption order = destruction constraints reversed: the GP root (adopted last) dies
-  // first, unregistering its arena from the routed-free registry before the arena unmaps.
-  runtime.Adopt(std::move(arena));
-  runtime.Adopt(std::move(page_root));
-  runtime.Adopt(std::move(gp_root));
+  runtime.InstallSubsystem(
+      Subsystem::kGeneralPurposeAllocator,
+      std::make_shared<GeneralPurposeAllocatorRoot>(pages, num_cores, &runtime));
 }
 
 }  // namespace mem

@@ -158,6 +158,8 @@ struct Stats {
   // make_shared/std::string churn — this counter sees EVERYTHING the generic heap serves,
   // so "zero-alloc" claims are measured against the whole process, not a subsystem.
   std::atomic<std::uint64_t> generic_heap_allocs{0};
+  // Every ::operator delete of a non-null block; allocs minus frees = live blocks.
+  std::atomic<std::uint64_t> generic_heap_frees{0};
 
   // --- BufferPool occupancy ------------------------------------------------------------------
   // Pooled blocks currently checked out of any pool (in flight on a datapath), and the

@@ -1,5 +1,5 @@
-// Process-wide generic-heap allocation accounting: replacement ::operator new/new[] that
-// tick mem::stats().generic_heap_allocs before deferring to std::malloc.
+// Process-wide generic-heap accounting: replacement ::operator new/delete that tick
+// mem::stats().generic_heap_allocs/generic_heap_frees around std::malloc/std::free.
 //
 // Why replace the global operators at all: the datapath counters in mem::Stats only see
 // allocations that go THROUGH mem:: (IOBuf storage, pools, slabs). Everything a std::string
@@ -9,10 +9,9 @@
 // fig13 `heap_allocs_per_op` column (and its CI gate) measures the whole binary, not a
 // subsystem's view of itself.
 //
-// The hook is deliberately dumb: one relaxed fetch_add and a malloc. No size histogram, no
-// caller attribution — benches snapshot deltas around a measured phase, the same protocol
-// every other mem::Stats counter uses. Free is not counted (the gates are about allocation
-// pressure; frees follow from allocs).
+// The hooks are deliberately dumb: one relaxed fetch_add and a malloc or free. No size
+// histogram, no caller attribution — benches snapshot deltas around a measured phase. Allocs
+// minus frees is the live block count teardown tests hold to zero across a world's life.
 //
 // Linkage: this file exports mem::internal::EnsureHeapCountLinked(), which mem::stats()
 // calls, so any binary that reads the counters necessarily links the operators that feed
@@ -34,8 +33,8 @@ void EnsureHeapCountLinked() {}
 namespace {
 
 // mem::stats() is a function-local static of atomics: safe to touch from the very first
-// pre-main allocation (magic-static guard, no allocation in Stats construction) and never
-// touched on the delete path, so static destruction order cannot bite.
+// pre-main allocation (magic-static guard, no allocation in Stats construction), and
+// trivially destructible, so a delete during static destruction still finds it intact.
 void* CountedAlloc(std::size_t size) {
   ebbrt::mem::stats().generic_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
@@ -48,6 +47,13 @@ void* CountedAllocAligned(std::size_t size, std::size_t align) {
   }
   std::size_t rounded = (size + align - 1) / align * align;
   return std::aligned_alloc(align, rounded != 0 ? rounded : align);
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr) {
+    ebbrt::mem::stats().generic_heap_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
 }
 
 }  // namespace
@@ -101,19 +107,19 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return CountedAllocAligned(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }

@@ -26,7 +26,7 @@ PageAllocator& PageAllocatorRoot::RepForNode(std::size_t node) {
 
 PageAllocator& PageAllocator::HandleFault(EbbId id) {
   Context& ctx = CurrentContext();
-  auto* root = static_cast<PageAllocatorRoot*>(ctx.runtime->FindRoot(id));
+  auto* root = ctx.runtime->TryGetSubsystem<PageAllocatorRoot>(Subsystem::kPageAllocator);
   Kbugon(root == nullptr, "PageAllocator: memory subsystem not installed on '%s'",
          ctx.runtime->name().c_str());
   PageAllocator& rep = root->RepForCore(ctx.machine_core);

@@ -147,13 +147,8 @@ double NetworkManager::Stats::pool_hit_rate_since_mark() const {
 // --- NetworkManager ----------------------------------------------------------------------------
 
 NetworkManager& NetworkManager::For(Runtime& runtime) {
-  auto* mgr = runtime.TryGetSubsystem<NetworkManager>(Subsystem::kNetworkManager);
-  if (mgr == nullptr) {
-    mgr = new NetworkManager(runtime);
-    runtime.SetSubsystem(Subsystem::kNetworkManager, mgr);
-    runtime.InstallRoot(kNetworkManagerId, mgr);
-  }
-  return *mgr;
+  return runtime.GetOrCreateSubsystem<NetworkManager>(
+      Subsystem::kNetworkManager, [&] { return std::make_shared<NetworkManager>(runtime); });
 }
 
 NetworkManager::NetworkManager(Runtime& runtime)

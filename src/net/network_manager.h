@@ -108,9 +108,9 @@ class Interface {
 
 class NetworkManager {
  public:
-  // One instance per machine, reachable from any of its cores.
+  // One instance per machine (Subsystem::kNetworkManager), created on first use and
+  // reachable from any of its cores.
   static NetworkManager& For(Runtime& runtime);
-  static NetworkManager& Current() { return For(CurrentRuntime()); }
 
   explicit NetworkManager(Runtime& runtime);
   ~NetworkManager();

@@ -154,7 +154,7 @@ bool TcpPcb::Send(std::unique_ptr<IOBuf> chain) {
     e.cork_queue.Append(std::move(chain));
     if (e.cork_count == 0) {
       // Auto-cork without a manual cork: the event-boundary flush drains it.
-      e.manager.EnrollAutoCork(entry_);
+      e.manager.batcher(e.owner_core).Enroll(entry_);
     }
     return true;
   }
@@ -228,15 +228,20 @@ TcpManager::TcpManager(NetworkManager& network)
   }
 }
 
-TcpManager::~TcpManager() = default;
+// A connection and its handler keep each other alive (the handler holds its pcb) until
+// removal releases the handler. Connections still open when the stack dies (Messenger peer
+// links) are removed with it: release their handlers here, inline, as no event is left.
+TcpManager::~TcpManager() {
+  table_.ForEach([](const FourTuple&, const std::shared_ptr<TcpEntry>& entry) {
+    entry->handler = nullptr;
+    entry->owned_handler.reset();
+    entry->handler_anchor.reset();
+  });
+}
 
 TxBatcher& TcpManager::batcher(std::size_t core) {
   Kassert(core < batchers_.size(), "TcpManager: no batcher for core");
   return *batchers_[core];
-}
-
-void TcpManager::EnrollAutoCork(const std::shared_ptr<TcpEntry>& entry) {
-  batcher(entry->owner_core).Enroll(entry);
 }
 
 // The pre-cork TcpPcb::Send body: slice into MSS segments, transmit zero-copy views, retain

@@ -268,9 +268,6 @@ class TcpManager {
   // instead when the connection is torn down), then completes a pending Close() once the
   // chain drains. Safe to call with an empty queue or a removed entry.
   void FlushCorked(TcpEntry& entry);
-  // Registers an auto-cork entry with its owner core's TxBatcher for the event-boundary
-  // flush. Must be called on the owner core.
-  void EnrollAutoCork(const std::shared_ptr<TcpEntry>& entry);
   TxBatcher& batcher(std::size_t core);
 
  private:

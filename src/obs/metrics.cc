@@ -48,14 +48,8 @@ void MetricRegistry::RecordSpan(const SpanRecord& span) {
 // --- ObsRoot ---------------------------------------------------------------------------------
 
 ObsRoot& ObsRoot::For(Runtime& runtime) {
-  auto* root = runtime.TryGetSubsystem<ObsRoot>(Subsystem::kObservability);
-  if (root == nullptr) {
-    auto owned = std::make_shared<ObsRoot>(runtime);
-    root = owned.get();
-    runtime.SetSubsystem(Subsystem::kObservability, root);
-    runtime.Adopt(std::move(owned));
-  }
-  return *root;
+  return runtime.GetOrCreateSubsystem<ObsRoot>(
+      Subsystem::kObservability, [&] { return std::make_shared<ObsRoot>(runtime); });
 }
 
 ObsRoot::ObsRoot(Runtime& runtime) : runtime_(runtime) {

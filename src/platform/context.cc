@@ -7,8 +7,8 @@
 namespace ebbrt {
 namespace context_internal {
 
-thread_local void** local_ebb_table = nullptr;
-thread_local Context current;
+constinit thread_local void** local_ebb_table = nullptr;
+constinit thread_local Context current;
 void* const all_null_table[kMaxFastEbbIds] = {};
 
 namespace {

@@ -35,8 +35,9 @@ namespace context_internal {
 // TLS fast-path pointer to the current core's Ebb translation table. For hosted runtimes this
 // points at a shared always-null table so every dereference takes the miss path (which does a
 // hash-table lookup, as the paper's Linux userspace implementation must).
-extern thread_local void** local_ebb_table;
-extern thread_local Context current;
+// constinit: both are constant-initialized, so an access needs no TLS init-function guard.
+extern constinit thread_local void** local_ebb_table;
+extern constinit thread_local Context current;
 extern void* const all_null_table[kMaxFastEbbIds];
 
 // Per-core translation table storage, allocated on first install.

@@ -54,6 +54,7 @@ struct RcuManagerRoot::Epoch {
     epoch->remaining.store(cores, std::memory_order_relaxed);
     epoch->head = head;
     epoch->cores = cores;
+    live_epochs_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < cores; ++i) {
       Marker* m = new (epoch->markers() + i) Marker;
       m->epoch = epoch;
@@ -78,6 +79,7 @@ struct RcuManagerRoot::Epoch {
       }
       this->~Epoch();
       mem::FreeRouted(this);
+      live_epochs_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 
@@ -155,15 +157,8 @@ void RcuManagerRoot::StartEpoch(CallbackNode* head, EventManagerRoot& em_root) {
 }
 
 RcuManagerRoot& RcuManagerRoot::For(Runtime& runtime) {
-  auto* root = runtime.TryGetSubsystem<RcuManagerRoot>(Subsystem::kRcuManager);
-  if (root == nullptr) {
-    auto owned = std::make_shared<RcuManagerRoot>(runtime);
-    root = owned.get();
-    runtime.SetSubsystem(Subsystem::kRcuManager, root);
-    runtime.InstallRoot(kRcuManagerId, root);
-    runtime.Adopt(std::move(owned));  // dies with the machine (the old code leaked it)
-  }
-  return *root;
+  return runtime.GetOrCreateSubsystem<RcuManagerRoot>(
+      Subsystem::kRcuManager, [&] { return std::make_shared<RcuManagerRoot>(runtime); });
 }
 
 }  // namespace ebbrt

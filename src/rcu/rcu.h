@@ -48,7 +48,7 @@ class RcuManagerRoot {
   // for.
   void CallRcu(MoveFunction<void()> fn);
 
-  // Installs (or returns) the machine's RCU root.
+  // The machine's RCU root, created on first use (Subsystem::kRcuManager).
   static RcuManagerRoot& For(Runtime& runtime);
 
   // Telemetry (pinned by tests): grace-period epochs started, callbacks accepted, and
@@ -63,6 +63,8 @@ class RcuManagerRoot {
   std::uint64_t callbacks_coalesced() const {
     return coalesced_.load(std::memory_order_relaxed);
   }
+  // Epochs started on any machine and not yet completed: zero once every machine drained.
+  static std::uint64_t epochs_in_flight() { return live_epochs_.load(std::memory_order_relaxed); }
 
  private:
   struct Epoch;         // defined in rcu.cc: callback batch + embedded per-core marker nodes
@@ -89,6 +91,7 @@ class RcuManagerRoot {
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> callbacks_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  static inline std::atomic<std::uint64_t> live_epochs_{0};
 };
 
 namespace rcu {

@@ -1,5 +1,6 @@
 // Tests for the Ebb model: translation, per-core representatives, roots, hosted mode.
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -337,6 +338,50 @@ TEST(EbbTeardown, CallerInstalledRootOutlivesTheRuntime) {
   EXPECT_EQ(after.tally, before.tally);             // the rep was freed
   EXPECT_EQ(after.tally_root, before.tally_root + 1);  // the caller's root still lives
   EXPECT_EQ(root.reps_created.load(), 1);
+}
+
+// A subsystem that logs its id when destroyed.
+struct Logged : Census<Logged> {
+  Logged(std::vector<int>& log, int id) : log(log), id(id) {}
+  ~Logged() { log.push_back(id); }
+  std::vector<int>& log;
+  int id;
+};
+
+TEST(EbbTeardown, GetOrCreateSubsystemBuildsOnce) {
+  std::vector<int> log;  // outlives the runtime, which destroys the subsystem into it
+  Runtime runtime(RuntimeKind::kNative, "owner");
+  int built = 0;
+  auto factory = [&] {
+    ++built;
+    return std::make_shared<Logged>(log, 1);
+  };
+  Logged& first = runtime.GetOrCreateSubsystem<Logged>(Subsystem::kRcuManager, factory);
+  Logged& second = runtime.GetOrCreateSubsystem<Logged>(Subsystem::kRcuManager, factory);
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(runtime.TryGetSubsystem<Logged>(Subsystem::kRcuManager), &first);
+}
+
+TEST(EbbTeardown, RuntimeDestroysSubsystemsInReverseCreationOrder) {
+  // A subsystem a factory builds on the way (as the Messenger builds the network stack)
+  // is created first, so it outlives the one that depends on it.
+  const int live_before = Census<Logged>::constructed - Census<Logged>::destroyed;
+  std::vector<int> log;
+  {
+    Runtime runtime(RuntimeKind::kNative, "owner");
+    runtime.GetOrCreateSubsystem<Logged>(Subsystem::kRcuManager,
+                                         [&] { return std::make_shared<Logged>(log, 1); });
+    runtime.GetOrCreateSubsystem<Logged>(Subsystem::kMessenger, [&] {
+      runtime.GetOrCreateSubsystem<Logged>(Subsystem::kNetworkManager,
+                                           [&] { return std::make_shared<Logged>(log, 2); });
+      return std::make_shared<Logged>(log, 3);
+    });
+    EXPECT_EQ(Census<Logged>::constructed - Census<Logged>::destroyed, live_before + 3);
+    EXPECT_TRUE(log.empty());
+  }
+  EXPECT_EQ(log, (std::vector<int>{3, 2, 1}));
+  EXPECT_EQ(Census<Logged>::constructed - Census<Logged>::destroyed, live_before);
 }
 
 }  // namespace
