@@ -452,15 +452,6 @@ std::size_t ShardRouter::ShardFor(std::string_view key) const {
   return *ring_->ReplicasFor(ShardHash(key), 1).begin();
 }
 
-ShardRouter::ReplicaSet ShardRouter::ReadOrder(const Ring& ring, std::string_view key) {
-  ReplicaSet replicas = ring.ReplicasFor(ShardHash(key), config_.replication);
-  // Healthy replicas first, ring order preserved within each class: a suspect primary stops
-  // eating a timeout per read, but stays reachable as the last resort.
-  std::stable_partition(replicas.begin(), replicas.end(),
-                        [this](std::uint8_t shard) { return !Suspect(shard); });
-  return replicas;
-}
-
 dist::RpcClient* ShardRouter::ClientFor(const ShardEndpoint& endpoint) {
   auto it = clients_.find(endpoint.service);
   if (it != clients_.end()) {
@@ -490,66 +481,6 @@ void ShardRouter::MarkSuspect(const std::shared_ptr<const Ring>& ring,
   // A transport failure is the best hint that membership moved: poll the ring now instead
   // of waiting out the watcher period.
   RefreshRing();
-}
-
-Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
-  std::shared_ptr<const Ring> ring = ring_;  // op-wide snapshot (RCU read side)
-  ReplicaSet replicas = ReadOrder(*ring, key);
-  // The op's kLocal root span (kNullEbbId: a logical router op, not a wire service).
-  obs::Span span = obs::OpenSpan(runtime_);
-  Future<GetResult> result = TryGet(std::move(ring), std::string(key), replicas, 0, span);
-  if (span.trace_id == 0) {
-    return result;
-  }
-  return result.Then([this, span](Future<GetResult> f) -> GetResult {
-    try {
-      GetResult r = f.Get();
-      obs::CloseSpan(runtime_, span, obs::SpanKind::kLocal, kNullEbbId, kShardOpGet,
-                     obs::SpanStatus::kOk);
-      return r;
-    } catch (...) {
-      obs::CloseSpan(runtime_, span, obs::SpanKind::kLocal, kNullEbbId, kShardOpGet,
-                     obs::SpanStatus::kError);
-      throw;
-    }
-  });
-}
-
-Future<ShardRouter::GetResult> ShardRouter::TryGet(std::shared_ptr<const Ring> ring,
-                                                   std::string key, ReplicaSet replicas,
-                                                   std::size_t index, obs::Span span) {
-  std::uint32_t shard = replicas.shards[index];
-  if (shard < per_shard_ops_.size()) {
-    per_shard_ops_[shard]++;
-  }
-  // The shard RPC is issued under the op's root span as ambient context, so the client span
-  // it records parents correctly — on the first attempt AND on failover re-issues.
-  obs::ObsRoot::TraceScope scope(runtime_, span);
-  return ClientFor(ring->shards[shard])
-      ->Call(kShardOpGet, 0, IOBuf::CopyBuffer(key), config_.read_options)
-      .Then([this, ring = std::move(ring), key = std::move(key), replicas, index,
-             span](Future<dist::RpcClient::Response> f) mutable -> Future<GetResult> {
-        try {
-          dist::RpcClient::Response response = f.Get();
-          GetResult result;
-          result.found = response.aux != 0;
-          result.value = std::move(response.body);
-          return MakeReadyFuture<GetResult>(std::move(result));
-        } catch (const dist::RpcTransportError&) {
-          // No response will ever come from this replica: suspect it and try the key's
-          // next one. Application errors (server threw) fall through untouched, and so does
-          // everything once the router is closing.
-          if (closing_) {
-            throw;
-          }
-          MarkSuspect(ring, replicas.shards[index]);
-          if (index + 1 < replicas.size) {
-            ++stats_.failovers;
-            return TryGet(std::move(ring), std::move(key), replicas, index + 1, span);
-          }
-          throw;  // every replica failed: surface the last transport error
-        }
-      });
 }
 
 ShardRouter::Batch& ShardRouter::AcquireBatch(std::uint16_t opcode) {
@@ -612,6 +543,14 @@ Future<void> ShardRouter::Set(std::string_view key, std::string_view value) {
   return result;
 }
 
+Future<ShardRouter::GetResult> ShardRouter::Get(std::string_view key) {
+  Batch& batch = AcquireBatch(kShardOpGet);
+  batch.get_done.emplace();
+  Future<GetResult> result = batch.get_done->GetFuture();
+  Read(batch, {&key, 1});
+  return result;
+}
+
 Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
     const std::vector<std::string_view>& keys) {
   if (keys.empty()) {
@@ -620,6 +559,12 @@ Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
   Batch& batch = AcquireBatch(kShardOpMultiGet);
   batch.multiget_done.emplace();
   Future<std::vector<GetResult>> result = batch.multiget_done->GetFuture();
+  batch.results.resize(keys.size());
+  Read(batch, keys);
+  return result;
+}
+
+void ShardRouter::Read(Batch& batch, std::span<const std::string_view> keys) {
   // Keys are copied once into the batch's arena: a group re-issued after a replica failure
   // runs long after the caller's string_views died.
   std::size_t bytes = 0;
@@ -629,7 +574,6 @@ Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
   batch.arena.resize(bytes);
   batch.keys.resize(keys.size());
   batch.order.resize(keys.size());
-  batch.results.resize(keys.size());
   std::size_t offset = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     std::memcpy(batch.arena.data() + offset, keys[i].data(), keys[i].size());
@@ -640,10 +584,9 @@ Future<std::vector<ShardRouter::GetResult>> ShardRouter::MultiGet(
   }
   Scatter(batch, 0, keys.size());
   Done(batch);
-  return result;
 }
 
-void ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
+bool ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
   // Choose: each key goes to its first replica that hasn't failed THIS batch, preferring
   // non-suspect ones (suspect_ alone can't keep a re-issue off the replica that just failed
   // — a ring swap between rounds clears it). Count keys and key bytes per shard as we go.
@@ -675,7 +618,7 @@ void ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
         batch.error = std::make_exception_ptr(dist::RpcPeerLost(
             "shard: every replica of '" + std::string(batch.Key(slot)) + "' failed"));
       }
-      return;
+      return false;
     }
     batch.chosen[i] = chosen;
     counts[chosen]++;
@@ -710,23 +653,35 @@ void ShardRouter::Scatter(Batch& batch, std::size_t begin, std::size_t count) {
     group.begin = run;
     group.count = counts[shard];
     run += counts[shard];
-    dist::KeyVectorBuilder body(group.count, bytes[shard]);
-    for (std::uint32_t j = 0; j < group.count; ++j) {
-      body.Add(batch.Key(batch.order[group.begin + j]));
+    std::unique_ptr<IOBuf> body;
+    std::uint32_t aux = 0;
+    if (batch.opcode == kShardOpGet) {
+      body = IOBuf::CopyBuffer(batch.Key(batch.order[group.begin]));  // the raw key
+    } else {
+      // ONE RPC per shard touched: the whole sub-batch rides a single kShardOpMultiGet
+      // frame (and, via the Messenger's auto-cork, the whole fan-out leaves this event as
+      // at most one wire segment per shard).
+      dist::KeyVectorBuilder builder(group.count, bytes[shard]);
+      for (std::uint32_t j = 0; j < group.count; ++j) {
+        builder.Add(batch.Key(batch.order[group.begin + j]));
+      }
+      body = builder.Finish();
+      aux = group.count;
     }
-    // ONE RPC per shard touched: the whole sub-batch rides a single kShardOpMultiGet frame
-    // (and, via the Messenger's auto-cork, the whole fan-out leaves this event as at most
-    // one wire segment per shard).
     ClientFor(batch.ring->shards[shard])
-        ->Call(kShardOpMultiGet, group.count, body.Finish(), config_.read_options, &group);
+        ->Call(batch.opcode, aux, std::move(body), config_.read_options, &group);
   }
+  return true;
 }
 
 void ShardRouter::Group::OnResponse(dist::RpcResponse response) {
-  if (batch->opcode == kShardOpMultiGet &&
-      !ParseMultiGetReply(std::move(response.body), batch->order.data() + begin, count,
-                          batch->results.data()) &&
-      !batch->error) {
+  if (batch->opcode == kShardOpGet) {
+    batch->result.found = response.aux != 0;
+    batch->result.value = std::move(response.body);
+  } else if (batch->opcode == kShardOpMultiGet &&
+             !ParseMultiGetReply(std::move(response.body), batch->order.data() + begin, count,
+                                 batch->results.data()) &&
+             !batch->error) {
     batch->error =
         std::make_exception_ptr(std::runtime_error("shard: malformed MULTIGET reply"));
   }
@@ -744,12 +699,13 @@ void ShardRouter::Group::OnFailure(std::exception_ptr error) {
   }
   if (transport && !router.closing_) {
     router.MarkSuspect(batch->ring, shard);
-    if (batch->opcode == kShardOpMultiGet) {
+    if (batch->opcode != kShardOpSet) {
       // Exactly this group's keys re-scatter to their next replicas; groups that answered
-      // keep their results (the batch fails only when some key exhausts its replica set).
+      // keep their results (the read fails only when some key exhausts its replica set).
       batch->excluded |= std::uint32_t{1} << shard;
-      ++router.stats_.failovers;
-      router.Scatter(*batch, begin, count);
+      if (router.Scatter(*batch, begin, count)) {
+        ++router.stats_.failovers;
+      }
       router.Done(*batch);
       return;
     }
@@ -770,27 +726,27 @@ void ShardRouter::Done(Batch& batch) {
   std::exception_ptr error = std::exchange(batch.error, nullptr);
   obs::CloseSpan(runtime_, batch.span, obs::SpanKind::kLocal, kNullEbbId, batch.opcode,
                  error ? obs::SpanStatus::kError : obs::SpanStatus::kOk);
-  if (batch.opcode == kShardOpMultiGet) {
-    Promise<std::vector<GetResult>> done = std::move(*batch.multiget_done);
-    std::vector<GetResult> results = std::move(batch.results);
+  auto resolve = [&](auto& promise, auto... value) {
+    auto done = std::move(*promise);
     Recycle(batch);
     if (error) {
       done.SetException(std::move(error));
     } else {
-      done.SetValue(std::move(results));
+      done.SetValue(std::move(value)...);
     }
-    return;
-  }
-  Promise<void> done = std::move(*batch.set_done);
-  Recycle(batch);
-  if (error) {
-    done.SetException(std::move(error));
-  } else {
-    done.SetValue();
+  };
+  switch (batch.opcode) {
+    case kShardOpGet:
+      return resolve(batch.get_done, std::move(batch.result));
+    case kShardOpMultiGet:
+      return resolve(batch.multiget_done, std::move(batch.results));
+    default:
+      return resolve(batch.set_done);
   }
 }
 
 void ShardRouter::Recycle(Batch& batch) {
+  batch.get_done.reset();
   batch.multiget_done.reset();
   batch.set_done.reset();
   batch.ring.reset();

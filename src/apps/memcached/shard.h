@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -193,7 +194,7 @@ class ShardRouter {
   // Failover/refresh observability. The router is per-core client state (one issuing core),
   // so these are plain counters.
   struct Stats {
-    std::uint64_t failovers = 0;        // ops re-routed to another replica
+    std::uint64_t failovers = 0;        // failed read RPCs re-routed to another replica
     std::uint64_t suspects_marked = 0;  // replica transitions healthy -> suspect
     std::uint64_t ring_swaps = 0;       // epochs adopted
     std::uint64_t stale_rings = 0;      // fetched records with epoch <= current (ignored)
@@ -223,10 +224,15 @@ class ShardRouter {
   // Miss vs. failure, both ops: a key absent from a healthy shard resolves found=false —
   // only a transport/shard error (connection lost, malformed reply, remote exception)
   // surfaces through the future as an exception. Transport errors (RpcTimeout /
-  // RpcPeerLost) additionally drive the failover state machine: the replica is marked
-  // suspect, reads fail over to the key's next replica, and the read's future only fails
-  // when EVERY replica has failed. Application-level errors from a shard propagate
-  // untouched — a shard that answers wrongly is not a dead shard.
+  // RpcPeerLost) additionally drive failover: the replica is marked suspect, reads fail
+  // over to the key's next replica, and the read's future only fails — with RpcPeerLost
+  // "every replica of '<key>' failed", whatever the replicas' own errors were — when EVERY
+  // replica has failed. Application-level errors from a shard propagate untouched — a
+  // shard that answers wrongly is not a dead shard.
+  //
+  // Get is a one-key read on MultiGet's pooled batch (one replica choice, one failover
+  // rule, one root span for every read), sent as a raw-key kShardOpGet RPC: the future's
+  // state is its only allocation.
   Future<GetResult> Get(std::string_view key);
   // Write-all: the value goes to every non-suspect replica of the key (all of them when
   // every replica is suspect — total blindness must not wedge writes); skipped replicas
@@ -315,8 +321,8 @@ class ShardRouter {
   };
 
   struct Batch;
-  // One shard RPC of a batch, and its completion target: a MultiGet group carries the
-  // slots [begin, begin + count) of the batch's `order` list; a Set group carries none.
+  // One shard RPC of a batch, and its completion target: a read group carries the slots
+  // [begin, begin + count) of the batch's `order` list; a Set group carries none.
   struct Group final : dist::RpcCompletion {
     Batch* batch = nullptr;
     std::uint32_t shard = 0;
@@ -325,13 +331,13 @@ class ShardRouter {
     void OnResponse(dist::RpcResponse response) override;
     void OnFailure(std::exception_ptr error) override;
   };
-  // One MultiGet's key bytes within its batch's arena.
+  // One read key's bytes within its batch's arena.
   struct KeySpan {
     std::uint64_t hash;
     std::uint32_t offset;
     std::uint32_t length;
   };
-  // Per-op state of a MultiGet or Set, recycled through the router's pool (every vector
+  // Per-op state of a Get, MultiGet or Set, recycled through the router's pool (every vector
   // keeps its capacity). `outstanding` counts groups in flight plus one hold while a
   // scatter issues; the op finishes when it reaches zero.
   struct Batch {
@@ -344,15 +350,17 @@ class ShardRouter {
     std::uint32_t excluded = 0;  // shards that failed THIS batch (bit per ring index)
     std::size_t outstanding = 0;
     std::exception_ptr error;    // first error observed
-    std::vector<char> arena;     // key bytes (MultiGet): owned, so re-issues outlive the caller
+    std::vector<char> arena;     // key bytes (reads): owned, so re-issues outlive the caller
     std::vector<KeySpan> keys;   // request order
-    std::vector<GetResult> results;
+    GetResult result;            // a Get's answer
+    std::vector<GetResult> results;  // a MultiGet's answers in request order (the caller's)
     // Slot lists grouped by shard: the first keys.size() entries are the request order,
     // then each scatter appends its slots sorted by chosen shard (a counting sort).
     std::vector<std::uint32_t> order;
     std::vector<std::uint8_t> chosen;  // scatter scratch: each slot's shard
     std::vector<std::unique_ptr<Group>> groups;  // stable: clients hold Group* completions
     std::size_t groups_used = 0;
+    std::optional<Promise<GetResult>> get_done;
     std::optional<Promise<std::vector<GetResult>>> multiget_done;
     std::optional<Promise<void>> set_done;
 
@@ -364,22 +372,21 @@ class ShardRouter {
   static std::shared_ptr<const Ring> BuildRing(const RingRecord& record,
                                                std::size_t vnodes_per_shard,
                                                std::size_t replication);
-  // The key's replicas ordered for a read: ring order, non-suspect first.
-  ReplicaSet ReadOrder(const Ring& ring, std::string_view key);
   bool Suspect(std::uint32_t shard) const {
     return shard < suspect_.size() && suspect_[shard] != 0;
   }
   dist::RpcClient* ClientFor(const ShardEndpoint& endpoint);
   void MarkSuspect(const std::shared_ptr<const Ring>& ring, std::uint32_t shard);
-  Future<GetResult> TryGet(std::shared_ptr<const Ring> ring, std::string key,
-                           ReplicaSet replicas, std::size_t index, obs::Span span);
 
   Batch& AcquireBatch(std::uint16_t opcode);
   Group& NewGroup(Batch& batch, std::uint32_t shard);
+  // Copies a read's keys into the batch, scatters them all, and drops the issuing hold.
+  void Read(Batch& batch, std::span<const std::string_view> keys);
   // Routes order[begin, begin + count) to each slot's first replica not excluded from the
-  // batch (non-suspect first) and issues one kShardOpMultiGet per shard chosen. When some
-  // key has no replica left, records the batch error and issues nothing.
-  void Scatter(Batch& batch, std::size_t begin, std::size_t count);
+  // batch (non-suspect first) and issues one RPC per shard chosen: kShardOpMultiGet, or a
+  // Get batch's raw-key kShardOpGet. When some key has no replica left, records the batch
+  // error, issues nothing and returns false.
+  bool Scatter(Batch& batch, std::size_t begin, std::size_t count);
   // Drops one `outstanding` reference; the last one returns the batch to the pool and then
   // resolves the op (the caller's continuation usually issues the next op at once).
   void Done(Batch& batch);

@@ -17,7 +17,13 @@ ThreadMachine::ThreadMachine(std::size_t num_cores, RuntimeKind kind, std::strin
   }
 }
 
-ThreadMachine::~ThreadMachine() { Shutdown(); }
+ThreadMachine::~ThreadMachine() {
+  Shutdown();
+  // em_root_ dies before the runtime (member order), and so before the subsystems the
+  // runtime adopted: clear the slot now, as SimWorld::Shutdown does, so their destructors
+  // find no event loops instead of a freed root.
+  runtime_->SetSubsystem(Subsystem::kEventManager, static_cast<EventManagerRoot*>(nullptr));
+}
 
 void ThreadMachine::Start() {
   if (started_) {

@@ -11,6 +11,8 @@
 #include "src/core/ebb_ref.h"
 #include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
+#include "src/event/event_manager.h"
+#include "src/event/thread_machine.h"
 
 namespace ebbrt {
 namespace {
@@ -382,6 +384,30 @@ TEST(EbbTeardown, RuntimeDestroysSubsystemsInReverseCreationOrder) {
   }
   EXPECT_EQ(log, (std::vector<int>{3, 2, 1}));
   EXPECT_EQ(Census<Logged>::constructed - Census<Logged>::destroyed, live_before);
+}
+
+TEST(EbbTeardown, ThreadMachineClearsTheEventManagerSlotBeforeSubsystemsDie) {
+  // A ThreadMachine's event-manager root dies before its runtime, and so before every
+  // subsystem the runtime adopted: their destructors must find the slot empty (no event
+  // loops), not pointing at the freed root. The probe reads the pointer and nothing more.
+  struct Probe {
+    Probe(Runtime& runtime, bool& cleared) : runtime(runtime), cleared(cleared) {}
+    ~Probe() {
+      cleared = runtime.TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager) == nullptr;
+    }
+    Runtime& runtime;
+    bool& cleared;
+  };
+  bool cleared = false;
+  {
+    ThreadMachine machine(1);
+    Runtime& runtime = machine.runtime();
+    EXPECT_NE(runtime.TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager), nullptr);
+    runtime.GetOrCreateSubsystem<Probe>(
+        Subsystem::kRcuManager, [&] { return std::make_shared<Probe>(runtime, cleared); });
+    machine.Start();
+  }
+  EXPECT_TRUE(cleared);
 }
 
 }  // namespace

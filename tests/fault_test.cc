@@ -341,7 +341,8 @@ TEST(ShardFaultTest, GetFailsOverAndSetSkipsSuspect) {
   // R=2 over two shards: every key is replicated on both. Kill the key's primary after a
   // write-all preload — the read must time out once, mark the primary suspect, fail over
   // to the replica, and return the value; the next write must skip the suspect (not hang
-  // on the corpse) and a newer ring epoch must clear the suspicion.
+  // on the corpse) and a newer ring epoch must clear the suspicion. Then the surviving
+  // replica dies too: a read of a key with no live replica fails once, with RpcPeerLost.
   Cluster cluster({.shards = 2, .router = test::kFailFastRouter});
   bool got_found = false;
   std::string got_value;
@@ -384,6 +385,29 @@ TEST(ShardFaultTest, GetFailsOverAndSetSkipsSuspect) {
   EXPECT_FALSE(cluster.router->suspect(primary));
   EXPECT_EQ(stats.stale_rings, 1u);
   EXPECT_EQ(stats.ring_swaps, 1u);
+
+  // Every replica dead: the read times out on the primary, re-routes once to the other
+  // replica, times out there too, and fails with the every-replica error whatever the
+  // replicas' own errors were (RpcTimeout here).
+  const std::uint64_t failovers_before = stats.failovers;
+  int lost_resolved = 0;
+  int lost_peer_lost = 0;
+  cluster.client.Spawn(0, [&] {
+    cluster.bed.world().KillMachine(*cluster.shards[1 - primary].runtime);
+    cluster.router->Get("k1").Then([&](Future<memcached::ShardRouter::GetResult> gf) {
+      ++lost_resolved;
+      try {
+        gf.Get();
+      } catch (const dist::RpcPeerLost&) {
+        ++lost_peer_lost;
+      }
+    });
+  });
+  cluster.bed.world().Run();
+  EXPECT_EQ(lost_resolved, 1);
+  EXPECT_EQ(lost_peer_lost, 1);
+  EXPECT_EQ(stats.failovers, failovers_before + 1);  // a re-route, not the exhaustion
+  EXPECT_EQ(cluster.router->pending_calls(), 0u);
 }
 
 // --- Kill one of four replicated shards mid-run -----------------------------------------------

@@ -253,10 +253,10 @@ TEST(ShardWorldTest, MultiGetAllKeysOnOneShardShipsOneRpc) {
   }
 }
 
-TEST(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
+TEST(ShardWorldTest, SteadyStateGetMultiGetAndSetAllocateOnlyTheirFutures) {
   // The allocation-free shard path, pinned: once warm, a 16-key MultiGet at R=2 over four
-  // shards allocates exactly its future's state and its result vector, and a Set exactly
-  // its future's state — across the router, the RPC clients, the Messenger, TCP, the fabric
+  // shards allocates exactly its future's state and its result vector, and a Get and a Set
+  // exactly their future's state — across the router, the RPC clients, the Messenger, TCP, the fabric
   // and the shards. The counter sees every ::operator new in the process. The driver polls
   // from a periodic timer (invoked in place) instead of chaining Then, which would add a
   // promise of its own per op. Warm-up runs one RPC deadline of virtual time, so every
@@ -276,14 +276,17 @@ TEST(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
     std::string value = std::string(100, 'v');
     Future<std::vector<memcached::ShardRouter::GetResult>> multiget;
     Future<void> set;
+    Future<memcached::ShardRouter::GetResult> get;
     std::uint64_t warm_until = 0;     // virtual ns: ops issued later are counted
     std::uint64_t allocs_at_issue = 0;
     bool counting = false;            // the op in flight was issued after warm-up
     std::size_t next = 0;             // ops issued
     int multigets = 0;
     int sets = 0;
+    int gets = 0;
     std::uint64_t multiget_allocs = 0;
     std::uint64_t set_allocs = 0;
+    std::uint64_t get_allocs = 0;
     int bad_results = 0;
     std::uint64_t timer = 0;
     bool done = false;
@@ -317,20 +320,33 @@ TEST(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
           set_allocs += allocs;
           ++sets;
         }
+      } else if (get.Valid()) {
+        if (!get.Ready()) {
+          return;
+        }
+        std::uint64_t allocs = counter.load() - allocs_at_issue;
+        bad_results += get.Get().found ? 0 : 1;
+        get = {};
+        if (counting) {
+          get_allocs += allocs;
+          ++gets;
+        }
       }
-      if (multigets == kMeasured && sets == kMeasured) {
+      if (multigets == kMeasured && sets == kMeasured && gets == kMeasured) {
         Timer::Instance()->Stop(timer);
         done = true;
         return;
       }
-      // Preload every key, then alternate MultiGet and Set.
+      // Preload every key, then rotate MultiGet, Set and Get.
       counting = now >= warm_until;
       allocs_at_issue = counter.load();
       std::size_t op = next++;
-      if (op < kKeySpace || op % 2 == 1) {
+      if (op < kKeySpace || op % 3 == 1) {
         set = router->Set(keys[op % kKeySpace], value);
+      } else if (op % 3 == 0) {
+        multiget = router->MultiGet(batches[op / 3 % kBatches]);
       } else {
-        multiget = router->MultiGet(batches[op / 2 % kBatches]);
+        get = router->Get(keys[op / 3 % kKeySpace]);
       }
     }
   };
@@ -356,14 +372,16 @@ TEST(ShardWorldTest, SteadyStateMultiGetAndSetAllocateOnlyTheirFutures) {
   EXPECT_EQ(driver.bad_results, 0);
   EXPECT_EQ(driver.multiget_allocs, 2u * kMeasured);  // future state + result vector
   EXPECT_EQ(driver.set_allocs, 1u * kMeasured);       // future state
+  EXPECT_EQ(driver.get_allocs, 1u * kMeasured);       // future state
 }
 
 TEST(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   // Destroying the router with ops in flight: tearing its RPC clients down fails their
   // pending calls, and a closing router must take those failures as final — no suspect
   // marking, no failover re-scatter into the client map being destroyed. Shard 0 is
-  // black-holed, so the MultiGet group and the Set replica addressed to it stay pending
-  // until the teardown fails them.
+  // black-holed, so the MultiGet group, the Set replica and the Get addressed to it stay
+  // pending (the Get's 50 ms read deadline outlives the 1 ms run) until the teardown fails
+  // them.
   constexpr std::size_t kShards = 3;
   std::uint64_t live_before = memcached::Item::live_count();
   Cluster cluster({.shards = kShards, .router = {}});  // the replicated router, R=2
@@ -373,6 +391,8 @@ TEST(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   int multiget_peer_lost = 0;
   int set_resolved = 0;
   int set_peer_lost = 0;
+  int get_resolved = 0;
+  int get_peer_lost = 0;
   std::size_t pending_at_teardown = 0;
   std::vector<std::uint64_t> requests_at_teardown(kShards, 0);
   cluster.Start([&] {
@@ -398,18 +418,26 @@ TEST(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
             ++multiget_peer_lost;
           }
         });
-    std::string set_key;
+    std::string zero_key;
     for (const std::string& key : keys) {
       if (router->ShardFor(key) == 0) {
-        set_key = key;
+        zero_key = key;
       }
     }
-    router->Set(set_key, "value").Then([&](Future<void> sf) {
+    router->Set(zero_key, "value").Then([&](Future<void> sf) {
       ++set_resolved;
       try {
         sf.Get();
       } catch (const dist::RpcPeerLost&) {
         ++set_peer_lost;
+      }
+    });
+    router->Get(zero_key).Then([&](Future<memcached::ShardRouter::GetResult> gf) {
+      ++get_resolved;
+      try {
+        gf.Get();
+      } catch (const dist::RpcPeerLost&) {
+        ++get_peer_lost;
       }
     });
     Timer::Instance()->Start(1'000'000, [&] {
@@ -422,11 +450,14 @@ TEST(ShardWorldTest, TeardownFailsInFlightOpsOnceAndReissuesNothing) {
   });
   cluster.bed.world().Run();
   ASSERT_EQ(router, nullptr);
-  EXPECT_EQ(pending_at_teardown, 2u);  // the black-holed MultiGet group and Set replica
+  // The black-holed MultiGet group, Set replica and Get.
+  EXPECT_EQ(pending_at_teardown, 3u);
   EXPECT_EQ(multiget_resolved, 1);
   EXPECT_EQ(multiget_peer_lost, 1);
   EXPECT_EQ(set_resolved, 1);
   EXPECT_EQ(set_peer_lost, 1);
+  EXPECT_EQ(get_resolved, 1);
+  EXPECT_EQ(get_peer_lost, 1);
   // Nothing was re-issued: no shard saw a request after the teardown began.
   for (std::size_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(cluster.services[s]->requests(), requests_at_teardown[s]) << "shard " << s;
