@@ -52,7 +52,7 @@ int main() {
       std::printf("[server core %zu] accepted connection from %s:%u\n",
                   CurrentContext().machine_core,
                   pcb.tuple().remote_ip.ToString().c_str(), pcb.tuple().remote_port);
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<EchoHandler>()));
+      pcb.InstallHandler(std::make_shared<EchoHandler>());
     });
   });
 
@@ -61,8 +61,7 @@ int main() {
         .Then([&bed](Future<TcpPcb> f) {
           TcpPcb pcb = f.Get();
           std::printf("[client] connected on core %zu; sending\n", pcb.core());
-          pcb.InstallHandler(std::unique_ptr<TcpHandler>(
-              std::make_unique<ClientHandler>(bed, bed.world().Now())));
+          pcb.InstallHandler(std::make_shared<ClientHandler>(bed, bed.world().Now()));
           pcb.Send(IOBuf::CopyBuffer("echo through a library OS"));
         });
   });

@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "src/dist/file_system.h"
 #include "src/sim/testbed.h"
@@ -54,6 +56,9 @@ int main() {
   });
 
   bed.world().Run();
+  // The frontend's real POSIX I/O created the sandbox; leave nothing behind in /tmp.
+  std::error_code ec;
+  std::filesystem::remove_all(sandbox, ec);
   std::printf("hosted offload example done\n");
   return 0;
 }

@@ -59,7 +59,7 @@ Future<HttpLoadgen::Result> HttpLoadgen::Run() {
         auto conn = std::make_shared<Conn>();
         conn->gen = this;
         conns_.push_back(conn);
-        pcb.InstallHandler(std::shared_ptr<TcpHandler>(conn));
+        pcb.InstallHandler(conn);
         IssueRequest(conn);
         if (++*ready == config_.connections) {
           std::uint64_t horizon = measure_end_ + 20'000'000;

@@ -116,10 +116,9 @@ Future<MemcachedLoadgen::Result> MemcachedLoadgen::Run() {
   client_.Spawn(0, [this] {
     client_.net->tcp().Connect(*client_.iface, server_, port_).Then([this](Future<TcpPcb> f) {
       TcpPcb pcb = f.Get();
-      auto preloader = std::make_unique<Preloader>(*this);
-      auto* raw = preloader.get();
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::move(preloader)));
-      raw->SendNextBatch();
+      auto preloader = std::make_shared<Preloader>(*this);
+      pcb.InstallHandler(preloader);
+      preloader->SendNextBatch();
     });
   });
   return result;
@@ -143,7 +142,7 @@ void MemcachedLoadgen::StartConnections() {
         conn->rate_per_ns =
             config_.target_qps / static_cast<double>(config_.connections) / 1e9;
         conns_.push_back(conn);
-        pcb.InstallHandler(std::shared_ptr<TcpHandler>(conn));
+        pcb.InstallHandler(conn);
         IssueTick(conn);
         if (++conns_ready_ == config_.connections) {
           // Arm the finish line on core 0 of the client.
@@ -241,7 +240,7 @@ Future<MemcachedBurstClient::Result> MemcachedBurstClient::Run(sim::TestbedNode&
           .Connect(*fleet->node.iface, fleet->server, fleet->port)
           .Then([conn](Future<TcpPcb> f) {
             TcpPcb pcb = f.Get();
-            pcb.InstallHandler(std::shared_ptr<TcpHandler>(conn));
+            pcb.InstallHandler(conn);
             if (conn->index_ == 0) {
               conn->SendPreload();  // one connection preloads the shared key space
             } else if (conn->fleet_->preloaded) {

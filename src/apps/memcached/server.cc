@@ -25,7 +25,7 @@ std::unique_ptr<IOBuf> BuildResponseHeader(const BinaryHeader& req, Status statu
 MemcachedServer::MemcachedServer(NetworkManager& network, std::uint16_t port)
     : network_(network), store_(network.rcu()) {
   network_.tcp().Listen(port, [this](TcpPcb pcb) {
-    pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<Connection>(*this)));
+    pcb.InstallHandler(std::make_shared<Connection>(*this));
     // Event-scoped TX batching (§5: application-level aggregation): every response produced
     // while parsing one device event's worth of requests goes out as one chain — a pipelined
     // GET burst costs one wire segment instead of one per response.

@@ -36,8 +36,7 @@ void SocketStack::Listen(std::uint16_t port, AcceptFn accept) {
   net_.tcp().Listen(port, [this, accept](TcpPcb pcb) {
     auto socket = std::make_shared<Socket>(*this, std::move(pcb));
     // Wire the kernel side onto the connection while still in the accept event.
-    socket->pcb_.InstallHandler(
-        std::unique_ptr<TcpHandler>(std::make_unique<Socket::KernelSide>(socket)));
+    socket->pcb_.InstallHandler(std::make_shared<Socket::KernelSide>(socket));
     accept(std::move(socket));
   });
 }
@@ -46,8 +45,7 @@ Future<std::shared_ptr<Socket>> SocketStack::Connect(Ipv4Addr dst, std::uint16_t
   ChargeSyscall();  // connect(2)
   return net_.tcp().Connect(net_.interface(), dst, port).Then([this](Future<TcpPcb> f) {
     auto socket = std::make_shared<Socket>(*this, f.Get());
-    socket->pcb_.InstallHandler(
-        std::unique_ptr<TcpHandler>(std::make_unique<Socket::KernelSide>(socket)));
+    socket->pcb_.InstallHandler(std::make_shared<Socket::KernelSide>(socket));
     return socket;
   });
 }

@@ -24,7 +24,7 @@ Messenger::Messenger(Runtime& runtime)
   net_.tcp().Listen(kMessengerPort, [this](TcpPcb pcb) {
     Ipv4Addr addr = pcb.tuple().remote_ip;
     auto peer = std::make_shared<Peer>(*this, addr, CurrentContext().machine_core);
-    pcb.InstallHandler(std::shared_ptr<TcpHandler>(peer));
+    pcb.InstallHandler(peer);
     pcb.SetAutoCork(true);
     peer->Established(pcb);
     std::lock_guard<std::mutex> lock(control_mu_);
@@ -114,7 +114,7 @@ std::shared_ptr<Messenger::Peer> Messenger::PeerFor(Ipv4Addr addr) {
   net_.tcp().Connect(net_.interface(), addr, kMessengerPort).Then([peer](Future<TcpPcb> f) {
     try {
       TcpPcb pcb = f.Get();
-      pcb.InstallHandler(std::shared_ptr<TcpHandler>(peer));
+      pcb.InstallHandler(peer);
       pcb.SetAutoCork(true);
       peer->Established(pcb);
     } catch (...) {

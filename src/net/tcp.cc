@@ -56,46 +56,24 @@ TcpEntry::TcpEntry(TcpManager& mgr, Interface& ifc, FourTuple t, std::size_t cor
 
 namespace {
 
-// Releases whatever ownership the entry holds over its current handler — deferred to a
-// fresh event, never synchronously: handlers are routinely replaced or removed from inside
-// their own callbacks, and destroying one under its own frame is use-after-free. (See the
-// matching deferral in RemoveEntry.)
+// Releases the entry's reference to its current handler — deferred to a fresh event, never
+// synchronous: handlers are routinely replaced or removed from inside their own callbacks,
+// and destroying one under its own frame is use-after-free. (See the matching deferral in
+// RemoveEntry.) Moving the reference out also detaches the handler: no callbacks follow.
 void DeferHandlerRelease(TcpEntry& entry) {
-  if (entry.owned_handler == nullptr && entry.handler_anchor == nullptr) {
+  if (entry.handler == nullptr) {
     return;
   }
-  // Smart-pointer captures (not a release()'d raw pointer): if the world stops before the
-  // event runs, the lambda's destructor still frees the handler.
-  event::Local().Spawn([owned = std::move(entry.owned_handler),
-                        anchor = std::move(entry.handler_anchor)]() mutable {
-    owned.reset();
-    anchor.reset();
-  });
+  // A smart-pointer capture: if the world stops before the event runs, the lambda's
+  // destructor still drops the reference.
+  event::Local().Spawn([handler = std::move(entry.handler)]() mutable { handler.reset(); });
 }
 
 }  // namespace
 
-void TcpPcb::InstallHandler(TcpHandler* handler) {
-  DeferHandlerRelease(*entry_);
-  entry_->handler = handler;
-  if (handler != nullptr) {
-    handler->pcb_ = *this;
-  }
-}
-
-void TcpPcb::InstallHandler(std::unique_ptr<TcpHandler> handler) {
-  DeferHandlerRelease(*entry_);
-  entry_->handler = handler.get();
-  entry_->owned_handler = std::move(handler);
-  if (entry_->handler != nullptr) {
-    entry_->handler->pcb_ = *this;
-  }
-}
-
 void TcpPcb::InstallHandler(std::shared_ptr<TcpHandler> handler) {
   DeferHandlerRelease(*entry_);
-  entry_->handler = handler.get();
-  entry_->handler_anchor = std::move(handler);
+  entry_->handler = std::move(handler);
   if (entry_->handler != nullptr) {
     entry_->handler->pcb_ = *this;
   }
@@ -147,39 +125,17 @@ bool TcpPcb::Send(std::unique_ptr<IOBuf> chain) {
   if (len > SendWindowRemaining()) {
     return false;
   }
-  if (e.cork_count > 0 || e.auto_cork) {
+  if (e.auto_cork) {
     if (!e.cork_queue.Empty()) {
       e.manager.network().stats().sends_coalesced.fetch_add(1, std::memory_order_relaxed);
     }
     e.cork_queue.Append(std::move(chain));
-    if (e.cork_count == 0) {
-      // Auto-cork without a manual cork: the event-boundary flush drains it.
-      e.manager.batcher(e.owner_core).Enroll(entry_);
-    }
+    e.manager.batcher(e.owner_core).Enroll(entry_);  // the event-boundary flush drains it
     return true;
   }
   e.manager.SendPayload(e, std::move(chain), len);
   return true;
 }
-
-void TcpPcb::Cork() {
-  Kassert(CurrentContext().machine_core == entry_->owner_core, "TcpPcb::Cork: wrong core");
-  ++entry_->cork_count;
-}
-
-void TcpPcb::Uncork() {
-  TcpEntry& e = *entry_;
-  Kassert(CurrentContext().machine_core == e.owner_core, "TcpPcb::Uncork: wrong core");
-  if (e.app_closed || e.close_after_flush) {
-    return;  // Close() already terminated the cork scope; a symmetric Uncork is a no-op
-  }
-  Kassert(e.cork_count > 0, "TcpPcb::Uncork: not corked");
-  if (--e.cork_count == 0) {
-    e.manager.FlushCorked(e);
-  }
-}
-
-bool TcpPcb::Corked() const { return entry_->cork_count > 0 || entry_->auto_cork; }
 
 std::size_t TcpPcb::CorkedBytes() const { return entry_->cork_queue.ChainLength(); }
 
@@ -190,9 +146,6 @@ void TcpPcb::Close() {
   if (e.app_closed || e.close_after_flush) {
     return;
   }
-  // Close terminates any open cork scope: no further data can be corked (Send refuses once
-  // closing), so an un-matched Cork() must not be able to strand the chain or the FIN.
-  e.cork_count = 0;
   if (!e.cork_queue.Empty() &&
       (e.state == TcpState::kEstablished || e.state == TcpState::kCloseWait)) {
     // Data is corked ahead of the FIN: it must occupy earlier sequence space, so the close
@@ -233,9 +186,7 @@ TcpManager::TcpManager(NetworkManager& network)
 // links) are removed with it: release their handlers here, inline, as no event is left.
 TcpManager::~TcpManager() {
   table_.ForEach([](const FourTuple&, const std::shared_ptr<TcpEntry>& entry) {
-    entry->handler = nullptr;
-    entry->owned_handler.reset();
-    entry->handler_anchor.reset();
+    entry->handler.reset();
   });
 }
 
@@ -277,12 +228,6 @@ void TcpManager::FlushCorked(TcpEntry& e) {
       network_.stats().corked_drops.fetch_add(1, std::memory_order_relaxed);
       e.cork_queue.Move();
     }
-    return;
-  }
-  if (e.cork_count > 0) {
-    // A manual Cork() is open (possibly spanning an event boundary on an auto-cork
-    // connection): honor it — nothing leaves until Uncork() brings the nesting to zero
-    // (or Close() terminates the cork scope).
     return;
   }
   if (!e.cork_queue.Empty()) {
@@ -541,11 +486,10 @@ void TcpManager::RemoveEntry(TcpEntry& entry) {
     Timer::Instance()->Stop(entry.time_wait_timer);
     entry.time_wait_timer = 0;
   }
-  // Detach the handler now (no callbacks after removal); releasing transferred ownership is
-  // deferred to a fresh event — RemoveEntry is routinely reached from *inside* a handler
-  // callback (an application calling Close() within Receive()). Run-to-completion guarantees
-  // the current event finishes before the release event runs.
-  entry.handler = nullptr;
+  // Detach the handler now (no callbacks after removal); releasing the reference is deferred
+  // to a fresh event — RemoveEntry is routinely reached from *inside* a handler callback (an
+  // application calling Close() within Receive()). Run-to-completion guarantees the current
+  // event finishes before the release event runs.
   DeferHandlerRelease(entry);
   table_.Erase(entry.tuple);
 }
@@ -726,8 +670,7 @@ void TcpManager::ProcessSegment(std::shared_ptr<TcpEntry> entry, const TcpHeader
       // A window-limited flush left corked data behind: ACK progress is the signal to drain
       // more of it (ahead of SendReady, so the application observes bytes in flight order).
       // Skip while the entry awaits its event-boundary flush (batcher_enrolled) — an ACK
-      // carried by a later frame of the SAME event must not flush mid-event — and while a
-      // manual cork is open (FlushCorked also honors that itself).
+      // carried by a later frame of the SAME event must not flush mid-event.
       if (!e.cork_queue.Empty() && !e.batcher_enrolled) {
         FlushCorked(e);
       }

@@ -8,13 +8,12 @@
 //     queues application data waiting for window (out-of-window sends are rejected).
 //   * NO Nagle. Send() puts segments on the wire immediately; aggregation is an application
 //     decision ("This allows the application to decide whether or not to delay sending to
-//     aggregate multiple sends into a single TCP segment"). That application-side aggregation
-//     is a first-class mechanism here: Cork()/Uncork() batch explicitly, and SetAutoCork()
-//     opts a connection into event-scoped batching — every Send() issued during one event
-//     dispatch is merged into one chain and flushed once at the event boundary (TxBatcher +
-//     the EventManager end-of-event hook), merging small writes into as few wire segments as
-//     the send window allows. Corked bytes are bounded by the send window (Send still
-//     refuses beyond it), so this is aggregation, not a kernel-style send buffer.
+//     aggregate multiple sends into a single TCP segment"). The one form of that decision is
+//     event-scoped: SetAutoCork(true) opts a connection in, and every Send() issued during
+//     one event dispatch is merged into one chain and flushed once at the event boundary
+//     (TxBatcher + the EventManager end-of-event hook), merging small writes into as few
+//     wire segments as the send window allows. Corked bytes are bounded by the send window
+//     (Send still refuses beyond it), so this is aggregation, not a kernel-style send buffer.
 //   * The application controls the advertised receive window (SetReceiveWindow) — its own
 //     admission control, not a kernel buffer size.
 //   * Connection state lives on exactly one core (where the SYN landed / where the connector
@@ -22,10 +21,11 @@
 //     takes no locks and no atomics.
 //
 // Every connection consumer — application, uv layer, baseline socket shim — attaches through
-// ONE abstraction: TcpHandler. The stack invokes its virtuals directly from the device event,
-// so per-connection dispatch costs a vtable load instead of three heap-allocated
-// std::function objects, and the datapath invariants (run-to-completion on the owner core,
-// zero-copy views) are enforced in exactly one place.
+// ONE abstraction: TcpHandler, held by the connection through one shared reference. The
+// stack invokes its virtuals directly from the device event, so per-connection dispatch
+// costs a vtable load instead of three heap-allocated std::function objects, and the
+// datapath invariants (run-to-completion on the owner core, zero-copy views) are enforced in
+// exactly one place.
 //
 // Reliability machinery kept for correctness (exercised by the packet-loss tests): go-back-N
 // retransmission with exponential backoff, out-of-order segment parking, TIME_WAIT.
@@ -82,15 +82,9 @@ class TcpPcb {
   TcpState state() const;
 
   // --- Connection consumer -----------------------------------------------------------------
-  // Installs the connection's handler. Exactly one handler is attached at a time; installing
-  // replaces any previous one. Three ownership flavors:
-  //   * raw pointer     — caller manages the handler's lifetime (it must outlive the pcb);
-  //   * unique_ptr      — the connection owns the handler and destroys it (deferred to its
-  //                       own event) when the connection is removed;
-  //   * shared_ptr      — the connection anchors a reference until removal (for handlers
-  //                       whose lifetime is shared with application code, e.g. uv streams).
-  void InstallHandler(TcpHandler* handler);
-  void InstallHandler(std::unique_ptr<TcpHandler> handler);
+  // Installs the connection's handler, replacing any previous one. The connection holds one
+  // shared reference to it until the handler is replaced or the connection is removed; that
+  // reference is released in a fresh event, never under the handler's own callback.
   void InstallHandler(std::shared_ptr<TcpHandler> handler);
 
   // Application-controlled advertised window (§3.6: "an application can explicitly set the
@@ -107,17 +101,13 @@ class TcpPcb {
   bool Send(std::unique_ptr<IOBuf> chain);
 
   // --- TX corking (the paper's application-level send aggregation, made a mechanism) -------
-  // While corked, Send() appends to a per-connection chain instead of emitting segments;
-  // Uncork() at nesting depth zero flushes the chain through the normal segmenting path, so
-  // k small writes leave as ceil(bytes/MSS) segments instead of k. Nestable.
-  void Cork();
-  void Uncork();
-  bool Corked() const;
-  std::size_t CorkedBytes() const;
-  // Event-scoped automatic corking: every Send() outside a manual cork is accumulated and
-  // flushed exactly once when the current event dispatch ends (TxBatcher; the flush is also
-  // resumed by ACK-driven window openings when a flush was window-limited).
+  // Event-scoped automatic corking: every Send() is appended to a per-connection chain and
+  // flushed exactly once when the current event dispatch ends (TxBatcher), so k small writes
+  // leave as ceil(bytes/MSS) segments instead of k. A window-limited flush leaves the rest
+  // corked; ACK-driven window openings drain it.
   void SetAutoCork(bool enabled);
+  // Bytes corked and not yet flushed.
+  std::size_t CorkedBytes() const;
 
   void Close();
   // Unilateral teardown: emits RST, drops any corked (unflushed) data, removes the
@@ -175,11 +165,8 @@ class TcpEntry {
   std::uint32_t rcv_nxt = 0;
   std::uint16_t rcv_wnd = kTcpDefaultWindow;  // our advertisement (application-controlled)
 
-  // The connection's consumer. `handler` is the dispatch pointer (hot path); the other two
-  // fields carry whatever ownership the installer transferred (see TcpPcb::InstallHandler).
-  TcpHandler* handler = nullptr;
-  std::unique_ptr<TcpHandler> owned_handler;
-  std::shared_ptr<void> handler_anchor;
+  // The connection's consumer (see TcpPcb::InstallHandler).
+  std::shared_ptr<TcpHandler> handler;
 
   // Retransmission queue: unacked segments with owning payload copies (retransmit is the rare
   // path; the fast path transmits zero-copy views of application memory).
@@ -206,9 +193,8 @@ class TcpEntry {
   bool removed = false;       // RemoveEntry already ran (guards re-entry on abort paths)
   std::uint64_t time_wait_timer = 0;
 
-  // --- TX corking state (see TcpPcb::Cork/SetAutoCork) -------------------------------------
+  // --- TX corking state (see TcpPcb::SetAutoCork) -----------------------------------------
   IOBufQueue cork_queue;           // corked payload awaiting flush (bounded by the window)
-  std::uint32_t cork_count = 0;    // manual Cork() nesting depth
   bool auto_cork = false;          // Send() corks automatically, flushed at event boundary
   bool batcher_enrolled = false;   // registered with the owner core's TxBatcher this event
   bool close_after_flush = false;  // app Close() with data corked: FIN follows the data

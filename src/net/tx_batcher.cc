@@ -12,7 +12,6 @@ void TxBatcher::Enroll(std::shared_ptr<TcpEntry> entry) {
     return;
   }
   entry->batcher_enrolled = true;
-  ++enrollments_;
   pending_.push_back(std::move(entry));
   if (!hook_queued_) {
     hook_queued_ = true;
@@ -22,7 +21,6 @@ void TxBatcher::Enroll(std::shared_ptr<TcpEntry> entry) {
 
 void TxBatcher::Flush() {
   hook_queued_ = false;
-  ++flushes_;
   // Swap out the batch: FlushCorked can run application-visible paths (a deferred Close's
   // FIN) that might Send again; those re-enroll into a fresh list and get their own hook
   // (drained in the same event-boundary pass by the EventManager). The two vectors trade

@@ -23,7 +23,6 @@
 #ifndef EBBRT_SRC_NET_TX_BATCHER_H_
 #define EBBRT_SRC_NET_TX_BATCHER_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -45,17 +44,11 @@ class TxBatcher {
   // The end-of-event hook body: flushes every enrolled connection exactly once.
   void Flush();
 
-  // Observability for the flush-once-per-event invariant.
-  std::uint64_t flushes() const { return flushes_; }
-  std::uint64_t enrollments() const { return enrollments_; }
-
  private:
   TcpManager& tcp_;
   std::vector<std::shared_ptr<TcpEntry>> pending_;
   std::vector<std::shared_ptr<TcpEntry>> spare_;  // the previous flush's emptied batch
   bool hook_queued_ = false;
-  std::uint64_t flushes_ = 0;
-  std::uint64_t enrollments_ = 0;
 };
 
 }  // namespace ebbrt

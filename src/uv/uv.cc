@@ -52,8 +52,8 @@ void TcpStream::Shutdown() {
 
 std::shared_ptr<TcpStream> TcpServer::MakeStream(TcpPcb pcb) {
   auto stream = std::make_shared<TcpStream>();
-  // The stream is the connection's handler; the connection anchors it until teardown.
-  pcb.InstallHandler(std::shared_ptr<TcpHandler>(stream));
+  // The stream is the connection's handler; the connection holds a reference until teardown.
+  pcb.InstallHandler(stream);
   return stream;
 }
 

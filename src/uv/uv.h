@@ -67,11 +67,9 @@ class TcpStream final : public TcpHandler,
 
   // The inverse of uv_tcp_nodelay: opt the stream into event-scoped TX batching — all
   // Writes issued while handling one event leave as a single chain at the event boundary
-  // (merged into as few wire segments as the window allows). Explicit Cork()/Uncork()
-  // batches a specific span instead.
+  // (merged into as few wire segments as the window allows). This is the stream's only
+  // batching control.
   void SetAutoCork(bool enabled) { Pcb().SetAutoCork(enabled); }
-  void Cork() { Pcb().Cork(); }
-  void Uncork() { Pcb().Uncork(); }
 
   // uv_shutdown analogue: closes our side of the connection. The stack never calls the
   // handler back on an application-initiated close, so the callbacks (which typically

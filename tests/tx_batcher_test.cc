@@ -1,10 +1,10 @@
-// TX corking / event-scoped send aggregation tests (ISSUE 2):
+// TX corking / event-scoped send aggregation tests:
 //
-//   * manual Cork()/Uncork() nesting merges small writes into one wire segment;
 //   * auto-cork flushes exactly once per event (flush-once invariant, via stats);
-//   * a window-limited flush is partial and drains via the ACK path;
+//   * a window-limited flush is partial and drains via the ACK path, when a later frame of
+//     the same event shrinks the peer's window before the event-boundary flush;
 //   * Close() with corked data flushes the data before the FIN;
-//   * property: the received byte stream is identical corked vs uncorked;
+//   * property: the received byte stream is identical with and without auto-cork;
 //   * acceptance: memcached at pipeline depth 32 serves the same byte stream with >= 4x
 //     fewer TX data segments than at depth 1.
 #include <memory>
@@ -16,6 +16,7 @@
 
 #include "src/apps/loadgen/memcached_loadgen.h"
 #include "src/apps/memcached/server.h"
+#include "src/event/event_manager.h"
 #include "src/sim/testbed.h"
 
 namespace ebbrt {
@@ -41,41 +42,6 @@ class SinkHandler final : public TcpHandler {
  private:
   std::string* out_;
 };
-
-TEST(TxBatcher, CorkUncorkNestingAggregatesToOneSegment) {
-  Testbed bed;
-  TestbedNode server = bed.AddNode("server", 1, kServerIp);
-  TestbedNode client = bed.AddNode("client", 1, kClientIp);
-  std::string received;
-  server.Spawn(0, [&] {
-    server.net->tcp().Listen(9300, [&received](TcpPcb pcb) {
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>(&received)));
-    });
-  });
-  client.Spawn(0, [&] {
-    client.net->tcp().Connect(*client.iface, kServerIp, 9300).Then([&](Future<TcpPcb> f) {
-      TcpPcb pcb = f.Get();
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>()));
-      pcb.Cork();
-      EXPECT_TRUE(pcb.Corked());
-      EXPECT_TRUE(pcb.Send(IOBuf::CopyBuffer("aa")));
-      pcb.Cork();  // nested
-      EXPECT_TRUE(pcb.Send(IOBuf::CopyBuffer("bb")));
-      pcb.Uncork();  // inner: must NOT flush
-      EXPECT_EQ(pcb.CorkedBytes(), 4u);
-      EXPECT_TRUE(pcb.Send(IOBuf::CopyBuffer("cc")));
-      pcb.Uncork();  // outer: flushes everything as one segment
-      EXPECT_EQ(pcb.CorkedBytes(), 0u);
-      EXPECT_FALSE(pcb.Corked());
-    });
-  });
-  bed.world().Run();
-  EXPECT_EQ(received, "aabbcc");
-  // Three Sends, one wire segment, two of them merged into an existing cork chain.
-  EXPECT_EQ(client.net->stats().tcp_tx_data_segments.load(), 1u);
-  EXPECT_EQ(client.net->stats().sends_coalesced.load(), 2u);
-  EXPECT_EQ(client.net->stats().cork_flushes.load(), 1u);
-}
 
 TEST(TxBatcher, AutoCorkFlushesOncePerEvent) {
   Testbed bed;
@@ -119,6 +85,35 @@ TEST(TxBatcher, AutoCorkFlushesOncePerEvent) {
   EXPECT_EQ(server.net->stats().corked_drops.load(), 0u);
 }
 
+// Builds the bare ACK that `from` (at `tuple.remote`) would send to `to` (at `tuple.local`),
+// advertising `window`. Its ack field is zero: with nothing in flight no ack value advances
+// snd_una, so the receiver takes it as a pure window update.
+std::unique_ptr<IOBuf> WindowUpdateFrame(const FourTuple& tuple, const Interface& from,
+                                         const Interface& to, std::uint16_t window) {
+  constexpr std::size_t kLen = sizeof(EthernetHeader) + sizeof(Ipv4Header) + sizeof(TcpHeader);
+  auto frame = IOBuf::CopyBuffer(std::string(kLen, '\0'));
+  frame->Advance(sizeof(EthernetHeader));
+  net_internal::FillIpv4(*frame, tuple.remote_ip, tuple.local_ip, kIpProtoTcp,
+                         sizeof(TcpHeader), 0);
+  auto& tcp = frame->Get<TcpHeader>(sizeof(Ipv4Header));
+  tcp.src_port = HostToNet16(tuple.remote_port);
+  tcp.dst_port = HostToNet16(tuple.local_port);
+  tcp.SetHeaderWords(5);
+  tcp.flags = kTcpAck;
+  tcp.window = HostToNet16(window);
+  ChecksumAccumulator acc;
+  net_internal::AddPseudoHeader(acc, tuple.remote_ip, tuple.local_ip, kIpProtoTcp,
+                                sizeof(TcpHeader));
+  acc.Add(frame->Data() + sizeof(Ipv4Header), sizeof(TcpHeader));
+  tcp.checksum = acc.Finish();
+  frame->Retreat(sizeof(EthernetHeader));
+  auto& eth = frame->Get<EthernetHeader>();
+  eth.dst = to.mac();
+  eth.src = from.mac();
+  eth.type = HostToNet16(kEthTypeIpv4);
+  return frame;
+}
+
 TEST(TxBatcher, WindowLimitedPartialFlushDrainsViaAcks) {
   Testbed bed;
   TestbedNode server = bed.AddNode("server", 1, kServerIp);
@@ -127,33 +122,36 @@ TEST(TxBatcher, WindowLimitedPartialFlushDrainsViaAcks) {
   std::string received;
   server.Spawn(0, [&] {
     server.net->tcp().Listen(9302, [&received](TcpPcb pcb) {
-      // Clamp the advertised window below the corked chain: the client's flush must be
-      // partial, the remainder draining as ACKs open the window again.
+      // The server keeps its window at 512, so every later ACK reopens only 512 bytes.
       pcb.SetReceiveWindow(512);
       pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>(&received)));
     });
   });
-  std::size_t corked_after_uncork = 0;
+  std::size_t corked_after_flush = 0;
   auto client_pcb = std::make_shared<TcpPcb>();
   client.Spawn(0, [&] {
     client.net->tcp().Connect(*client.iface, kServerIp, 9302).Then([&](Future<TcpPcb> f) {
       *client_pcb = f.Get();
       client_pcb->InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>()));
-      // Cork the full 2000 bytes while the handshake window (64 KiB) still allows it...
-      client_pcb->Cork();
-      EXPECT_TRUE(client_pcb->Send(IOBuf::CopyBuffer(payload)));
-      EXPECT_EQ(client_pcb->CorkedBytes(), payload.size());
-      // ...and uncork after the server's 512-byte window update has arrived.
-      Timer::Instance()->Start(5'000'000, [&] {
-        client_pcb->Uncork();
-        corked_after_uncork = client_pcb->CorkedBytes();
+      client_pcb->SetAutoCork(true);
+      event::Local().Spawn([&] {
+        // One client event, in the order the NIC's RX drain produces: the application corks
+        // 2000 bytes under the handshake window (64 KiB), then a later frame of the same
+        // event shrinks the window to 512 before the event-boundary flush.
+        EXPECT_TRUE(client_pcb->Send(IOBuf::CopyBuffer(payload)));
+        EXPECT_EQ(client_pcb->CorkedBytes(), payload.size());
+        client.iface->Receive(
+            WindowUpdateFrame(client_pcb->tuple(), *server.iface, *client.iface, 512));
+        EXPECT_EQ(client_pcb->CorkedBytes(), payload.size());  // no mid-event flush
+        // Runs after the event-boundary flush and before any ACK can arrive.
+        event::Local().Spawn([&] { corked_after_flush = client_pcb->CorkedBytes(); });
       });
     });
   });
   bed.world().Run();
-  // The flush was window-limited: only 512 bytes left at uncork time; the rest drained from
-  // the ACK path, preserving order and content.
-  EXPECT_EQ(corked_after_uncork, payload.size() - 512);
+  // The flush was window-limited: only 512 bytes left at the event boundary; the rest
+  // drained from the ACK path, preserving order and content.
+  EXPECT_EQ(corked_after_flush, payload.size() - 512);
   EXPECT_EQ(received, payload);
   EXPECT_EQ(client_pcb->CorkedBytes(), 0u);
   EXPECT_GT(client.net->stats().cork_flushes.load(), 1u);
@@ -218,109 +216,12 @@ TEST(TxBatcher, CloseWithCorkedDataFlushesDataBeforeFin) {
   EXPECT_EQ(server.net->stats().corked_drops.load(), 0u);
 }
 
-// A manual Cork() opened during one event must survive the event boundary on an auto-cork
-// connection: the batcher's flush honors the open cork, and nothing leaves until Uncork().
-TEST(TxBatcher, ManualCorkSpansEventBoundaryOnAutoCorkConnection) {
-  Testbed bed;
-  TestbedNode server = bed.AddNode("server", 1, kServerIp);
-  TestbedNode client = bed.AddNode("client", 1, kClientIp);
-
-  class SpanningCork final : public TcpHandler {
-   public:
-    void Receive(std::unique_ptr<IOBuf> data) override {
-      if (data->AsStringView() == "open") {
-        ASSERT_TRUE(Pcb().Send(IOBuf::CopyBuffer("first|")));
-        Pcb().Cork();  // held across this event's boundary
-        ASSERT_TRUE(Pcb().Send(IOBuf::CopyBuffer("second|")));
-      } else {
-        // Second event: the corked bytes must still be waiting, then leave as one chain.
-        EXPECT_EQ(Pcb().CorkedBytes(), 13u);
-        ASSERT_TRUE(Pcb().Send(IOBuf::CopyBuffer("third")));
-        Pcb().Uncork();
-      }
-    }
-  };
-
-  std::string received;
-  server.Spawn(0, [&] {
-    server.net->tcp().Listen(9305, [](TcpPcb pcb) {
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SpanningCork>()));
-      pcb.SetAutoCork(true);
-    });
-  });
-  auto client_pcb = std::make_shared<TcpPcb>();
-  client.Spawn(0, [&] {
-    client.net->tcp().Connect(*client.iface, kServerIp, 9305).Then([&](Future<TcpPcb> f) {
-      *client_pcb = f.Get();
-      client_pcb->InstallHandler(
-          std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>(&received)));
-      client_pcb->Send(IOBuf::CopyBuffer("open"));
-      Timer::Instance()->Start(5'000'000, [&] {
-        // The cork is still open across events: nothing has reached us yet.
-        EXPECT_EQ(received, "");
-        client_pcb->Send(IOBuf::CopyBuffer("close"));
-      });
-    });
-  });
-  bed.world().Run();
-  EXPECT_EQ(received, "first|second|third");
-  // Everything left in ONE segment when the cork finally lifted.
-  EXPECT_EQ(server.net->stats().tcp_tx_data_segments.load(), 1u);
-}
-
-// Close() with an unmatched manual Cork() open must not strand the corked data or the FIN:
-// the close terminates the cork scope and the data precedes the FIN.
-TEST(TxBatcher, CloseTerminatesOpenCorkScope) {
-  Testbed bed;
-  TestbedNode server = bed.AddNode("server", 1, kServerIp);
-  TestbedNode client = bed.AddNode("client", 1, kClientIp);
-  std::string received;
-  bool server_saw_close = false;
-
-  class RecordingSink final : public TcpHandler {
-   public:
-    RecordingSink(std::string& out, bool& closed) : out_(out), closed_(closed) {}
-    void Receive(std::unique_ptr<IOBuf> data) override {
-      out_ += std::string(data->AsStringView());
-    }
-    void Close() override {
-      closed_ = true;
-      Pcb().Close();
-    }
-
-   private:
-    std::string& out_;
-    bool& closed_;
-  };
-
-  server.Spawn(0, [&] {
-    server.net->tcp().Listen(9306, [&](TcpPcb pcb) {
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(
-          std::make_unique<RecordingSink>(received, server_saw_close)));
-    });
-  });
-  client.Spawn(0, [&] {
-    client.net->tcp().Connect(*client.iface, kServerIp, 9306).Then([&](Future<TcpPcb> f) {
-      TcpPcb pcb = f.Get();
-      pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>()));
-      pcb.Cork();
-      ASSERT_TRUE(pcb.Send(IOBuf::CopyBuffer("last words")));
-      pcb.Close();   // the close must flush the data and then FIN
-      pcb.Uncork();  // symmetric/RAII-style uncork after Close: must be a safe no-op
-    });
-  });
-  bed.world().Run();
-  EXPECT_EQ(received, "last words");
-  EXPECT_TRUE(server_saw_close);
-  EXPECT_EQ(client.net->stats().corked_drops.load(), 0u);
-}
-
 // --- Property: corked and uncorked transmissions deliver identical byte streams -------------
 
 class CorkedStreamEquality : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CorkedStreamEquality, SameBytesFewerSegments) {
-  // One message schedule per seed; sent once plain, once corked in groups. The receiver
+  // One message schedule per seed; sent once plain, once auto-corked. The receiver
   // must observe the identical stream; the corked run must use fewer data segments.
   std::mt19937 rng(GetParam());
   std::vector<std::string> messages;
@@ -350,15 +251,14 @@ TEST_P(CorkedStreamEquality, SameBytesFewerSegments) {
       client.net->tcp().Connect(*client.iface, kServerIp, 9304).Then([&](Future<TcpPcb> f) {
         TcpPcb pcb = f.Get();
         pcb.InstallHandler(std::unique_ptr<TcpHandler>(std::make_unique<SinkHandler>()));
-        // Corked run: groups of 8 under a cork (with one nested level for good measure).
-        for (std::size_t i = 0; i < messages.size(); ++i) {
-          if (corked && i % 8 == 0) {
-            pcb.Cork();
-          }
-          ASSERT_TRUE(pcb.Send(IOBuf::CopyBuffer(messages[i])));
-          if (corked && (i % 8 == 7 || i + 1 == messages.size())) {
-            pcb.Uncork();
-          }
+        pcb.SetAutoCork(corked);
+        // Groups of 8 sends, each group in its own event: auto-cork flushes each group once.
+        for (std::size_t first = 0; first < messages.size(); first += 8) {
+          event::Local().Spawn([&messages, pcb, first]() mutable {
+            for (std::size_t i = first; i < messages.size() && i < first + 8; ++i) {
+              ASSERT_TRUE(pcb.Send(IOBuf::CopyBuffer(messages[i])));
+            }
+          });
         }
       });
     });
@@ -415,7 +315,7 @@ TEST(TxBatcher, MemcachedDepth32CutsSegmentsPerOpAtLeast4x) {
   // Same request schedule => byte-identical response stream, regardless of batching.
   ASSERT_FALSE(depth1.bytes.empty());
   EXPECT_EQ(depth1.bytes, depth32.bytes);
-  // The aggregation win: >= 4x fewer TX data segments at depth 32 (ISSUE 2 acceptance).
+  // The aggregation win: >= 4x fewer TX data segments at depth 32.
   EXPECT_GE(depth1.data_segments, 4 * depth32.data_segments)
       << "depth1=" << depth1.data_segments << " depth32=" << depth32.data_segments;
   EXPECT_GT(depth32.sends_coalesced, 0u);
