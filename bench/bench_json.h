@@ -18,12 +18,13 @@
 namespace ebbrt {
 namespace bench {
 
-// One pipeline-depth measurement of the TX-batching story — the record format of every
-// BENCH_tx_batching.json section (the CI schema validator checks these keys, so all benches
-// share this single definition). The alloc_* fields carry the zero-malloc-datapath story
-// alongside (emitted to BENCH_alloc_pool.json by AllocPointsJson): counters are measured
-// from the bench's steady-state mark (MarkAllocBaseline at end of preload), so startup
-// carving is excluded — exactly the "per request in steady state" claim.
+// One pipeline-depth measurement of the TX-batching story. DepthPointsJson and
+// AllocPointsJson below are the one definition of the BENCH_tx_batching.json and
+// BENCH_alloc_pool.json records; fig5, fig6 and tab2 all write through them. The alloc
+// fields carry the zero-malloc-datapath story: counters are measured from the bench's
+// steady-state mark (MarkAllocBaseline at end of preload), so startup carving is excluded —
+// exactly the "per request in steady state" claim. tx_batcher_test holds the committed
+// sweep shapes to heap_allocs == 0 and, at depth >= 8, to coalesced sends and pool hits.
 struct DepthPoint {
   std::size_t pipeline = 0;
   std::size_t requests = 0;
@@ -35,7 +36,7 @@ struct DepthPoint {
 
   // --- allocation datapath (BENCH_alloc_pool.json) ---
   std::uint64_t iobuf_allocs = 0;   // IOBuf storage blocks allocated (slab or heap)
-  std::uint64_t heap_allocs = 0;    // std::malloc fallbacks — the number that must be ~0
+  std::uint64_t heap_allocs = 0;    // std::malloc fallbacks — the number that must be 0
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   double allocs_per_op = 0;         // heap_allocs / requests
@@ -109,8 +110,8 @@ inline std::string AllocPointsJson(const std::vector<DepthPoint>& points) {
 }
 
 // The shared latency-quantile JSON fragment (no surrounding braces): every bench that
-// reports latency from an obs::Histogram appends these columns to its records, so the CI
-// validator checks ONE schema. Templated on the snapshot (obs::Histogram::Snapshot) to keep
+// reports latency from an obs::Histogram appends these columns to its records, so they
+// share ONE schema. Templated on the snapshot (obs::Histogram::Snapshot) to keep
 // this header free of src includes, like FillDepthPoint.
 template <typename Snapshot>
 inline std::string HistogramColumnsJson(const Snapshot& snapshot) {

@@ -10,6 +10,8 @@
 //                     call on a raw mesh, single thread (no cache-line transfer)
 //   xcore_spawn       the product path: EventManager::SpawnRemote end to end under real
 //                     threads — slab-carved node, push, wake-if-idle, drain, closure run
+//                     (bench/interconnect_common.h; event_thread_test holds its heap
+//                     fallbacks and control locks to zero)
 //
 // plus a fan-in sweep: 1..N-1 real sender threads hammering ONE receiver list. The receiver
 // detaches each pending batch with a single unconditional exchange, so its per-message drain
@@ -20,11 +22,12 @@
 // 2.6 GHz clock. Emits the "interconnect" section of BENCH_interconnect.json.
 //
 // Modes:
-//   (none)    full run: all rows + fan-in sweep up to min(7, hw_threads-1) senders
-//   --smoke   quick run; exits nonzero when the interconnect regresses:
-//             allocs_per_op >= 0.05 (the slab-carve path stopped working),
+//   (none)    full run: all rows + fan-in sweep up to min(7, hw_threads-1) senders; writes
+//             the section
+//   --smoke   quick run, writes no file; exits nonzero on the two properties that depend
+//             on how real threads are scheduled:
 //             fan-in ns/op at max senders > 2x single-sender (drain no longer flat),
-//             control_locks != 0 (a lock crept back onto the dispatch path)
+//             xcore_wakeups > xcore_pushes / 2 (wake elision broken)
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -32,11 +35,8 @@
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "src/event/event_manager.h"
+#include "bench/interconnect_common.h"
 #include "src/event/interconnect.h"
-#include "src/event/thread_machine.h"
-#include "src/mem/gp_allocator.h"
-#include "src/platform/clock.h"
 
 namespace ebbrt {
 namespace bench {
@@ -168,63 +168,6 @@ double FanInNsPerOp(std::size_t senders, std::size_t per_sender) {
   return static_cast<double>(CyclesToNs(cycles)) / static_cast<double>(total);
 }
 
-// --- product path: SpawnRemote end to end under real threads ----------------------------------
-
-struct SpawnResult {
-  double ns_per_spawn = 0;
-  double allocs_per_op = 0;        // heap fallbacks per spawn — slab carving makes this 0.0
-  std::uint64_t xcore_pushes = 0;  // receiver-core interconnect telemetry for the burst
-  std::uint64_t xcore_wakeups = 0;
-  std::uint64_t xcore_batched = 0;
-  std::uint64_t control_locks = 0;
-};
-
-SpawnResult XcoreSpawn(std::size_t burst, int rounds) {
-  ThreadMachine machine(2);
-  mem::Config config;
-  config.arena_bytes = 256ull << 20;
-  mem::Install(machine.runtime(), 2, config);
-  machine.Start();
-  auto& em_root =
-      machine.runtime().GetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
-  std::atomic<std::uint64_t> done{0};
-  auto one_round = [&] {
-    done.store(0, std::memory_order_relaxed);
-    machine.RunSync(0, [&] {
-      auto& em = event::Local();
-      for (std::size_t i = 0; i < burst; ++i) {
-        em.SpawnRemote([&done] { done.fetch_add(1, std::memory_order_relaxed); }, 1);
-      }
-    });
-    while (done.load(std::memory_order_relaxed) < burst) {
-    }
-  };
-  one_round();  // warmup: fault in slabs, fault in both loops
-
-  EventManager::Stats stats_before = em_root.RepFor(1).stats();
-  std::uint64_t heap_before = mem::stats().heap_fallback_allocs.load();
-  std::uint64_t best = ~0ull;
-  for (int r = 0; r < rounds; ++r) {
-    std::uint64_t start = ReadCyclesSerialized();
-    one_round();
-    best = std::min(best, ReadCyclesSerialized() - start);
-  }
-  EventManager::Stats stats_after = em_root.RepFor(1).stats();
-  std::uint64_t heap_after = mem::stats().heap_fallback_allocs.load();
-  machine.Shutdown();
-
-  SpawnResult result;
-  result.ns_per_spawn =
-      static_cast<double>(CyclesToNs(best)) / static_cast<double>(burst);
-  result.allocs_per_op = static_cast<double>(heap_after - heap_before) /
-                         static_cast<double>(burst * static_cast<std::size_t>(rounds));
-  result.xcore_pushes = stats_after.xcore_pushes - stats_before.xcore_pushes;
-  result.xcore_wakeups = stats_after.xcore_wakeups - stats_before.xcore_wakeups;
-  result.xcore_batched = stats_after.xcore_batches - stats_before.xcore_batches;
-  result.control_locks = stats_after.control_locks;
-  return result;
-}
-
 std::string FanInJson(const std::vector<std::pair<std::size_t, double>>& points) {
   std::string out = "[";
   char buf[96];
@@ -279,6 +222,24 @@ int main(int argc, char** argv) {
     std::printf("fan_in x%-17zu %12.1f\n", point.first, point.second);
   }
 
+  if (smoke) {
+    bool ok = true;
+    double flat_limit = 2.0 * fan_in.front().second;
+    if (fan_in.back().second > flat_limit) {
+      std::printf("SMOKE FAIL: fan-in ns/op %.1f at %zu senders > 2x single-sender %.1f\n",
+                  fan_in.back().second, fan_in.back().first, fan_in.front().second);
+      ok = false;
+    }
+    if (spawn.xcore_wakeups > spawn.xcore_pushes / 2) {
+      std::printf("SMOKE FAIL: %llu wakeups for %llu pushes (wake elision broken)\n",
+                  static_cast<unsigned long long>(spawn.xcore_wakeups),
+                  static_cast<unsigned long long>(spawn.xcore_pushes));
+      ok = false;
+    }
+    std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
+    return ok ? 0 : 1;
+  }
+
   char section[512];
   std::snprintf(
       section, sizeof(section),
@@ -292,31 +253,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(spawn.xcore_batched),
       static_cast<unsigned long long>(spawn.control_locks),
       FanInJson(fan_in).c_str());
-  WriteJsonSection("BENCH_interconnect.json", smoke ? "interconnect_smoke" : "interconnect",
-                   section);
-  std::printf("# wrote section \"%s\" to BENCH_interconnect.json\n",
-              smoke ? "interconnect_smoke" : "interconnect");
-
-  if (smoke) {
-    bool ok = true;
-    if (spawn.allocs_per_op >= 0.05) {
-      std::printf("SMOKE FAIL: allocs_per_op %.4f >= 0.05 (slab carving regressed)\n",
-                  spawn.allocs_per_op);
-      ok = false;
-    }
-    double flat_limit = 2.0 * fan_in.front().second;
-    if (fan_in.back().second > flat_limit) {
-      std::printf("SMOKE FAIL: fan-in ns/op %.1f at %zu senders > 2x single-sender %.1f\n",
-                  fan_in.back().second, fan_in.back().first, fan_in.front().second);
-      ok = false;
-    }
-    if (spawn.control_locks != 0) {
-      std::printf("SMOKE FAIL: control_locks %llu != 0 on the dispatch path\n",
-                  static_cast<unsigned long long>(spawn.control_locks));
-      ok = false;
-    }
-    std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-  }
+  WriteJsonSection("BENCH_interconnect.json", "interconnect", section);
+  std::printf("# wrote section \"interconnect\" to BENCH_interconnect.json\n");
   return 0;
 }

@@ -146,8 +146,11 @@ GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p);
 struct Stats {
   std::atomic<std::uint64_t> iobuf_allocs{0};      // IOBuf owned-storage blocks allocated
   std::atomic<std::uint64_t> iobuf_slab_allocs{0}; // ...served by the per-core GP/slab path
-  std::atomic<std::uint64_t> heap_fallback_allocs{0};  // std::malloc fallbacks on IOBuf paths
-                                                       // (no machine context, or arena full)
+  // Heap fallbacks of the routed allocators, taken when no machine context or GP allocator
+  // is in reach or the arena is full: AllocRouted's std::malloc (IOBuf storage, item blocks,
+  // RCU and table nodes) and Interconnect::New's ::operator new (a node pushed from outside
+  // any core, e.g. by ThreadMachine::RunSync from the caller's thread).
+  std::atomic<std::uint64_t> heap_fallback_allocs{0};
   std::atomic<std::uint64_t> pool_hits{0};     // BufferPool allocs served from recycled blocks
   std::atomic<std::uint64_t> pool_misses{0};   // ...that had to carve from the slab path
   std::atomic<std::uint64_t> remote_frees{0};  // frees routed home from another core/context

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/interconnect_common.h"
 #include "src/event/block_on.h"
 #include "src/event/event_manager.h"
 #include "src/event/sim_world.h"
@@ -67,6 +68,19 @@ TEST(ThreadMachine, BlockOnReadyFutureFastPath) {
   machine.RunSync(0, [&] { result = event::BlockOn(MakeReadyFuture<int>(5)); });
   EXPECT_EQ(result, 5);
   machine.Shutdown();
+}
+
+// Table 3's xcore_spawn shape at its --smoke size (bench/interconnect_common.h): bursts of
+// 20000 SpawnRemote from core 0 to core 1 on a 2-core machine. Each spawn carves its node
+// from the per-core slab, so the spawning events never fall back to the heap, every spawn
+// rides core 1's interconnect list, and the dispatch path takes no lock.
+TEST(ThreadMachine, CrossCoreSpawnBurstsCarveEveryNodeAndTakeNoLock) {
+  constexpr std::size_t kBurst = 20000;
+  constexpr int kRounds = 3;
+  bench::SpawnResult spawn = bench::XcoreSpawn(kBurst, kRounds);
+  EXPECT_EQ(spawn.heap_fallbacks, 0u);
+  EXPECT_EQ(spawn.xcore_pushes, kBurst * kRounds);
+  EXPECT_EQ(spawn.control_locks, 0u);
 }
 
 // --- Deterministic ports (discrete-event SimWorld, virtual time) ------------------------------

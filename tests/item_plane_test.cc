@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/item_plane_common.h"
 #include "src/apps/memcached/kvstore.h"
 #include "src/event/thread_machine.h"
 #include "src/mem/gp_allocator.h"
@@ -139,9 +140,9 @@ TEST_F(ItemPlaneTest, RemoteDropRoutesBlockHome) {
 }
 
 TEST_F(ItemPlaneTest, StoreOperationsDoNotTouchTheGenericHeap) {
-  // The tentpole's claim, pinned as a unit test (fig13 gates it at bench scale): steady
-  // state GET — including the full response-pinning path — and SET perform zero generic
-  // heap allocations.
+  // The item plane's claim at unit scale (MixSweepNeverTouchesTheGenericHeap holds it at
+  // bench scale): steady state GET — including the full response-pinning path — and SET
+  // perform zero generic heap allocations.
   auto store = std::make_shared<KvStore>(RcuManagerRoot::For(machine_.runtime()));
   std::uint64_t get_allocs = 0;
   std::uint64_t set_allocs = 0;
@@ -169,6 +170,23 @@ TEST_F(ItemPlaneTest, StoreOperationsDoNotTouchTheGenericHeap) {
   EXPECT_EQ(set_allocs, 0u);
   EXPECT_EQ(get_allocs, 0u);
   DrainGracePeriods();
+}
+
+// Figure 13's full schedule (bench/item_plane_common.h): GET/SET mix {100/0, 90/10, 50/50}
+// x value size {64, 1024, 8192}, 200000 ops per point. Every op of every point runs, and
+// none of them allocates on the generic heap or takes a dispatch-path control lock.
+TEST(ItemPlaneSweep, MixSweepNeverTouchesTheGenericHeap) {
+  std::vector<bench::MixPoint> points = bench::RunMixSweep();
+  ASSERT_EQ(points.size(), std::size(bench::kItemMixes) * std::size(bench::kItemValueSizes));
+  for (const bench::MixPoint& p : points) {
+    SCOPED_TRACE(::testing::Message() << "mix " << p.get_pct << "/" << 100 - p.get_pct
+                                      << " value " << p.value_size);
+    EXPECT_EQ(p.ops, bench::kItemOpsPerPoint);
+    EXPECT_EQ(p.get_heap_allocs_per_op, 0.0);
+    EXPECT_EQ(p.set_heap_allocs_per_op, 0.0);
+    EXPECT_EQ(p.heap_allocs_per_op, 0.0);
+    EXPECT_EQ(p.control_locks, 0u);
+  }
 }
 
 }  // namespace

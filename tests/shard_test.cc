@@ -786,7 +786,7 @@ TEST(ShardRing, BalanceAndDeterminismWithoutAWorld) {
   }
   EXPECT_EQ(total, kKeys);
   double imbalance = static_cast<double>(max) / (static_cast<double>(total) / kShards) - 1.0;
-  // The CI smoke gate allows 25%; the pinned schedule must clear it with margin.
+  // This test is the imbalance gate: at most 25% over the mean on the pinned schedule.
   EXPECT_LE(imbalance, 0.25);
 }
 

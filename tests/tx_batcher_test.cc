@@ -6,7 +6,9 @@
 //   * Close() with corked data flushes the data before the FIN;
 //   * property: the received byte stream is identical with and without auto-cork;
 //   * acceptance: memcached at pipeline depth 32 serves the same byte stream with >= 4x
-//     fewer TX data segments than at depth 1.
+//     fewer TX data segments than at depth 1;
+//   * the committed depth sweeps (fig5, fig6, tab2, run through the benches' own depth
+//     points) coalesce sends and serve from the pool with zero steady-state heap allocs.
 #include <memory>
 #include <random>
 #include <string>
@@ -14,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/memcached_common.h"
+#include "bench/webserver_common.h"
 #include "src/apps/loadgen/memcached_loadgen.h"
 #include "src/apps/memcached/server.h"
 #include "src/event/event_manager.h"
@@ -320,6 +324,31 @@ TEST(TxBatcher, MemcachedDepth32CutsSegmentsPerOpAtLeast4x) {
       << "depth1=" << depth1.data_segments << " depth32=" << depth32.data_segments;
   EXPECT_GT(depth32.sends_coalesced, 0u);
   EXPECT_GT(depth32.bytes_per_segment, depth1.bytes_per_segment);
+}
+
+// Every committed sweep shape of BENCH_tx_batching.json / BENCH_alloc_pool.json: memcached
+// at 1 and 4 server cores (512 requests) and the uv webserver, at depths 1/8/32, plus fig5's
+// depth-8 point at half the schedule. Steady state never falls back to the heap — at
+// either request count, so heap allocs cannot grow with the schedule — and every pipelined
+// depth coalesces sends and recycles pool blocks.
+TEST(TxBatcher, CommittedDepthSweepsCoalesceWithZeroHeapAllocs) {
+  std::vector<std::pair<const char*, bench::DepthPoint>> points;
+  for (std::size_t depth : {1, 8, 32}) {
+    points.emplace_back("memcached_1core", bench::RunDepthPoint(1, depth, 512));
+    points.emplace_back("memcached_4core", bench::RunDepthPoint(4, depth, 512));
+    points.emplace_back("webserver", bench::RunWebDepthPoint(depth));
+  }
+  points.emplace_back("memcached_1core", bench::RunDepthPoint(1, 8, 256));
+  for (const auto& [sweep, p] : points) {
+    SCOPED_TRACE(::testing::Message() << sweep << " pipeline " << p.pipeline << ", "
+                                      << p.requests << " requests");
+    ASSERT_GT(p.requests, 0u);
+    EXPECT_EQ(p.heap_allocs, 0u);
+    if (p.pipeline >= 8) {
+      EXPECT_GT(p.sends_coalesced, 0u);
+      EXPECT_GT(p.pool_hit_rate, 0.0);
+    }
+  }
 }
 
 }  // namespace

@@ -16,8 +16,19 @@ gap of the medians, and how many pairs the change won. For the claimed metric,
 host_ns_per_op, it applies the rule every host-time claim follows: the change wins at least
 9 of 10 pairs and the medians differ by more than the parent's interquartile range. The modeled columns
 (latencies, achieved rate, success rate) come from the fixed virtual clock; any that
-differ between any two runs are listed. Metric directions are read from the parent's
-BENCHMARK.json; nothing under perfbench/ is written except each root's own build.
+differ between any two runs are listed.
+
+Every end_to_end metric of the parent's BENCHMARK.json then gets a no-regression verdict
+against that metric's relative bound:
+  REGRESSED   the change's median is worse than the parent's by more than the bound;
+  unresolved  the parent's IQR/median is wider than the bound and not every change run
+              beats every parent run, so the runs spread too widely to tell;
+  holds       otherwise.
+A change to KvStore, the item blocks or RCU shows `holds` on every metric over set_large
+pairs: that is the item plane's host-time gate.
+
+Metric directions and bounds are read from the parent's BENCHMARK.json; nothing under
+perfbench/ is written except each root's own build.
 """
 import argparse
 import json
@@ -31,10 +42,12 @@ CLAIMED = "host_ns_per_op"
 MODELED = ("p50_us", "p99_us", "achieved_ops_per_s", "success_rate")
 
 
-def directions(root):
+def load_benchmark(root):
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    return better, bounds
 
 
 def run(root, args, seconds):
@@ -61,6 +74,23 @@ def cell(q):
     return "%.6g [%.6g-%.6g]" % (q[1], q[0], q[2])
 
 
+def regression_verdict(pv, cv, lower, bound):
+    """The no-regression rule for one end_to_end metric (see the module docstring)."""
+    pq, cq = quartiles(pv), quartiles(cv)
+    worse = (cq[1] - pq[1]) if lower else (pq[1] - cq[1])
+    rel_worse = worse / abs(pq[1]) if pq[1] else (0.0 if worse <= 0 else math.inf)
+    rel_spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
+    dominates = (max(cv) < min(pv)) if lower else (min(cv) > max(pv))
+    if rel_worse > bound:
+        verdict = "REGRESSED"
+    elif rel_spread > bound and not dominates:
+        verdict = "unresolved"
+    else:
+        verdict = "holds"
+    return "%s (worse by %+.2f%%, parent IQR/median %.2f%%, bound %.0f%%)" % (
+        verdict, rel_worse * 100, rel_spread * 100, bound * 100)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_root")
@@ -73,7 +103,7 @@ def main():
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent_root),
              "change": os.path.abspath(args.change_root)}
-    better = directions(roots["parent"])
+    better, bounds = load_benchmark(roots["parent"])
 
     for side in ("parent", "change"):
         run(roots[side], args, 1)
@@ -116,6 +146,13 @@ def main():
     print("modeled columns: " + ("; ".join(moved) if moved else "identical in every run"))
     if verdict:
         print(verdict)
+    for name in sorted(bounds):
+        if name not in runs["parent"][0]:
+            continue
+        pv = [r[name] for r in runs["parent"]]
+        cv = [r[name] for r in runs["change"]]
+        lower = better.get(name, "lower") == "lower"
+        print("%-32s %s" % (name, regression_verdict(pv, cv, lower, bounds[name])))
     return 0
 
 
