@@ -164,6 +164,16 @@ class KvStore {
     return found != nullptr ? *found : ItemPtr();
   }
 
+  // Batch Get: calls fn(i, ItemPtr) for i = 0..n-1 in request order, with what Get(keys[i])
+  // would return (null on a miss). The keys resolve through the table's prefetched batch
+  // lookup (RcuHashTable::FindEach), so a MultiGet pays its cache misses in parallel.
+  template <typename F>
+  void GetEach(const std::string_view* keys, std::size_t n, F&& fn) {
+    table_.FindEach(keys, n, [&fn](std::size_t i, ItemPtr* found) {
+      fn(i, found != nullptr ? *found : ItemPtr());
+    });
+  }
+
   void Set(std::string_view key, std::string_view value, std::uint32_t flags) {
     table_.InsertOrReplace(key, ItemPtr(Item::New(key, value, flags, NextCas())));
   }

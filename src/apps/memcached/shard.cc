@@ -106,29 +106,27 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
       }
       MultiGetReplyBuilder reply;
       std::uint32_t hits = 0;
-      for (std::size_t i = 0; i < scratch.keys.size(); ++i) {
+      store_.GetEach(scratch.keys.data(), scratch.keys.size(), [&](std::size_t i, ItemPtr item) {
         // The batch is N logical requests under one frame: charge modeled service time per
         // KEY, not per frame (the top-of-function on_request covered key 0) — the bulk win
         // measured by benches is header/dispatch amortization, not discounted work.
         if (i > 0 && config_.on_request) {
           config_.on_request();
         }
-        std::string_view key = scratch.keys[i];
-        if (key.size() > kMaxKeyLen) {
+        if (scratch.keys[i].size() > kMaxKeyLen) {
           // Per-item bound inside a batch: an oversized key can't be stored, so it simply
           // misses — but it is counted, since a conforming client never sends one.
           bad_frames_.fetch_add(1, std::memory_order_relaxed);
           reply.Add(nullptr);
-          continue;
+          return;
         }
-        ItemPtr item = store_.Get(key);
         if (item == nullptr) {
           reply.Add(nullptr);
-          continue;
+          return;
         }
         hits++;
         reply.Add(MakeValueBuffer(std::move(item)));
-      }
+      });
       Reply(from, request_id, /*aux=*/hits, reply.Finish());
       return;
     }

@@ -39,7 +39,7 @@ struct EventManager::SpawnNode final : InterconnectNode {
   explicit SpawnNode(MoveFunction<void()> f) : fn(std::move(f)) {}
   void Fire(EventManager& em) override {
     MoveFunction<void()> f = std::move(fn);
-    Interconnect::Delete(this);
+    em.stats_.control_locks += Interconnect::Delete(this);
     ++em.stats_.xcore_spawns;
     ++em.stats_.synthetic;
     // Safe: RunOnEventStack moves one-shot closures onto the fiber stack before any
@@ -57,7 +57,7 @@ struct EventManager::ActivateNode final : InterconnectNode {
     QueueEntry entry;
     entry.resume_sp = resume_sp;
     entry.resume_stack = std::move(stack);
-    Interconnect::Delete(this);
+    em.stats_.control_locks += Interconnect::Delete(this);
     ++em.stats_.xcore_spawns;
     em.ResumeContext(std::move(entry));
   }
@@ -445,7 +445,7 @@ EventManager::Stats EventManager::stats() const {
   s.xcore_pushes = ic.pushes(machine_core_);
   s.xcore_wakeups = ic.wakeups(machine_core_);
   s.xcore_wakeups_elided = s.xcore_pushes - s.xcore_wakeups;
-  s.control_locks = 0;  // no spinlock exists on the dispatch path to count
+  s.control_locks = stats_.control_locks;
   return s;
 }
 

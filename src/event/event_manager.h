@@ -200,8 +200,11 @@ class EventManager {
     std::uint64_t xcore_pushes = 0;    // nodes other cores/threads pushed at this core
     std::uint64_t xcore_wakeups = 0;   // pushes that displaced the idle sentinel (paid wake)
     std::uint64_t xcore_wakeups_elided = 0;  // pushes that needed no wake (core awake/pending)
-    std::uint64_t control_locks = 0;   // spinlock acquisitions on the dispatch path:
-                                       // structurally zero since the interconnect port
+    // Spawn/activate nodes carved on another machine that this core freed: such a node goes
+    // home through its arena's spinlocked depot or buddy (mem::FreeRouted). Only these
+    // frees are counted. A node carved on this machine returns to the local slab cache,
+    // whose depot flushes and refills also take a spinlock but are not counted here.
+    std::uint64_t control_locks = 0;
   };
   Stats stats() const;
 
@@ -327,6 +330,7 @@ class EventManager {
     std::uint64_t end_of_event = 0;
     std::uint64_t xcore_spawns = 0;
     std::uint64_t xcore_batches = 0;
+    std::uint64_t control_locks = 0;
   } stats_;
 };
 

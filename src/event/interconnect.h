@@ -134,19 +134,20 @@ class Interconnect {
   }
 
   // Destroys and frees a node obtained from New. Safe from any context: slab-carved nodes
-  // route home through mem::FindOwningRoot/FreeAnywhere (per-core fast path when the caller
-  // is a core of the owning machine).
+  // route home through mem::FreeRouted (per-core fast path when the caller is a core of the
+  // owning machine). Returns whether the free took a locked allocator path (the depot or
+  // buddy remote free), which the dispatching core counts as a control lock.
   template <typename T>
-  static void Delete(T* node) {
+  static bool Delete(T* node) {
     bool slab = static_cast<InterconnectNode*>(node)->slab_carved_;
     node->~T();
-    if (slab) {
-      GeneralPurposeAllocatorRoot* owner = mem::FindOwningRoot(node);
-      Kassert(owner != nullptr, "Interconnect::Delete: slab node without owning arena");
-      owner->FreeAnywhere(node);
-    } else {
+    if (!slab) {
       ::operator delete(node);
+      return false;
     }
+    Kassert(mem::FindOwningRoot(node) != nullptr,
+            "Interconnect::Delete: slab node without owning arena");
+    return mem::FreeRouted(node);
   }
 
  private:

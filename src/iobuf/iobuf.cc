@@ -39,23 +39,6 @@ void* AllocBlock(std::size_t size, bool* slab_backed) {
   return block != nullptr ? block : HeapFallback(size);
 }
 
-// Routes a block back to whichever machine arena owns it — from any context — or to the
-// heap when no arena does. This is what lets a buffer allocated on one core be released
-// wherever its last view dies (another core, a world action, teardown).
-void FreeBlock(void* p) {
-  GeneralPurposeAllocatorRoot* owner = mem::FindOwningRoot(p);
-  if (owner == nullptr) {
-    std::free(p);
-    return;
-  }
-  if (HaveContext() && owner->runtime() == &CurrentRuntime()) {
-    // Same machine: per-core fast path via the cached Ebb representative.
-    GeneralPurposeAllocator::Instance()->Free(p);
-    return;
-  }
-  owner->FreeAnywhere(p);
-}
-
 }  // namespace
 
 void* IOBuf::operator new(std::size_t size) {
@@ -68,10 +51,13 @@ void* IOBuf::operator new(std::size_t size) {
   return AllocBlock(size, nullptr);
 }
 
-void IOBuf::operator delete(void* p) { FreeBlock(p); }
+// Blocks route back to whichever machine arena owns them, from any context, or to the heap
+// when no arena does: a buffer allocated on one core is released wherever its last view
+// dies (another core, a world action, teardown).
+void IOBuf::operator delete(void* p) { mem::FreeRouted(p); }
 
 // Dispose for the co-allocated [SharedStorage][bytes] layout: one block, one free.
-void IOBuf::DisposeCoAllocated(SharedStorage* storage) { FreeBlock(storage); }
+void IOBuf::DisposeCoAllocated(SharedStorage* storage) { mem::FreeRouted(storage); }
 
 // Dispose for TakeOwnership storage: run the user's free callback, then release the
 // (separately-allocated) control block.
@@ -79,7 +65,7 @@ void IOBuf::DisposeExternal(SharedStorage* storage) {
   if (storage->free_fn != nullptr) {
     storage->free_fn(storage->buffer, storage->free_arg);
   }
-  FreeBlock(storage);
+  mem::FreeRouted(storage);
 }
 
 IOBuf::SharedStorage* IOBuf::InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero,

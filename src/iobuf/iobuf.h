@@ -24,7 +24,7 @@
 // (slab fast path, no atomics) whenever a machine context is installed, falling back to
 // std::malloc only outside any machine (unit tests, world actions). The IOBuf descriptor
 // itself is slab-backed the same way via class operator new. Release routes the block home
-// from wherever the last view dies (mem::FindOwningRoot), so the steady-state datapath does
+// from wherever the last view dies (mem::FreeRouted), so the steady-state datapath does
 // zero malloc/free calls; mem::stats() counts every allocation and each heap fallback.
 //
 // Lifetime invariant: storage allocated under a machine context lives in that machine's

@@ -22,7 +22,7 @@ struct BufferPool::BlockNode final : InterconnectNode {
   }
   void Discard() override {
     // Machine teardown with the block still in flight: no loops left to deliver it, so hand
-    // it straight back to the slab (FreeAnywhere works from any context).
+    // it straight back to the slab (FreeRouted works from any context).
     BufferPool* p = pool;
     void* block = this;
     this->~BlockNode();
@@ -165,9 +165,8 @@ void BufferPool::FreeRemote(void* block) {
 
 void BufferPool::ReturnToSlab(void* block) {
   outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  GeneralPurposeAllocatorRoot* owner = mem::FindOwningRoot(block);
-  Kassert(owner != nullptr, "BufferPool: pooled block outside any arena");
-  owner->FreeAnywhere(block);
+  Kassert(mem::FindOwningRoot(block) != nullptr, "BufferPool: pooled block outside any arena");
+  mem::FreeRouted(block);
 }
 
 }  // namespace ebbrt

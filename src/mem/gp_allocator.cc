@@ -6,30 +6,27 @@ namespace ebbrt {
 
 namespace {
 
-// Append-on-install registry of live GP roots, used to route any arena pointer back to its
-// owning machine's allocator (mem::FindOwningRoot). Fixed-capacity array of atomics so the
-// lookup — which sits on IOBuf release paths — takes no lock; slots are recycled when a
-// machine is torn down.
-constexpr std::size_t kMaxLiveRoots = 64;
-std::atomic<GeneralPurposeAllocatorRoot*> g_live_roots[kMaxLiveRoots] = {};
+// Live GP roots, indexed by their arena's reservation slot (PhysArena), so routing any
+// pointer home is one table load (mem::FindOwningRoot). Beside the root, the slot keeps the
+// arena's mapped size: a pointer past the arena's end but inside its slot is no arena
+// pointer. An array of atomics, so the lookup, which sits on every IOBuf and item release
+// path, takes no lock.
+struct RootSlot {
+  std::atomic<GeneralPurposeAllocatorRoot*> root{nullptr};
+  std::atomic<std::size_t> bytes{0};
+};
+RootSlot g_live_roots[kArenaSlots];
 
-void RegisterRoot(GeneralPurposeAllocatorRoot* root) {
-  for (auto& slot : g_live_roots) {
-    GeneralPurposeAllocatorRoot* expected = nullptr;
-    if (slot.compare_exchange_strong(expected, root, std::memory_order_acq_rel)) {
-      return;
-    }
-  }
-  Kabort("gp_allocator: more than %zu live machine arenas", kMaxLiveRoots);
+void RegisterRoot(GeneralPurposeAllocatorRoot* root, const PhysArena& arena) {
+  RootSlot& slot = g_live_roots[arena.slot()];
+  slot.bytes.store(arena.bytes(), std::memory_order_relaxed);
+  slot.root.store(root, std::memory_order_release);  // publishes bytes with it
 }
 
-void UnregisterRoot(GeneralPurposeAllocatorRoot* root) {
-  for (auto& slot : g_live_roots) {
-    GeneralPurposeAllocatorRoot* expected = root;
-    if (slot.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel)) {
-      return;
-    }
-  }
+void UnregisterRoot(const PhysArena& arena) {
+  RootSlot& slot = g_live_roots[arena.slot()];
+  slot.root.store(nullptr, std::memory_order_release);
+  slot.bytes.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -51,13 +48,16 @@ Stats& stats() {
 }
 
 GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p) {
-  for (auto& slot : g_live_roots) {
-    GeneralPurposeAllocatorRoot* root = slot.load(std::memory_order_acquire);
-    if (root != nullptr && root->pages().arena().Contains(p)) {
-      return root;
-    }
+  std::uintptr_t offset = ArenaOffsetOf(p);
+  if (offset >= kArenaSlots * kArenaStride) {
+    return nullptr;  // outside the reservation: heap, stack, or static memory
   }
-  return nullptr;
+  RootSlot& slot = g_live_roots[offset >> kArenaStrideShift];
+  GeneralPurposeAllocatorRoot* root = slot.root.load(std::memory_order_acquire);
+  if ((offset & (kArenaStride - 1)) >= slot.bytes.load(std::memory_order_relaxed)) {
+    return nullptr;  // a free slot (0 bytes) or past its arena's end
+  }
+  return root;
 }
 
 void* AllocRouted(std::size_t size, bool* slab_backed) {
@@ -79,21 +79,16 @@ void* AllocRouted(std::size_t size, bool* slab_backed) {
   return std::malloc(size != 0 ? size : 1);
 }
 
-void FreeRouted(void* p) {
+bool FreeRouted(void* p) {
   if (p == nullptr) {
-    return;
+    return false;
   }
   GeneralPurposeAllocatorRoot* owner = FindOwningRoot(p);
   if (owner == nullptr) {
     std::free(p);
-    return;
+    return false;
   }
-  if (HaveContext() && owner->runtime() == &CurrentRuntime()) {
-    // Same machine: per-core fast path via the cached Ebb representative.
-    GeneralPurposeAllocator::Instance()->Free(p);
-    return;
-  }
-  owner->FreeAnywhere(p);
+  return owner->FreeAnywhere(p);
 }
 
 }  // namespace mem
@@ -110,39 +105,42 @@ GeneralPurposeAllocatorRoot::GeneralPurposeAllocatorRoot(PageAllocatorRoot& page
                                                       num_cores);
     CurrentRuntime().InstallRoot(id, class_roots_[i].get());
   }
-  reps_.resize(num_cores);
-  RegisterRoot(this);
+  // Every core's representative is built here, with the root, so RepFor is a plain index:
+  // a free routed home from any core never takes a lock to find its representative.
+  reps_.reserve(num_cores);
+  for (std::size_t core = 0; core < num_cores; ++core) {
+    reps_.push_back(std::make_unique<GeneralPurposeAllocator>(*this, core));
+  }
+  RegisterRoot(this, pages_.arena());
 }
 
-GeneralPurposeAllocatorRoot::~GeneralPurposeAllocatorRoot() { UnregisterRoot(this); }
+GeneralPurposeAllocatorRoot::~GeneralPurposeAllocatorRoot() { UnregisterRoot(pages_.arena()); }
 
-void GeneralPurposeAllocatorRoot::FreeAnywhere(void* p) {
-  PhysArena& arena = pages_.arena();
-  Kassert(arena.Contains(p), "GeneralPurposeAllocatorRoot::FreeAnywhere: foreign pointer");
-  // Running as a core of this machine: the ordinary per-core fast path applies.
+bool GeneralPurposeAllocatorRoot::FreeAnywhere(void* p) {
+  // Running as a core of this machine: the ordinary per-core fast path, through the cached
+  // Ebb representative.
   if (HaveContext() && runtime_ != nullptr && &CurrentRuntime() == runtime_) {
-    RepFor(CurrentContext().machine_core).Free(p);
-    return;
+    GeneralPurposeAllocator::Instance()->Free(p);
+    return false;
   }
   // Anything else — world actions, another machine's core, post-loop teardown — may not
   // touch a per-core freelist. Route slab objects to the owning node depot and large blocks
   // to the node buddy, both of which are lock-protected.
+  PhysArena& arena = pages_.arena();
+  Kassert(arena.Contains(p), "GeneralPurposeAllocatorRoot::FreeAnywhere: foreign pointer");
   mem::stats().remote_frees.fetch_add(1, std::memory_order_relaxed);
   PageInfo& info = arena.InfoForAddr(p);
   if (info.kind == PageKind::kSlab) {
     static_cast<SlabCacheRoot*>(info.owner)->RemoteFree(p, info.node);
-    return;
+    return true;
   }
   Kassert(info.kind == PageKind::kLarge, "FreeAnywhere: free of non-allocated page");
   pages_.RepForNode(info.node).FreePages(p);
+  return true;
 }
 
 GeneralPurposeAllocator& GeneralPurposeAllocatorRoot::RepFor(std::size_t machine_core) {
   Kassert(machine_core < reps_.size(), "GeneralPurposeAllocatorRoot: bad core");
-  std::lock_guard<Spinlock> lock(rep_mu_);
-  if (reps_[machine_core] == nullptr) {
-    reps_[machine_core] = std::make_unique<GeneralPurposeAllocator>(*this, machine_core);
-  }
   return *reps_[machine_core];
 }
 
@@ -214,7 +212,7 @@ namespace mem {
 
 void Install(Runtime& runtime, std::size_t num_cores, Config config) {
   // Adoption order = destruction constraints reversed: the GP root (adopted last) dies
-  // first, unregistering its arena from the routed-free registry before the arena unmaps.
+  // first, clearing its arena's registry slot before the arena unmaps and frees the slot.
   auto arena = std::make_shared<PhysArena>(config.arena_bytes, config.numa_nodes);
   runtime.Adopt(arena);
   std::size_t cores_per_node = config.cores_per_node != 0

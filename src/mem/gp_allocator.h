@@ -52,22 +52,21 @@ class GeneralPurposeAllocatorRoot {
   SlabCacheRoot& class_root(std::size_t idx) { return *class_roots_[idx]; }
   PageAllocatorRoot& pages() { return pages_; }
   std::size_t num_cores() const { return num_cores_; }
-  Runtime* runtime() const { return runtime_; }
 
   // Frees `p` (which must belong to this machine's arena) from ANY execution context. When
   // the caller is running as a core of this machine, this is the normal per-core slab/page
   // fast path; otherwise slab objects are pushed to the owning node's depot and large blocks
   // to the node buddy — both spinlock-protected, so a world action or a foreign machine can
-  // safely release buffers it was handed (counted in mem::stats().remote_frees).
-  void FreeAnywhere(void* p);
+  // safely release buffers it was handed (counted in mem::stats().remote_frees). Returns
+  // whether the free took one of those locked paths.
+  bool FreeAnywhere(void* p);
 
  private:
   PageAllocatorRoot& pages_;
   std::size_t num_cores_;
   Runtime* runtime_;  // machine this root is installed on (nullptr for bare test roots)
   std::array<std::unique_ptr<SlabCacheRoot>, gp_internal::kSizeClasses.size()> class_roots_;
-  std::vector<std::unique_ptr<GeneralPurposeAllocator>> reps_;
-  Spinlock rep_mu_;
+  std::vector<std::unique_ptr<GeneralPurposeAllocator>> reps_;  // one per core, built eagerly
 };
 
 class alignas(kCacheLineSize) GeneralPurposeAllocator {
@@ -110,7 +109,7 @@ class alignas(kCacheLineSize) GeneralPurposeAllocator {
 namespace mem {
 // Installs the memory subsystem (arena + page allocator + GP allocator Ebbs) on a machine.
 // The installed objects are adopted by the runtime: they die with the machine, and the GP
-// root unregisters itself from the global arena registry (see FindOwningRoot).
+// root clears its arena's slot in the global registry (see FindOwningRoot).
 struct Config {
   std::size_t arena_bytes = 256ull << 20;  // 256 MiB
   std::size_t numa_nodes = 1;
@@ -129,17 +128,21 @@ inline void Free(void* p) { GeneralPurposeAllocator::Instance()->Free(p); }
 // set to whether the arena path served the block.
 void* AllocRouted(std::size_t size, bool* slab_backed = nullptr);
 
-// Release for AllocRouted blocks, callable from ANY context: resolves the owning arena via
-// FindOwningRoot and routes the block home (per-core fast path on the owning machine,
-// spinlocked depot/buddy remote free otherwise — counted in stats().remote_frees), or
-// std::free for heap-fallback blocks. This is the "allocate on the owner core, free
-// wherever the last view dies" discipline in one call.
-void FreeRouted(void* p);
+// Release for AllocRouted blocks (and any other arena block), callable from ANY context:
+// resolves the owning arena via FindOwningRoot and routes the block home (per-core fast path
+// on the owning machine, spinlocked depot/buddy remote free otherwise — counted in
+// stats().remote_frees), or std::free for heap-fallback blocks. This is the "allocate on
+// the owner core, free wherever the last view dies" discipline in one call; every
+// route-home free in the tree goes through it. Returns whether the free took a locked path
+// (GeneralPurposeAllocatorRoot::FreeAnywhere).
+bool FreeRouted(void* p);
 
 // Resolves a pointer to the GP root whose arena contains it (nullptr for ordinary heap
-// memory). Backed by a small append-on-install registry of live arenas, so buffer release
-// paths (IOBuf storage, pooled frames) can route a block home from any context — the piece
-// that makes "allocate on the owner core, free wherever the last view dies" safe.
+// memory, and for a pointer into a free slot or past its arena's end). Every arena sits in
+// its own slot of one process-wide reservation (PhysArena), so this is one subtract, one
+// bounds compare and one load of the slot's registry entry: buffer release paths (IOBuf
+// storage, pooled frames, interconnect nodes) route a block home from any context without
+// a search.
 GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p);
 
 // Datapath allocation counters (process-global; benches snapshot deltas around a run).

@@ -6,9 +6,17 @@
 // as one big mmap'd arena per machine; "physical addresses" are offsets into it, identity
 // mapping is the arena's base address, and a side table holds per-page metadata (the analogue
 // of Linux's struct page array) used by the allocators to classify any pointer.
+//
+// Like EbbRT's partitioned address space, an address names its owner: every arena is carved
+// from one process-wide PROT_NONE reservation of kArenaSlots slots, kArenaStride bytes apart.
+// An arena claims a free slot and maps its bytes there read-write (MAP_FIXED); teardown maps
+// them back to PROT_NONE (returning the pages) before the slot is released. So the slot of
+// any pointer is one subtract and one shift (ArenaOffsetOf), which is what makes routing a
+// free home (mem::FindOwningRoot) a single table load.
 #ifndef EBBRT_SRC_MEM_PHYS_ARENA_H_
 #define EBBRT_SRC_MEM_PHYS_ARENA_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,6 +30,26 @@ inline constexpr std::size_t kPageSize = 1 << kPageShift;  // 4 KiB
 inline constexpr std::size_t kMaxOrder = 10;               // largest buddy block: 4 MiB
 
 using Pfn = std::size_t;
+
+// The reservation's geometry: 64 slots of 1 GiB. The stride bounds one arena (the largest
+// any bench installs is 512 MiB) and the slot count bounds the machines alive at once.
+inline constexpr std::size_t kArenaStrideShift = 30;
+inline constexpr std::size_t kArenaStride = std::size_t{1} << kArenaStrideShift;
+inline constexpr std::size_t kArenaSlots = 64;
+
+namespace arena_internal {
+// Base address of the reservation; 0 until the first arena is built. Written once, before
+// any arena address exists, so every reader that holds an arena pointer sees it set.
+inline std::atomic<std::uintptr_t> reservation_base{0};
+}  // namespace arena_internal
+
+// Byte offset of `addr` from the reservation's base; at least kArenaSlots * kArenaStride for
+// any address outside it (unsigned wrap covers addresses below the base). The slot is
+// `offset >> kArenaStrideShift`, the place in the slot `offset & (kArenaStride - 1)`.
+inline std::uintptr_t ArenaOffsetOf(const void* addr) {
+  return reinterpret_cast<std::uintptr_t>(addr) -
+         arena_internal::reservation_base.load(std::memory_order_relaxed);
+}
 
 enum class PageKind : std::uint8_t {
   kFree,            // in a buddy free list (first page of the block carries the order)
@@ -40,16 +68,20 @@ struct PageInfo {
 
 class PhysArena {
  public:
-  // Reserves `bytes` (rounded down to a page multiple) of "physical" memory split evenly
-  // across `numa_nodes`.
+  // Maps `bytes` (rounded down to a page multiple) of "physical" memory split evenly across
+  // `numa_nodes` into a free reservation slot. Aborts when `bytes` exceeds kArenaStride or
+  // every slot is taken.
   PhysArena(std::size_t bytes, std::size_t numa_nodes);
+  // Maps the slot's pages back to PROT_NONE (their memory returns to the OS), then frees it.
   ~PhysArena();
 
   PhysArena(const PhysArena&) = delete;
   PhysArena& operator=(const PhysArena&) = delete;
 
   std::size_t pages() const { return pages_; }
+  std::size_t bytes() const { return pages_ << kPageShift; }
   std::size_t nodes() const { return nodes_; }
+  std::size_t slot() const { return slot_; }
 
   std::uint8_t* PfnToAddr(Pfn pfn) const {
     Kassert(pfn < pages_, "PhysArena: pfn out of range");
@@ -64,7 +96,7 @@ class PhysArena {
 
   bool Contains(const void* addr) const {
     auto* p = static_cast<const std::uint8_t*>(addr);
-    return p >= base_ && p < base_ + (pages_ << kPageShift);
+    return p >= base_ && p < base_ + bytes();
   }
 
   PageInfo& InfoFor(Pfn pfn) {
@@ -81,6 +113,7 @@ class PhysArena {
 
  private:
   std::uint8_t* base_;
+  std::size_t slot_;
   std::size_t pages_;
   std::size_t nodes_;
   std::size_t pages_per_node_;

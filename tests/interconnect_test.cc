@@ -109,7 +109,7 @@ TEST(Interconnect, BurstAtHaltedCorePaysExactlyOneWakeup) {
   EXPECT_EQ(s.xcore_wakeups, 1u);          // the sentinel-displacing push
   EXPECT_EQ(s.xcore_wakeups_elided, 99u);  // everyone else rode for free
   EXPECT_EQ(s.xcore_batches, 1u);          // one exchange drained the whole burst
-  EXPECT_EQ(s.control_locks, 0u);          // structurally zero: no lock exists to count
+  EXPECT_EQ(s.control_locks, 0u);          // heap-carved nodes free without a lock
 }
 
 // A node whose whole job is to record which disposal verb ran. Storage is the caller's —

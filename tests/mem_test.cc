@@ -1,6 +1,10 @@
 // Memory subsystem tests: buddy page allocator invariants, slab caches (per-core fast path,
-// depot balancing), general-purpose allocator routing, vmem fault handling.
+// depot balancing), general-purpose allocator routing, arena slots and owner routing, vmem
+// fault handling.
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <random>
 #include <set>
@@ -266,6 +270,116 @@ TEST_F(MemTest, ParallelCoresAllocateIndependently) {
     t.join();
   }
   EXPECT_FALSE(failed.load());
+}
+
+// --- Arena slots and owner routing ---------------------------------------------------------------
+
+// A one-core machine with only the memory subsystem installed.
+struct MemMachine {
+  explicit MemMachine(std::size_t arena_bytes)
+      : runtime(std::make_unique<Runtime>(RuntimeKind::kNative, "slots")) {
+    runtime->AddCores(1);
+    mem::Config config;
+    config.arena_bytes = arena_bytes;
+    mem::Install(*runtime, 1, config);
+  }
+  GeneralPurposeAllocatorRoot& root() {
+    return runtime->GetSubsystem<GeneralPurposeAllocatorRoot>(
+        Subsystem::kGeneralPurposeAllocator);
+  }
+  PhysArena& arena() { return root().pages().arena(); }
+  // The address `offset` bytes past the arena's base (which may lie past its end).
+  const void* At(std::size_t offset) {
+    return reinterpret_cast<const void*>(reinterpret_cast<std::uintptr_t>(arena().PfnToAddr(0)) +
+                                         offset);
+  }
+  std::unique_ptr<Runtime> runtime;
+};
+
+TEST(Mem, OwnerRoutingIsOneSlotLoad) {
+  std::vector<std::unique_ptr<MemMachine>> machines;
+  for (std::size_t mib : {16, 32, 64}) {
+    machines.push_back(std::make_unique<MemMachine>(mib << 20));
+  }
+  for (auto& m : machines) {
+    std::size_t bytes = m->arena().bytes();
+    EXPECT_EQ(ArenaOffsetOf(m->At(0)), m->arena().slot() * kArenaStride);  // the slot's base
+    EXPECT_EQ(mem::FindOwningRoot(m->At(0)), &m->root());
+    EXPECT_EQ(mem::FindOwningRoot(m->At(bytes - 1)), &m->root());
+    // Past the arena's end, still inside its slot: no arena memory there.
+    EXPECT_EQ(mem::FindOwningRoot(m->At(bytes)), nullptr);
+    EXPECT_EQ(mem::FindOwningRoot(m->At(kArenaStride - 1)), nullptr);
+  }
+  auto heap = std::make_unique<int>(1);
+  int on_stack = 0;
+  EXPECT_EQ(mem::FindOwningRoot(heap.get()), nullptr);
+  EXPECT_EQ(mem::FindOwningRoot(&on_stack), nullptr);
+  EXPECT_EQ(mem::FindOwningRoot(nullptr), nullptr);
+
+  // Tear the middle machine down: its slot routes nowhere, and the next machine built takes
+  // it (the lowest free slot), starting at the same address.
+  std::size_t slot = machines[1]->arena().slot();
+  const void* base = machines[1]->At(0);
+  machines[1].reset();
+  EXPECT_EQ(mem::FindOwningRoot(base), nullptr);
+  MemMachine reuse(8ull << 20);
+  ASSERT_EQ(reuse.arena().slot(), slot);
+  EXPECT_EQ(reuse.At(0), base);
+  EXPECT_EQ(mem::FindOwningRoot(base), &reuse.root());
+  EXPECT_EQ(mem::FindOwningRoot(reuse.At((8ull << 20) - 1)), &reuse.root());
+  // The old, larger arena's tail is past the new arena's end.
+  EXPECT_EQ(mem::FindOwningRoot(reuse.At(16ull << 20)), nullptr);
+  EXPECT_EQ(mem::FindOwningRoot(machines[0]->At(0)), &machines[0]->root());
+  EXPECT_EQ(mem::FindOwningRoot(machines[2]->At(0)), &machines[2]->root());
+}
+
+// Resident set size of this process now, in KiB (/proc/self/statm's second field).
+long ResidentKib() {
+  long pages = 0;
+  long resident = 0;
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) {
+    return -1;
+  }
+  int fields = std::fscanf(statm, "%ld %ld", &pages, &resident);
+  std::fclose(statm);
+  return fields == 2 ? resident * (sysconf(_SC_PAGESIZE) / 1024) : -1;
+}
+
+TEST(Mem, ArenaSlotsRecycleAcrossMoreMachinesThanSlots) {
+  // Twice as many machines as slots, built and torn down one after another: every teardown
+  // frees its slot for the next machine, and each one's blocks route to its own root.
+  constexpr std::size_t kMachines = 2 * kArenaSlots + 8;
+  for (std::size_t i = 0; i < kMachines; ++i) {
+    MemMachine m(8ull << 20);
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    void* block = mem::AllocRouted(64 << 10);
+    ASSERT_EQ(mem::FindOwningRoot(block), &m.root()) << "machine " << i;
+    EXPECT_FALSE(mem::FreeRouted(block));  // this machine's own core: no locked path
+  }
+}
+
+TEST(Mem, ArenaTeardownReturnsItsPages) {
+  // A torn-down arena's slot goes back to PROT_NONE at once, not when a later machine
+  // happens to reuse it: its dirty pages leave the resident set with the machine.
+  constexpr std::size_t kBlock = 4ull << 20;  // one max-order buddy block
+  long before = ResidentKib();
+  ASSERT_GT(before, 0);
+  {
+    MemMachine m(32ull << 20);
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    std::vector<void*> blocks;
+    for (int i = 0; i < 4; ++i) {
+      blocks.push_back(mem::AllocRouted(kBlock));
+      ASSERT_EQ(mem::FindOwningRoot(blocks.back()), &m.root());
+      std::memset(blocks.back(), 0x5a, kBlock);
+    }
+    EXPECT_GE(ResidentKib() - before, 14 * 1024);  // the 16 MiB just dirtied
+    for (void* block : blocks) {
+      mem::FreeRouted(block);
+    }
+  }
+  EXPECT_LT(ResidentKib() - before, 4 * 1024);
 }
 
 TEST(VMem, DemandPagingDefaultHandler) {

@@ -7,6 +7,8 @@
 //  * The buddy allocator conserves pages for arbitrary alloc/free interleavings.
 //  * The key-vector body parser reads the same keys from one segment and from a chain split
 //    anywhere, and rejects every malformed body on both paths.
+//  * The RCU table's batch lookup answers every key exactly as Find does, in request order,
+//    for hits, misses and duplicates, at batch sizes on both sides of its internal chunk.
 #include <numeric>
 #include <optional>
 #include <random>
@@ -20,6 +22,7 @@
 #include "src/apps/memcached/shard.h"
 #include "src/dist/rpc.h"
 #include "src/mem/gp_allocator.h"
+#include "src/rcu/rcu_hash_table.h"
 #include "src/sim/testbed.h"
 
 namespace ebbrt {
@@ -469,6 +472,104 @@ TEST(KeyVectorParser, ShardServiceAnswersMalformedBatchesWithAnRpcError) {
   EXPECT_EQ(service->bad_frames(), 1u);  // only the oversized key inside a sound batch
   EXPECT_EQ(rpc->pending_calls(), 0u);
 }
+
+// --- Batch lookup equals Find, key by key --------------------------------------------------------
+
+// Batch sizes: empty, one key, and both sides of one and two internal 16-key chunks.
+constexpr std::size_t kBatchSizes[] = {0, 1, 2, 15, 16, 17, 31, 32, 33, 64, 100};
+
+// A batch drawn from [0, 2 * stored): about half the keys miss, and with more draws than
+// distinct keys, duplicates appear; one duplicate is forced whenever there are two slots.
+std::vector<int> DrawBatch(std::mt19937& rng, std::size_t n, int key_space) {
+  std::vector<int> batch(n);
+  for (int& key : batch) {
+    key = static_cast<int>(rng() % static_cast<unsigned>(key_space));
+  }
+  if (n >= 2) {
+    batch[n - 1] = batch[0];
+  }
+  return batch;
+}
+
+class RcuBatchLookup : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RcuBatchLookup, FindEachAnswersEveryKeyAsFindDoes) {
+  // No event loops: RCU callbacks run at once, and the keyed layout uses new/delete.
+  Runtime rt(RuntimeKind::kNative, "prop-batch");
+  rt.AddCores(1);
+  constexpr int kKeys = 120;
+  // Four buckets for up to 120 keys: chains ~30 long, so the walk past the prefetched head
+  // carries most of the answers.
+  RcuHashTable<int, int> table(RcuManagerRoot::For(rt), 2);
+  std::mt19937 rng(GetParam());
+  for (int key = 0; key < kKeys; ++key) {
+    if (rng() % 4 != 0) {
+      table.Insert(key, key * 7);
+    }
+  }
+  for (std::size_t n : kBatchSizes) {
+    std::vector<int> batch = DrawBatch(rng, n, 2 * kKeys);
+    std::size_t calls = 0;
+    std::size_t hits = 0;
+    table.FindEach(batch.data(), batch.size(), [&](std::size_t i, int* found) {
+      ASSERT_EQ(i, calls) << "batch " << n << ": answers out of request order";
+      EXPECT_EQ(found, table.Find(batch[i])) << "batch " << n << ", key " << batch[i];
+      hits += found != nullptr;
+      ++calls;
+    });
+    EXPECT_EQ(calls, n);
+    if (n >= 32) {
+      EXPECT_GT(hits, 0u) << "batch " << n;
+      EXPECT_LT(hits, n) << "batch " << n;
+    }
+  }
+}
+
+TEST_P(RcuBatchLookup, GetEachAnswersEveryKeyAsGetDoes) {
+  // The KeyOf layout (keys read back from the item blocks, whose bytes FindEach
+  // prefetches), through the KvStore surface the MultiGet paths call. Overwrites and
+  // deletes leave replaced and erased keys in the mix.
+  Runtime rt(RuntimeKind::kNative, "prop-batch-kv");
+  rt.AddCores(1);
+  std::uint64_t live_before = memcached::Item::live_count();
+  constexpr int kKeys = 120;
+  std::vector<std::string> names;
+  for (int key = 0; key < 2 * kKeys; ++key) {
+    names.push_back(std::string("key:").append(std::to_string(key)));  // gcc 12 -O3 -Wrestrict
+  }
+  {
+    memcached::KvStore store(RcuManagerRoot::For(rt), /*bucket_bits=*/1);
+    std::mt19937 rng(GetParam());
+    for (int key = 0; key < kKeys; ++key) {
+      if (rng() % 4 != 0) {
+        store.Set(names[key], std::string("v").append(std::to_string(key)), 0);
+      }
+      if (rng() % 8 == 0) {
+        store.Set(names[key], "replaced", 0);
+      }
+      if (rng() % 8 == 0) {
+        store.Delete(names[key]);
+      }
+    }
+    for (std::size_t n : kBatchSizes) {
+      std::vector<int> draws = DrawBatch(rng, n, 2 * kKeys);
+      std::vector<std::string_view> batch;
+      for (int key : draws) {
+        batch.push_back(names[key]);
+      }
+      std::size_t calls = 0;
+      store.GetEach(batch.data(), batch.size(), [&](std::size_t i, memcached::ItemPtr item) {
+        ASSERT_EQ(i, calls) << "batch " << n << ": answers out of request order";
+        EXPECT_EQ(item.get(), store.Get(batch[i]).get()) << "batch " << n << ", " << batch[i];
+        ++calls;
+      });
+      EXPECT_EQ(calls, n);
+    }
+  }
+  EXPECT_EQ(memcached::Item::live_count(), live_before);  // every reference dropped
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RcuBatchLookup, ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 }  // namespace
 }  // namespace ebbrt
