@@ -8,7 +8,7 @@
 // Comparators here: the EbbRT general-purpose allocator (per-core slab caches, no atomics),
 // the host glibc malloc, and a jemalloc-style thread-cache allocator (per-thread magazine
 // refilled from a mutex-protected central pool) we implement below — jemalloc itself is not
-// installed in this environment (substitution documented in DESIGN.md).
+// installed in this environment (see Substitutions in docs/ARCHITECTURE.md).
 //
 // NOTE: this host exposes 2 CPUs; thread counts above that are time-multiplexed, so absolute
 // scaling beyond 2 "cores" reflects oversubscription, not parallel hardware. The per-op cost

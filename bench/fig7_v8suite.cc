@@ -6,7 +6,7 @@
 //
 // Scores are inverse runtimes normalized to the Linux environment (Linux = 1.000), geometric
 // mean overall — the suite's own scoring rule. See src/apps/v8bench/ for the kernel
-// re-implementations and DESIGN.md for the V8 substitution note.
+// re-implementations and docs/ARCHITECTURE.md (Substitutions) for the V8 substitution.
 #include <cmath>
 #include <cstdio>
 

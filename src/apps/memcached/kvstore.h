@@ -164,13 +164,16 @@ class KvStore {
     return found != nullptr ? *found : ItemPtr();
   }
 
-  // Batch Get: calls fn(i, ItemPtr) for i = 0..n-1 in request order, with what Get(keys[i])
-  // would return (null on a miss). The keys resolve through the table's prefetched batch
-  // lookup (RcuHashTable::FindEach), so a MultiGet pays its cache misses in parallel.
+  // Batch Get: calls fn(i, const Item*) for i = 0..n-1 in request order, with the item
+  // Get(keys[i]) would return (null on a miss). The pointer is BORROWED: no reference is
+  // taken, and it stays valid for the call only, because the caller's RCU read side (this
+  // event) keeps the table node and its reference alive. Take an ItemPtr (Ref) to keep it
+  // longer. The keys resolve through the table's prefetched batch lookup
+  // (RcuHashTable::FindEach), so a MultiGet pays its cache misses in parallel.
   template <typename F>
   void GetEach(const std::string_view* keys, std::size_t n, F&& fn) {
     table_.FindEach(keys, n, [&fn](std::size_t i, ItemPtr* found) {
-      fn(i, found != nullptr ? *found : ItemPtr());
+      fn(i, found != nullptr ? found->get() : nullptr);
     });
   }
 

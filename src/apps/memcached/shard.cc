@@ -1,6 +1,7 @@
 #include "src/apps/memcached/shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -106,7 +107,8 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
       }
       MultiGetReplyBuilder reply;
       std::uint32_t hits = 0;
-      store_.GetEach(scratch.keys.data(), scratch.keys.size(), [&](std::size_t i, ItemPtr item) {
+      store_.GetEach(scratch.keys.data(), scratch.keys.size(),
+                     [&](std::size_t i, const Item* item) {
         // The batch is N logical requests under one frame: charge modeled service time per
         // KEY, not per frame (the top-of-function on_request covered key 0) — the bulk win
         // measured by benches is header/dispatch amortization, not discounted work.
@@ -120,12 +122,8 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
           reply.Add(nullptr);
           return;
         }
-        if (item == nullptr) {
-          reply.Add(nullptr);
-          return;
-        }
-        hits++;
-        reply.Add(MakeValueBuffer(std::move(item)));
+        hits += item != nullptr;
+        reply.Add(item);
       });
       Reply(from, request_id, /*aux=*/hits, reply.Finish());
       return;
@@ -136,30 +134,46 @@ void ShardService::HandleCall(Ipv4Addr from, std::uint64_t request_id, std::uint
 
 // --- kShardOpMultiGet reply marshaling --------------------------------------------------------
 
-void MultiGetReplyBuilder::Add(std::unique_ptr<IOBuf> value) {
-  auto word_buf = IOBuf::CreateReserveFor<sizeof(std::uint32_t)>(0);
-  word_buf->Append(sizeof(std::uint32_t));
+void MultiGetReplyBuilder::Add(const Item* item) {
   std::uint32_t word = 0;
-  if (value != nullptr) {
-    word = HostToNet32(kMultiGetFoundBit |
-                       static_cast<std::uint32_t>(value->ComputeChainDataLength()));
+  std::string_view value;
+  if (item != nullptr) {
+    value = item->value();
+    word = HostToNet32(kMultiGetFoundBit | static_cast<std::uint32_t>(value.size()));
   }
-  std::memcpy(word_buf->WritableData(), &word, sizeof(word));
-  Link(std::move(word_buf));
-  if (value != nullptr) {
-    Link(std::move(value));
+  bool copy = value.size() <= kCopyBreak;
+  std::uint8_t* out = Reserve(sizeof(word) + (copy ? value.size() : 0));
+  std::memcpy(out, &word, sizeof(word));
+  if (copy) {
+    if (!value.empty()) {
+      std::memcpy(out + sizeof(word), value.data(), value.size());
+    }
+    return;
   }
+  item->Ref();  // the view's reference: dropped when its last clone is released
+  Link(MakeValueBuffer(ItemPtr(item)));
+  open_ = nullptr;
 }
 
-void MultiGetReplyBuilder::Link(std::unique_ptr<IOBuf> chain) {
-  IOBuf* last = chain.get();
-  while (last->Next() != nullptr) {
-    last = last->Next();
+std::uint8_t* MultiGetReplyBuilder::Reserve(std::size_t len) {
+  static_assert(sizeof(std::uint32_t) + kCopyBreak <= kTailCapacity,
+                "every copied record fits an empty tail buffer");
+  if (open_ == nullptr || open_->Tailroom() < len) {
+    auto buf = IOBuf::CreateReserveFor<kTailCapacity>(0);
+    open_ = buf.get();
+    Link(std::move(buf));
   }
+  std::uint8_t* out = open_->WritableTail();
+  open_->Append(len);
+  return out;
+}
+
+void MultiGetReplyBuilder::Link(std::unique_ptr<IOBuf> buf) {
+  IOBuf* last = buf.get();  // tail buffers and value views are single elements
   if (tail_ == nullptr) {
-    head_ = std::move(chain);
+    head_ = std::move(buf);
   } else {
-    tail_->AppendChain(std::move(chain));  // tail_ is the last element: no walk
+    tail_->AppendChain(std::move(buf));  // tail_ is the last element: no walk
   }
   tail_ = last;
 }
@@ -394,6 +408,21 @@ std::size_t ShardRouter::pending_calls() const {
   return pending;
 }
 
+RingPoints::RingPoints(std::vector<std::uint64_t> sorted) : points_(std::move(sorted)) {
+  // k = bit width of the point count, so 2^k > points: at most one point per bucket on
+  // average.
+  std::size_t k = std::max<std::size_t>(1, std::bit_width(points_.size()));
+  shift_ = static_cast<unsigned>(64 - k);
+  starts_.resize(std::size_t{1} << k);
+  std::size_t point = 0;
+  for (std::size_t bucket = 0; bucket < starts_.size(); ++bucket) {
+    while (point < points_.size() && (points_[point] >> shift_) < bucket) {
+      ++point;
+    }
+    starts_[bucket] = static_cast<std::uint32_t>(point);
+  }
+}
+
 std::shared_ptr<const ShardRouter::Ring> ShardRouter::BuildRing(
     const RingRecord& record, std::size_t vnodes_per_shard, std::size_t replication) {
   auto ring = std::make_shared<Ring>();
@@ -415,10 +444,11 @@ std::shared_ptr<const ShardRouter::Ring> ShardRouter::BuildRing(
   // Each point's replica row: walk clockwise from it (wrapping past the top) collecting
   // DISTINCT shards until `width` are found.
   ring->width = std::min(replication, record.shards.size());
-  ring->points.reserve(points.size());
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(points.size());
   ring->replicas.reserve(points.size() * ring->width);
   for (std::size_t p = 0; p < points.size(); ++p) {
-    ring->points.push_back(points[p].first);
+    hashes.push_back(points[p].first);
     std::size_t row = ring->replicas.size();
     for (std::size_t walked = 0;
          walked < points.size() && ring->replicas.size() - row < ring->width; ++walked) {
@@ -429,17 +459,13 @@ std::shared_ptr<const ShardRouter::Ring> ShardRouter::BuildRing(
       }
     }
   }
+  ring->points = RingPoints(std::move(hashes));
   return ring;
 }
 
 ShardRouter::ReplicaSet ShardRouter::Ring::ReplicasFor(std::uint64_t hash,
                                                        std::size_t r) const {
-  // First ring point clockwise from the key's hash, wrapping past the top.
-  std::size_t point = static_cast<std::size_t>(
-      std::upper_bound(points.begin(), points.end(), hash) - points.begin());
-  if (point == points.size()) {
-    point = 0;
-  }
+  std::size_t point = points.Successor(hash);
   ReplicaSet set;
   set.size = std::min(r, width);
   std::memcpy(set.shards.data(), replicas.data() + point * width, set.size);

@@ -1,7 +1,7 @@
 // EarleyBoyer (parser half) — an Earley chart parser over an ambiguous expression grammar.
 // The V8 suite runs a Scheme-to-JS translation of Earley parsing + the Boyer theorem prover;
 // we reproduce the Earley half, which dominates allocation behaviour (chart items are created
-// in large numbers per input symbol). Documented as a substitution in DESIGN.md.
+// in large numbers per input symbol). Documented under Substitutions in docs/ARCHITECTURE.md.
 #include "src/apps/v8bench/kernels.h"
 
 #include <cstring>

@@ -1,10 +1,11 @@
 // The eight V8-benchmark-suite workloads (version 7), re-implemented in C++ (Figure 7).
 //
-// We cannot run Google V8 here (see DESIGN.md), so each kernel is a compact, faithful-in-
-// character C++ re-implementation of the suite's member: same algorithmic skeleton and
-// memory-allocation behaviour, scaled to run in tens of milliseconds. All data structures
-// allocate through Env so the memory-mapping policy (EbbRT pre-map vs Linux demand-fault) and
-// the preemption model are what differentiates environments, exactly as the paper argues.
+// We cannot run Google V8 here (see Substitutions in docs/ARCHITECTURE.md), so each kernel
+// is a compact, faithful-in-character C++ re-implementation of the suite's member: same
+// algorithmic skeleton and memory-allocation behaviour, scaled to run in tens of
+// milliseconds. All data structures allocate through Env so the memory-mapping policy (EbbRT
+// pre-map vs Linux demand-fault) and the preemption model are what differentiates
+// environments, exactly as the paper argues.
 // One documented substitution: EarleyBoyer (a Scheme parser+prover pair) is represented by
 // its Earley-parser half.
 //

@@ -102,7 +102,7 @@ GeneralPurposeAllocatorRoot::GeneralPurposeAllocatorRoot(PageAllocatorRoot& page
   for (std::size_t i = 0; i < gp_internal::kSizeClasses.size(); ++i) {
     EbbId id = CurrentRuntime().AllocateLocalId();
     class_roots_[i] = std::make_unique<SlabCacheRoot>(pages, gp_internal::kSizeClasses[i], id,
-                                                      num_cores);
+                                                      num_cores, static_cast<std::uint8_t>(i));
     CurrentRuntime().InstallRoot(id, class_roots_[i].get());
   }
   // Every core's representative is built here, with the root, so RepFor is a plain index:
@@ -176,8 +176,9 @@ void GeneralPurposeAllocator::Free(void* p) {
   Kassert(arena.Contains(p), "GeneralPurposeAllocator: free of foreign pointer");
   PageInfo& info = arena.InfoForAddr(p);
   if (__builtin_expect(info.kind == PageKind::kSlab, true)) {
-    auto* cache_root = static_cast<SlabCacheRoot*>(info.owner);
-    cache_root->RepFor(machine_core_).Free(p);
+    // The page names its size class, and this core's cache of that class is one indexed
+    // load away: no hop through the owning SlabCacheRoot.
+    class_reps_[info.size_class]->Free(p);
     return;
   }
   Kassert(info.kind == PageKind::kLarge, "GeneralPurposeAllocator: free of non-allocated page");

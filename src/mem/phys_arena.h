@@ -63,7 +63,8 @@ struct PageInfo {
   PageKind kind = PageKind::kBuddyTail;
   std::uint8_t order = 0;
   std::uint16_t node = 0;
-  void* owner = nullptr;  // PageKind::kSlab: the owning SlabCacheRoot
+  std::uint8_t size_class = 0;  // PageKind::kSlab: the owner's GP size class index
+  void* owner = nullptr;        // PageKind::kSlab: the owning SlabCacheRoot
 };
 
 class PhysArena {

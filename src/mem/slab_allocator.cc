@@ -7,8 +7,8 @@ inline void*& NextOf(void* obj) { return *static_cast<void**>(obj); }
 }  // namespace
 
 SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, EbbId id,
-                             std::size_t num_cores)
-    : pages_(pages), object_size_(object_size), id_(id) {
+                             std::size_t num_cores, std::uint8_t size_class)
+    : pages_(pages), object_size_(object_size), id_(id), size_class_(size_class) {
   Kassert(object_size >= sizeof(void*), "SlabCacheRoot: object too small for a link");
   // Pick the smallest slab order that fits at least 8 objects (single page when possible).
   slab_order_ = 0;
@@ -18,15 +18,14 @@ SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, 
   }
   objects_per_slab_ = (kPageSize << slab_order_) / object_size_;
   Kassert(objects_per_slab_ >= 1, "SlabCacheRoot: object larger than max slab");
-  reps_ = std::vector<std::atomic<SlabCache*>>(num_cores);
   depots_ = std::vector<Depot>(pages.nodes());
-}
-
-SlabCacheRoot::~SlabCacheRoot() {
-  for (auto& rep : reps_) {
-    delete rep.load(std::memory_order_relaxed);
+  reps_.reserve(num_cores);
+  for (std::size_t core = 0; core < num_cores; ++core) {
+    reps_.push_back(std::make_unique<SlabCache>(*this, core));
   }
 }
+
+SlabCacheRoot::~SlabCacheRoot() = default;
 
 void SlabCacheRoot::RemoteFree(void* p, std::size_t node) {
   Kassert(node < depots_.size(), "SlabCacheRoot::RemoteFree: bad node");
@@ -39,17 +38,7 @@ void SlabCacheRoot::RemoteFree(void* p, std::size_t node) {
 
 SlabCache& SlabCacheRoot::RepFor(std::size_t machine_core) {
   Kassert(machine_core < reps_.size(), "SlabCacheRoot: bad core");
-  SlabCache* rep = reps_[machine_core].load(std::memory_order_acquire);
-  if (__builtin_expect(rep != nullptr, true)) {
-    return *rep;
-  }
-  std::lock_guard<Spinlock> lock(rep_mu_);
-  rep = reps_[machine_core].load(std::memory_order_relaxed);
-  if (rep == nullptr) {
-    rep = new SlabCache(*this, machine_core);
-    reps_[machine_core].store(rep, std::memory_order_release);
-  }
-  return *rep;
+  return *reps_[machine_core];
 }
 
 SlabCache& SlabCache::HandleFault(EbbId id) {
@@ -144,6 +133,7 @@ bool SlabCache::Refill() {
   for (std::size_t i = 0; i < (std::size_t{1} << root_.slab_order()); ++i) {
     PageInfo& info = arena.InfoFor(first + i);
     info.kind = PageKind::kSlab;
+    info.size_class = root_.size_class();
     info.owner = &root_;
   }
   root_.count_slab();

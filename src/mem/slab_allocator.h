@@ -30,13 +30,17 @@ class SlabCache;
 class SlabCacheRoot {
  public:
   // A cache of `object_size`-byte objects. `id` is the Ebb id reps are reached through.
+  // `size_class` tags the cache's slab pages (PageInfo::size_class), so the general-purpose
+  // allocator routes a free to its class without going through the root. Every core's
+  // representative is built here, with the root.
   SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, EbbId id,
-                std::size_t num_cores);
+                std::size_t num_cores, std::uint8_t size_class = 0);
   ~SlabCacheRoot();
 
   SlabCache& RepFor(std::size_t machine_core);
 
   std::size_t object_size() const { return object_size_; }
+  std::uint8_t size_class() const { return size_class_; }
   EbbId id() const { return id_; }
   PageAllocatorRoot& pages() { return pages_; }
 
@@ -64,15 +68,12 @@ class SlabCacheRoot {
   PageAllocatorRoot& pages_;
   std::size_t object_size_;
   EbbId id_;
+  std::uint8_t size_class_;
   std::size_t slab_order_;
   std::size_t objects_per_slab_;
-  // Lock-free rep lookup: RepFor sits on the Free() fast path (any pointer routes back to
-  // its cache through the page-info table), so reads must not synchronize. Constructed
-  // under rep_mu_ with a double-check, published with release semantics.
-  std::vector<std::atomic<SlabCache*>> reps_;
+  std::vector<std::unique_ptr<SlabCache>> reps_;  // one per core, built eagerly
   std::vector<Depot> depots_;
   std::atomic<std::size_t> total_slabs_{0};
-  Spinlock rep_mu_;
 };
 
 // Cache-line aligned: representatives of adjacent cores are allocated back to back, and the

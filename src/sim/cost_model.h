@@ -1,4 +1,5 @@
-// Calibrated cost models for the hardware and hypervisor we cannot run (see DESIGN.md §2).
+// Calibrated cost models for the hardware and hypervisor we cannot run (see Substitutions in
+// docs/ARCHITECTURE.md).
 //
 // Values approximate the paper's testbed: 2.6 GHz Xeons, QEMU/KVM with virtio-net + vhost,
 // directly-connected 10GbE X520s. The *shape* of every experiment comes from real code-path

@@ -9,6 +9,9 @@
 //    anywhere, and rejects every malformed body on both paths.
 //  * The RCU table's batch lookup answers every key exactly as Find does, in request order,
 //    for hits, misses and duplicates, at batch sizes on both sides of its internal chunk.
+//  * A MULTIGET reply parses back to exactly the records built, whether each value was
+//    copied into a tail buffer or referenced in its item block.
+#include <algorithm>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -558,9 +561,9 @@ TEST_P(RcuBatchLookup, GetEachAnswersEveryKeyAsGetDoes) {
         batch.push_back(names[key]);
       }
       std::size_t calls = 0;
-      store.GetEach(batch.data(), batch.size(), [&](std::size_t i, memcached::ItemPtr item) {
+      store.GetEach(batch.data(), batch.size(), [&](std::size_t i, const memcached::Item* item) {
         ASSERT_EQ(i, calls) << "batch " << n << ": answers out of request order";
-        EXPECT_EQ(item.get(), store.Get(batch[i]).get()) << "batch " << n << ", " << batch[i];
+        EXPECT_EQ(item, store.Get(batch[i]).get()) << "batch " << n << ", " << batch[i];
         ++calls;
       });
       EXPECT_EQ(calls, n);
@@ -570,6 +573,78 @@ TEST_P(RcuBatchLookup, GetEachAnswersEveryKeyAsGetDoes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RcuBatchLookup, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// --- MULTIGET reply: copied and referenced values round-trip exactly ---------------------------
+
+class MultiGetReplyRoundTrip : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(MultiGetReplyRoundTrip, ParseReturnsEveryByteAndFoundBitPutIn) {
+  // Value sizes cluster around the copybreak (so copies and references interleave) and
+  // range up to a tail buffer's size (so copied records fill buffers and open new ones),
+  // with misses and empty values mixed in. Whatever path each value took, the parse must
+  // hand back exactly the records built, and drop every item reference with the reply.
+  using Builder = memcached::MultiGetReplyBuilder;
+  std::mt19937 rng(GetParam());
+  std::uint64_t live_before = memcached::Item::live_count();
+  for (int round = 0; round < 20; ++round) {
+    std::size_t count = 1 + rng() % 64;
+    std::vector<memcached::ItemPtr> items(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::size_t size;
+      switch (rng() % 5) {
+        case 0:
+          continue;  // miss
+        case 1:
+          size = rng() % 2;  // empty or one byte
+          break;
+        case 2:
+          size = Builder::kCopyBreak - 4 + rng() % 9;  // within 4 of the copybreak
+          break;
+        case 3:
+          size = rng() % Builder::kTailCapacity;
+          break;
+        default:
+          size = rng() % (2 * Builder::kCopyBreak);
+          break;
+      }
+      std::string value(size, '\0');
+      for (char& c : value) {
+        c = static_cast<char>(rng());
+      }
+      std::string key = std::string("key:").append(std::to_string(i));
+      items[i] = memcached::ItemPtr(memcached::Item::New(key, value, 0, 0));
+    }
+    Builder builder;
+    for (const auto& item : items) {
+      builder.Add(item.get());
+    }
+    auto reply = builder.Finish();
+    // Slots: a shuffled permutation, so each record lands where its slot says.
+    std::vector<std::uint32_t> slots(count);
+    std::iota(slots.begin(), slots.end(), 0u);
+    std::shuffle(slots.begin(), slots.end(), rng);
+    std::vector<memcached::ShardRouter::GetResult> results(count);
+    ASSERT_TRUE(memcached::ParseMultiGetReply(std::move(reply), slots.data(), count,
+                                              results.data()))
+        << "round " << round;
+    for (std::size_t j = 0; j < count; ++j) {
+      const memcached::ShardRouter::GetResult& result = results[slots[j]];
+      SCOPED_TRACE(testing::Message() << "round " << round << ", record " << j);
+      ASSERT_EQ(result.found, items[j] != nullptr);
+      std::string got = result.value != nullptr ? dist::ChainToString(result.value.get()) : "";
+      EXPECT_EQ(got, items[j] != nullptr ? std::string(items[j]->value()) : "");
+    }
+    results.clear();
+    for (const auto& item : items) {
+      if (item != nullptr) {
+        EXPECT_EQ(item->refs(), 1u);
+      }
+    }
+  }
+  EXPECT_EQ(memcached::Item::live_count(), live_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiGetReplyRoundTrip, ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 }  // namespace
 }  // namespace ebbrt

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -683,21 +684,25 @@ TEST(MultiGetSweep, EveryKeyHitsWithoutHeapAllocsOrControlLocks) {
 }
 
 TEST(MultiGetReply, RoundTripIsZeroCopy) {
-  // The no-memcpy pin for the gather side: parse a reply whose values live in known storage
-  // and assert the parsed views are the SAME bytes (same data pointers, shared storage) —
-  // not copies. A second live view (the clone) makes the share count observable.
-  const std::string v0(100, 'a');
-  const std::string v2(1000, 'c');
-  auto value0 = IOBuf::CopyBuffer(v0);
-  auto value2 = IOBuf::CopyBuffer(v2);
-  const std::uint8_t* v0_data = value0->Data();
-  const std::uint8_t* v2_data = value2->Data();
+  // The no-memcpy pin for values above the copybreak: parse a reply whose values live in
+  // known item blocks and assert the parsed views are the SAME bytes (same data pointers,
+  // shared storage), not copies. A second live view (the clone) makes the share count
+  // observable, and each referenced item is pinned until its last view goes.
+  constexpr std::size_t kBreak = memcached::MultiGetReplyBuilder::kCopyBreak;
+  const std::string v0(kBreak + 1, 'a');
+  const std::string v2(kBreak + 1000, 'c');
+  memcached::ItemPtr item0(memcached::Item::New("k0", v0, 0, 0));
+  memcached::ItemPtr item2(memcached::Item::New("k2", v2, 0, 0));
+  const char* v0_data = item0->value().data();
+  const char* v2_data = item2->value().data();
   memcached::MultiGetReplyBuilder builder;
-  builder.Add(std::move(value0));
+  builder.Add(item0.get());
   builder.Add(nullptr);  // miss
-  builder.Add(std::move(value2));
+  builder.Add(item2.get());
   auto reply = builder.Finish();
   ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(item0->refs(), 2u);  // the reply's view holds one reference
+  EXPECT_EQ(item2->refs(), 2u);
   auto clone = reply->Clone();  // second view of the same storage, held across the parse
   // Records land in the slots they name: here the reverse of wire order.
   const std::uint32_t slots[] = {2, 1, 0};
@@ -707,31 +712,95 @@ TEST(MultiGetReply, RoundTripIsZeroCopy) {
   ASSERT_TRUE(results[0].found);
   EXPECT_FALSE(results[1].found);
   EXPECT_EQ(results[1].value, nullptr);
-  // Same bytes, not equal bytes: the parsed value views point INTO the reply's storage.
+  // Same bytes, not equal bytes: the parsed value views point INTO the item blocks.
   ASSERT_NE(results[2].value, nullptr);
   ASSERT_NE(results[0].value, nullptr);
-  EXPECT_EQ(results[2].value->Data(), v0_data);
-  EXPECT_EQ(results[0].value->Data(), v2_data);
+  EXPECT_EQ(reinterpret_cast<const char*>(results[2].value->Data()), v0_data);
+  EXPECT_EQ(reinterpret_cast<const char*>(results[0].value->Data()), v2_data);
   EXPECT_EQ(dist::ChainToString(results[2].value.get()), v0);
   EXPECT_EQ(dist::ChainToString(results[0].value.get()), v2);
   // And the storage is shared (parsed view + clone's view at least), not re-owned.
   EXPECT_GE(results[2].value->StorageRefCount(), 2u);
   EXPECT_GE(results[0].value->StorageRefCount(), 2u);
+  results.clear();
+  clone.reset();
+  EXPECT_EQ(item0->refs(), 1u);  // the last view dropped the reply's reference
+  EXPECT_EQ(item2->refs(), 1u);
+}
+
+TEST(MultiGetReply, SmallValuesShareOneBuffer) {
+  // Below the copybreak, status words and values are copied into the open tail buffer: a
+  // reply of small hits and misses is one chain element per tail buffer, and no item stays
+  // referenced once the builder returns. Records never straddle tail buffers.
+  using Builder = memcached::MultiGetReplyBuilder;
+  constexpr std::size_t kWord = sizeof(std::uint32_t);
+  for (std::size_t value_size : {std::size_t{0}, std::size_t{1}, std::size_t{300},
+                                 Builder::kCopyBreak}) {
+    SCOPED_TRACE(testing::Message() << "value size " << value_size);
+    std::vector<memcached::ItemPtr> items;
+    std::vector<std::uint32_t> refs_before;
+    Builder builder;
+    std::size_t buffers = 0;
+    std::size_t room = 0;  // left in the tail buffer the builder should have open
+    for (std::size_t i = 0; i < 24; ++i) {
+      bool hit = i % 3 != 2;
+      std::size_t record = kWord + (hit ? value_size : 0);
+      if (record > room) {
+        ++buffers;
+        room = Builder::kTailCapacity;
+      }
+      room -= record;
+      if (!hit) {
+        builder.Add(nullptr);
+        continue;
+      }
+      std::string key = std::string("key:").append(std::to_string(i));
+      items.emplace_back(memcached::Item::New(key, std::string(value_size, 'a' + i % 26), 0, 0));
+      refs_before.push_back(items.back()->refs());
+      builder.Add(items.back().get());
+    }
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(items[i]->refs(), refs_before[i]);
+    }
+    auto reply = builder.Finish();
+    ASSERT_NE(reply, nullptr);
+    EXPECT_EQ(reply->CountChainElements(), buffers);
+    EXPECT_EQ(reply->ComputeChainDataLength(),
+              24 * kWord + items.size() * value_size);
+  }
+  // A referenced value between small ones closes the open tail buffer: small records on
+  // either side of it land in two tail buffers around the value's view.
+  memcached::ItemPtr small(memcached::Item::New("s", "tiny", 0, 0));
+  memcached::ItemPtr large(
+      memcached::Item::New("l", std::string(Builder::kCopyBreak + 1, 'L'), 0, 0));
+  Builder builder;
+  builder.Add(small.get());
+  builder.Add(nullptr);
+  builder.Add(large.get());
+  builder.Add(small.get());
+  auto reply = builder.Finish();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->CountChainElements(), 3u);
+  EXPECT_EQ(small->refs(), 1u);
+  EXPECT_EQ(large->refs(), 2u);
+  reply.reset();
+  EXPECT_EQ(large->refs(), 1u);
 }
 
 TEST(MultiGetReply, MalformedRepliesRejected) {
   const std::uint32_t slots[] = {0, 1};
   std::vector<memcached::ShardRouter::GetResult> results(2);
+  memcached::ItemPtr item(memcached::Item::New("k", std::string(8, 'x'), 0, 0));
   // Fewer records than expected.
   {
     memcached::MultiGetReplyBuilder builder;
-    builder.Add(IOBuf::CopyBuffer(std::string(8, 'x')));
+    builder.Add(item.get());
     EXPECT_FALSE(memcached::ParseMultiGetReply(builder.Finish(), slots, 2, results.data()));
   }
   // Trailing bytes beyond the declared records.
   {
     memcached::MultiGetReplyBuilder builder;
-    builder.Add(IOBuf::CopyBuffer(std::string(8, 'x')));
+    builder.Add(item.get());
     auto reply = builder.Finish();
     reply->AppendChain(IOBuf::CopyBuffer("junk"));
     EXPECT_FALSE(memcached::ParseMultiGetReply(std::move(reply), slots, 1, results.data()));
@@ -748,6 +817,50 @@ TEST(MultiGetReply, MalformedRepliesRejected) {
   // An empty reply against a zero-key expectation parses (and exactly consumes).
   EXPECT_TRUE(memcached::ParseMultiGetReply(nullptr, nullptr, 0, nullptr));
   EXPECT_TRUE(memcached::MultiGetReplyBuilder().Finish() == nullptr);
+}
+
+TEST(RingPoints, SuccessorIsUpperBoundWithWrap) {
+  // The bucket index must answer exactly what std::upper_bound over the same sorted points
+  // answers (wrapping past the top point to point 0), ties at a point's exact hash
+  // included: the shard ring's placement, and every balance number, rest on it.
+  auto reference = [](const std::vector<std::uint64_t>& points, std::uint64_t hash) {
+    auto it = std::upper_bound(points.begin(), points.end(), hash);
+    return it == points.end() ? std::size_t{0} : static_cast<std::size_t>(it - points.begin());
+  };
+  std::vector<std::vector<std::uint64_t>> rings;
+  for (std::size_t shards : {1, 4, 24}) {
+    std::vector<std::uint64_t> ring;
+    for (std::size_t i = 0; i < shards; ++i) {
+      for (std::size_t v = 0; v < 128; ++v) {
+        ring.push_back(
+            ShardHash("shard/" + std::to_string(i) + "/vnode/" + std::to_string(v)));
+      }
+    }
+    std::sort(ring.begin(), ring.end());
+    rings.push_back(std::move(ring));
+  }
+  // Edges: one point; duplicates; points at 0 and at the top of the hash space; a crowd in
+  // one bucket.
+  rings.push_back({42});
+  rings.push_back({0, 0, 7, 7, 7, ~std::uint64_t{0}, ~std::uint64_t{0}});
+  rings.push_back({1ull << 63, (1ull << 63) + 1, (1ull << 63) + 2, (1ull << 63) + 3});
+  std::mt19937_64 rng(2016);
+  for (const auto& ring : rings) {
+    SCOPED_TRACE(testing::Message() << ring.size() << " points");
+    memcached::RingPoints index(ring);
+    std::vector<std::uint64_t> probes = {0, 1, ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+    for (std::uint64_t point : ring) {
+      probes.push_back(point - 1);
+      probes.push_back(point);
+      probes.push_back(point + 1);
+    }
+    for (int i = 0; i < 100000; ++i) {
+      probes.push_back(rng());
+    }
+    for (std::uint64_t hash : probes) {
+      ASSERT_EQ(index.Successor(hash), reference(ring, hash)) << "hash " << hash;
+    }
+  }
 }
 
 TEST(ShardRing, BalanceAndDeterminismWithoutAWorld) {

@@ -15,8 +15,11 @@ The report gives, for every metric, the median and quartiles on each side, the r
 gap of the medians, and how many pairs the change won. For the claimed metric,
 host_ns_per_op, it applies the rule every host-time claim follows: the change wins at least
 9 of 10 pairs and the medians differ by more than the parent's interquartile range. The modeled columns
-(latencies, achieved rate, success rate) come from the fixed virtual clock; any that
-differ between any two runs are listed.
+come from the fixed virtual clock; any that differ between any two runs are listed. With
+--trace 0 they are the latencies, achieved rate and success rate. With --trace 1 they are
+the deterministic per-layer counts (sim.*, net.* per op except host ns, event handler,
+push and lock counts, heap allocs, pool hit rate, dist messages and RPC faults); the host-ns
+columns there are not compared.
 
 Every end_to_end metric of the parent's BENCHMARK.json then gets a no-regression verdict
 against that metric's relative bound:
@@ -40,6 +43,19 @@ import sys
 
 CLAIMED = "host_ns_per_op"
 MODELED = ("p50_us", "p99_us", "achieved_ops_per_s", "success_rate")
+# --trace 1: per-layer columns that count simulated events, never host time.
+MODELED_LAYER = ("event.handlers_per_op", "event.xcore_pushes_per_op", "event.control_locks",
+                 "mem.heap_allocs_per_op", "mem.pool_hit_rate", "dist.messages_per_op")
+
+
+def modeled(name, trace):
+    if not trace:
+        return name in MODELED
+    if name.startswith("sim.") or name.startswith("dist.rpc_"):
+        return True
+    if name.startswith("net.") and name.endswith("_per_op"):
+        return "_ns_" not in name
+    return name in MODELED_LAYER
 
 
 def load_benchmark(root):
@@ -138,12 +154,19 @@ def main():
             verdict = "%s: change won %d/%d, median gap %.5g vs parent IQR %.5g -> %s" % (
                 name, wins, args.pairs, abs(cq[1] - pq[1]), iqr,
                 "claim holds" if holds else "claim does NOT hold")
+    compared = [name for name in sorted(runs["parent"][0]) if modeled(name, args.trace)]
     moved = []
-    for name in MODELED:
+    for name in compared:
         values = sorted({r[name] for side in runs.values() for r in side if name in r})
         if len(values) > 1:
             moved.append("%s takes %d values: %s" % (name, len(values), values))
-    print("modeled columns: " + ("; ".join(moved) if moved else "identical in every run"))
+    if not compared:
+        summary = "none compared"
+    elif moved:
+        summary = "; ".join(moved)
+    else:
+        summary = "identical in every run (%d compared)" % len(compared)
+    print("modeled columns: " + summary)
     if verdict:
         print(verdict)
     for name in sorted(bounds):
