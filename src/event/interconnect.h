@@ -18,11 +18,12 @@
 //     awake or already has a wake in flight. The receiver's next drain clears the tag as a
 //     side effect of the exchange, so a spurious wake self-heals.
 //
-// Node memory comes from the per-core GeneralPurposeAllocator when the caller has a machine
-// context (a compile-time size-class pop — 0 heap allocs on the steady-state path) and falls
-// back to the global heap otherwise (world actions, bring-up). Nodes embedded in long-lived
-// objects (interrupt-vector entries, RCU epoch markers, dead pooled blocks) bypass the
-// allocator entirely: the message IS the object.
+// Node memory comes from the routed carve, mem::AllocRoutedFor: the per-core
+// GeneralPurposeAllocator when the caller has a machine context (a compile-time size-class
+// pop — 0 heap allocs on the steady-state path), its counted std::malloc fallback otherwise
+// (world actions, bring-up). Nodes embedded in long-lived objects (interrupt-vector
+// entries, RCU epoch markers, dead pooled blocks) bypass the allocator entirely: the message
+// IS the object.
 #ifndef EBBRT_SRC_EVENT_INTERCONNECT_H_
 #define EBBRT_SRC_EVENT_INTERCONNECT_H_
 
@@ -48,7 +49,8 @@ class Interconnect;
 // their own storage discipline — `Fire` executes on the target core and must dispose the
 // node before (or as) it runs user work; `Discard` disposes without executing (teardown of a
 // machine with undelivered nodes). Nodes allocated through Interconnect::New are returned to
-// their slab/heap by Interconnect::Delete; embedded nodes make both verbs no-op on storage.
+// their arena or the heap by Interconnect::Delete; embedded nodes make both verbs no-op on
+// storage.
 class InterconnectNode {
  public:
   virtual void Fire(EventManager& em) = 0;
@@ -63,7 +65,6 @@ class InterconnectNode {
  private:
   friend class Interconnect;
   InterconnectNode* next_ = nullptr;
-  bool slab_carved_ = false;  // set by Interconnect::New; read by Interconnect::Delete
 };
 
 class Interconnect {
@@ -111,42 +112,21 @@ class Interconnect {
     return lists_[core].oldest_push_ns.exchange(0, std::memory_order_relaxed);
   }
 
-  // Allocates a node of concrete type T. Per-core slab pop when the calling context has a
-  // GP allocator installed (the steady-state path: 0 heap allocs); ::operator new fallback
-  // otherwise, counted in mem::stats().heap_fallback_allocs.
+  // Allocates a node of concrete type T through the routed carve: a per-core slab pop when
+  // the calling context has a GP allocator installed (the steady-state path: 0 heap allocs),
+  // its std::malloc fallback otherwise, counted in mem::stats().heap_fallback_allocs.
   template <typename T, typename... Args>
   static T* New(Args&&... args) {
-    void* p = nullptr;
-    bool slab = false;
-    if (HaveContext() &&
-        CurrentRuntime().TryGetSubsystem<GeneralPurposeAllocatorRoot>(
-            Subsystem::kGeneralPurposeAllocator) != nullptr) {
-      p = GeneralPurposeAllocator::Instance()->AllocFor<sizeof(T)>();
-      slab = (p != nullptr);
-    }
-    if (p == nullptr) {
-      p = ::operator new(sizeof(T));
-      mem::stats().heap_fallback_allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    T* node = new (p) T(std::forward<Args>(args)...);
-    static_cast<InterconnectNode*>(node)->slab_carved_ = slab;
-    return node;
+    return new (mem::AllocRoutedFor<sizeof(T)>()) T(std::forward<Args>(args)...);
   }
 
-  // Destroys and frees a node obtained from New. Safe from any context: slab-carved nodes
-  // route home through mem::FreeRouted (per-core fast path when the caller is a core of the
-  // owning machine). Returns whether the free took a locked allocator path (the depot or
-  // buddy remote free), which the dispatching core counts as a control lock.
+  // Destroys and frees a node obtained from New. Safe from any context: mem::FreeRouted
+  // routes the block home (per-core fast path when the caller is a core of the owning
+  // machine) or back to the heap. Returns whether the free took a locked allocator path
+  // (the depot or buddy remote free), which the dispatching core counts as a control lock.
   template <typename T>
   static bool Delete(T* node) {
-    bool slab = static_cast<InterconnectNode*>(node)->slab_carved_;
     node->~T();
-    if (!slab) {
-      ::operator delete(node);
-      return false;
-    }
-    Kassert(mem::FindOwningRoot(node) != nullptr,
-            "Interconnect::Delete: slab node without owning arena");
     return mem::FreeRouted(node);
   }
 

@@ -1,55 +1,8 @@
 #include "src/iobuf/iobuf.h"
 
-#include <cstdlib>
 #include <new>
 
 namespace ebbrt {
-
-namespace {
-
-// Counted std::malloc fallback — the benches' "mallocs per op" metric is exactly this
-// counter's growth.
-void* HeapFallback(std::size_t size) {
-  mem::stats().heap_fallback_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* block = std::malloc(size);
-  Kbugon(block == nullptr, "IOBuf: allocation of %zu bytes failed", size);
-  return block;
-}
-
-// Runtime-size twin of IOBuf::TryGpBlockFor<N>.
-void* TryGpBlock(std::size_t size) {
-  if (!HaveContext()) {
-    return nullptr;
-  }
-  auto* root = CurrentRuntime().TryGetSubsystem<GeneralPurposeAllocatorRoot>(
-      Subsystem::kGeneralPurposeAllocator);
-  if (root == nullptr) {
-    return nullptr;
-  }
-  return GeneralPurposeAllocator::Instance()->Alloc(size);
-}
-
-// Allocates a raw block for IOBuf use: the current machine's GP allocator when a context is
-// installed (slab fast path), std::malloc otherwise.
-void* AllocBlock(std::size_t size, bool* slab_backed) {
-  void* block = TryGpBlock(size);
-  if (slab_backed != nullptr) {
-    *slab_backed = block != nullptr;
-  }
-  return block != nullptr ? block : HeapFallback(size);
-}
-
-}  // namespace
-
-void* IOBuf::operator new(std::size_t size) {
-  // The descriptor's compile-time-size slab fast path. `size` can only differ from
-  // sizeof(IOBuf) for a (hypothetical) subclass — route that to the generic block path.
-  if (size == sizeof(IOBuf)) {
-    void* p = TryGpBlockFor<sizeof(IOBuf)>();
-    return p != nullptr ? p : HeapFallback(size);
-  }
-  return AllocBlock(size, nullptr);
-}
 
 // Blocks route back to whichever machine arena owns them, from any context, or to the heap
 // when no arena does: a buffer allocated on one core is released wherever its last view
@@ -68,8 +21,7 @@ void IOBuf::DisposeExternal(SharedStorage* storage) {
   mem::FreeRouted(storage);
 }
 
-IOBuf::SharedStorage* IOBuf::InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero,
-                                                  bool slab) {
+IOBuf::SharedStorage* IOBuf::InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero) {
   auto* storage = new (block) SharedStorage;
   storage->buffer = static_cast<std::uint8_t*>(block) + kStorageHeaderBytes;
   storage->dispose = &DisposeCoAllocated;
@@ -81,17 +33,10 @@ IOBuf::SharedStorage* IOBuf::InitCoAllocatedBlock(void* block, std::size_t bytes
   }
   auto& stats = mem::stats();
   stats.iobuf_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (slab) {
+  if (mem::FindOwningRoot(block) != nullptr) {
     stats.iobuf_slab_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   return storage;
-}
-
-IOBuf::SharedStorage* IOBuf::AllocateStorage(std::size_t capacity, bool zero) {
-  std::size_t bytes = capacity != 0 ? capacity : 1;
-  bool slab = false;
-  void* block = AllocBlock(kStorageHeaderBytes + bytes, &slab);
-  return InitCoAllocatedBlock(block, bytes, zero, slab);
 }
 
 std::unique_ptr<IOBuf> IOBuf::FromStorageBlock(void* block, std::size_t capacity,
@@ -99,11 +44,7 @@ std::unique_ptr<IOBuf> IOBuf::FromStorageBlock(void* block, std::size_t capacity
                                                bool zero) {
   Kassert(headroom + length <= (capacity != 0 ? capacity : 1),
           "IOBuf::FromStorageBlock: view exceeds capacity");
-  SharedStorage* storage =
-      block != nullptr
-          // The caller (compile-time AllocFor path) already took the block from the slab.
-          ? InitCoAllocatedBlock(block, capacity != 0 ? capacity : 1, zero, /*slab=*/true)
-          : AllocateStorage(capacity, zero);
+  SharedStorage* storage = InitCoAllocatedBlock(block, capacity, zero);
   return std::unique_ptr<IOBuf>(
       new IOBuf(storage->buffer, capacity, storage->buffer + headroom, length, storage));
 }
@@ -133,12 +74,14 @@ bool IOBuf::StorageEmbedded() const {
 }
 
 std::unique_ptr<IOBuf> IOBuf::Create(std::size_t capacity, bool zero) {
-  return FromStorageBlock(nullptr, capacity, /*headroom=*/0, /*length=*/capacity, zero);
+  return FromStorageBlock(mem::AllocRouted(StorageBlockBytes(capacity)), capacity,
+                          /*headroom=*/0, /*length=*/capacity, zero);
 }
 
 std::unique_ptr<IOBuf> IOBuf::CreateReserve(std::size_t capacity, std::size_t headroom) {
   Kassert(headroom <= capacity, "IOBuf::CreateReserve: headroom > capacity");
-  return FromStorageBlock(nullptr, capacity, headroom, /*length=*/0, /*zero=*/false);
+  return FromStorageBlock(mem::AllocRouted(StorageBlockBytes(capacity)), capacity, headroom,
+                          /*length=*/0, /*zero=*/false);
 }
 
 std::unique_ptr<IOBuf> IOBuf::CopyBuffer(const void* data, std::size_t len,
@@ -157,8 +100,7 @@ std::unique_ptr<IOBuf> IOBuf::WrapBuffer(const void* data, std::size_t len) {
 std::unique_ptr<IOBuf> IOBuf::TakeOwnership(void* buffer, std::size_t capacity,
                                             std::size_t length, FreeFn free_fn, void* arg) {
   auto* bytes = static_cast<std::uint8_t*>(buffer);
-  void* block = AllocBlock(sizeof(SharedStorage), nullptr);
-  auto* storage = new (block) SharedStorage;
+  auto* storage = new (mem::AllocRoutedFor<sizeof(SharedStorage)>()) SharedStorage;
   storage->buffer = bytes;
   storage->dispose = &DisposeExternal;
   storage->free_fn = free_fn;
@@ -273,7 +215,8 @@ void IOBuf::Coalesce() {
     return;
   }
   std::size_t total = ComputeChainDataLength();
-  SharedStorage* storage = AllocateStorage(total, /*zero=*/false);
+  SharedStorage* storage =
+      InitCoAllocatedBlock(mem::AllocRouted(StorageBlockBytes(total)), total, /*zero=*/false);
   std::size_t offset = 0;
   for (const IOBuf* buf = this; buf != nullptr; buf = buf->Next()) {
     std::memcpy(storage->buffer + offset, buf->Data(), buf->Length());

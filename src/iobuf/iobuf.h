@@ -20,12 +20,13 @@
 // buffers as immutable once shared.
 //
 // Allocation (§3.4): owned storage is ONE block — the SharedStorage control header and the
-// bytes co-allocated — taken from the current machine's per-core GeneralPurposeAllocator
-// (slab fast path, no atomics) whenever a machine context is installed, falling back to
-// std::malloc only outside any machine (unit tests, world actions). The IOBuf descriptor
-// itself is slab-backed the same way via class operator new. Release routes the block home
-// from wherever the last view dies (mem::FreeRouted), so the steady-state datapath does
-// zero malloc/free calls; mem::stats() counts every allocation and each heap fallback.
+// bytes co-allocated — carved by mem::AllocRouted: the current machine's per-core
+// GeneralPurposeAllocator (slab fast path, no atomics) whenever a machine context is
+// installed, a counted std::malloc only outside any machine (unit tests, world actions). The
+// IOBuf descriptor itself is carved the same way via class operator new. Release routes the
+// block home from wherever the last view dies (mem::FreeRouted), so the steady-state
+// datapath does zero malloc/free calls; mem::stats() counts every allocation and each heap
+// fallback.
 //
 // Lifetime invariant: storage allocated under a machine context lives in that machine's
 // arena — exactly like the DMA-able memory it models, it dies with the machine. Release
@@ -49,7 +50,7 @@ namespace ebbrt {
 
 class BufferPool;
 
-class IOBuf {
+class IOBuf final {
  public:
   // Free-function type invoked to release externally-owned storage.
   using FreeFn = void (*)(void* buffer, void* arg);
@@ -68,9 +69,8 @@ class IOBuf {
   // sized malloc calls (§3.4).
   template <std::size_t Capacity>
   static std::unique_ptr<IOBuf> CreateReserveFor(std::size_t headroom) {
-    constexpr std::size_t kBlock = kStorageHeaderBytes + (Capacity != 0 ? Capacity : 1);
-    return FromStorageBlock(TryGpBlockFor<kBlock>(), Capacity, headroom, /*length=*/0,
-                            /*zero=*/false);
+    return FromStorageBlock(mem::AllocRoutedFor<StorageBlockBytes(Capacity)>(), Capacity,
+                            headroom, /*length=*/0, /*zero=*/false);
   }
 
   // Copies [data, data+len) into a new owned buffer (with optional headroom).
@@ -205,10 +205,12 @@ class IOBuf {
     return {reinterpret_cast<const char*>(data_), length_};
   }
 
-  // The descriptor itself is slab-backed (AllocFor<sizeof(IOBuf)> constant-folds to the
-  // per-core freelist pop); delete routes the block home by pointer, so a descriptor may be
-  // destroyed on a different core/machine/context than allocated it.
-  static void* operator new(std::size_t size);
+  // The descriptor itself is carved by mem::AllocRoutedFor<sizeof(IOBuf)> (constant-folds
+  // to the per-core freelist pop; IOBuf is final, so the size is always sizeof(IOBuf)),
+  // inline so every descriptor site gets the fast path; delete routes the block home by
+  // pointer, so a descriptor may be destroyed on a different core/machine/context than
+  // allocated it.
+  static void* operator new(std::size_t) { return mem::AllocRoutedFor<sizeof(IOBuf)>(); }
   static void operator delete(void* p);
   static void operator delete(void* p, std::size_t) { operator delete(p); }
 
@@ -216,26 +218,14 @@ class IOBuf {
   // as the bytes (the one-slab-allocation layout; asserted by tests).
   bool StorageEmbedded() const;
 
-  // The compile-time-size slab attempt: nullptr when no machine context / no memory
-  // subsystem / arena exhausted — callers fall back to the generic block path. The single
-  // place the context->GP-root lookup lives for static sizes (AllocBlock in iobuf.cc is its
-  // runtime-size twin).
-  template <std::size_t N>
-  static void* TryGpBlockFor() {
-    if (!HaveContext()) {
-      return nullptr;
-    }
-    auto* root = CurrentRuntime().TryGetSubsystem<GeneralPurposeAllocatorRoot>(
-        Subsystem::kGeneralPurposeAllocator);
-    if (root == nullptr) {
-      return nullptr;
-    }
-    return GeneralPurposeAllocator::Instance()->AllocFor<N>();
-  }
-
   // Co-allocated block layout: [SharedStorage][bytes]; the header is padded so the data area
   // keeps max_align.
   static constexpr std::size_t kStorageHeaderBytes = 64;
+  // The size of the co-allocated block behind `capacity` bytes (a 0-byte buffer still gets
+  // one byte of storage).
+  static constexpr std::size_t StorageBlockBytes(std::size_t capacity) {
+    return kStorageHeaderBytes + (capacity != 0 ? capacity : 1);
+  }
 
  private:
   friend class BufferPool;
@@ -265,17 +255,15 @@ class IOBuf {
         length_(length),
         storage_(storage) {}
 
-  // Finishes a Create/CreateReserve: `block` is a kStorageHeaderBytes+capacity co-allocated
-  // slab block, or nullptr to take the heap-fallback path. Defined out of line so the
+  // Finishes a Create/CreateReserve/CreateReserveFor: `block` is a
+  // StorageBlockBytes(capacity) block from the routed carve. Defined out of line so the
   // compile-time CreateReserveFor fast path stays small at call sites.
   static std::unique_ptr<IOBuf> FromStorageBlock(void* block, std::size_t capacity,
                                                  std::size_t headroom, std::size_t length,
                                                  bool zero);
-  static SharedStorage* AllocateStorage(std::size_t capacity, bool zero);
   // Initializes the SharedStorage header of a co-allocated [header|bytes] block and counts
-  // the allocation (`slab` = the block came from the GP/slab path, not a malloc fallback).
-  static SharedStorage* InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero,
-                                             bool slab);
+  // the allocation (iobuf_slab_allocs when the block lies in a machine arena).
+  static SharedStorage* InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero);
   static void DisposeCoAllocated(SharedStorage* storage);
   static void DisposeExternal(SharedStorage* storage);
   void ReleaseStorage();

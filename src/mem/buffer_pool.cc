@@ -106,7 +106,7 @@ std::unique_ptr<IOBuf> BufferPool::Alloc() {
     // genuinely means no block is home yet — carve (or fall back), never lock.
     stats.pool_misses.fetch_add(1, std::memory_order_relaxed);
     if (outstanding_.load(std::memory_order_relaxed) < kPerCoreCap) {
-      block = GeneralPurposeAllocator::Instance()->Alloc(kBlockBytes);
+      block = GeneralPurposeAllocator::Instance()->AllocFor<kBlockBytes>();
       if (block != nullptr) {
         outstanding_.fetch_add(1, std::memory_order_relaxed);
         // A carve is an IOBuf storage block taken from the slab — count it like every

@@ -39,6 +39,13 @@ namespace internal {
 // operator new is only linked when some symbol in its object file is, and a silently absent
 // hook would report 0.0 allocs for a path that mallocs.
 void EnsureHeapCountLinked();
+
+void* HeapFallback(std::size_t size) {
+  stats().heap_fallback_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* block = std::malloc(size != 0 ? size : 1);
+  Kbugon(block == nullptr, "mem: heap fallback of %zu bytes failed", size);
+  return block;
+}
 }  // namespace internal
 
 Stats& stats() {
@@ -60,23 +67,13 @@ GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p) {
   return root;
 }
 
-void* AllocRouted(std::size_t size, bool* slab_backed) {
-  if (HaveContext() &&
-      CurrentRuntime().TryGetSubsystem<GeneralPurposeAllocatorRoot>(
-          Subsystem::kGeneralPurposeAllocator) != nullptr) {
-    void* p = GeneralPurposeAllocator::Instance()->Alloc(size);
-    if (p != nullptr) {
-      if (slab_backed != nullptr) {
-        *slab_backed = true;
-      }
+void* AllocRouted(std::size_t size) {
+  if (internal::HaveLocalGpAllocator()) {
+    if (void* p = GeneralPurposeAllocator::Instance()->Alloc(size)) {
       return p;
     }
   }
-  if (slab_backed != nullptr) {
-    *slab_backed = false;
-  }
-  stats().heap_fallback_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
+  return internal::HeapFallback(size);
 }
 
 bool FreeRouted(void* p) {

@@ -121,12 +121,40 @@ void Install(Runtime& runtime, std::size_t num_cores, Config config = {});
 inline void* Alloc(std::size_t size) { return GeneralPurposeAllocator::Instance()->Alloc(size); }
 inline void Free(void* p) { GeneralPurposeAllocator::Instance()->Free(p); }
 
-// Variable-size carve helper for datapath objects that outlive the allocating event (item
-// blocks, IOBuf storage): carves from the current core's GP allocator when a machine context
-// is installed (slab/large-page fast path, DMA-safe arena memory), and falls back to
-// std::malloc otherwise (bare unit tests, world actions). `slab_backed`, when non-null, is
-// set to whether the arena path served the block.
-void* AllocRouted(std::size_t size, bool* slab_backed = nullptr);
+namespace internal {
+// The one context check of the routed carve: whether the current core has a GP allocator,
+// i.e. a machine context is installed (not a bare unit test, a world action or a
+// ThreadMachine caller's own thread) and its machine has the memory subsystem.
+__attribute__((always_inline)) inline bool HaveLocalGpAllocator() {
+  return HaveContext() && CurrentRuntime().TryGetSubsystem<GeneralPurposeAllocatorRoot>(
+                              Subsystem::kGeneralPurposeAllocator) != nullptr;
+}
+
+// The one fallback of the routed carve: a counted std::malloc (stats().heap_fallback_allocs)
+// that dies on a null return. Cold and out of line, so the inlined fast paths stay small.
+__attribute__((cold, noinline)) void* HeapFallback(std::size_t size);
+}  // namespace internal
+
+// The one carve for blocks that outlive the allocating event and may be released off-core
+// (IOBuf descriptors and storage, TakeOwnership control blocks, interconnect nodes, item
+// blocks, RCU and table nodes): the current core's GP allocator (slab/large-page fast path,
+// DMA-safe arena memory) when a machine context is installed, and otherwise, or when the
+// arena is full, the heap fallback above. Never returns nullptr. No caller needs to know
+// which path served a block: FindOwningRoot tells arena memory from heap memory, and
+// FreeRouted releases both.
+void* AllocRouted(std::size_t size);
+
+// Compile-time-size twin of AllocRouted: the size-class computation constant-folds
+// (GeneralPurposeAllocator::AllocFor<N>), leaving only the per-core slab freelist pop.
+template <std::size_t N>
+__attribute__((always_inline)) inline void* AllocRoutedFor() {
+  if (internal::HaveLocalGpAllocator()) {
+    if (void* p = GeneralPurposeAllocator::Instance()->AllocFor<N>()) {
+      return p;
+    }
+  }
+  return internal::HeapFallback(N);
+}
 
 // Release for AllocRouted blocks (and any other arena block), callable from ANY context:
 // resolves the owning arena via FindOwningRoot and routes the block home (per-core fast path
@@ -149,10 +177,11 @@ GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p);
 struct Stats {
   std::atomic<std::uint64_t> iobuf_allocs{0};      // IOBuf owned-storage blocks allocated
   std::atomic<std::uint64_t> iobuf_slab_allocs{0}; // ...served by the per-core GP/slab path
-  // Heap fallbacks of the routed allocators, taken when no machine context or GP allocator
-  // is in reach or the arena is full: AllocRouted's std::malloc (IOBuf storage, item blocks,
-  // RCU and table nodes) and Interconnect::New's ::operator new (a node pushed from outside
-  // any core, e.g. by ThreadMachine::RunSync from the caller's thread).
+  // Heap fallbacks of the routed carve (AllocRouted/AllocRoutedFor), taken when no machine
+  // context or GP allocator is in reach or the arena is full: one std::malloc, whoever the
+  // caller (IOBuf descriptors and storage, item blocks, RCU and table nodes, and interconnect
+  // nodes pushed from outside any core, e.g. by ThreadMachine::RunSync from the caller's
+  // thread). Being malloc, these blocks never reach generic_heap_allocs below.
   std::atomic<std::uint64_t> heap_fallback_allocs{0};
   std::atomic<std::uint64_t> pool_hits{0};     // BufferPool allocs served from recycled blocks
   std::atomic<std::uint64_t> pool_misses{0};   // ...that had to carve from the slab path

@@ -1,9 +1,10 @@
 // Memory subsystem tests: buddy page allocator invariants, slab caches (per-core fast path,
-// depot balancing), general-purpose allocator routing, arena slots and owner routing, vmem
-// fault handling.
+// depot balancing), general-purpose allocator routing, arena slots and owner routing, the
+// routed carve and its one heap fallback, vmem fault handling.
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/event/interconnect.h"
 #include "src/mem/gp_allocator.h"
 #include "src/mem/page_allocator.h"
 #include "src/mem/phys_arena.h"
@@ -380,6 +382,98 @@ TEST(Mem, ArenaTeardownReturnsItsPages) {
     }
   }
   EXPECT_LT(ResidentKib() - before, 4 * 1024);
+}
+
+// --- The routed carve --------------------------------------------------------------------------
+
+// An interconnect node that carries nothing: only its storage is under test.
+struct InertNode final : InterconnectNode {
+  void Fire(EventManager&) override {}
+  void Discard() override {}
+};
+
+TEST(Mem, RoutedCarveHasOneFallback) {
+  constexpr std::size_t kSlab = 48;
+  constexpr std::size_t kLarge = 64 << 10;
+  std::atomic<std::uint64_t>& fallbacks = mem::stats().heap_fallback_allocs;
+  // Both carves, runtime and compile-time size, at a slab size and a large size.
+  auto carve_all = [] {
+    return std::vector<void*>{mem::AllocRouted(kSlab), mem::AllocRouted(kLarge),
+                              mem::AllocRoutedFor<kSlab>(), mem::AllocRoutedFor<kLarge>()};
+  };
+  MemMachine m(8ull << 20);
+
+  // On a core: every block lies in this machine's arena and no fallback is taken.
+  {
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    std::uint64_t before = fallbacks.load();
+    for (void* block : carve_all()) {
+      EXPECT_EQ(mem::FindOwningRoot(block), &m.root());
+      EXPECT_FALSE(mem::FreeRouted(block));
+    }
+    EXPECT_EQ(fallbacks.load(), before);
+  }
+
+  // No context: every block is heap memory, one fallback per call.
+  {
+    std::uint64_t before = fallbacks.load();
+    for (void* block : carve_all()) {
+      EXPECT_EQ(mem::FindOwningRoot(block), nullptr);
+      EXPECT_FALSE(mem::FreeRouted(block));
+    }
+    EXPECT_EQ(fallbacks.load(), before + 4);
+  }
+
+  // A full arena: the carve that finds no room falls back, exactly once per call.
+  {
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    std::vector<void*> held;
+    std::vector<void*> heap;
+    auto fill = [&](auto carve) {
+      for (;;) {
+        std::uint64_t before = fallbacks.load();
+        void* block = carve();
+        if (mem::FindOwningRoot(block) == nullptr) {
+          EXPECT_EQ(fallbacks.load(), before + 1);
+          heap.push_back(block);
+          return;
+        }
+        EXPECT_EQ(fallbacks.load(), before);
+        held.push_back(block);
+      }
+    };
+    fill([] { return mem::AllocRouted(kLarge); });
+    fill([] { return mem::AllocRoutedFor<kLarge>(); });
+    fill([] { return mem::AllocRouted(kSlab); });
+    fill([] { return mem::AllocRoutedFor<kSlab>(); });
+    ASSERT_EQ(heap.size(), 4u);
+    EXPECT_GT(held.size(), (8u << 20) / kLarge / 2);
+    for (void* block : heap) {
+      EXPECT_FALSE(mem::FreeRouted(block));
+    }
+    for (void* block : held) {
+      EXPECT_FALSE(mem::FreeRouted(block));
+    }
+  }
+
+  // Interconnect nodes take the same carve: one carved with no context, one on a core, both
+  // released by Interconnect::Delete. Only the off-core node is a fallback, and neither
+  // touches the generic heap.
+  mem::Stats& stats = mem::stats();
+  std::uint64_t allocs = stats.generic_heap_allocs.load();
+  std::uint64_t frees = stats.generic_heap_frees.load();
+  std::uint64_t before = fallbacks.load();
+  auto* off_core = Interconnect::New<InertNode>();
+  EXPECT_EQ(mem::FindOwningRoot(off_core), nullptr);
+  {
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    auto* on_core = Interconnect::New<InertNode>();
+    EXPECT_EQ(mem::FindOwningRoot(on_core), &m.root());
+    EXPECT_FALSE(Interconnect::Delete(on_core));
+  }
+  EXPECT_FALSE(Interconnect::Delete(off_core));
+  EXPECT_EQ(fallbacks.load(), before + 1);
+  EXPECT_EQ(stats.generic_heap_allocs.load() - allocs, stats.generic_heap_frees.load() - frees);
 }
 
 TEST(VMem, DemandPagingDefaultHandler) {

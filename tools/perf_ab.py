@@ -11,15 +11,27 @@ the parent commit next to the working tree). Each pair runs PARENT_ROOT/perfbenc
 and CHANGE_ROOT/perfbench/run.py once each, back to back, and the order flips every pair so
 neither side always runs first. One untimed 1-second run per side builds both first.
 
+Both sides run through symlinks of equal length in one temporary directory
+($TMPDIR/perf_ab/<hash of the checkout's real path>), never through the checkout paths
+themselves: the length of the benchmark binary's path (its argv[0]) moves the initial stack
+alignment, and on its own that biased host time by several percent between two identical
+checkouts whose names differed in length. A checkout keeps its link name from run to run,
+so its bench build stays configured; a bench build configured through another path (say,
+by running perfbench/run.py in the checkout itself) is deleted and rebuilt. The reverse is
+not handled: after perf_ab, a direct perfbench/run.py in the checkout finds its build
+configured through the link and cmake refuses it; delete .bench_build/perfbench first.
+
 The report gives, for every metric, the median and quartiles on each side, the relative
-gap of the medians, and how many pairs the change won. For the claimed metric,
-host_ns_per_op, it applies the rule every host-time claim follows: the change wins at least
-9 of 10 pairs and the medians differ by more than the parent's interquartile range. The modeled columns
-come from the fixed virtual clock; any that differ between any two runs are listed. With
---trace 0 they are the latencies, achieved rate and success rate. With --trace 1 they are
-the deterministic per-layer counts (sim.*, net.* per op except host ns, event handler,
-push and lock counts, heap allocs, pool hit rate, dist messages and RPC faults); the host-ns
-columns there are not compared.
+gap of the medians, and how many pairs the change won. Where the parent's median is no
+larger in magnitude than its interquartile range, a relative gap means nothing (it divides
+by a value near zero): the gap column then reads "n/a" followed by the absolute gap. For
+the claimed metric, host_ns_per_op, it applies the rule every host-time claim follows: the
+change wins at least 9 of 10 pairs and the medians differ by more than the parent's
+interquartile range. The modeled columns come from the fixed virtual clock; any that differ
+between any two runs are listed. With --trace 0 they are the latencies, achieved rate and
+success rate. With --trace 1 they are the deterministic per-layer counts (sim.*, net.* per
+op except host ns, event handler, push and lock counts, heap allocs, pool hit rate, dist
+messages and RPC faults); the host-ns columns there are not compared.
 
 Every end_to_end metric of the parent's BENCHMARK.json then gets a no-regression verdict
 against that metric's relative bound:
@@ -34,12 +46,15 @@ Metric directions and bounds are read from the parent's BENCHMARK.json; nothing 
 perfbench/ is written except each root's own build.
 """
 import argparse
+import hashlib
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 CLAIMED = "host_ns_per_op"
 MODELED = ("p50_us", "p99_us", "achieved_ops_per_s", "success_rate")
@@ -66,6 +81,25 @@ def load_benchmark(root):
     return better, bounds
 
 
+def link(root):
+    """The checkout's equal-length symlink in the shared link directory (module docstring)."""
+    real = os.path.realpath(root)
+    links = os.path.join(tempfile.gettempdir(), "perf_ab")
+    os.makedirs(links, exist_ok=True)
+    path = os.path.join(links, hashlib.sha256(real.encode()).hexdigest()[:16])
+    if not os.path.islink(path):
+        os.symlink(real, path)
+    build = os.path.join(real, ".bench_build", "perfbench")
+    cache = os.path.join(build, "CMakeCache.txt")
+    if os.path.exists(cache):
+        with open(cache) as f:
+            configured_here = "CMAKE_CACHEFILE_DIR:INTERNAL=%s\n" % os.path.join(
+                path, ".bench_build", "perfbench") in f.read()
+        if not configured_here:
+            shutil.rmtree(build)
+    return path
+
+
 def run(root, args, seconds):
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
@@ -88,6 +122,13 @@ def quartiles(xs):
 
 def cell(q):
     return "%.6g [%.6g-%.6g]" % (q[1], q[0], q[2])
+
+
+def gap_cell(pq, cq):
+    """The gap of the medians: relative, unless the parent's median is within its IQR."""
+    if abs(pq[1]) > pq[2] - pq[0]:
+        return "%+.2f%%" % ((cq[1] - pq[1]) / abs(pq[1]) * 100)
+    return "n/a %+.4g" % (cq[1] - pq[1])
 
 
 def regression_verdict(pv, cv, lower, bound):
@@ -117,8 +158,7 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
-    roots = {"parent": os.path.abspath(args.parent_root),
-             "change": os.path.abspath(args.change_root)}
+    roots = {"parent": link(args.parent_root), "change": link(args.change_root)}
     better, bounds = load_benchmark(roots["parent"])
 
     for side in ("parent", "change"):
@@ -134,7 +174,7 @@ def main():
 
     print("%s seed %d, %d alternating pairs of %d s, trace %d" %
           (args.workload, args.seed, args.pairs, args.seconds, args.trace))
-    print("%-32s %-32s %-32s %8s %6s" %
+    print("%-32s %-32s %-32s %14s %6s" %
           ("metric", "parent median [q1-q3]", "change median [q1-q3]", "gap", "wins"))
     verdict = None
     for name in sorted(runs["parent"][0]):
@@ -143,9 +183,8 @@ def main():
         pq, cq = quartiles(pv), quartiles(cv)
         lower = better.get(name, "lower") == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
-        gap = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else 0.0
-        print("%-32s %-32s %-32s %+7.2f%% %3d/%d" %
-              (name, cell(pq), cell(cq), gap, wins, args.pairs))
+        print("%-32s %-32s %-32s %14s %3d/%d" %
+              (name, cell(pq), cell(cq), gap_cell(pq, cq), wins, args.pairs))
         if name == CLAIMED:
             iqr = pq[2] - pq[0]
             improved = (cq[1] < pq[1]) if lower else (cq[1] > pq[1])
