@@ -27,7 +27,7 @@ bool ParseShardRecord(const std::string& record, ShardEndpoint* out) {
   unsigned long service = 0;
   if (std::sscanf(record.c_str(), "%u.%u.%u.%u#%lu", &a, &b, &c, &d, &service) != 5 ||
       a > 255 || b > 255 || c > 255 || d > 255 || service == 0 ||
-      service > 0xffffffffull) {
+      service >= dist::kRpcReplyTarget) {
     return false;
   }
   out->addr = Ipv4Addr::Of(a, b, c, d);

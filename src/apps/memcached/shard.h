@@ -12,9 +12,9 @@
 //     datapath.
 //   * ShardRouter — the client-side router Ebb: a consistent-hash ring over the shard set
 //     and one RpcClient per shard. Each shard has its OWN service id (kShardServiceBase +
-//     index), so concurrent responses from different shards demultiplex through distinct
-//     RCU demux entries and per-core pending tables — fan-IN from N shards never meets a
-//     shared lock.
+//     index), so concurrent responses from different shards resolve through distinct
+//     Messenger receiver entries and per-core pending tables — fan-IN from N shards never
+//     meets a shared lock.
 //   * Discovery — shard i registers itself in the hosted frontend's GlobalIdMap under
 //     "service/memcached/<i>" (AnnounceShard); routers resolve the records by name
 //     (DiscoverShards), exactly how kv_cache discovers its single server.
@@ -43,7 +43,7 @@ namespace ebbrt {
 namespace memcached {
 
 // One service id per shard: responses from different shards resolve through different
-// demux entries (see header comment). 24 shard slots above the test/example static range.
+// Messenger receiver entries (see header comment). 24 shard slots above the test/example static range.
 inline constexpr EbbId kShardServiceBase = kFirstStaticUserId + 8;
 inline constexpr std::size_t kMaxShards = 24;
 
@@ -89,14 +89,16 @@ struct ShardEndpoint {
 // GlobalIdMap record plumbing: key "service/memcached/<i>", value "<a.b.c.d>#<service-id>".
 std::string ShardRecordKey(std::size_t shard_index);
 std::string EncodeShardRecord(Ipv4Addr addr, EbbId service);
+// False on a malformed record, including a service id an RpcClient cannot take (0, or at or
+// above dist::kRpcReplyTarget).
 bool ParseShardRecord(const std::string& record, ShardEndpoint* out);
 
 class ShardService final : public dist::RpcServer {
  public:
   struct Config {
     // Invoked once per request before it executes — benches charge modeled per-op service
-    // time here (the store lookup itself is real work but simulated time only under
-    // measured-cost mode). Leave empty for none.
+    // time here (the store lookup itself is real host work, but the simulated clock charges
+    // each handler a fixed cost, whatever it does). Leave empty for none.
     std::function<void()> on_request;
   };
 

@@ -49,7 +49,6 @@ enum class Subsystem : std::size_t {
   kMessenger,
   kGlobalIdMap,
   kFileSystem,  // client of the hosted frontend's file service (dist::FileSystem)
-  kRpcDemux,  // per-machine RPC service demultiplexer (dist::rpc)
   kObservability,  // per-machine telemetry plane root (obs::ObsRoot)
   kMachine,  // simulated machine this runtime is attached to (if any)
   kNumSubsystems,

@@ -46,7 +46,8 @@ Messenger::~Messenger() = default;
 void Messenger::RegisterReceiver(EbbId target, Receiver receiver) {
   std::lock_guard<std::mutex> lock(control_mu_);
   stats_.control_locks++;
-  receivers_.InsertOrReplace(target, std::make_shared<Receiver>(std::move(receiver)));
+  bool inserted = receivers_.Insert(target, std::move(receiver));
+  Kassert(inserted, "Messenger: target already has a receiver on this machine");
 }
 
 void Messenger::UnregisterReceiver(EbbId target) {
@@ -181,12 +182,10 @@ std::vector<std::pair<Ipv4Addr, std::uint64_t>> Messenger::BadFramesByPeer() {
 }
 
 bool Messenger::Dispatch(Ipv4Addr from, EbbId target, std::unique_ptr<IOBuf> payload) {
-  // Lock-free receiver lookup: the hot half of the receive path. The copied shared_ptr
-  // keeps the receiver alive through the callback even against a concurrent Unregister.
-  std::shared_ptr<Receiver> receiver;
-  if (std::shared_ptr<Receiver>* found = receivers_.Find(target)) {
-    receiver = *found;
-  }
+  // Lock-free receiver lookup: the hot half of the receive path. The node Find returns
+  // stays allocated until this event ends (epoch reclamation), so the receiver outlives the
+  // callback even against a concurrent Unregister, or one the callback makes itself.
+  Receiver* receiver = receivers_.Find(target);
   if (receiver == nullptr) {
     return false;  // unregistered target: the caller counts it and drops the peer
   }

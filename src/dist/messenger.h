@@ -89,8 +89,9 @@ class Messenger {
   Messenger(const Messenger&) = delete;
   Messenger& operator=(const Messenger&) = delete;
 
-  // Routes messages addressed to `target` (one receiver per id per machine; registering
-  // replaces). Distributed Ebbs register their rep's dispatch here during construction.
+  // Routes messages addressed to `target`: one receiver per id per machine, and registering
+  // an id that already has one asserts. Distributed Ebbs register their rep's dispatch here
+  // during construction.
   void RegisterReceiver(EbbId target, Receiver receiver);
   void UnregisterReceiver(EbbId target);
 
@@ -206,7 +207,7 @@ class Messenger {
   // peer is still me") stay atomic; each acquisition ticks stats_.control_locks.
   std::mutex control_mu_;
   RcuHashTable<std::uint32_t, std::shared_ptr<Peer>> peers_;
-  RcuHashTable<EbbId, std::shared_ptr<Receiver>> receivers_;
+  RcuHashTable<EbbId, Receiver> receivers_;
   // Peer-death observers (control plane: registration at endpoint construction, fan-out at
   // connection teardown — never on the per-message path). Guarded by control_mu_; DropPeer
   // snapshots the table and invokes outside the lock so observers may Send/dial freely.

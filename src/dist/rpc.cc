@@ -6,7 +6,6 @@
 #include "src/event/timer.h"
 #include "src/obs/metrics.h"
 #include "src/platform/context.h"
-#include "src/rcu/rcu.h"
 
 namespace ebbrt {
 namespace dist {
@@ -14,8 +13,10 @@ namespace dist {
 namespace {
 
 // Splits a received message into (header, body chain). The header may straddle chain
-// elements (a message that crossed segment boundaries), so it is chain-copied out.
-bool ParseFrame(std::unique_ptr<IOBuf> message, RpcHeader* header,
+// elements (a message that crossed segment boundaries), so it is chain-copied out. False for
+// a runt frame, or one whose direction flag is not `response` (a request at a client's
+// target, or a reply at a server's): the caller drops it.
+bool ParseFrame(std::unique_ptr<IOBuf> message, bool response, RpcHeader* header,
                 std::unique_ptr<IOBuf>* body) {
   IOBufQueue queue;
   queue.Append(std::move(message));
@@ -23,6 +24,9 @@ bool ParseFrame(std::unique_ptr<IOBuf> message, RpcHeader* header,
     return false;
   }
   queue.Peek(header, sizeof(RpcHeader));
+  if (((header->flags & kRpcResponse) != 0) != response) {
+    return false;
+  }
   queue.TrimStart(sizeof(RpcHeader));
   *body = queue.Move();
   header->request_id = NetToHost64(header->request_id);
@@ -172,104 +176,6 @@ bool ParseKeyVectorBody(const IOBuf* chain, std::vector<std::string_view>* keys,
   return raw.empty();  // exact consumption: trailing bytes are malformed
 }
 
-// --- RpcDemuxRoot -----------------------------------------------------------------------------
-
-RpcDemuxRoot& RpcDemuxRoot::For(Runtime& runtime) {
-  return runtime.GetOrCreateSubsystem<RpcDemuxRoot>(
-      Subsystem::kRpcDemux, [&] { return std::make_shared<RpcDemuxRoot>(runtime); });
-}
-
-RpcDemuxRoot::RpcDemuxRoot(Runtime& runtime)
-    : runtime_(runtime), services_(RcuManagerRoot::For(runtime), /*bucket_bits=*/5) {}
-
-void RpcDemuxRoot::Install(EbbId service, RpcClient* client, RpcServer* server) {
-  bool first = false;
-  {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    Endpoint endpoint;
-    if (Endpoint* existing = services_.Find(service)) {
-      endpoint = *existing;  // writers serialize on control_mu_: this read is current
-    } else {
-      first = true;
-    }
-    if (client != nullptr) {
-      Kassert(endpoint.client == nullptr, "RpcClient: service already has a client here");
-      endpoint.client = client;
-    }
-    if (server != nullptr) {
-      Kassert(endpoint.server == nullptr, "RpcServer: service already has a server here");
-      endpoint.server = server;
-    }
-    services_.InsertOrReplace(service, endpoint);
-  }
-  if (first) {
-    RpcDemuxRoot* self = this;
-    Messenger::For(runtime_).RegisterReceiver(
-        service, [self, service](Ipv4Addr from, std::unique_ptr<IOBuf> message) {
-          self->DispatchFrame(service, from, std::move(message));
-        });
-  }
-}
-
-void RpcDemuxRoot::Remove(EbbId service, RpcClient* client, RpcServer* server) {
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    Endpoint* existing = services_.Find(service);
-    if (existing == nullptr) {
-      return;
-    }
-    Endpoint endpoint = *existing;
-    if (client != nullptr && endpoint.client == client) {
-      endpoint.client = nullptr;
-    }
-    if (server != nullptr && endpoint.server == server) {
-      endpoint.server = nullptr;
-    }
-    if (endpoint.client == nullptr && endpoint.server == nullptr) {
-      services_.Erase(service);
-      last = true;
-    } else {
-      services_.InsertOrReplace(service, endpoint);
-    }
-  }
-  if (last) {
-    auto* messenger = runtime_.TryGetSubsystem<Messenger>(Subsystem::kMessenger);
-    if (messenger != nullptr) {
-      messenger->UnregisterReceiver(service);
-    }
-  }
-}
-
-void RpcDemuxRoot::DispatchFrame(EbbId service, Ipv4Addr from,
-                                 std::unique_ptr<IOBuf> message) {
-  // Peek the flags byte (chain-aware: offset 10 can straddle) to pick a direction, then
-  // hand the whole frame to that half. The endpoint lookup is the lock-free read side:
-  // frames fanning in on every core resolve their (client, server) pair concurrently, and
-  // the Endpoint NODE observed here stays allocated for the rest of this event even
-  // against a racing Remove (epoch-deferred reclamation). The pointed-to client/server
-  // OBJECTS are the owner's concern, exactly as before this table existed: destroying one
-  // while its machine's event loops may still be dispatching frames to it is a
-  // use-after-free — tear endpoints down only from quiesced machines (every current
-  // caller does; SimWorld teardown runs after Shutdown).
-  RpcHeader header;
-  if (message == nullptr || message->ComputeChainDataLength() < sizeof(RpcHeader)) {
-    return;
-  }
-  message->CopyOut(&header, sizeof(header));
-  Endpoint* endpoint = services_.Find(service);
-  if (endpoint == nullptr) {
-    return;
-  }
-  if (header.flags & kRpcResponse) {
-    if (endpoint->client != nullptr) {
-      endpoint->client->HandleFrame(from, std::move(message));
-    }
-  } else if (endpoint->server != nullptr) {
-    endpoint->server->HandleFrame(from, std::move(message));
-  }
-}
-
 // --- RpcClient --------------------------------------------------------------------------------
 
 namespace {
@@ -307,13 +213,17 @@ RpcClient::CoreLane::~CoreLane() {
 RpcClient::RpcClient(Runtime& runtime, EbbId service, Ipv4Addr server)
     : runtime_(runtime), messenger_(Messenger::For(runtime)), service_(service),
       server_(server), cores_(std::max<std::size_t>(1, runtime.num_cores())) {
+  Kassert(service < kRpcReplyTarget, "RpcClient: service id collides with kRpcReplyTarget");
   for (std::shared_ptr<CoreLane>& lane : cores_) {
     lane = std::make_shared<CoreLane>();
   }
-  RpcDemuxRoot::For(runtime).Install(service, this, nullptr);
+  RpcClient* self = this;
+  messenger_.RegisterReceiver(service | kRpcReplyTarget,
+                              [self](Ipv4Addr, std::unique_ptr<IOBuf> message) {
+                                self->HandleFrame(std::move(message));
+                              });
   // Peer death fails everything in flight to that peer: no call waits out a deadline for a
   // response whose connection is already gone (and calls WITHOUT a deadline still resolve).
-  RpcClient* self = this;
   peer_observer_ = messenger_.AddPeerObserver([self](Ipv4Addr peer) {
     if (peer == self->server_) {
       self->OnPeerDown();
@@ -325,11 +235,13 @@ RpcClient::~RpcClient() {
   // Unhook the resolution sources first — observer fan-out and frame dispatch must not see
   // a half-dead client — then orphan whatever is still unresolved: every armed call through
   // the same claim the other paths use, and every call parked between retry attempts (a
-  // backoff timer that fires later finds its lane gone). Destruction on a machine whose
-  // loops are still dispatching was never legal (see DispatchFrame's lifetime note); armed
-  // deadline timers outlive us harmlessly — they hold weak lane references.
+  // backoff timer that fires later finds its lane gone). Destruction while another core of
+  // this machine may be dispatching a frame to this client is a use-after-free: the
+  // Messenger keeps its receiver NODE alive for the rest of that event, not the client the
+  // node points at. Armed deadline timers outlive us harmlessly — they hold weak lane
+  // references.
   messenger_.RemovePeerObserver(peer_observer_);
-  RpcDemuxRoot::For(messenger_.runtime()).Remove(service_, this, nullptr);
+  messenger_.UnregisterReceiver(service_ | kRpcReplyTarget);
   std::vector<RpcCompletion*> orphaned;
   for (auto& [core, call] : ClaimAll()) {
     orphaned.push_back(call->completion);
@@ -590,11 +502,11 @@ void RpcClient::OnPeerDown() {
   }
 }
 
-void RpcClient::HandleFrame(Ipv4Addr, std::unique_ptr<IOBuf> message) {
+void RpcClient::HandleFrame(std::unique_ptr<IOBuf> message) {
   RpcHeader header;
   std::unique_ptr<IOBuf> body;
-  if (!ParseFrame(std::move(message), &header, &body)) {
-    return;  // runt frame: drop (transport corruption cannot happen in-sim; belt and braces)
+  if (!ParseFrame(std::move(message), /*response=*/true, &header, &body)) {
+    return;  // runt or misdirected frame: drop (no in-tree peer sends one; belt and braces)
   }
   // The claim resolves the call exactly once: a duplicate response — or a straggler whose
   // attempt already timed out, failed over, or was re-sent under a fresh generation — finds
@@ -621,21 +533,22 @@ void RpcClient::HandleFrame(Ipv4Addr, std::unique_ptr<IOBuf> message) {
 
 RpcServer::RpcServer(Runtime& runtime, EbbId service)
     : messenger_(Messenger::For(runtime)), service_(service) {
-  RpcDemuxRoot::For(runtime).Install(service, nullptr, this);
+  Kassert(service < kRpcReplyTarget, "RpcServer: service id collides with kRpcReplyTarget");
+  messenger_.RegisterReceiver(service, [this](Ipv4Addr from, std::unique_ptr<IOBuf> message) {
+    HandleFrame(from, std::move(message));
+  });
 }
 
-RpcServer::~RpcServer() {
-  RpcDemuxRoot::For(messenger_.runtime()).Remove(service_, nullptr, this);
-}
+RpcServer::~RpcServer() { messenger_.UnregisterReceiver(service_); }
 
 void RpcServer::Reply(Ipv4Addr to, std::uint64_t request_id, std::uint32_t aux,
                       std::unique_ptr<IOBuf> body) {
-  messenger_.Send(to, service_,
+  messenger_.Send(to, service_ | kRpcReplyTarget,
                   BuildRpcFrame(request_id, /*opcode=*/0, kRpcResponse, aux, std::move(body)));
 }
 
 void RpcServer::ReplyError(Ipv4Addr to, std::uint64_t request_id, std::string_view message) {
-  messenger_.Send(to, service_,
+  messenger_.Send(to, service_ | kRpcReplyTarget,
                   BuildRpcFrame(request_id, /*opcode=*/0, kRpcResponse | kRpcError,
                                 /*aux=*/0, IOBuf::CopyBuffer(message)));
 }
@@ -643,7 +556,7 @@ void RpcServer::ReplyError(Ipv4Addr to, std::uint64_t request_id, std::string_vi
 void RpcServer::HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message) {
   RpcHeader header;
   std::unique_ptr<IOBuf> body;
-  if (!ParseFrame(std::move(message), &header, &body)) {
+  if (!ParseFrame(std::move(message), /*response=*/false, &header, &body)) {
     return;
   }
   // A traced request gets its own span on this hop, parented on the caller's (the span id

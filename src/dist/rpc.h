@@ -15,10 +15,6 @@
 //     routed through it with RpcPeerLost.
 //   * RpcServer — the callee side: dispatches requests to a subclass's HandleCall and sends
 //     Reply/ReplyError back to the requesting machine.
-//   * RpcDemuxRoot — the per-machine service table: service id -> (client, server) endpoint
-//     pair, an RcuHashTable read lock-free on every received frame. Concurrent RPC fan-in
-//     from many cores/machines demultiplexes without a shared lock; only endpoint
-//     install/remove (object construction/destruction) serializes.
 //
 // Pending calls live in per-core slot tables (one lane per issuing core). A request id names
 // its slot directly — [core:16][slot:16][generation:32] — so a response finds its call with
@@ -36,9 +32,12 @@
 // straight out of the TCP segment stream. Small scalar arguments/results ride the header's
 // `aux` field and cost no body at all.
 //
-// One client and/or one server per (machine, service id): both ends register the service id
-// with the machine's Messenger, and the flags field says which direction a frame travels, so
-// a machine may be client and server of the same service simultaneously.
+// One client and/or one server per (machine, service id). Both ends are ordinary Messenger
+// receivers: a server registers the service id S, a client registers S | kRpcReplyTarget.
+// Requests travel to S and replies to S | kRpcReplyTarget, so the Messenger's one lock-free
+// lookup finds the endpoint, and a machine may be client and server of the same service
+// simultaneously. Each end still checks the frame's direction flag: a request that arrives
+// at a client's target, or a reply at a server's, is dropped.
 #ifndef EBBRT_SRC_DIST_RPC_H_
 #define EBBRT_SRC_DIST_RPC_H_
 
@@ -48,7 +47,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -58,7 +56,6 @@
 #include "src/dist/retry.h"
 #include "src/future/future.h"
 #include "src/obs/metrics.h"
-#include "src/rcu/rcu_hash_table.h"
 
 namespace ebbrt {
 
@@ -105,6 +102,10 @@ struct CallOptions {
 
 inline constexpr std::uint8_t kRpcResponse = 0x1;  // frame is a response, not a request
 inline constexpr std::uint8_t kRpcError = 0x2;     // response body is an error message
+
+// Replies to service S travel to the Messenger target S | kRpcReplyTarget, where the
+// service's client is registered; requests travel to S itself. Service ids stay below it.
+inline constexpr EbbId kRpcReplyTarget = EbbId{1} << 31;
 
 struct RpcHeader {
   std::uint64_t request_id;  // pairs a response to its caller's promise (network order)
@@ -223,42 +224,6 @@ class ChainSplitter {
   IOBufQueue queue_;
 };
 
-class RpcClient;
-class RpcServer;
-
-// Per-machine service demultiplexer (Subsystem::kRpcDemux). One Messenger receiver per live
-// service routes each frame here; the service -> endpoints lookup is a lock-free
-// RcuHashTable read on the frame's arrival core. Values are tiny POD pairs replaced whole
-// (InsertOrReplace) so readers always see a consistent (client, server) snapshot.
-class RpcDemuxRoot {
- public:
-  struct Endpoint {
-    RpcClient* client = nullptr;
-    RpcServer* server = nullptr;
-  };
-
-  static RpcDemuxRoot& For(Runtime& runtime);
-
-  explicit RpcDemuxRoot(Runtime& runtime);
-
-  RpcDemuxRoot(const RpcDemuxRoot&) = delete;
-  RpcDemuxRoot& operator=(const RpcDemuxRoot&) = delete;
-
-  // Endpoint registration (object construction/destruction — the control plane). The first
-  // endpoint of a service registers the Messenger receiver; the last removal unregisters
-  // it. Asserts on duplicate halves.
-  void Install(EbbId service, RpcClient* client, RpcServer* server);
-  void Remove(EbbId service, RpcClient* client, RpcServer* server);
-
-  // Per-frame dispatch (lock-free read side; runs on the frame's arrival core).
-  void DispatchFrame(EbbId service, Ipv4Addr from, std::unique_ptr<IOBuf> message);
-
- private:
-  Runtime& runtime_;
-  std::mutex control_mu_;  // serializes Install/Remove only; DispatchFrame never takes it
-  RcuHashTable<EbbId, Endpoint> services_;
-};
-
 // A call's response: the scalar result from the header and the result bytes (a chain; may
 // be empty).
 struct RpcResponse {
@@ -285,8 +250,9 @@ class RpcClient {
  public:
   using Response = RpcResponse;
 
-  // Registers this machine's client half of `service` with its Messenger. `server` is the
-  // machine whose representative executes the calls (the hosted frontend).
+  // Registers this machine's client half of `service` with its Messenger (as the target
+  // service | kRpcReplyTarget). `server` is the machine whose representative executes the
+  // calls (the hosted frontend).
   RpcClient(Runtime& runtime, EbbId service, Ipv4Addr server);
   ~RpcClient();
 
@@ -328,8 +294,8 @@ class RpcClient {
   const Stats& stats() const { return stats_; }
 
  private:
-  friend class RpcDemuxRoot;
-  void HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message);
+  // A received reply (the Messenger receiver of service_ | kRpcReplyTarget).
+  void HandleFrame(std::unique_ptr<IOBuf> message);
 
   // One pending call's slot. The claim word `armed` holds the generation a response may
   // claim (0: nothing to claim — free, parked for a retry, or already claimed). Everything
@@ -445,7 +411,7 @@ class RpcServer {
   EbbId service_;
 
  private:
-  friend class RpcDemuxRoot;
+  // A received request (the Messenger receiver of service_).
   void HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message);
 };
 

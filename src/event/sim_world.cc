@@ -5,8 +5,8 @@
 
 namespace ebbrt {
 
-SimWorld::SimWorld(CostMode mode, std::uint64_t fixed_event_cost_ns)
-    : mode_(mode), fixed_event_cost_ns_(fixed_event_cost_ns) {}
+SimWorld::SimWorld(std::uint64_t fixed_event_cost_ns)
+    : fixed_event_cost_ns_(fixed_event_cost_ns) {}
 
 SimWorld::~SimWorld() { Shutdown(); }
 
@@ -75,18 +75,12 @@ std::uint64_t SimWorld::Now() const {
   return now_;
 }
 
-std::uint64_t SimWorld::SliceNow() const {
-  if (mode_ == CostMode::kMeasured) {
-    std::uint64_t cycles = ReadCycles() - slice_start_cycles_;
-    return slice_start_clock_ + CyclesToNs(cycles) + slice_charge_;
-  }
-  return slice_start_clock_ + slice_charge_;
-}
+std::uint64_t SimWorld::SliceNow() const { return slice_start_clock_ + slice_charge_; }
 
 void SimWorld::Charge(std::uint64_t ns) { slice_charge_ += ns; }
 
 void SimWorld::OnHandlerComplete() {
-  if (mode_ == CostMode::kFixed && current_ != nullptr) {
+  if (current_ != nullptr) {
     slice_charge_ += fixed_event_cost_ns_;
   }
 }
@@ -162,7 +156,6 @@ void SimWorld::RunSlice(SimCore* core, std::uint64_t t) {
   current_ = core;
   slice_start_clock_ = core->clock;
   slice_charge_ = 0;
-  slice_start_cycles_ = ReadCycles();
 
   Context cctx;
   cctx.runtime = core->runtime;

@@ -9,14 +9,14 @@
 //   * A calendar orders wakeups (interrupt deliveries, timer deadlines, device completions)
 //     by virtual time; cores advance their own virtual clocks while they run. The calendar
 //     is a SlotHeap keyed by (time, seq) holding one wake slot per core plus world actions.
-//   * Virtual time during a handler comes from either (a) measured host cycles scaled to the
-//     paper's 2.6 GHz clock — so code that does less work earns proportionally less virtual
-//     time — or (b) a fixed per-handler cost for bitwise-deterministic tests.
+//   * Virtual time during a handler is a fixed per-handler cost plus whatever the handler
+//     Charge()s, so runs are bitwise deterministic. Host cycles are not the handler cost:
+//     host stalls would turn into virtual queueing.
 //   * Device models (sim::Nic, sim::Wire) schedule calendar actions and Charge() explicit
 //     costs (VM exits, wire transit, copies) that we cannot execute natively.
 //
 // Single-threaded by construction: no locks are needed anywhere in the world, and runs are
-// reproducible in fixed-cost mode.
+// reproducible.
 #ifndef EBBRT_SRC_EVENT_SIM_WORLD_H_
 #define EBBRT_SRC_EVENT_SIM_WORLD_H_
 
@@ -31,7 +31,6 @@
 #include "src/event/event_manager.h"
 #include "src/event/executor.h"
 #include "src/event/timer.h"
-#include "src/platform/clock.h"
 #include "src/platform/fiber.h"
 #include "src/platform/slot_heap.h"
 
@@ -39,12 +38,8 @@ namespace ebbrt {
 
 class SimWorld {
  public:
-  enum class CostMode {
-    kMeasured,  // handler virtual time = measured host cycles scaled to 2.6 GHz
-    kFixed,     // handler virtual time = fixed_event_cost_ns (deterministic)
-  };
-
-  explicit SimWorld(CostMode mode = CostMode::kFixed, std::uint64_t fixed_event_cost_ns = 500);
+  // Every handler advances its core's virtual clock by `fixed_event_cost_ns`.
+  explicit SimWorld(std::uint64_t fixed_event_cost_ns = 500);
   ~SimWorld();
 
   SimWorld(const SimWorld&) = delete;
@@ -172,7 +167,6 @@ class SimWorld {
   }
   std::uint64_t SliceNow() const;
 
-  CostMode mode_;
   std::uint64_t fixed_event_cost_ns_;
   WorldStats stats_;
 
@@ -185,7 +179,6 @@ class SimWorld {
   // Slice state (valid while current_ != nullptr).
   SimCore* current_ = nullptr;
   std::uint64_t slice_start_clock_ = 0;
-  std::uint64_t slice_start_cycles_ = 0;
   std::uint64_t slice_charge_ = 0;
   void* calendar_sp_ = nullptr;
 

@@ -82,6 +82,7 @@ bool FreeRouted(void* p) {
   }
   GeneralPurposeAllocatorRoot* owner = FindOwningRoot(p);
   if (owner == nullptr) {
+    stats().heap_fallback_frees.fetch_add(1, std::memory_order_relaxed);
     std::free(p);
     return false;
   }

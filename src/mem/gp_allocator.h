@@ -183,6 +183,9 @@ struct Stats {
   // nodes pushed from outside any core, e.g. by ThreadMachine::RunSync from the caller's
   // thread). Being malloc, these blocks never reach generic_heap_allocs below.
   std::atomic<std::uint64_t> heap_fallback_allocs{0};
+  // Heap-fallback blocks released (FreeRouted's std::free branch, which only they reach);
+  // allocs minus frees = live fallback blocks.
+  std::atomic<std::uint64_t> heap_fallback_frees{0};
   std::atomic<std::uint64_t> pool_hits{0};     // BufferPool allocs served from recycled blocks
   std::atomic<std::uint64_t> pool_misses{0};   // ...that had to carve from the slab path
   std::atomic<std::uint64_t> remote_frees{0};  // frees routed home from another core/context

@@ -33,9 +33,8 @@ struct TestbedNode {
 
 class Testbed {
  public:
-  explicit Testbed(SimWorld::CostMode mode = SimWorld::CostMode::kFixed,
-                   std::uint64_t fixed_cost_ns = 500, LinkModel link = {})
-      : world_(mode, fixed_cost_ns), fabric_(world_, link) {}
+  explicit Testbed(std::uint64_t fixed_cost_ns = 500, LinkModel link = {})
+      : world_(fixed_cost_ns), fabric_(world_, link) {}
 
   SimWorld& world() { return world_; }
   Switch& fabric() { return fabric_; }

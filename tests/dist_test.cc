@@ -344,11 +344,14 @@ TEST_F(DistTest, GlobalIdMapNamingAndIdBlocks) {
 
 // --- RpcClient completion targets ----------------------------------------------------------
 
-// Echo RPC server that records the request ids it saw; `silent` swallows requests.
+// Echo RPC server that records the request ids it saw; `silent` swallows requests (a test
+// may answer one later through Reply).
 class RecordingEcho final : public dist::RpcServer {
  public:
   RecordingEcho(Runtime& runtime, EbbId service, bool silent)
       : dist::RpcServer(runtime, service), silent_(silent) {}
+
+  using dist::RpcServer::Reply;
 
   std::vector<std::uint64_t> request_ids;
 
@@ -548,6 +551,97 @@ TEST_F(DistTest, LateResponseToARecycledSlotIsDroppedNotMisrouted) {
   ASSERT_EQ(server->request_ids.size(), 2u);
   EXPECT_EQ(server->request_ids[0] >> 32, server->request_ids[1] >> 32);
   EXPECT_NE(server->request_ids[0], server->request_ids[1]);
+}
+
+TEST_F(DistTest, OneMachineIsClientAndServerOfOneService) {
+  // Each machine serves service S and calls S on the other, in one event. Requests travel
+  // to S and replies to S | kRpcReplyTarget, so each machine's server sees only the other's
+  // request and each client only its own reply.
+  constexpr EbbId kEcho = kFirstStaticUserId + 54;
+  struct Side {
+    std::shared_ptr<RecordingEcho> server;
+    std::shared_ptr<dist::RpcClient> client;
+    CountingCompletion call;
+  };
+  Side frontend_side;
+  Side native_side;
+  auto start = [&](TestbedNode& node, Side& side, Ipv4Addr other, const char* body) {
+    node.Spawn(0, [&node, &side, other, body, kEcho] {
+      side.server = std::make_shared<RecordingEcho>(*node.runtime, kEcho, false);
+      node.runtime->Adopt(side.server);
+      side.client = std::make_shared<dist::RpcClient>(*node.runtime, kEcho, other);
+      side.client->Call(1, 0, IOBuf::CopyBuffer(body), dist::CallOptions{}, &side.call);
+    });
+  };
+  start(frontend_, frontend_side, kNativeIp, "from frontend");
+  start(native_, native_side, kFrontendIp, "from native");
+  bed_.world().Run();
+  EXPECT_EQ(frontend_side.call.responses, 1);
+  EXPECT_EQ(frontend_side.call.runs(), 1);
+  EXPECT_EQ(frontend_side.call.body, "from frontend");
+  EXPECT_EQ(native_side.call.responses, 1);
+  EXPECT_EQ(native_side.call.runs(), 1);
+  EXPECT_EQ(native_side.call.body, "from native");
+  for (Side* side : {&frontend_side, &native_side}) {
+    EXPECT_EQ(side->server->request_ids.size(), 1u);
+    EXPECT_EQ(side->client->stats().late_drops.load(), 0u);
+    EXPECT_EQ(side->client->pending_calls(), 0u);
+  }
+  EXPECT_EQ(dist::Messenger::For(*frontend_.runtime).stats().bad_frames.load(), 0u);
+  EXPECT_EQ(dist::Messenger::For(*native_.runtime).stats().bad_frames.load(), 0u);
+}
+
+TEST_F(DistTest, MisdirectedRpcFramesAreDropped) {
+  // A request-flagged frame at a client's target and a reply-flagged frame at a server's
+  // target both carry the live call's request id, yet neither resolves the call nor reaches
+  // HandleCall: each end checks the direction flag before anything else. The real reply
+  // then resolves the call exactly once.
+  constexpr EbbId kEcho = kFirstStaticUserId + 55;
+  std::shared_ptr<RecordingEcho> server;
+  frontend_.Spawn(0, [&] {
+    server = std::make_shared<RecordingEcho>(*frontend_.runtime, kEcho, /*silent=*/true);
+    frontend_.runtime->Adopt(server);
+  });
+  std::shared_ptr<dist::RpcClient> client;
+  CountingCompletion call;
+  native_.Spawn(0, [&] {
+    client = std::make_shared<dist::RpcClient>(*native_.runtime, kEcho, kFrontendIp);
+    client->Call(1, 0, IOBuf::CopyBuffer("real request"),
+                 dist::CallOptions{/*deadline_ns=*/0, dist::RetryPolicy{1}}, &call);
+  });
+  bed_.world().Run();
+  ASSERT_EQ(server->request_ids.size(), 1u);
+  const std::uint64_t live_id = server->request_ids[0];
+
+  frontend_.Spawn(0, [&] {
+    dist::Messenger::For(*frontend_.runtime)
+        .Send(kNativeIp, kEcho | dist::kRpcReplyTarget,
+              dist::BuildRpcFrame(live_id, 1, /*flags=*/0, 0,
+                                  IOBuf::CopyBuffer("forged request")));
+  });
+  native_.Spawn(0, [&] {
+    dist::Messenger::For(*native_.runtime)
+        .Send(kFrontendIp, kEcho,
+              dist::BuildRpcFrame(live_id, 0, dist::kRpcResponse, 0,
+                                  IOBuf::CopyBuffer("forged reply")));
+  });
+  bed_.world().Run();
+  EXPECT_EQ(call.runs(), 0);
+  EXPECT_EQ(client->pending_calls(), 1u);
+  EXPECT_EQ(server->request_ids.size(), 1u);
+
+  frontend_.Spawn(0, [&] {
+    server->Reply(kNativeIp, live_id, 0, IOBuf::CopyBuffer("real reply"));
+  });
+  bed_.world().Run();
+  EXPECT_EQ(call.responses, 1);
+  EXPECT_EQ(call.runs(), 1);
+  EXPECT_EQ(call.body, "real reply");
+  EXPECT_EQ(client->pending_calls(), 0u);
+  EXPECT_EQ(client->stats().late_drops.load(), 0u);
+  // Both forged frames reached a registered target: dropped quietly, not as bad frames.
+  EXPECT_EQ(dist::Messenger::For(*frontend_.runtime).stats().bad_frames.load(), 0u);
+  EXPECT_EQ(dist::Messenger::For(*native_.runtime).stats().bad_frames.load(), 0u);
 }
 
 // --- Function-shipping RPC rounds ----------------------------------------------------------

@@ -36,6 +36,9 @@ TEST(ShardRecord, EncodeParseRoundTrip) {
   EXPECT_FALSE(memcached::ParseShardRecord("10.0.0.1", &endpoint));       // no service id
   EXPECT_FALSE(memcached::ParseShardRecord("999.0.0.1#40", &endpoint));   // bad octet
   EXPECT_FALSE(memcached::ParseShardRecord("10.0.0.1#0", &endpoint));     // null service
+  // Bit 31 marks RPC reply targets: no service id may carry it.
+  EXPECT_FALSE(memcached::ParseShardRecord("10.0.0.1#2147483648", &endpoint));
+  EXPECT_TRUE(memcached::ParseShardRecord("10.0.0.1#2147483647", &endpoint));
 }
 
 TEST(ShardHashTest, Fnv1aFmixIsDeterministic) {

@@ -25,7 +25,7 @@ TEST(SimWorld, RunsSpawnedEvents) {
 }
 
 TEST(SimWorld, FixedCostModeAdvancesVirtualTime) {
-  SimWorld world(SimWorld::CostMode::kFixed, 500);
+  SimWorld world(500);
   Runtime& m = world.AddMachine("m", 1);
   std::uint64_t t_after = 0;
   SimWorld::SpawnOn(m, 0, [&] { t_after = world.Now(); });
@@ -270,7 +270,7 @@ TEST(SimWorld, ChargeAddsModeledCost) {
 TEST(SimWorld, DeterministicRepeatRuns) {
   // Two identical fixed-cost runs produce identical event timestamps.
   auto run_once = [] {
-    SimWorld world(SimWorld::CostMode::kFixed, 700);
+    SimWorld world(700);
     Runtime& m = world.AddMachine("m", 2);
     std::vector<std::uint64_t> stamps;
     SimWorld::SpawnOn(m, 0, [&world, &stamps] {
@@ -348,7 +348,7 @@ TEST(SimWorld, ShutdownUnwindsParkedCores) {
 }
 
 TEST(SimWorld, ActionsAndCoreWakesAtOneTimeDispatchInSchedulingOrder) {
-  SimWorld world(SimWorld::CostMode::kFixed, 100);
+  SimWorld world(100);
   Runtime& a = world.AddMachine("a", 1);
   Runtime& b = world.AddMachine("b", 1);
   std::vector<std::string> log;

@@ -1,8 +1,9 @@
 // Teardown frees everything: a scenario builds a world, runs it, and destroys it, and then
 // every process-wide count of live state is back where it started — generic-heap blocks,
-// memcached items, checked-out pool blocks and RCU epochs in flight — with no RPC call left
-// pending when the world was torn down. The scenarios are the perfbench shapes (an ETC
-// server, an 8 KiB server, a sharded MultiGet cluster) plus a failover run.
+// heap-fallback blocks of the routed carve, memcached items, checked-out pool blocks and RCU
+// epochs in flight — with no RPC call left pending when the world was torn down. The
+// scenarios are the perfbench shapes (an ETC server, an 8 KiB server, a sharded MultiGet
+// cluster) plus a failover run.
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -29,7 +30,8 @@ constexpr std::uint16_t kPort = 11211;
 
 // Process-wide live state a torn-down world must give back.
 struct Residue {
-  std::int64_t heap_blocks = 0;  // generic-heap allocs minus frees
+  std::int64_t heap_blocks = 0;      // generic-heap allocs minus frees
+  std::int64_t fallback_blocks = 0;  // routed-carve heap fallbacks minus their frees
   std::uint64_t items = 0;
   std::uint64_t pool_in_use = 0;
   std::uint64_t rcu_epochs = 0;
@@ -38,6 +40,8 @@ struct Residue {
     const mem::Stats& stats = mem::stats();
     return Residue{static_cast<std::int64_t>(stats.generic_heap_allocs.load() -
                                              stats.generic_heap_frees.load()),
+                   static_cast<std::int64_t>(stats.heap_fallback_allocs.load() -
+                                             stats.heap_fallback_frees.load()),
                    memcached::Item::live_count(), stats.pool_in_use.load(),
                    RcuManagerRoot::epochs_in_flight()};
   }
@@ -54,6 +58,7 @@ void ExpectTeardownFreesEverything(const std::function<std::size_t()>& scenario)
   const Residue after = Residue::Now();
   EXPECT_EQ(pending, 0u);
   EXPECT_EQ(after.heap_blocks, before.heap_blocks);
+  EXPECT_EQ(after.fallback_blocks, before.fallback_blocks);
   EXPECT_EQ(after.items, before.items);
   EXPECT_EQ(after.pool_in_use, before.pool_in_use);
   EXPECT_EQ(after.rcu_epochs, before.rcu_epochs);
