@@ -34,8 +34,8 @@ class EbbRef {
     if (__builtin_expect(rep != nullptr, true)) {
       return *static_cast<T*>(rep);
     }
-    // Miss path: the type's fault handler must return a representative for this core (and
-    // will usually cache it via Runtime::CacheRep so future calls take the fast path).
+    // Miss path: the type's fault handler returns this core's representative and caches it
+    // (ebb_internal::FaultIn, src/core/multicore_ebb.h), so later calls take the fast path.
     return T::HandleFault(id_);
   }
 

@@ -1,27 +1,34 @@
-// Representative-management base classes for common Ebb shapes.
+// Representative management: the one per-core table and the one fault path every Ebb uses.
 //
-// Paper §3.3: representatives are constructed on demand by a per-type fault handler; a root
-// object (shared per machine) coordinates them. These CRTP bases implement the three shapes
-// used throughout the runtime and applications:
+// Paper §3.3: representatives are resolved on demand by a per-type fault handler; a root
+// object (shared per machine) coordinates them. This header holds the shapes used
+// throughout the runtime and applications:
 //
-//   * MulticoreEbb<Rep, Root>  — per-core representatives created from a per-machine root.
-//   * MulticoreEbb<Rep, void>  — per-core representatives with no shared root.
+//   * PerCore<Rep>             — a root's table of reps, one per core (or NUMA node), each
+//                                built in index order with the table and never after.
+//   * RootedEbb<Rep, Root>     — reps held by a root the machine installed under the Ebb's
+//                                id (Root::RepFor(machine_core)): the runtime's own event
+//                                loops, timers and allocators.
+//   * MulticoreEbb<Rep, Root>  — per-core reps built on first touch from a per-machine root.
+//   * MulticoreEbb<Rep, void>  — per-core reps built on first touch, with no shared root.
 //   * SharedEbb<T>             — one representative per machine, cached on every core.
 //
-// All fault handlers first consult the hosted per-core hash cache when running in a hosted
-// runtime, then construct-and-cache. Construction is serialized through the runtime's root
-// registry lock; per-core caching is non-atomic by the non-preemption argument.
+// Every fault handler runs ebb_internal::FaultIn: a hosted runtime's per-core hash cache
+// first, then the shape's resolve step, then Runtime::CacheRep. Construction on first touch
+// is serialized through the runtime's root registry lock; per-core caching is non-atomic by
+// the non-preemption argument.
 #ifndef EBBRT_SRC_CORE_MULTICORE_EBB_H_
 #define EBBRT_SRC_CORE_MULTICORE_EBB_H_
 
-#include <mutex>
-#include <unordered_map>
-#include <utility>
+#include <memory>
+#include <type_traits>
+#include <vector>
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
 #include "src/core/runtime.h"
 #include "src/platform/context.h"
+#include "src/platform/debug.h"
 
 namespace ebbrt {
 
@@ -36,7 +43,63 @@ __attribute__((noinline, no_sanitize("null"))) inline void* HostedLookup(EbbId i
   }
   return ctx.runtime->HostedCacheLookup(ctx.machine_core, id);
 }
+
+// The one miss skeleton: a hosted runtime's cached rep, else `resolve()` (which returns
+// this core's rep), cached for (current core, id).
+template <typename Rep, typename Resolve>
+Rep& FaultIn(EbbId id, Resolve&& resolve) {
+  if (void* cached = HostedLookup(id)) {
+    return *static_cast<Rep*>(cached);
+  }
+  Rep& rep = resolve();
+  Runtime::CacheRep(id, &rep);
+  return rep;
+}
 }  // namespace ebb_internal
+
+// --- A root's per-core (or per-node) representatives ------------------------------------------
+//
+// Each rep is its own allocation (adjacent reps do not share the table's storage), built by
+// make(i) -> std::unique_ptr<Rep> for i = 0..n-1 when the table is constructed. Lookup is a
+// bounds check and a load: no lock, no lazy path.
+template <typename Rep>
+class PerCore {
+ public:
+  template <typename Make>
+  PerCore(std::size_t n, Make&& make) {
+    reps_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      reps_.push_back(make(i));
+    }
+  }
+
+  Rep& operator[](std::size_t i) const {
+    Kassert(i < reps_.size(), "PerCore: index out of range");
+    return *reps_[i];
+  }
+  std::size_t size() const { return reps_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<Rep>> reps_;
+};
+
+// --- Per-core representatives held by an installed root ---------------------------------------
+//
+// Root must be installed (Runtime::InstallRoot) under the Ebb's id and provide
+// Rep& RepFor(std::size_t machine_core). The handler is out of line and cold: EbbRef::GetRep
+// inlines the miss call into every call site, and a miss happens once per core.
+template <typename Rep, typename Root>
+class RootedEbb {
+ public:
+  __attribute__((noinline, cold)) static Rep& HandleFault(EbbId id) {
+    return ebb_internal::FaultIn<Rep>(id, [id]() -> Rep& {
+      Runtime& rt = CurrentRuntime();
+      auto* root = static_cast<Root*>(rt.FindRoot(id));
+      Kbugon(root == nullptr, "RootedEbb: no root for id %u on '%s'", id, rt.name().c_str());
+      return root->RepFor(CurrentContext().machine_core);
+    });
+  }
+};
 
 // --- Per-core representatives sharing a per-machine Root -----------------------------------
 //
@@ -51,17 +114,13 @@ class MulticoreEbb {
   }
 
   static Rep& HandleFault(EbbId id) {
-    if (void* cached = ebb_internal::HostedLookup(id)) {
-      return *static_cast<Rep*>(cached);
-    }
-    Runtime& rt = CurrentRuntime();
-    Root* root = rt.GetOrCreateRoot<Root>(id, [] { return new Root(); });
-    // The per-machine root tracks reps so cross-rep protocols (e.g. cache rebalance) can
-    // reach them; here we only need construct-and-cache.
-    auto* rep = new Rep(*root);
-    rt.AdoptRep(rep);
-    Runtime::CacheRep(id, rep);
-    return *rep;
+    return ebb_internal::FaultIn<Rep>(id, [id]() -> Rep& {
+      Runtime& rt = CurrentRuntime();
+      Root* root = rt.GetOrCreateRoot<Root>(id, [] { return new Root(); });
+      auto* rep = new Rep(*root);
+      rt.AdoptRep(rep);
+      return *rep;
+    });
   }
 };
 
@@ -70,13 +129,11 @@ template <typename Rep>
 class MulticoreEbb<Rep, void> {
  public:
   static Rep& HandleFault(EbbId id) {
-    if (void* cached = ebb_internal::HostedLookup(id)) {
-      return *static_cast<Rep*>(cached);
-    }
-    auto* rep = new Rep();
-    CurrentRuntime().AdoptRep(rep);
-    Runtime::CacheRep(id, rep);
-    return *rep;
+    return ebb_internal::FaultIn<Rep>(id, []() -> Rep& {
+      auto* rep = new Rep();
+      CurrentRuntime().AdoptRep(rep);
+      return *rep;
+    });
   }
 };
 
@@ -94,20 +151,16 @@ class SharedEbb {
   }
 
   static T& HandleFault(EbbId id) {
-    if (void* cached = ebb_internal::HostedLookup(id)) {
-      return *static_cast<T*>(cached);
-    }
-    Runtime& rt = CurrentRuntime();
-    T* instance = rt.GetOrCreateRoot<T>(id, []() -> T* {
-      if constexpr (std::is_default_constructible_v<T>) {
-        return new T();
-      } else {
-        Kabort("SharedEbb: no instance installed and T is not default-constructible");
-        return nullptr;
-      }
+    return ebb_internal::FaultIn<T>(id, [id]() -> T& {
+      return *CurrentRuntime().GetOrCreateRoot<T>(id, []() -> T* {
+        if constexpr (std::is_default_constructible_v<T>) {
+          return new T();
+        } else {
+          Kabort("SharedEbb: no instance installed and T is not default-constructible");
+          return nullptr;
+        }
+      });
     });
-    Runtime::CacheRep(id, instance);
-    return *instance;
   }
 };
 

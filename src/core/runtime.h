@@ -121,7 +121,8 @@ class Runtime {
   void* HostedCacheLookup(std::size_t machine_core, EbbId id);
   void HostedCacheInsert(std::size_t machine_core, EbbId id, void* rep);
 
-  // Caches `rep` for (current core, id): native -> flat table, hosted -> hash map.
+  // Caches `rep` for (current core, id): native -> flat table, hosted -> hash map. The one
+  // caller is the fault path, ebb_internal::FaultIn.
   static void CacheRep(EbbId id, void* rep);
 
   // --- Subsystem slots ----------------------------------------------------

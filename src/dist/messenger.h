@@ -125,10 +125,12 @@ class Messenger {
     std::atomic<std::uint64_t> reconnects{0};  // cache drops after an established conn died
     std::atomic<std::uint64_t> peer_down_notifications{0};  // observer fan-outs (per peer death)
     std::atomic<std::uint64_t> dropped{0};     // undeliverable messages (see Send)
-    // Frames failing header validation: length above kMaxMessageBytes, or a target EbbId
-    // with no registered receiver. Both tick here and drop the offending peer connection
-    // (an unframeable stream cannot be resynchronized; an unknown target means the two
-    // sides disagree about what this machine serves).
+    // Invalid frames. The Messenger's own header checks (length above kMaxMessageBytes,
+    // or a target EbbId with no registered receiver) tick here and drop the offending peer
+    // connection: an unframeable stream cannot be resynchronized, and an unknown target
+    // means the two sides disagree about what this machine serves. A receiver that rejects
+    // a well-framed message (an RPC runt or wrong-direction frame) ticks it through
+    // NoteBadFrame and keeps the peer.
     std::atomic<std::uint64_t> bad_frames{0};
     // Control-plane mutex acquisitions (connect/accept/register/drop). The steady-state
     // receive and send paths take ZERO locks — tests pin that by asserting this counter
@@ -142,6 +144,9 @@ class Messenger {
   // that fail validation. Entries survive the peer's connection teardown — the signal IS
   // the history of misbehavior.
   std::vector<std::pair<Ipv4Addr, std::uint64_t>> BadFramesByPeer();
+  // Ticks stats_.bad_frames and `peer`'s ledger entry without dropping the peer. Takes
+  // control_mu_: a bad frame is a control-plane event, never a steady-state lock.
+  void NoteBadFrame(Ipv4Addr peer);
 
  private:
   // One cached connection to a peer machine. A Peer IS the TcpHandler for its connection;
@@ -214,10 +219,6 @@ class Messenger {
   std::uint64_t next_peer_observer_ = 1;
   std::vector<std::pair<std::uint64_t, std::shared_ptr<PeerObserver>>> peer_observers_;
 
-  // Ticks stats_.bad_frames and the per-peer ledger. Bad frames are a connection-fatal
-  // event (the peer is about to be dropped), so taking control_mu_ here is the same
-  // control-plane cost the teardown already pays — never a steady-state lock.
-  void NoteBadFrame(Ipv4Addr peer);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> bad_frames_by_peer_;  // addr.raw -> count
 
   Stats stats_;

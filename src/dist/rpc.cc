@@ -15,7 +15,8 @@ namespace {
 // Splits a received message into (header, body chain). The header may straddle chain
 // elements (a message that crossed segment boundaries), so it is chain-copied out. False for
 // a runt frame, or one whose direction flag is not `response` (a request at a client's
-// target, or a reply at a server's): the caller drops it.
+// target, or a reply at a server's): the caller counts it (Messenger::NoteBadFrame) and
+// drops it.
 bool ParseFrame(std::unique_ptr<IOBuf> message, bool response, RpcHeader* header,
                 std::unique_ptr<IOBuf>* body) {
   IOBufQueue queue;
@@ -219,8 +220,8 @@ RpcClient::RpcClient(Runtime& runtime, EbbId service, Ipv4Addr server)
   }
   RpcClient* self = this;
   messenger_.RegisterReceiver(service | kRpcReplyTarget,
-                              [self](Ipv4Addr, std::unique_ptr<IOBuf> message) {
-                                self->HandleFrame(std::move(message));
+                              [self](Ipv4Addr from, std::unique_ptr<IOBuf> message) {
+                                self->HandleFrame(from, std::move(message));
                               });
   // Peer death fails everything in flight to that peer: no call waits out a deadline for a
   // response whose connection is already gone (and calls WITHOUT a deadline still resolve).
@@ -502,11 +503,12 @@ void RpcClient::OnPeerDown() {
   }
 }
 
-void RpcClient::HandleFrame(std::unique_ptr<IOBuf> message) {
+void RpcClient::HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message) {
   RpcHeader header;
   std::unique_ptr<IOBuf> body;
   if (!ParseFrame(std::move(message), /*response=*/true, &header, &body)) {
-    return;  // runt or misdirected frame: drop (no in-tree peer sends one; belt and braces)
+    messenger_.NoteBadFrame(from);  // runt or misdirected frame: counted, then dropped
+    return;
   }
   // The claim resolves the call exactly once: a duplicate response — or a straggler whose
   // attempt already timed out, failed over, or was re-sent under a fresh generation — finds
@@ -557,6 +559,7 @@ void RpcServer::HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message) {
   RpcHeader header;
   std::unique_ptr<IOBuf> body;
   if (!ParseFrame(std::move(message), /*response=*/false, &header, &body)) {
+    messenger_.NoteBadFrame(from);
     return;
   }
   // A traced request gets its own span on this hop, parented on the caller's (the span id

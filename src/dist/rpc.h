@@ -295,7 +295,7 @@ class RpcClient {
 
  private:
   // A received reply (the Messenger receiver of service_ | kRpcReplyTarget).
-  void HandleFrame(std::unique_ptr<IOBuf> message);
+  void HandleFrame(Ipv4Addr from, std::unique_ptr<IOBuf> message);
 
   // One pending call's slot. The claim word `armed` holds the generation a response may
   // claim (0: nothing to claim — free, parked for a retry, or already claimed). Everything

@@ -7,29 +7,10 @@ namespace ebbrt {
 // --- Root -----------------------------------------------------------------------------------
 
 EventManagerRoot::EventManagerRoot(Executor& executor, std::size_t num_cores)
-    : executor_(executor), interconnect_(executor, num_cores) {
-  reps_.reserve(num_cores);
-  for (std::size_t i = 0; i < num_cores; ++i) {
-    reps_.push_back(std::make_unique<EventManager>(*this, executor, i));
-  }
-}
-
-EventManagerRoot::~EventManagerRoot() = default;
-
-EventManager& EventManagerRoot::RepFor(std::size_t machine_core) {
-  Kassert(machine_core < reps_.size(), "EventManagerRoot: bad core");
-  return *reps_[machine_core];
-}
-
-EventManager& EventManager::HandleFault(EbbId id) {
-  Context& ctx = CurrentContext();
-  auto* root = static_cast<EventManagerRoot*>(ctx.runtime->FindRoot(id));
-  Kbugon(root == nullptr, "EventManager: no root installed for machine '%s'",
-         ctx.runtime->name().c_str());
-  EventManager& rep = root->RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
+    : executor_(executor),
+      reps_(num_cores,
+            [&](std::size_t i) { return std::make_unique<EventManager>(*this, executor, i); }),
+      interconnect_(executor, num_cores) {}
 
 // --- Cross-core message nodes ----------------------------------------------------------------
 

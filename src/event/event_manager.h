@@ -36,6 +36,7 @@
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/event/executor.h"
 #include "src/event/interconnect.h"
@@ -71,9 +72,8 @@ class EventContext {
 class EventManagerRoot {
  public:
   EventManagerRoot(Executor& executor, std::size_t num_cores);
-  ~EventManagerRoot();
 
-  EventManager& RepFor(std::size_t machine_core);
+  EventManager& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
   Executor& executor() { return executor_; }
   std::size_t num_cores() const { return reps_.size(); }
   // The machine's cross-core mesh. Subsystems with their own node types (BufferPool block
@@ -82,17 +82,16 @@ class EventManagerRoot {
 
  private:
   Executor& executor_;
-  std::vector<std::unique_ptr<EventManager>> reps_;
+  PerCore<EventManager> reps_;
   // Declared last => destroyed first: the teardown drain Discards undelivered nodes while
   // the reps (whose vector entries are embedded nodes) are still alive.
   Interconnect interconnect_;
 };
 
-class EventManager {
+// Every core's representative is built with the root at machine bring-up.
+class EventManager : public RootedEbb<EventManager, EventManagerRoot> {
  public:
   static EbbRef<EventManager> Instance() { return EbbRef<EventManager>(kEventManagerId); }
-  // Resolves the current core's representative (installed at machine bring-up).
-  static EventManager& HandleFault(EbbId id);
 
   EventManager(EventManagerRoot& root, Executor& executor, std::size_t machine_core);
   ~EventManager();

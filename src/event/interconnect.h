@@ -1,10 +1,9 @@
 // Interconnect — lock-free per-core exchange-list mesh for cross-core dispatch.
 //
 // tab3 of the paper argues a library OS only beats a general-purpose stack if moving work
-// between cores costs about as much as a virtual call. Our cross-core paths used to funnel
-// through spinlocked mailboxes (the EventManager remote/irq queues, the BufferPool remote-free
-// magazine); this replaces all of them with one primitive, modeled on rabid's exchange-list
-// interconnect:
+// between cores costs about as much as a virtual call. Every cross-core path (remote spawns,
+// interrupt vectors, pooled-block returns, RCU markers) rides one primitive, modeled on
+// rabid's exchange-list interconnect:
 //
 //   * Messages are intrusive, directly-executable continuation nodes: `Fire(em)` runs the
 //     work AND disposes the node, so delivery is one virtual call — no queue entry, no

@@ -3,28 +3,8 @@
 namespace ebbrt {
 
 TimerRoot::TimerRoot(Executor& executor, EventManagerRoot& em_root, std::size_t num_cores)
-    : executor_(executor), em_root_(em_root) {
-  reps_.resize(num_cores);
-}
-
-Timer& TimerRoot::RepFor(std::size_t machine_core) {
-  Kassert(machine_core < reps_.size(), "TimerRoot: bad core");
-  std::lock_guard<Spinlock> lock(mu_);
-  if (reps_[machine_core] == nullptr) {
-    reps_[machine_core] = std::make_unique<Timer>(*this, machine_core);
-  }
-  return *reps_[machine_core];
-}
-
-Timer& Timer::HandleFault(EbbId id) {
-  Context& ctx = CurrentContext();
-  auto* root = static_cast<TimerRoot*>(ctx.runtime->FindRoot(id));
-  Kbugon(root == nullptr, "Timer: no root installed for machine '%s'",
-         ctx.runtime->name().c_str());
-  Timer& rep = root->RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
+    : executor_(executor), em_root_(em_root),
+      reps_(num_cores, [this](std::size_t i) { return std::make_unique<Timer>(*this, i); }) {}
 
 Timer::Timer(TimerRoot& root, std::size_t machine_core)
     : root_(root), machine_core_(machine_core), em_(root.em_root().RepFor(machine_core)) {

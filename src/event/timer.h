@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/event/event_manager.h"
 #include "src/platform/move_function.h"
@@ -32,24 +32,23 @@ namespace ebbrt {
 
 class Timer;
 
+// Every core's Timer is built with the root, at machine bring-up, and hooks its core's loop.
 class TimerRoot {
  public:
   TimerRoot(Executor& executor, EventManagerRoot& em_root, std::size_t num_cores);
-  Timer& RepFor(std::size_t machine_core);
+  Timer& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
   Executor& executor() { return executor_; }
   EventManagerRoot& em_root() { return em_root_; }
 
  private:
   Executor& executor_;
   EventManagerRoot& em_root_;
-  std::vector<std::unique_ptr<Timer>> reps_;
-  Spinlock mu_;  // guards lazy rep construction (first touch can race across cores)
+  PerCore<Timer> reps_;
 };
 
-class Timer {
+class Timer : public RootedEbb<Timer, TimerRoot> {
  public:
   static EbbRef<Timer> Instance() { return EbbRef<Timer>(kTimerId); }
-  static Timer& HandleFault(EbbId id);
 
   Timer(TimerRoot& root, std::size_t machine_core);
 

@@ -40,19 +40,10 @@ void BufferPool::PoolDispose(IOBuf::SharedStorage* storage) {
 static_assert(BufferPool::kBlockBytes > IOBuf::kStorageHeaderBytes + BufferPool::kHeadroom,
               "BufferPool: block too small for header + headroom");
 
-BufferPoolRoot::BufferPoolRoot(Runtime& runtime, std::size_t num_cores) : runtime_(runtime) {
-  reps_.reserve(num_cores);
-  for (std::size_t i = 0; i < num_cores; ++i) {
-    reps_.push_back(std::unique_ptr<BufferPool>(new BufferPool(*this, i)));
-  }
-}
-
-BufferPoolRoot::~BufferPoolRoot() = default;
-
-BufferPool& BufferPoolRoot::RepFor(std::size_t machine_core) {
-  Kassert(machine_core < reps_.size(), "BufferPoolRoot: bad core");
-  return *reps_[machine_core];
-}
+BufferPoolRoot::BufferPoolRoot(Runtime& runtime, std::size_t num_cores)
+    : runtime_(runtime), reps_(num_cores, [this](std::size_t i) {
+        return std::make_unique<BufferPool>(*this, i);
+      }) {}
 
 void BufferPoolRoot::Install(Runtime& runtime, std::size_t num_cores) {
   Kassert(runtime.TryGetSubsystem<GeneralPurposeAllocatorRoot>(

@@ -6,7 +6,7 @@
 // head buffers — cost literally nothing in steady state: a frame is allocated once, rides
 // the datapath as a refcounted IOBuf, and when its last view dies it snaps back onto the
 // freelist of the core that owns it, headroom re-reserved, ready to be posted or filled
-// again. No size-class lookup, no slab bookkeeping, no atomics.
+// again. No size-class lookup and no slab bookkeeping.
 //
 // Cross-core lifecycle: a frame is normally freed on the core that allocated it (RSS pins a
 // connection's processing to one core), so the common path is lock-free. When a view does
@@ -29,8 +29,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/iobuf/iobuf.h"
 #include "src/platform/spinlock.h"
@@ -42,9 +42,8 @@ class BufferPool;
 class BufferPoolRoot {
  public:
   BufferPoolRoot(Runtime& runtime, std::size_t num_cores);
-  ~BufferPoolRoot();
 
-  BufferPool& RepFor(std::size_t machine_core);
+  BufferPool& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
   Runtime& runtime() { return runtime_; }
 
   // Installs a pool on `runtime` (requires mem::Install to have run) and adopts its
@@ -58,7 +57,7 @@ class BufferPoolRoot {
 
  private:
   Runtime& runtime_;
-  std::vector<std::unique_ptr<BufferPool>> reps_;
+  PerCore<BufferPool> reps_;
 };
 
 class alignas(kCacheLineSize) BufferPool {

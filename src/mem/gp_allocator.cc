@@ -94,21 +94,21 @@ bool FreeRouted(void* p) {
 GeneralPurposeAllocatorRoot::GeneralPurposeAllocatorRoot(PageAllocatorRoot& pages,
                                                          std::size_t num_cores,
                                                          Runtime* runtime)
-    : pages_(pages), num_cores_(num_cores), runtime_(runtime) {
-  // One slab cache Ebb per size class. Ids are taken from the machine-local dynamic range so
-  // the class caches are themselves replaceable/invocable Ebbs.
-  for (std::size_t i = 0; i < gp_internal::kSizeClasses.size(); ++i) {
-    EbbId id = CurrentRuntime().AllocateLocalId();
-    class_roots_[i] = std::make_unique<SlabCacheRoot>(pages, gp_internal::kSizeClasses[i], id,
-                                                      num_cores, static_cast<std::uint8_t>(i));
-    CurrentRuntime().InstallRoot(id, class_roots_[i].get());
-  }
-  // Every core's representative is built here, with the root, so RepFor is a plain index:
-  // a free routed home from any core never takes a lock to find its representative.
-  reps_.reserve(num_cores);
-  for (std::size_t core = 0; core < num_cores; ++core) {
-    reps_.push_back(std::make_unique<GeneralPurposeAllocator>(*this, core));
-  }
+    : pages_(pages), runtime_(runtime), class_roots_([&] {
+        // One slab cache Ebb per size class. Ids are taken from the machine-local dynamic
+        // range so the class caches are themselves replaceable/invocable Ebbs.
+        decltype(class_roots_) roots;
+        for (std::size_t i = 0; i < roots.size(); ++i) {
+          EbbId id = CurrentRuntime().AllocateLocalId();
+          roots[i] = std::make_unique<SlabCacheRoot>(
+              pages, gp_internal::kSizeClasses[i], id, num_cores, static_cast<std::uint8_t>(i));
+          CurrentRuntime().InstallRoot(id, roots[i].get());
+        }
+        return roots;
+      }()),
+      reps_(num_cores, [this](std::size_t core) {
+        return std::make_unique<GeneralPurposeAllocator>(*this, core);
+      }) {
   RegisterRoot(this, pages_.arena());
 }
 
@@ -135,22 +135,6 @@ bool GeneralPurposeAllocatorRoot::FreeAnywhere(void* p) {
   Kassert(info.kind == PageKind::kLarge, "FreeAnywhere: free of non-allocated page");
   pages_.RepForNode(info.node).FreePages(p);
   return true;
-}
-
-GeneralPurposeAllocator& GeneralPurposeAllocatorRoot::RepFor(std::size_t machine_core) {
-  Kassert(machine_core < reps_.size(), "GeneralPurposeAllocatorRoot: bad core");
-  return *reps_[machine_core];
-}
-
-GeneralPurposeAllocator& GeneralPurposeAllocator::HandleFault(EbbId id) {
-  Context& ctx = CurrentContext();
-  auto* root = ctx.runtime->TryGetSubsystem<GeneralPurposeAllocatorRoot>(
-      Subsystem::kGeneralPurposeAllocator);
-  Kbugon(root == nullptr, "GeneralPurposeAllocator: memory subsystem not installed on '%s'",
-         ctx.runtime->name().c_str());
-  GeneralPurposeAllocator& rep = root->RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
 }
 
 GeneralPurposeAllocator::GeneralPurposeAllocator(GeneralPurposeAllocatorRoot& root,
@@ -192,7 +176,7 @@ void* GeneralPurposeAllocator::AllocLarge(std::size_t size) {
   if (order > kMaxOrder) {
     return nullptr;
   }
-  PageAllocator& pages = root_.pages().RepForCore(machine_core_);
+  PageAllocator& pages = root_.pages().RepFor(machine_core_);
   void* block = pages.AllocPages(order);
   if (block == nullptr) {
     return nullptr;
@@ -222,9 +206,13 @@ void Install(Runtime& runtime, std::size_t num_cores, Config config) {
   // GP root construction allocates Ebb ids, which needs a current-runtime context; callers
   // install memory before the loops run, so borrow core 0's identity.
   ScopedContext ctx(runtime, runtime.global_core(0), 0, runtime.hosted());
-  runtime.InstallSubsystem(
+  auto& gp = runtime.InstallSubsystem(
       Subsystem::kGeneralPurposeAllocator,
       std::make_shared<GeneralPurposeAllocatorRoot>(pages, num_cores, &runtime));
+  // Non-owning registrations, so their Ebbs' fault handler (RootedEbb) finds both roots
+  // under their ids, as it finds every other root.
+  runtime.InstallRoot(kPageAllocatorId, &pages);
+  runtime.InstallRoot(kGeneralPurposeAllocatorId, &gp);
 }
 
 }  // namespace mem

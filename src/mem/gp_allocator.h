@@ -20,6 +20,7 @@
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/mem/slab_allocator.h"
 
@@ -48,10 +49,9 @@ class GeneralPurposeAllocatorRoot {
                               Runtime* runtime = nullptr);
   ~GeneralPurposeAllocatorRoot();
 
-  GeneralPurposeAllocator& RepFor(std::size_t machine_core);
+  GeneralPurposeAllocator& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
   SlabCacheRoot& class_root(std::size_t idx) { return *class_roots_[idx]; }
   PageAllocatorRoot& pages() { return pages_; }
-  std::size_t num_cores() const { return num_cores_; }
 
   // Frees `p` (which must belong to this machine's arena) from ANY execution context. When
   // the caller is running as a core of this machine, this is the normal per-core slab/page
@@ -63,18 +63,18 @@ class GeneralPurposeAllocatorRoot {
 
  private:
   PageAllocatorRoot& pages_;
-  std::size_t num_cores_;
   Runtime* runtime_;  // machine this root is installed on (nullptr for bare test roots)
   std::array<std::unique_ptr<SlabCacheRoot>, gp_internal::kSizeClasses.size()> class_roots_;
-  std::vector<std::unique_ptr<GeneralPurposeAllocator>> reps_;  // one per core, built eagerly
+  // Built with the root, so a free routed home from any core finds its rep without a lock.
+  PerCore<GeneralPurposeAllocator> reps_;
 };
 
-class alignas(kCacheLineSize) GeneralPurposeAllocator {
+class alignas(kCacheLineSize) GeneralPurposeAllocator
+    : public RootedEbb<GeneralPurposeAllocator, GeneralPurposeAllocatorRoot> {
  public:
   static EbbRef<GeneralPurposeAllocator> Instance() {
     return EbbRef<GeneralPurposeAllocator>(kGeneralPurposeAllocatorId);
   }
-  static GeneralPurposeAllocator& HandleFault(EbbId id);
 
   GeneralPurposeAllocator(GeneralPurposeAllocatorRoot& root, std::size_t machine_core);
 

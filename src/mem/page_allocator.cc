@@ -1,38 +1,19 @@
 #include "src/mem/page_allocator.h"
 
+#include <algorithm>
+
 namespace ebbrt {
 
 PageAllocatorRoot::PageAllocatorRoot(PhysArena& arena, std::size_t cores_per_node)
-    : arena_(arena), cores_per_node_(cores_per_node ? cores_per_node : 1) {
-  for (std::size_t node = 0; node < arena.nodes(); ++node) {
-    reps_.push_back(std::make_unique<PageAllocator>(arena, node));
-  }
+    : arena_(arena), cores_per_node_(cores_per_node ? cores_per_node : 1),
+      reps_(arena.nodes(),
+            [&](std::size_t node) { return std::make_unique<PageAllocator>(arena, node); }) {}
+
+PageAllocator& PageAllocatorRoot::RepFor(std::size_t machine_core) {
+  return reps_[std::min(machine_core / cores_per_node_, reps_.size() - 1)];
 }
 
-PageAllocatorRoot::~PageAllocatorRoot() = default;
-
-PageAllocator& PageAllocatorRoot::RepForCore(std::size_t machine_core) {
-  std::size_t node = machine_core / cores_per_node_;
-  if (node >= reps_.size()) {
-    node = reps_.size() - 1;
-  }
-  return *reps_[node];
-}
-
-PageAllocator& PageAllocatorRoot::RepForNode(std::size_t node) {
-  Kassert(node < reps_.size(), "PageAllocatorRoot: bad node");
-  return *reps_[node];
-}
-
-PageAllocator& PageAllocator::HandleFault(EbbId id) {
-  Context& ctx = CurrentContext();
-  auto* root = ctx.runtime->TryGetSubsystem<PageAllocatorRoot>(Subsystem::kPageAllocator);
-  Kbugon(root == nullptr, "PageAllocator: memory subsystem not installed on '%s'",
-         ctx.runtime->name().c_str());
-  PageAllocator& rep = root->RepForCore(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
+PageAllocator& PageAllocatorRoot::RepForNode(std::size_t node) { return reps_[node]; }
 
 PageAllocator::PageAllocator(PhysArena& arena, std::size_t node)
     : arena_(arena), node_(node), first_pfn_(arena.NodeFirstPfn(node)),

@@ -14,6 +14,7 @@
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/mem/phys_arena.h"
 #include "src/platform/spinlock.h"
@@ -27,9 +28,9 @@ class PageAllocatorRoot {
   // Builds one buddy representative per NUMA node over `arena`. `cores_per_node` maps a
   // machine core to its node (core / cores_per_node).
   PageAllocatorRoot(PhysArena& arena, std::size_t cores_per_node);
-  ~PageAllocatorRoot();
 
-  PageAllocator& RepForCore(std::size_t machine_core);
+  // The representative of `machine_core`'s node (cores past the last node use the last).
+  PageAllocator& RepFor(std::size_t machine_core);
   PageAllocator& RepForNode(std::size_t node);
   PhysArena& arena() { return arena_; }
   std::size_t nodes() const { return reps_.size(); }
@@ -37,14 +38,13 @@ class PageAllocatorRoot {
  private:
   PhysArena& arena_;
   std::size_t cores_per_node_;
-  std::vector<std::unique_ptr<PageAllocator>> reps_;
+  PerCore<PageAllocator> reps_;  // indexed by node
 };
 
 // One representative per NUMA node: a binary-buddy allocator over the node's pfn range.
-class PageAllocator {
+class PageAllocator : public RootedEbb<PageAllocator, PageAllocatorRoot> {
  public:
   static EbbRef<PageAllocator> Instance() { return EbbRef<PageAllocator>(kPageAllocatorId); }
-  static PageAllocator& HandleFault(EbbId id);
 
   PageAllocator(PhysArena& arena, std::size_t node);
 

@@ -8,7 +8,10 @@ inline void*& NextOf(void* obj) { return *static_cast<void**>(obj); }
 
 SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, EbbId id,
                              std::size_t num_cores, std::uint8_t size_class)
-    : pages_(pages), object_size_(object_size), id_(id), size_class_(size_class) {
+    : pages_(pages), object_size_(object_size), id_(id), size_class_(size_class),
+      depots_(pages.nodes()),
+      reps_(num_cores,
+            [this](std::size_t core) { return std::make_unique<SlabCache>(*this, core); }) {
   Kassert(object_size >= sizeof(void*), "SlabCacheRoot: object too small for a link");
   // Pick the smallest slab order that fits at least 8 objects (single page when possible).
   slab_order_ = 0;
@@ -18,14 +21,7 @@ SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, 
   }
   objects_per_slab_ = (kPageSize << slab_order_) / object_size_;
   Kassert(objects_per_slab_ >= 1, "SlabCacheRoot: object larger than max slab");
-  depots_ = std::vector<Depot>(pages.nodes());
-  reps_.reserve(num_cores);
-  for (std::size_t core = 0; core < num_cores; ++core) {
-    reps_.push_back(std::make_unique<SlabCache>(*this, core));
-  }
 }
-
-SlabCacheRoot::~SlabCacheRoot() = default;
 
 void SlabCacheRoot::RemoteFree(void* p, std::size_t node) {
   Kassert(node < depots_.size(), "SlabCacheRoot::RemoteFree: bad node");
@@ -36,24 +32,9 @@ void SlabCacheRoot::RemoteFree(void* p, std::size_t node) {
   ++depot.count;
 }
 
-SlabCache& SlabCacheRoot::RepFor(std::size_t machine_core) {
-  Kassert(machine_core < reps_.size(), "SlabCacheRoot: bad core");
-  return *reps_[machine_core];
-}
-
-SlabCache& SlabCache::HandleFault(EbbId id) {
-  Context& ctx = CurrentContext();
-  auto* root = static_cast<SlabCacheRoot*>(ctx.runtime->FindRoot(id));
-  Kbugon(root == nullptr, "SlabCache: no root for id %u on '%s'", id,
-         ctx.runtime->name().c_str());
-  SlabCache& rep = root->RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
-
 SlabCache::SlabCache(SlabCacheRoot& root, std::size_t machine_core)
     : root_(root), machine_core_(machine_core) {
-  node_ = root_.pages().RepForCore(machine_core).node();
+  node_ = root_.pages().RepFor(machine_core).node();
 }
 
 void* SlabCache::Alloc() {

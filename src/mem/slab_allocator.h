@@ -19,6 +19,7 @@
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
+#include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/mem/page_allocator.h"
 #include "src/platform/spinlock.h"
@@ -35,9 +36,8 @@ class SlabCacheRoot {
   // representative is built here, with the root.
   SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, EbbId id,
                 std::size_t num_cores, std::uint8_t size_class = 0);
-  ~SlabCacheRoot();
 
-  SlabCache& RepFor(std::size_t machine_core);
+  SlabCache& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
 
   std::size_t object_size() const { return object_size_; }
   std::uint8_t size_class() const { return size_class_; }
@@ -71,18 +71,16 @@ class SlabCacheRoot {
   std::uint8_t size_class_;
   std::size_t slab_order_;
   std::size_t objects_per_slab_;
-  std::vector<std::unique_ptr<SlabCache>> reps_;  // one per core, built eagerly
   std::vector<Depot> depots_;
+  PerCore<SlabCache> reps_;
   std::atomic<std::size_t> total_slabs_{0};
 };
 
 // Cache-line aligned: representatives of adjacent cores are allocated back to back, and the
 // freelist head is written on every alloc/free — sharing a line across cores would put
 // coherence traffic on the very path whose point is to have none.
-class alignas(kCacheLineSize) SlabCache {
+class alignas(kCacheLineSize) SlabCache : public RootedEbb<SlabCache, SlabCacheRoot> {
  public:
-  static SlabCache& HandleFault(EbbId id);
-
   SlabCache(SlabCacheRoot& root, std::size_t machine_core);
 
   // Fast path: pop the core-local free list (no atomics). Slow path: refill from the node

@@ -171,15 +171,9 @@ void TcpPcb::Abort() {
 // --- TcpManager ------------------------------------------------------------------------------
 
 TcpManager::TcpManager(NetworkManager& network)
-    : network_(network), table_(network.rcu(), 10), listeners_(network.rcu(), 4) {
-  // One TX batcher per core, preallocated so the data path indexes without synchronization
-  // (each batcher is only ever touched by its own core).
-  std::size_t cores = network.runtime().num_cores();
-  batchers_.reserve(cores);
-  for (std::size_t i = 0; i < cores; ++i) {
-    batchers_.push_back(std::make_unique<TxBatcher>(*this));
-  }
-}
+    : network_(network), table_(network.rcu(), 10), listeners_(network.rcu(), 4),
+      batchers_(network.runtime().num_cores(),
+                [this](std::size_t) { return std::make_unique<TxBatcher>(*this); }) {}
 
 // A connection and its handler keep each other alive (the handler holds its pcb) until
 // removal releases the handler. Connections still open when the stack dies (Messenger peer
@@ -190,10 +184,7 @@ TcpManager::~TcpManager() {
   });
 }
 
-TxBatcher& TcpManager::batcher(std::size_t core) {
-  Kassert(core < batchers_.size(), "TcpManager: no batcher for core");
-  return *batchers_[core];
-}
+TxBatcher& TcpManager::batcher(std::size_t core) { return batchers_[core]; }
 
 // The pre-cork TcpPcb::Send body: slice into MSS segments, transmit zero-copy views, retain
 // the chain for retransmission.

@@ -37,6 +37,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/multicore_ebb.h"
 #include "src/future/future.h"
 #include "src/iobuf/iobuf.h"
 #include "src/iobuf/iobuf_queue.h"
@@ -279,7 +280,7 @@ class TcpManager {
   RcuHashTable<std::uint16_t, std::shared_ptr<Listener>> listeners_;
   std::atomic<std::uint16_t> next_ephemeral_{33000};
   // One TX batcher per core (index = machine core); only the owner core touches its batcher.
-  std::vector<std::unique_ptr<TxBatcher>> batchers_;
+  PerCore<TxBatcher> batchers_;
 
   friend class TcpPcb;
 };

@@ -116,9 +116,12 @@ ObsRoot::MetricsSnapshot ObsRoot::SnapshotNow() {
     entry.second(out);
   }
   std::uint64_t spans = 0;
-  for (const auto& rep : reps_) {
-    if (rep != nullptr) {
-      spans += rep->spans_recorded();
+  {
+    std::lock_guard<std::mutex> lock(mu_);  // another core may be creating a rep
+    for (const auto& rep : reps_) {
+      if (rep != nullptr) {
+        spans += rep->spans_recorded();
+      }
     }
   }
   out.samples.emplace_back("obs_spans_recorded", static_cast<double>(spans));
@@ -159,6 +162,7 @@ std::string ObsRoot::RenderText(const MetricsSnapshot& snapshot) {
 
 std::vector<SpanRecord> ObsRoot::Spans() const {
   std::vector<SpanRecord> out;
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& rep : reps_) {
     if (rep == nullptr) {
       continue;
@@ -174,6 +178,7 @@ std::vector<SpanRecord> ObsRoot::Spans() const {
 }
 
 void ObsRoot::ClearSpans() {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& rep : reps_) {
     if (rep != nullptr) {
       rep->span_next_.store(0, std::memory_order_relaxed);

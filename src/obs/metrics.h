@@ -189,6 +189,7 @@ class ObsRoot {
   // The rep for `machine_core`, created on first use (control-plane lock on creation only).
   MetricRegistry& RepFor(std::size_t machine_core);
   MetricRegistry* TryRep(std::size_t machine_core) const {
+    std::lock_guard<std::mutex> lock(mu_);
     return reps_[machine_core].get();
   }
   std::size_t num_cores() const { return reps_.size(); }
@@ -199,7 +200,9 @@ class ObsRoot {
   Runtime& runtime_;
   std::atomic<std::uint8_t> level_{static_cast<std::uint8_t>(Level::kTracing)};
 
-  mutable std::mutex mu_;  // collectors + rep creation; never on a recording path
+  // Collectors, rep creation, and every read of reps_ from another core (snapshots, span
+  // export); never on a recording path.
+  mutable std::mutex mu_;
   std::uint64_t next_collector_ = 1;
   std::vector<std::pair<std::uint64_t, Collector>> collectors_;
 

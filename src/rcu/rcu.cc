@@ -98,7 +98,7 @@ void RcuManagerRoot::CallRcu(MoveFunction<void()> fn) {
   callbacks_.fetch_add(1, std::memory_order_relaxed);
   if (HaveContext() && CurrentContext().runtime == &runtime_) {
     std::size_t core = CurrentContext().machine_core;
-    if (core < kMaxBatchedCores && core < em_root->num_cores()) {
+    if (core < em_root->num_cores()) {
       EventManager& rep = em_root->RepFor(core);
       if (rep.dispatching_event()) {
         // Inside an event on this machine: join (or open) this event's batch. One epoch per

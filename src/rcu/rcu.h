@@ -82,12 +82,11 @@ class RcuManagerRoot {
     CallbackNode* tail = nullptr;
     bool hook_armed = false;
   };
-  static constexpr std::size_t kMaxBatchedCores = 64;
 
   void StartEpoch(CallbackNode* head, EventManagerRoot& em_root);
 
   Runtime& runtime_;
-  std::array<CoreBatch, kMaxBatchedCores> batches_;
+  std::array<CoreBatch, kMaxCores> batches_;
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> callbacks_{0};
   std::atomic<std::uint64_t> coalesced_{0};

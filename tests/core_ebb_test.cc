@@ -61,6 +61,31 @@ class Registry : public SharedEbb<Registry>, Census<Registry> {
   std::set<int> values_;
 };
 
+// A PerCore table's rep that logs the order the table builds reps in.
+struct Slot : Census<Slot> {
+  Slot(std::vector<std::size_t>& log, std::size_t index) : index(index) { log.push_back(index); }
+  std::size_t index;
+};
+
+// A per-core Ebb whose reps a caller-installed root holds in a PerCore table. The root
+// counts RepFor calls: the fault path's resolve step, which a cached rep skips.
+struct LaneRoot;
+class Lane : public RootedEbb<Lane, LaneRoot> {
+ public:
+  explicit Lane(std::size_t core) : core(core) {}
+  std::size_t core;
+};
+struct LaneRoot {
+  explicit LaneRoot(std::size_t cores)
+      : reps(cores, [](std::size_t i) { return std::make_unique<Lane>(i); }) {}
+  Lane& RepFor(std::size_t machine_core) {
+    ++resolves;
+    return reps[machine_core];
+  }
+  PerCore<Lane> reps;
+  int resolves = 0;
+};
+
 class EbbTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -284,6 +309,49 @@ TEST_F(EbbTest, ConcurrentFaultsOneRootManyReps) {
   }
   EXPECT_FALSE(mismatch.load());
   EXPECT_EQ(seen_root.load()->reps_created.load(), 4);
+}
+
+TEST(PerCoreTable, BuildsEveryRepOnceInIndexOrderWithTheTable) {
+  const int built_before = Census<Slot>::constructed;
+  const int live_before = built_before - Census<Slot>::destroyed;
+  std::vector<std::size_t> log;
+  {
+    PerCore<Slot> table(4, [&](std::size_t i) { return std::make_unique<Slot>(log, i); });
+    EXPECT_EQ(log, (std::vector<std::size_t>{0, 1, 2, 3}));
+    ASSERT_EQ(table.size(), 4u);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      EXPECT_EQ(table[i].index, i);
+      EXPECT_EQ(&table[i], &table[i]);
+    }
+    EXPECT_NE(&table[0], &table[1]);
+    EXPECT_EQ(Census<Slot>::constructed - built_before, 4);  // lookups build nothing
+  }
+  EXPECT_EQ(Census<Slot>::constructed - Census<Slot>::destroyed, live_before);
+}
+
+TEST(RootedEbbTest, OneRepPerCoreResolvedOnceOnNativeAndHosted) {
+  // Repeated calls on a core return the same rep, each core gets its own, and the root is
+  // asked once per core: a native core caches the rep in its translation table, a hosted
+  // core in its runtime's per-core hash map, and later calls read it from there.
+  constexpr EbbId kLane = kFirstStaticUserId + 30;
+  for (RuntimeKind kind : {RuntimeKind::kNative, RuntimeKind::kHosted}) {
+    Runtime runtime(kind, "rooted");
+    std::size_t first = runtime.AddCores(3);
+    LaneRoot root(3);
+    runtime.InstallRoot(kLane, &root);
+    EbbRef<Lane> lane(kLane);
+    std::set<Lane*> reps;
+    for (std::size_t core = 0; core < 3; ++core) {
+      ScopedContext ctx(runtime, first + core, core, runtime.hosted());
+      Lane* rep = &lane.GetRep();
+      EXPECT_EQ(rep, &lane.GetRep());
+      EXPECT_EQ(rep, &lane.GetRep());
+      EXPECT_EQ(rep->core, core);
+      reps.insert(rep);
+    }
+    EXPECT_EQ(reps.size(), 3u);
+    EXPECT_EQ(root.resolves, 3);
+  }
 }
 
 // Live objects of each Ebb type: constructions minus destructions.

@@ -639,9 +639,17 @@ TEST_F(DistTest, MisdirectedRpcFramesAreDropped) {
   EXPECT_EQ(call.body, "real reply");
   EXPECT_EQ(client->pending_calls(), 0u);
   EXPECT_EQ(client->stats().late_drops.load(), 0u);
-  // Both forged frames reached a registered target: dropped quietly, not as bad frames.
-  EXPECT_EQ(dist::Messenger::For(*frontend_.runtime).stats().bad_frames.load(), 0u);
-  EXPECT_EQ(dist::Messenger::For(*native_.runtime).stats().bad_frames.load(), 0u);
+  // Each forged frame ticks its receiver's bad-frame ledger against the sender, and the
+  // peer connection survives it: the real reply above rode the same link.
+  dist::Messenger& frontend = dist::Messenger::For(*frontend_.runtime);
+  dist::Messenger& native = dist::Messenger::For(*native_.runtime);
+  EXPECT_EQ(frontend.stats().bad_frames.load(), 1u);
+  EXPECT_EQ(native.stats().bad_frames.load(), 1u);
+  using Ledger = std::vector<std::pair<Ipv4Addr, std::uint64_t>>;
+  EXPECT_EQ(frontend.BadFramesByPeer(), (Ledger{{kNativeIp, 1}}));
+  EXPECT_EQ(native.BadFramesByPeer(), (Ledger{{kFrontendIp, 1}}));
+  EXPECT_EQ(frontend.stats().reconnects.load(), 0u);
+  EXPECT_EQ(native.stats().reconnects.load(), 0u);
 }
 
 // --- Function-shipping RPC rounds ----------------------------------------------------------

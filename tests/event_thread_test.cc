@@ -8,6 +8,9 @@
 // executes under virtual time and every assertion is deterministic (ROADMAP flaky-test
 // item).
 #include <atomic>
+#include <chrono>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +84,39 @@ TEST(ThreadMachine, CrossCoreSpawnBurstsCarveEveryNodeAndTakeNoLock) {
   EXPECT_EQ(spawn.heap_fallbacks, 0u);
   EXPECT_EQ(spawn.xcore_pushes, kBurst * kRounds);
   EXPECT_EQ(spawn.control_locks, 0u);
+}
+
+// Every core's Timer is built with the machine, so cores that touch theirs for the first time
+// in the same instant each find their own, already hooked into their loop.
+TEST(ThreadMachine, EveryCoreStartsItsFirstTimerAtOnce) {
+  constexpr std::size_t kCores = 4;
+  ThreadMachine machine(kCores);
+  machine.Start();
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<std::size_t> fired{0};
+  std::vector<std::atomic<Timer*>> reps(kCores);
+  for (std::size_t core = 0; core < kCores; ++core) {
+    machine.Spawn(core, [&, core] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kCores) {
+        std::this_thread::yield();
+      }
+      reps[core] = &Timer::Instance().GetRep();
+      Timer::Instance()->Start(1000, [&fired] { fired.fetch_add(1); });
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fired.load() < kCores && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  machine.Shutdown();
+  EXPECT_EQ(fired.load(), kCores);
+  std::set<Timer*> distinct;
+  for (auto& rep : reps) {
+    distinct.insert(rep.load());
+  }
+  EXPECT_EQ(distinct.size(), kCores);
+  EXPECT_EQ(distinct.count(nullptr), 0u);
 }
 
 // --- Deterministic ports (discrete-event SimWorld, virtual time) ------------------------------
