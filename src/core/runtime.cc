@@ -36,11 +36,6 @@ std::size_t Claim(Runtime* runtime, std::size_t n) {
   Kabort("core_registry: no contiguous run of %zu free core slots", n);
 }
 
-Runtime* Owner(std::size_t core) {
-  std::lock_guard<std::mutex> lock(mu);
-  return core < kMaxCores ? owners[core] : nullptr;
-}
-
 void Release(Runtime* runtime) {
   std::lock_guard<std::mutex> lock(mu);
   for (auto& owner : owners) {

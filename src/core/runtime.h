@@ -44,7 +44,6 @@ enum class Subsystem : std::size_t {
   kPageAllocator,
   kGeneralPurposeAllocator,
   kRcuManager,
-  kBufferPool,
   kNetworkManager,
   kMessenger,
   kGlobalIdMap,
@@ -199,7 +198,6 @@ class Runtime {
 // Global core-slot bookkeeping (which runtime owns which global core).
 namespace core_registry {
 std::size_t Claim(Runtime* runtime, std::size_t n);
-Runtime* Owner(std::size_t core);
 void Release(Runtime* runtime);
 }  // namespace core_registry
 

@@ -399,20 +399,6 @@ void EventManager::Loop() {
   in_loop_ = false;
 }
 
-void EventManager::LoopUntil(MoveFunction<bool()> pred) {
-  Kassert(CurrentContext().machine_core == machine_core_, "LoopUntil: wrong core");
-  bool was_in_loop = in_loop_;
-  in_loop_ = true;
-  while (!pred() && !stopped_ && !executor_.Stopped()) {
-    if (!DispatchPass()) {
-      IdleHalt();
-    } else {
-      executor_.MaybeYield(machine_core_);
-    }
-  }
-  in_loop_ = was_in_loop;
-}
-
 EventManager::Stats EventManager::stats() const {
   Stats s;
   s.interrupts = stats_.interrupts;

@@ -76,8 +76,8 @@ class EventManagerRoot {
   EventManager& RepFor(std::size_t machine_core) { return reps_[machine_core]; }
   Executor& executor() { return executor_; }
   std::size_t num_cores() const { return reps_.size(); }
-  // The machine's cross-core mesh. Subsystems with their own node types (BufferPool block
-  // returns, RCU epoch markers) push here directly.
+  // The machine's cross-core mesh. Subsystems with their own node types (RCU epoch markers)
+  // push here directly.
   Interconnect& interconnect() { return interconnect_; }
 
  private:
@@ -160,8 +160,6 @@ class EventManager : public RootedEbb<EventManager, EventManagerRoot> {
   // Runs the dispatch protocol until Stop() (or executor shutdown). Called by the executor on
   // the core's base stack.
   void Loop();
-  // Runs until `pred()` holds at a loop boundary (used by tests and machine bring-up).
-  void LoopUntil(MoveFunction<bool()> pred);
   void Stop() { stopped_ = true; }
 
   std::size_t machine_core() const { return machine_core_; }
@@ -264,7 +262,7 @@ class EventManager : public RootedEbb<EventManager, EventManagerRoot> {
   bool DispatchPass();  // one pass of the §3.2 protocol; true if any handler ran
   bool DispatchTimers();
   // Drains and fires this core's interconnect batch: interrupt vectors, remote spawns,
-  // resumed contexts, pooled-block returns, RCU markers — whatever other cores sent.
+  // resumed contexts, RCU markers — whatever other cores sent.
   bool DispatchInterconnect();
   bool DispatchOneSynthetic();
   bool DispatchIdle();

@@ -2,8 +2,8 @@
 //
 // tab3 of the paper argues a library OS only beats a general-purpose stack if moving work
 // between cores costs about as much as a virtual call. Every cross-core path (remote spawns,
-// interrupt vectors, pooled-block returns, RCU markers) rides one primitive, modeled on
-// rabid's exchange-list interconnect:
+// interrupt vectors, resumed contexts, RCU markers) rides one primitive, modeled on rabid's
+// exchange-list interconnect:
 //
 //   * Messages are intrusive, directly-executable continuation nodes: `Fire(em)` runs the
 //     work AND disposes the node, so delivery is one virtual call — no queue entry, no
@@ -21,8 +21,7 @@
 // GeneralPurposeAllocator when the caller has a machine context (a compile-time size-class
 // pop — 0 heap allocs on the steady-state path), its counted std::malloc fallback otherwise
 // (world actions, bring-up). Nodes embedded in long-lived objects (interrupt-vector
-// entries, RCU epoch markers, dead pooled blocks) bypass the allocator entirely: the message
-// IS the object.
+// entries, RCU epoch markers) bypass the allocator entirely: the message IS the object.
 #ifndef EBBRT_SRC_EVENT_INTERCONNECT_H_
 #define EBBRT_SRC_EVENT_INTERCONNECT_H_
 

@@ -1,6 +1,5 @@
 #include "src/event/sim_world.h"
 
-#include "src/mem/buffer_pool.h"
 #include "src/mem/gp_allocator.h"
 
 namespace ebbrt {
@@ -24,13 +23,12 @@ Runtime& SimWorld::AddMachine(std::string name, std::size_t cores, RuntimeKind k
   rt.SetSubsystem(Subsystem::kMachine, executor.get());
 
   // Every simulated machine runs the full memory subsystem: per-NUMA buddy pages, per-core
-  // slab caches, the GP allocator, and the datapath buffer pool. This is what makes IOBuf
-  // storage (and the NIC RX ring / TCP TX segments) slab-backed and malloc-free in steady
-  // state — the paper's per-application-LibOS memory story, on by default.
+  // slab caches and the GP allocator. This is what makes IOBuf storage (and the NIC RX ring
+  // and TCP TX segments) slab-backed and malloc-free in steady state — the paper's
+  // per-application-LibOS memory story, on by default.
   mem::Config mem_config;
   mem_config.arena_bytes = 128ull << 20;
   mem::Install(rt, cores, mem_config);
-  BufferPoolRoot::Install(rt, cores);
 
   for (std::size_t i = 0; i < cores; ++i) {
     auto core = std::make_unique<SimCore>();

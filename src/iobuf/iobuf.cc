@@ -12,6 +12,12 @@ void IOBuf::operator delete(void* p) { mem::FreeRouted(p); }
 // Dispose for the co-allocated [SharedStorage][bytes] layout: one block, one free.
 void IOBuf::DisposeCoAllocated(SharedStorage* storage) { mem::FreeRouted(storage); }
 
+// Dispose for network frames: the same one free, after the frame leaves the live count.
+void IOBuf::DisposeFrame(SharedStorage* storage) {
+  mem::stats().pool_in_use.fetch_sub(1, std::memory_order_relaxed);
+  mem::FreeRouted(storage);
+}
+
 // Dispose for TakeOwnership storage: run the user's free callback, then release the
 // (separately-allocated) control block.
 void IOBuf::DisposeExternal(SharedStorage* storage) {
@@ -27,7 +33,6 @@ IOBuf::SharedStorage* IOBuf::InitCoAllocatedBlock(void* block, std::size_t bytes
   storage->dispose = &DisposeCoAllocated;
   storage->free_fn = nullptr;
   storage->free_arg = nullptr;
-  storage->origin_core = 0;
   if (zero) {
     std::memset(storage->buffer, 0, bytes);
   }
@@ -84,6 +89,23 @@ std::unique_ptr<IOBuf> IOBuf::CreateReserve(std::size_t capacity, std::size_t he
                           /*length=*/0, /*zero=*/false);
 }
 
+std::unique_ptr<IOBuf> IOBuf::CreateFrame() {
+  static_assert(kFrameBlockBytes == gp_internal::kSizeClasses[gp_internal::ClassFor(
+                                        kFrameBlockBytes)] &&
+                    kFrameBlockBytes > kStorageHeaderBytes + kFrameHeadroom,
+                "IOBuf: a frame block must fill its size class and hold header + headroom");
+  constexpr std::size_t kFrameBytes = kFrameBlockBytes - kStorageHeaderBytes;
+  void* block = mem::AllocRoutedFor<kFrameBlockBytes>();
+  mem::Stats& stats = mem::stats();
+  (mem::FindOwningRoot(block) != nullptr ? stats.pool_hits : stats.pool_misses)
+      .fetch_add(1, std::memory_order_relaxed);
+  stats.pool_in_use.fetch_add(1, std::memory_order_relaxed);
+  std::unique_ptr<IOBuf> frame =
+      FromStorageBlock(block, kFrameBytes, kFrameHeadroom, /*length=*/0, /*zero=*/false);
+  frame->storage_->dispose = &DisposeFrame;
+  return frame;
+}
+
 std::unique_ptr<IOBuf> IOBuf::CopyBuffer(const void* data, std::size_t len,
                                          std::size_t headroom) {
   auto buf = CreateReserve(len + headroom, headroom);
@@ -105,7 +127,6 @@ std::unique_ptr<IOBuf> IOBuf::TakeOwnership(void* buffer, std::size_t capacity,
   storage->dispose = &DisposeExternal;
   storage->free_fn = free_fn;
   storage->free_arg = arg;
-  storage->origin_core = 0;
   return std::unique_ptr<IOBuf>(new IOBuf(bytes, capacity, bytes, length, storage));
 }
 

@@ -48,8 +48,6 @@
 
 namespace ebbrt {
 
-class BufferPool;
-
 class IOBuf final {
  public:
   // Free-function type invoked to release externally-owned storage.
@@ -72,6 +70,16 @@ class IOBuf final {
     return FromStorageBlock(mem::AllocRoutedFor<StorageBlockBytes(Capacity)>(), Capacity,
                             headroom, /*length=*/0, /*zero=*/false);
   }
+
+  // An MTU-class network frame: one kFrameBlockBytes block from the routed carve (so the
+  // 3072-byte slab class, whose per-core freelist recycles it), kFrameHeadroom bytes of
+  // headroom reserved for protocol headers and an empty view. NIC RX descriptors and the
+  // hypervisor's guest copy are built here. Counted apart from other buffers:
+  // mem::stats().pool_hits (carved from a machine arena) or pool_misses (heap fallback),
+  // and pool_in_use while any view of it lives.
+  static std::unique_ptr<IOBuf> CreateFrame();
+  static constexpr std::size_t kFrameBlockBytes = 3072;  // lands exactly on a GP size class
+  static constexpr std::size_t kFrameHeadroom = 64;
 
   // Copies [data, data+len) into a new owned buffer (with optional headroom).
   static std::unique_ptr<IOBuf> CopyBuffer(const void* data, std::size_t len,
@@ -228,20 +236,16 @@ class IOBuf final {
   }
 
  private:
-  friend class BufferPool;
-  friend class BufferPoolRoot;
-
   // Shared control block for owned storage. Non-owning views carry no block. The count is
   // atomic because clones of a received chain may be retained by another core (e.g. a
   // response queued on a different connection) and released there. `dispose` releases the
   // buffer AND the control block when the last view dies — each allocation flavor
-  // (co-allocated slab/heap block, external TakeOwnership, pooled frame) installs its own.
+  // (co-allocated block, network frame, external TakeOwnership) installs its own.
   struct SharedStorage {
     std::uint8_t* buffer;
     void (*dispose)(SharedStorage*);
     FreeFn free_fn;    // TakeOwnership's user callback (nullptr otherwise)
-    void* free_arg;    // TakeOwnership arg, or the owning BufferPoolRoot for pooled frames
-    std::uint32_t origin_core;  // machine core a pooled frame belongs to
+    void* free_arg;    // TakeOwnership's user argument
     std::atomic<std::size_t> refs{1};
   };
   static_assert(sizeof(SharedStorage) <= kStorageHeaderBytes,
@@ -265,6 +269,7 @@ class IOBuf final {
   // the allocation (iobuf_slab_allocs when the block lies in a machine arena).
   static SharedStorage* InitCoAllocatedBlock(void* block, std::size_t bytes, bool zero);
   static void DisposeCoAllocated(SharedStorage* storage);
+  static void DisposeFrame(SharedStorage* storage);
   static void DisposeExternal(SharedStorage* storage);
   void ReleaseStorage();
 

@@ -169,8 +169,7 @@ bool FreeRouted(void* p);
 // memory, and for a pointer into a free slot or past its arena's end). Every arena sits in
 // its own slot of one process-wide reservation (PhysArena), so this is one subtract, one
 // bounds compare and one load of the slot's registry entry: buffer release paths (IOBuf
-// storage, pooled frames, interconnect nodes) route a block home from any context without
-// a search.
+// storage, interconnect nodes) route a block home from any context without a search.
 GeneralPurposeAllocatorRoot* FindOwningRoot(const void* p);
 
 // Datapath allocation counters (process-global; benches snapshot deltas around a run).
@@ -186,9 +185,13 @@ struct Stats {
   // Heap-fallback blocks released (FreeRouted's std::free branch, which only they reach);
   // allocs minus frees = live fallback blocks.
   std::atomic<std::uint64_t> heap_fallback_frees{0};
-  std::atomic<std::uint64_t> pool_hits{0};     // BufferPool allocs served from recycled blocks
-  std::atomic<std::uint64_t> pool_misses{0};   // ...that had to carve from the slab path
-  std::atomic<std::uint64_t> remote_frees{0};  // frees routed home from another core/context
+  // Network frames (IOBuf::CreateFrame: NIC RX descriptors and guest copies) carved from a
+  // machine arena's slab, and those that took the heap fallback instead.
+  std::atomic<std::uint64_t> pool_hits{0};
+  std::atomic<std::uint64_t> pool_misses{0};
+  // Frees from outside any core of the owning machine (world actions, another machine,
+  // teardown), which go to the owning node's locked depot or buddy.
+  std::atomic<std::uint64_t> remote_frees{0};
 
   // Every ::operator new in the process (counted by the replacement operators in
   // heap_count.cc). The IOBuf-path counters above only see the allocations the datapath
@@ -199,13 +202,10 @@ struct Stats {
   // Every ::operator delete of a non-null block; allocs minus frees = live blocks.
   std::atomic<std::uint64_t> generic_heap_frees{0};
 
-  // --- BufferPool occupancy ------------------------------------------------------------------
-  // Pooled blocks currently checked out of any pool (in flight on a datapath), and the
-  // high-water mark that value has reached: the evidence that the fixed per-core cap
-  // (BufferPool::kPerCoreCap) is large enough. A benchmark's teardown check also expects
-  // pool_in_use back at its idle value once every buffer has been released.
+  // Network frames with a live view (posted on an RX ring or in flight on a datapath). A
+  // benchmark's teardown check expects it back at its idle value once every frame has been
+  // released.
   std::atomic<std::uint64_t> pool_in_use{0};
-  std::atomic<std::uint64_t> pool_in_use_hwm{0};
 };
 Stats& stats();
 }  // namespace mem

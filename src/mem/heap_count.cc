@@ -2,7 +2,7 @@
 // mem::stats().generic_heap_allocs/generic_heap_frees around std::malloc/std::free.
 //
 // Why replace the global operators at all: the datapath counters in mem::Stats only see
-// allocations that go THROUGH mem:: (IOBuf storage, pools, slabs). Everything a std::string
+// allocations that go THROUGH mem:: (IOBuf storage, slabs). Everything a std::string
 // copy, a make_shared control block, or a container rehash allocates is invisible to them —
 // which is exactly how the old item plane shipped 3–4 hidden mallocs per SET under gates
 // that read 0.0. The counter here sees every generic-heap allocation in the process, so the

@@ -37,29 +37,8 @@ SlabCache::SlabCache(SlabCacheRoot& root, std::size_t machine_core)
   node_ = root_.pages().RepFor(machine_core).node();
 }
 
-void* SlabCache::Alloc() {
-  if (__builtin_expect(freelist_ != nullptr, true)) {
-    void* obj = freelist_;
-    freelist_ = NextOf(obj);
-    --free_count_;
-    return obj;
-  }
-  if (!Refill()) {
-    return nullptr;
-  }
-  void* obj = freelist_;
-  freelist_ = NextOf(obj);
-  --free_count_;
-  return obj;
-}
-
-void SlabCache::Free(void* p) {
-  NextOf(p) = freelist_;
-  freelist_ = p;
-  if (__builtin_expect(++free_count_ > kWatermark, false)) {
-    FlushHalfToDepot();
-  }
-}
+// A dry freelist: refill it, then take the ordinary pop.
+void* SlabCache::AllocSlow() { return Refill() ? Alloc() : nullptr; }
 
 bool SlabCache::RefillFromDepot() {
   SlabCacheRoot::Depot& depot = root_.depot_for(node_);

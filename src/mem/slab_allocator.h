@@ -85,10 +85,24 @@ class alignas(kCacheLineSize) SlabCache : public RootedEbb<SlabCache, SlabCacheR
 
   // Fast path: pop the core-local free list (no atomics). Slow path: refill from the node
   // depot or carve a new slab from the buddy allocator.
-  void* Alloc();
+  void* Alloc() {
+    if (__builtin_expect(freelist_ != nullptr, true)) {
+      void* obj = freelist_;
+      freelist_ = *static_cast<void**>(obj);
+      --free_count_;
+      return obj;
+    }
+    return AllocSlow();
+  }
   // Fast path: push onto the core-local free list; flushes half to the node depot past the
   // watermark so one core's frees feed another core's allocs.
-  void Free(void* p);
+  void Free(void* p) {
+    *static_cast<void**>(p) = freelist_;
+    freelist_ = p;
+    if (__builtin_expect(++free_count_ > kWatermark, false)) {
+      FlushHalfToDepot();
+    }
+  }
 
   std::size_t local_free() const { return free_count_; }
   SlabCacheRoot& root() { return root_; }
@@ -96,8 +110,9 @@ class alignas(kCacheLineSize) SlabCache : public RootedEbb<SlabCache, SlabCacheR
  private:
   static constexpr std::size_t kWatermark = 4096;  // objects kept core-local before flushing
 
+  __attribute__((noinline, cold)) void* AllocSlow();
   bool Refill();
-  void FlushHalfToDepot();
+  __attribute__((noinline, cold)) void FlushHalfToDepot();
   bool RefillFromDepot();
 
   SlabCacheRoot& root_;

@@ -186,7 +186,8 @@ class NetworkManager {
     // Snapshot of the process-wide mem::stats() counters taken at the start of a bench's
     // measured (steady-state) window; the derived metrics report the allocation cost per
     // request SINCE the mark. allocs_per_op counts actual std::malloc events — the number
-    // the slab/pool datapath collapses to ~0.
+    // the slab-backed datapath collapses to ~0. The pool_* figures count network frames
+    // (IOBuf::CreateFrame): a hit was carved from a machine arena, a miss took the heap.
     void MarkAllocBaseline();
     std::uint64_t heap_allocs_since_mark() const;
     std::uint64_t iobuf_allocs_since_mark() const;

@@ -4,7 +4,6 @@
 
 #include "src/event/event_manager.h"
 #include "src/event/timer.h"
-#include "src/mem/buffer_pool.h"
 #include "src/net/network_manager.h"
 #include "src/net/tx_batcher.h"
 
@@ -269,8 +268,6 @@ void TcpManager::Listen(std::uint16_t port, AcceptFn accept) {
   listeners_.InsertOrReplace(port, std::move(listener));
 }
 
-void TcpManager::Unlisten(std::uint16_t port) { listeners_.Erase(port); }
-
 std::uint16_t TcpManager::PickEphemeralPort(Interface& iface, Ipv4Addr dst,
                                             std::uint16_t dst_port,
                                             std::size_t desired_core) {
@@ -319,31 +316,12 @@ Future<TcpPcb> TcpManager::Connect(Interface& iface, Ipv4Addr dst, std::uint16_t
   return result;
 }
 
-namespace {
-
-// The head buffer every TCP segment is built in: a recycled MTU-class pool buffer on the
-// connection's core when the pool is installed (the zero-alloc steady state), else the
-// compile-time-sized slab path. Headroom for the Ethernet header is pre-reserved either way.
-std::unique_ptr<IOBuf> TcpSegmentHead(Ipv4Addr src, Ipv4Addr dst, std::size_t payload_len) {
-  constexpr std::size_t kL4 = sizeof(TcpHeader);
-  BufferPool* pool = BufferPool::Local();
-  if (pool != nullptr) {
-    auto buf = pool->Alloc();
-    buf->Append(sizeof(Ipv4Header) + kL4);
-    net_internal::FillIpv4(*buf, src, dst, kIpProtoTcp, kL4, payload_len);
-    return buf;
-  }
-  return net_internal::BuildIpv4<kL4>(src, dst, kIpProtoTcp, payload_len);
-}
-
-}  // namespace
-
 void TcpManager::TransmitSegment(TcpEntry& entry, std::uint8_t flags,
                                  std::unique_ptr<IOBuf> payload, std::uint32_t seq,
                                  bool /*queue_rtx*/) {
   std::size_t payload_len = payload ? payload->ComputeChainDataLength() : 0;
-  auto packet =
-      TcpSegmentHead(entry.tuple.local_ip, entry.tuple.remote_ip, payload_len);
+  auto packet = net_internal::BuildIpv4<sizeof(TcpHeader)>(
+      entry.tuple.local_ip, entry.tuple.remote_ip, kIpProtoTcp, payload_len);
   auto& tcp = packet->Get<TcpHeader>(sizeof(Ipv4Header));
   tcp.src_port = HostToNet16(entry.tuple.local_port);
   tcp.dst_port = HostToNet16(entry.tuple.remote_port);

@@ -221,7 +221,6 @@ class TcpManager {
 
   // Passive open: accept handler runs on the core where each connection's SYN lands.
   void Listen(std::uint16_t port, AcceptFn accept);
-  void Unlisten(std::uint16_t port);
 
   // Active open from the current core: picks an ephemeral source port whose flow hash steers
   // the connection back to this core, then completes the handshake.

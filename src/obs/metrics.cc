@@ -300,8 +300,8 @@ void ObsRoot::InstallDefaultCollectors() {
 
   AddCollector([](MetricsSnapshot& snapshot) {
     std::vector<Sample>& out = snapshot.samples;
-    // Process-global memory-plane counters (benches snapshot deltas; pool_in_use and its
-    // high-water mark are absolute BufferPool occupancy).
+    // Process-global memory-plane counters (benches snapshot deltas; pool_in_use is the
+    // absolute count of live network frames).
     mem::Stats& m = mem::stats();
     auto get = [](const std::atomic<std::uint64_t>& a) {
       return static_cast<double>(a.load(std::memory_order_relaxed));
@@ -313,7 +313,6 @@ void ObsRoot::InstallDefaultCollectors() {
     out.emplace_back("mem_pool_misses", get(m.pool_misses));
     out.emplace_back("mem_pool_remote_frees", get(m.remote_frees));
     out.emplace_back("mem_pool_in_use", get(m.pool_in_use));
-    out.emplace_back("mem_pool_in_use_hwm", get(m.pool_in_use_hwm));
   });
 
   AddCollector([rt](MetricsSnapshot& snapshot) {

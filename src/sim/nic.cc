@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/mem/buffer_pool.h"
-
 namespace ebbrt {
 namespace sim {
 
@@ -99,14 +97,10 @@ std::unique_ptr<IOBuf> Nic::CopyForDelivery(const IOBuf& frame, std::size_t queu
 }
 
 void Nic::ReplenishPostedRx(Queue& queue) {
-  // Runs on the queue's target core (interrupt or poll context): the pool rep is this
-  // core's, so replenishing is the per-core lock-free path.
-  BufferPool* pool = BufferPool::Local();
-  if (pool == nullptr) {
-    return;
-  }
+  // Runs on the queue's target core (interrupt or poll context), so every frame is a pop
+  // from this core's slab freelist.
   while (queue.posted_rx.size() < kPostedRxDepth) {
-    queue.posted_rx.push_back(pool->Alloc());
+    queue.posted_rx.push_back(IOBuf::CreateFrame());
   }
 }
 
@@ -149,15 +143,14 @@ void Nic::ServiceQueue(Queue& queue, bool from_interrupt) {
     ++frames_received_;
     if (config_.hv.virtualized && config_.hv.rx_copy) {
       // The hypervisor copies the packet into guest receive buffers: a real copy, plus the
-      // modeled per-byte cost for fixed-time determinism. The guest buffer comes from this
-      // core's pool, so the copy lands in recycled memory (zero-alloc steady state).
+      // modeled per-byte cost for fixed-time determinism. The guest buffer is a frame from
+      // this core's slab, so the copy lands in recycled memory (zero-alloc steady state).
       std::size_t len = frame->ComputeChainDataLength();
       world_.Charge(config_.hv.rx_copy_fixed_ns +
                     static_cast<std::uint64_t>(config_.hv.rx_copy_ns_per_byte *
                                                static_cast<double>(len)));
-      BufferPool* pool = BufferPool::Local();
-      std::unique_ptr<IOBuf> guest = pool != nullptr ? pool->Alloc() : nullptr;
-      if (guest != nullptr && len <= guest->Tailroom()) {
+      std::unique_ptr<IOBuf> guest = IOBuf::CreateFrame();
+      if (len <= guest->Tailroom()) {
         frame->CopyOut(guest->WritableTail(), len);
         guest->Append(len);
         frame = std::move(guest);

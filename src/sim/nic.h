@@ -23,13 +23,13 @@
 // the hypervisor's RX copy (a real memcpy into a fresh buffer, plus modeled per-byte cost in
 // fixed mode).
 //
-// RX buffers come from the driver's per-core BufferPool, exactly like a real driver posting
-// receive descriptors: ServiceQueue (on the queue's target core) keeps a ring of
-// pre-allocated MTU-class buffers posted per queue; the "DMA engine" (the switch's delivery
-// copy) fills the next posted buffer, so in steady state every received frame lives in
-// recycled memory and the RX path performs zero allocations. The hypervisor's RX copy also
-// lands in a pool buffer. When no buffer is posted (startup, pool not installed), delivery
-// falls back to a DeepClone — correct, just not recycled.
+// RX buffers are network frames (IOBuf::CreateFrame) carved from the receiving core's slab,
+// exactly like a real driver posting receive descriptors: ServiceQueue (on the queue's
+// target core) keeps a ring of MTU-class frames posted per queue; the "DMA engine" (the
+// switch's delivery copy) fills the next posted frame, so in steady state every received
+// frame lives in memory the slab's per-core freelist recycles and the RX path performs zero
+// heap allocations. The hypervisor's RX copy also lands in a frame. When no frame is posted
+// (startup), delivery falls back to a DeepClone — correct, just not posted.
 #ifndef EBBRT_SRC_SIM_NIC_H_
 #define EBBRT_SRC_SIM_NIC_H_
 
@@ -115,7 +115,7 @@ class Nic {
   std::uint64_t bytes_transmitted() const { return bytes_transmitted_; }
   // Doorbell batching: kicks <= frames; the gap is the amortization TX batching buys.
   std::uint64_t tx_kicks() const { return tx_kicks_; }
-  // RX frames delivered into a driver-posted pool buffer vs. heap-cloned (posted ring empty).
+  // RX frames delivered into a driver-posted frame vs. cloned (posted ring empty).
   std::uint64_t rx_posted_fills() const { return rx_posted_fills_; }
   std::uint64_t rx_clone_fallbacks() const { return rx_clone_fallbacks_; }
   // Frames that arrived after the machine was killed but were already scheduled for delivery
@@ -133,7 +133,7 @@ class Nic {
     std::size_t target_core = 0;
     std::uint32_t vector = 0;
     RingQueue<RxEntry> ring;
-    // Driver-posted RX buffers (pool-backed), filled by the device side in FIFO order and
+    // Driver-posted RX frames (IOBuf::CreateFrame), filled by the device side in FIFO order and
     // replenished by ServiceQueue on the target core.
     RingQueue<std::unique_ptr<IOBuf>> posted_rx;
     bool interrupts_enabled = true;

@@ -134,7 +134,7 @@ void Switch::DeliverTo(std::size_t port, const IOBuf& frame, PacketInfo info,
     at += ingress->plan.extra_delay_ns;
   }
   // Copy at the fabric boundary: bytes physically leave the sender's memory. The destination
-  // NIC writes them into its next driver-posted RX buffer (recycled pool memory, flattened —
+  // NIC writes them into its next driver-posted RX frame (recycled slab memory, flattened —
   // receivers see one contiguous DMA buffer, as a real NIC would present), falling back to a
   // fresh DeepClone when nothing is posted yet. RSS steering is computed once and shared by
   // the copy (posted ring) and the delivery.

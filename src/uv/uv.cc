@@ -3,34 +3,6 @@
 namespace ebbrt {
 namespace uv {
 
-void TimerHandle::Start(std::uint64_t timeout_ns, std::uint64_t repeat_ns, Callback cb) {
-  Stop();
-  cb_ = std::move(cb);
-  repeat_ = repeat_ns;
-  if (repeat_ns != 0 && timeout_ns == repeat_ns) {
-    handle_ = Timer::Instance()->Start(repeat_ns, [this] { cb_(); }, /*periodic=*/true);
-    return;
-  }
-  handle_ = Timer::Instance()->Start(timeout_ns, [this] {
-    handle_ = 0;
-    cb_();
-    if (repeat_ != 0) {
-      handle_ = Timer::Instance()->Start(repeat_, [this] { cb_(); }, /*periodic=*/true);
-    }
-  });
-}
-
-void TimerHandle::Stop() {
-  if (handle_ != 0) {
-    Timer::Instance()->Stop(handle_);
-    handle_ = 0;
-  }
-}
-
-std::size_t TcpStream::SendWindowRemaining() const {
-  return Pcb().SendWindowRemaining();
-}
-
 void TcpStream::Close() {
   // Detach the data/drain callbacks first: they commonly capture this stream, and dropping
   // them here breaks the reference cycle once the connection releases its anchor.
@@ -60,12 +32,6 @@ std::shared_ptr<TcpStream> TcpServer::MakeStream(TcpPcb pcb) {
 void TcpServer::Listen(std::uint16_t port, ConnectionCallback on_connection) {
   network_.tcp().Listen(port, [on_connection = std::move(on_connection)](TcpPcb pcb) {
     on_connection(MakeStream(std::move(pcb)));
-  });
-}
-
-Future<std::shared_ptr<TcpStream>> TcpServer::Connect(Ipv4Addr dst, std::uint16_t port) {
-  return network_.tcp().Connect(network_.interface(), dst, port).Then([](Future<TcpPcb> f) {
-    return MakeStream(f.Get());
   });
 }
 

@@ -5,7 +5,7 @@
 // hardware interrupt in the same way that the memcached application was able to." This module
 // is that mapping — the surface node-style applications (our webserver) program against.
 // There is no uv_run(): the EbbRT event loop is already the loop; handles simply register
-// callbacks that fire from device events and timers.
+// callbacks that fire from device events.
 //
 // A TcpStream IS a TcpHandler: the stream object itself is installed on the connection, so
 // uv callbacks dispatch through the unified zero-copy datapath with no intermediate
@@ -18,28 +18,11 @@
 #include <string>
 
 #include "src/event/event_manager.h"
-#include "src/event/timer.h"
 #include "src/net/network_manager.h"
 #include "src/net/tcp.h"
 
 namespace ebbrt {
 namespace uv {
-
-// uv_timer_t analogue.
-class TimerHandle {
- public:
-  using Callback = std::function<void()>;
-
-  // Fires `cb` after `timeout_ns`, then every `repeat_ns` (0 = one-shot).
-  void Start(std::uint64_t timeout_ns, std::uint64_t repeat_ns, Callback cb);
-  void Stop();
-  ~TimerHandle() { Stop(); }
-
- private:
-  std::uint64_t handle_ = 0;
-  std::uint64_t repeat_ = 0;
-  Callback cb_;
-};
 
 // uv_stream_t/uv_tcp_t analogue bound to an EbbRT TCP connection. The stream is the
 // connection's TcpHandler; the connection anchors a shared reference until teardown, so a
@@ -76,8 +59,6 @@ class TcpStream final : public TcpHandler,
   // capture this stream) are dropped here to break the reference cycle.
   void Shutdown();
 
-  std::size_t SendWindowRemaining() const;
-
  private:
   // --- TcpHandler (invoked by the stack, through the base interface, from the device
   // event). Private so application code cannot call the peer-close notification by mistake
@@ -107,7 +88,6 @@ class TcpServer {
   TcpServer(NetworkManager& network) : network_(network) {}
 
   void Listen(std::uint16_t port, ConnectionCallback on_connection);
-  Future<std::shared_ptr<TcpStream>> Connect(Ipv4Addr dst, std::uint16_t port);
 
  private:
   static std::shared_ptr<TcpStream> MakeStream(TcpPcb pcb);

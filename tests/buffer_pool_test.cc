@@ -1,23 +1,25 @@
-// BufferPool + slab-backed IOBuf tests: the zero-malloc datapath's allocation layer.
+// Datapath buffer tests: slab-backed IOBufs and network frames (IOBuf::CreateFrame), the
+// zero-malloc datapath's allocation layer.
 //
 //   * one-slab-allocation IOBuf layout (embedded SharedStorage, arena-backed bytes),
-//   * pool recycle-reuse round trip,
-//   * cross-core free routed home over the lock-free interconnect and recycled at the event
-//     boundary,
-//   * pool exhaustion at the fixed per-core cap falling back to the slab path (pool_misses
-//     tick, no failure), and occupancy telemetry that counts only pooled blocks,
-//   * pool-only events queueing no end-of-event work,
-//   * refcounted Clone keeping a recycled buffer alive past the originating event.
+//   * a frame's shape (headroom reserved, empty view) and its recycle through the slab's
+//     per-core freelist, counted as a hit; a frame outside any machine is a heap miss,
+//   * a frame freed on another core of its machine stays on that core's freelist: no remote
+//     free, no interconnect push, and that core's next frame is the same block,
+//   * a frame released by a world action goes to the node depot, one remote free,
+//   * pool_in_use follows live frames through a clone and its release,
+//   * frame-only events queueing no end-of-event work,
+//   * refcounted Clone keeping a frame alive past the originating event.
 //
-// Everything runs on a deterministic SimWorld machine (mem + pool are installed by
-// AddMachine), so per-core semantics are exercised for real.
-#include "src/mem/buffer_pool.h"
-
+// Everything runs on a deterministic SimWorld machine (AddMachine installs the memory
+// subsystem), so per-core semantics are exercised for real.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cstring>
+#include <memory>
 
 #include "src/event/sim_world.h"
+#include "src/iobuf/iobuf.h"
 #include "src/mem/gp_allocator.h"
 
 namespace ebbrt {
@@ -38,7 +40,16 @@ struct MemDelta {
   }
 };
 
-TEST(BufferPool, SlabBackedIOBufIsOneEmbeddedAllocation) {
+std::uint64_t InterconnectPushes(Runtime& rt) {
+  Interconnect& mesh = rt.GetSubsystem<EventManagerRoot>(Subsystem::kEventManager).interconnect();
+  std::uint64_t total = 0;
+  for (std::size_t core = 0; core < mesh.num_cores(); ++core) {
+    total += mesh.pushes(core);
+  }
+  return total;
+}
+
+TEST(NetFrame, SlabBackedIOBufIsOneEmbeddedAllocation) {
   SimWorld world;
   Runtime& rt = world.AddMachine("layout", 1);
   bool checked = false;
@@ -64,66 +75,69 @@ TEST(BufferPool, SlabBackedIOBufIsOneEmbeddedAllocation) {
   EXPECT_TRUE(checked);
 }
 
-TEST(BufferPool, RecycleReuseRoundTrip) {
+TEST(NetFrame, RecycleReuseRoundTrip) {
   SimWorld world;
   Runtime& rt = world.AddMachine("recycle", 1);
   bool checked = false;
   SimWorld::SpawnOn(rt, 0, [&] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
-    auto a = pool->Alloc();
+    auto a = IOBuf::CreateFrame();
     const std::uint8_t* block = a->Data();
-    EXPECT_GT(a->Headroom(), 0u);   // headroom pre-reserved
-    EXPECT_EQ(a->Length(), 0u);     // empty view (CreateReserve semantics)
-    a.reset();                      // same-core free: lock-free recycle
+    EXPECT_EQ(a->Headroom(), IOBuf::kFrameHeadroom);  // headroom pre-reserved
+    EXPECT_EQ(a->Length(), 0u);                       // empty view (CreateReserve semantics)
+    EXPECT_EQ(a->Capacity(), IOBuf::kFrameBlockBytes - IOBuf::kStorageHeaderBytes);
+    EXPECT_TRUE(a->StorageEmbedded());
+    a.reset();  // same-core free: a push onto this core's slab freelist
     MemDelta before = MemDelta::Snap();
-    auto b = pool->Alloc();
+    auto b = IOBuf::CreateFrame();
     MemDelta after = MemDelta::Snap();
-    EXPECT_EQ(b->Data(), block);    // the very same block came back
+    EXPECT_EQ(b->Data(), block);  // the very same block came back
     EXPECT_EQ(after.hits - before.hits, 1u);
     EXPECT_EQ(after.misses - before.misses, 0u);
+    EXPECT_EQ(after.slab - before.slab, 1u);
+    EXPECT_EQ(after.heap - before.heap, 0u);
     checked = true;
   });
   world.Run();
   EXPECT_TRUE(checked);
 }
 
-TEST(BufferPool, CrossCoreFreeRidesTheInterconnectHome) {
+TEST(NetFrame, OutsideAnyMachineAFrameIsAHeapMiss) {
+  const mem::Stats& stats = mem::stats();
+  std::uint64_t in_use_base = stats.pool_in_use.load();
+  MemDelta before = MemDelta::Snap();
+  auto frame = IOBuf::CreateFrame();
+  MemDelta after = MemDelta::Snap();
+  EXPECT_EQ(mem::FindOwningRoot(frame->Data()), nullptr);
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 0u);
+  EXPECT_EQ(frame->Headroom(), IOBuf::kFrameHeadroom);
+  EXPECT_EQ(stats.pool_in_use.load(), in_use_base + 1);
+  frame.reset();
+  EXPECT_EQ(stats.pool_in_use.load(), in_use_base);
+}
+
+TEST(NetFrame, FreeOnAnotherCoreStaysOnThatCoresFreelist) {
   SimWorld world;
   Runtime& rt = world.AddMachine("xcore", 2);
   auto stash = std::make_shared<std::unique_ptr<IOBuf>>();
-  auto block = std::make_shared<const std::uint8_t*>(nullptr);
   bool verified = false;
-  SimWorld::SpawnOn(rt, 0, [&, stash, block] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
-    *stash = pool->Alloc();
-    *block = (*stash)->Data();
+  SimWorld::SpawnOn(rt, 0, [&, stash] {
+    *stash = IOBuf::CreateFrame();
     // Hand the frame to core 1, which releases it there (a response retained by another
     // core's connection, in miniature).
     event::Local().SpawnRemote(
-        [&, stash, block] {
+        [&, stash] {
+          const std::uint8_t* block = (*stash)->Data();
           MemDelta before = MemDelta::Snap();
-          // Frees on core 1; owner is core 0: the dead block becomes an interconnect node
-          // and is CAS-published onto core 0's exchange list (remote_frees keeps the exact
-          // meaning it had under the old magazine — a free routed home cross-core).
+          std::uint64_t pushes_before = InterconnectPushes(rt);
           stash->reset();
           MemDelta after = MemDelta::Snap();
-          EXPECT_EQ(after.remote - before.remote, 1u);
-          // Back on the owner core: this spawn and the block ride the same sender's list,
-          // so FIFO-per-sender delivers the block BEFORE this event runs — the next alloc
-          // reuses it.
-          event::Local().SpawnRemote(
-              [&, block] {
-                BufferPool* owner_pool = BufferPool::Local();
-                MemDelta b2 = MemDelta::Snap();
-                auto buf = owner_pool->Alloc();
-                MemDelta a2 = MemDelta::Snap();
-                EXPECT_EQ(buf->Data(), *block);
-                EXPECT_EQ(a2.hits - b2.hits, 1u);
-                verified = true;
-              },
-              0);
+          // Same machine: the block joins core 1's slab freelist — no depot, no mesh ride.
+          EXPECT_EQ(after.remote - before.remote, 0u);
+          EXPECT_EQ(InterconnectPushes(rt), pushes_before);
+          auto next = IOBuf::CreateFrame();
+          EXPECT_EQ(next->Data(), block);
+          verified = true;
         },
         1);
   });
@@ -131,87 +145,63 @@ TEST(BufferPool, CrossCoreFreeRidesTheInterconnectHome) {
   EXPECT_TRUE(verified);
 }
 
-TEST(BufferPool, ExhaustionFallsBackToSlabWithoutFailure) {
+TEST(NetFrame, WorldActionReleaseTicksOneRemoteFree) {
   SimWorld world;
-  Runtime& rt = world.AddMachine("exhaust", 1);
-  bool checked = false;
+  Runtime& rt = world.AddMachine("world", 1);
+  const mem::Stats& stats = mem::stats();
+  const std::uint64_t in_use_base = stats.pool_in_use.load();
+  std::unique_ptr<IOBuf> frame;
+  std::unique_ptr<IOBuf> view;
+  bool released = false;
   SimWorld::SpawnOn(rt, 0, [&] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
-    // Check out every block the core may carve: each one a cold miss, each one pooled.
-    std::vector<std::unique_ptr<IOBuf>> held;
-    std::vector<const std::uint8_t*> blocks;
-    std::uint64_t in_use_base = mem::stats().pool_in_use.load();
-    for (std::size_t i = 0; i < BufferPool::kPerCoreCap; ++i) {
-      held.push_back(pool->Alloc());
-      blocks.push_back(held.back()->Data());
-    }
-    EXPECT_EQ(mem::stats().pool_in_use.load(), in_use_base + BufferPool::kPerCoreCap);
-    MemDelta before = MemDelta::Snap();
-    auto extra = pool->Alloc();  // beyond the cap: ordinary slab-backed buffer, not a failure
-    MemDelta after = MemDelta::Snap();
-    ASSERT_NE(extra, nullptr);
-    EXPECT_GT(extra->Tailroom(), 1500u);  // still MTU-class and usable
-    EXPECT_EQ(after.misses - before.misses, 1u);
-    EXPECT_EQ(after.hits - before.hits, 0u);
-    EXPECT_EQ(after.slab - before.slab, 1u);  // served by the slab...
-    EXPECT_EQ(after.heap - before.heap, 0u);  // ...without touching malloc
-    // Everything releases cleanly; the pooled blocks recycle LIFO.
-    extra.reset();
-    for (auto& buf : held) {
-      buf.reset();
-    }
-    MemDelta b2 = MemDelta::Snap();
-    auto first = pool->Alloc();
-    auto second = pool->Alloc();
-    MemDelta a2 = MemDelta::Snap();
-    EXPECT_EQ(a2.hits - b2.hits, 2u);
-    EXPECT_EQ(a2.misses - b2.misses, 0u);
-    EXPECT_EQ(first->Data(), blocks[BufferPool::kPerCoreCap - 1]);
-    EXPECT_EQ(second->Data(), blocks[BufferPool::kPerCoreCap - 2]);
-    checked = true;
+    frame = IOBuf::CreateFrame();
+    EXPECT_EQ(stats.pool_in_use.load(), in_use_base + 1);
+    world.After(1000, [&] {
+      // A world action takes a view. Its descriptor is carved outside any core (the heap
+      // fallback), so the frame's block is the one arena block the release below routes.
+      view = frame->CloneOne();
+      SimWorld::SpawnOn(rt, 0, [&] {
+        frame.reset();  // core 0 drops its view; the world action's view keeps the frame
+        EXPECT_EQ(stats.pool_in_use.load(), in_use_base + 1);
+        world.After(1000, [&] {
+          MemDelta before = MemDelta::Snap();
+          view.reset();
+          MemDelta after = MemDelta::Snap();
+          // Outside any core of the machine: the block goes to its node's depot.
+          EXPECT_EQ(after.remote - before.remote, 1u);
+          EXPECT_EQ(stats.pool_in_use.load(), in_use_base);
+          released = true;
+        });
+      });
+    });
   });
   world.Run();
-  EXPECT_TRUE(checked);
+  EXPECT_TRUE(released);
 }
 
-TEST(BufferPool, OccupancyTelemetryTracksCheckedOutBlocks) {
+TEST(NetFrame, PoolInUseFollowsLiveFramesThroughCloneAndRelease) {
   SimWorld world;
   Runtime& rt = world.AddMachine("occupancy", 1);
   bool checked = false;
   SimWorld::SpawnOn(rt, 0, [&] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
     const mem::Stats& stats = mem::stats();
-    std::uint64_t base = stats.pool_in_use.load();
-    auto a = pool->Alloc();
-    auto b = pool->Alloc();
-    auto c = pool->Alloc();
-    EXPECT_EQ(stats.pool_in_use.load(), base + 3);
-    EXPECT_GE(stats.pool_in_use_hwm.load(), base + 3);
-    std::uint64_t hwm = stats.pool_in_use_hwm.load();
-    // Releases bring occupancy down; the high-water mark stays at the burst's peak.
-    a.reset();
-    b.reset();
+    const std::uint64_t base = stats.pool_in_use.load();
+    auto a = IOBuf::CreateFrame();
     EXPECT_EQ(stats.pool_in_use.load(), base + 1);
-    EXPECT_EQ(stats.pool_in_use_hwm.load(), hwm);
-    // A recycled re-alloc counts as checked out again but does not move the peak.
-    auto d = pool->Alloc();
+    auto clone = a->Clone();  // a second view of the same frame is not a second frame
+    EXPECT_EQ(stats.pool_in_use.load(), base + 1);
+    auto b = IOBuf::CreateFrame();
     EXPECT_EQ(stats.pool_in_use.load(), base + 2);
-    EXPECT_EQ(stats.pool_in_use_hwm.load(), hwm);
-    c.reset();
-    d.reset();
-    EXPECT_EQ(stats.pool_in_use.load(), base);
-    // The at-cap slab fallback is NOT a pooled block and must not count as occupancy.
-    std::vector<std::unique_ptr<IOBuf>> held;
-    for (std::size_t i = 0; i < BufferPool::kPerCoreCap; ++i) {
-      held.push_back(pool->Alloc());
-    }
-    EXPECT_EQ(stats.pool_in_use.load(), base + BufferPool::kPerCoreCap);
-    auto fallback = pool->Alloc();
-    EXPECT_EQ(stats.pool_in_use.load(), base + BufferPool::kPerCoreCap);
-    fallback.reset();
-    held.clear();
+    // An ordinary buffer of the same size is not a frame.
+    auto plain = IOBuf::CreateReserve(IOBuf::kFrameBlockBytes - IOBuf::kStorageHeaderBytes,
+                                      IOBuf::kFrameHeadroom);
+    EXPECT_EQ(stats.pool_in_use.load(), base + 2);
+    a.reset();  // the clone still holds the frame
+    EXPECT_EQ(stats.pool_in_use.load(), base + 2);
+    clone.reset();
+    EXPECT_EQ(stats.pool_in_use.load(), base + 1);
+    b.reset();
+    plain.reset();
     EXPECT_EQ(stats.pool_in_use.load(), base);
     checked = true;
   });
@@ -219,20 +209,18 @@ TEST(BufferPool, OccupancyTelemetryTracksCheckedOutBlocks) {
   EXPECT_TRUE(checked);
 }
 
-TEST(BufferPool, PoolOnlyEventQueuesNoBoundaryHook) {
-  // The pool is a freelist pop and push with no policy behind it: an event that only
-  // carves, recycles and releases pool blocks leaves no work for its event boundary.
+TEST(NetFrame, FrameOnlyEventQueuesNoBoundaryHook) {
+  // A frame is a slab freelist pop and push with no policy behind it: an event that only
+  // carves, recycles and releases frames leaves no work for its event boundary.
   SimWorld world;
   Runtime& rt = world.AddMachine("nohook", 1);
   EventManager& em = rt.GetSubsystem<EventManagerRoot>(Subsystem::kEventManager).RepFor(0);
   std::uint64_t hooks_before = em.stats().end_of_event;
   bool ran = false;
   SimWorld::SpawnOn(rt, 0, [&] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
-    auto carved = pool->Alloc();
+    auto carved = IOBuf::CreateFrame();
     carved.reset();
-    auto recycled = pool->Alloc();
+    auto recycled = IOBuf::CreateFrame();
     recycled.reset();
     ran = true;
   });
@@ -241,31 +229,28 @@ TEST(BufferPool, PoolOnlyEventQueuesNoBoundaryHook) {
   EXPECT_EQ(em.stats().end_of_event, hooks_before);
 }
 
-TEST(BufferPool, CloneKeepsRecycledBufferAlivePastOriginatingEvent) {
+TEST(NetFrame, CloneKeepsFrameAlivePastOriginatingEvent) {
   SimWorld world;
   Runtime& rt = world.AddMachine("clone", 1);
   auto clone = std::make_shared<std::unique_ptr<IOBuf>>();
   auto block = std::make_shared<const std::uint8_t*>(nullptr);
   bool verified = false;
   SimWorld::SpawnOn(rt, 0, [&, clone, block] {
-    BufferPool* pool = BufferPool::Local();
-    ASSERT_NE(pool, nullptr);
-    auto frame = pool->Alloc();
-    std::memcpy(frame->WritableTail(), "pooled-payload", 14);
-    frame->Append(14);
+    auto frame = IOBuf::CreateFrame();
+    std::memcpy(frame->WritableTail(), "frame-payload", 13);
+    frame->Append(13);
     *block = frame->Data();
     *clone = frame->Clone();  // second view, refcounted
     frame.reset();            // original dies with the event — block must NOT recycle yet
     event::Local().Spawn([&, clone, block] {
       // A later event still reads the clone's bytes intact.
-      EXPECT_EQ((*clone)->AsStringView(), "pooled-payload");
-      BufferPool* p = BufferPool::Local();
-      auto other = p->Alloc();
+      EXPECT_EQ((*clone)->AsStringView(), "frame-payload");
+      auto other = IOBuf::CreateFrame();
       EXPECT_NE(other->Data(), *block);  // the shared block was not handed out
       other.reset();
-      clone->reset();  // last view: NOW it returns to the pool
+      clone->reset();  // last view: NOW it returns to the slab freelist
       event::Local().Spawn([&, block] {
-        auto reused = BufferPool::Local()->Alloc();
+        auto reused = IOBuf::CreateFrame();
         EXPECT_EQ(reused->Data(), *block);
         verified = true;
       });

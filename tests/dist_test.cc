@@ -657,8 +657,8 @@ TEST_F(DistTest, MisdirectedRpcFramesAreDropped) {
 class DistRpcRounds : public DistTest, public ::testing::WithParamInterface<std::size_t> {};
 
 TEST_P(DistRpcRounds, SteadyStateRidesThePoolWithoutHeapAllocs) {
-  // The Messenger rides the pooled IOBuf datapath: warm RPCs cost at most 0.1 heap
-  // fallbacks each (none, on the fixed clock) and are served from the buffer pool.
+  // The Messenger rides the slab-backed IOBuf datapath: warm RPCs cost at most 0.1 heap
+  // fallbacks each (none, on the fixed clock) and arrive in frames carved from the arena.
   RpcRounds rounds = RunRpcRounds(GetParam());
   ASSERT_TRUE(rounds.done);
   EXPECT_LE(rounds.allocs_per_op, 0.1);

@@ -4,7 +4,7 @@
 //   * delivery: an all-to-all fan-in race loses nothing and lands every node on its target
 //     core (the CAS publish path, contended from every other core at once);
 //   * ordering: FIFO per sender — the LIFO push + drain-time reversal must never reorder two
-//     nodes from the same sender (BufferPool returns and RCU markers depend on this);
+//     nodes from the same sender (RCU markers depend on this);
 //   * wake elision: a burst at a halted core pays exactly one WakeCore — the push that
 //     displaces the idle sentinel — and every other push rides for free;
 //   * teardown: undelivered nodes are Discarded (not leaked, not Fired) when the machine

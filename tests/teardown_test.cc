@@ -1,6 +1,6 @@
 // Teardown frees everything: a scenario builds a world, runs it, and destroys it, and then
 // every process-wide count of live state is back where it started — generic-heap blocks,
-// heap-fallback blocks of the routed carve, memcached items, checked-out pool blocks and RCU
+// heap-fallback blocks of the routed carve, memcached items, live network frames and RCU
 // epochs in flight — with no RPC call left pending when the world was torn down. The
 // scenarios are the perfbench shapes (an ETC server, an 8 KiB server, a sharded MultiGet
 // cluster) plus a failover run.

@@ -8,7 +8,8 @@
 //   * acceptance: memcached at pipeline depth 32 serves the same byte stream with >= 4x
 //     fewer TX data segments than at depth 1;
 //   * the committed depth sweeps (fig5, fig6, tab2, run through the benches' own depth
-//     points) coalesce sends and serve from the pool with zero steady-state heap allocs.
+//     points) coalesce sends and receive into arena frames with zero steady-state heap
+//     allocs.
 #include <memory>
 #include <random>
 #include <string>
@@ -330,7 +331,7 @@ TEST(TxBatcher, MemcachedDepth32CutsSegmentsPerOpAtLeast4x) {
 // at 1 and 4 server cores (512 requests) and the uv webserver, at depths 1/8/32, plus fig5's
 // depth-8 point at half the schedule. Steady state never falls back to the heap — at
 // either request count, so heap allocs cannot grow with the schedule — and every pipelined
-// depth coalesces sends and recycles pool blocks.
+// depth coalesces sends and receives into frames carved from the machine arena.
 TEST(TxBatcher, CommittedDepthSweepsCoalesceWithZeroHeapAllocs) {
   std::vector<std::pair<const char*, bench::DepthPoint>> points;
   for (std::size_t depth : {1, 8, 32}) {
