@@ -317,19 +317,6 @@ Future<void> PublishRing(Runtime& runtime, Ipv4Addr frontend, const RingRecord& 
       .Set(kRingRecordKey, EncodeRingRecord(record));
 }
 
-Future<RingRecord> FetchRing(Runtime& runtime, Ipv4Addr frontend) {
-  return dist::GlobalIdMap::For(runtime, frontend)
-      .GetWithRetry(kRingRecordKey)
-      .Then([](Future<std::string> f) {
-        std::string raw = f.Get();
-        RingRecord record;
-        if (!ParseRingRecord(raw, &record)) {
-          throw std::runtime_error("FetchRing: malformed ring record: " + raw);
-        }
-        return record;
-      });
-}
-
 // --- ShardRouter ------------------------------------------------------------------------------
 
 ShardRouter::ShardRouter(Runtime& runtime, std::vector<ShardEndpoint> shards,

@@ -164,9 +164,8 @@ struct RingRecord {
 std::string EncodeRingRecord(const RingRecord& record);
 bool ParseRingRecord(const std::string& record, RingRecord* out);
 
-// Publishes / resolves the authoritative ring record through the frontend's GlobalIdMap.
+// Publishes the authoritative ring record through the frontend's GlobalIdMap.
 Future<void> PublishRing(Runtime& runtime, Ipv4Addr frontend, const RingRecord& record);
-Future<RingRecord> FetchRing(Runtime& runtime, Ipv4Addr frontend);
 
 // A consistent-hash ring's point hashes, sorted, with an index over their top bits:
 // bucket b of the 2^k buckets holds the hashes whose top k bits are b, and starts[b] is its

@@ -4,8 +4,9 @@
 // object (shared per machine) coordinates them. This header holds the shapes used
 // throughout the runtime and applications:
 //
-//   * PerCore<Rep>             — a root's table of reps, one per core (or NUMA node), each
-//                                built in index order with the table and never after.
+//   * PerCore<Rep>             — (runtime.h) a root's table of reps, one per core (or NUMA
+//                                node), each built in index order with the table and never
+//                                after. A hosted runtime keeps its translation maps in one.
 //   * RootedEbb<Rep, Root>     — reps held by a root the machine installed under the Ebb's
 //                                id (Root::RepFor(machine_core)): the runtime's own event
 //                                loops, timers and allocators.
@@ -20,9 +21,7 @@
 #ifndef EBBRT_SRC_CORE_MULTICORE_EBB_H_
 #define EBBRT_SRC_CORE_MULTICORE_EBB_H_
 
-#include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "src/core/ebb_id.h"
 #include "src/core/ebb_ref.h"
@@ -56,32 +55,6 @@ Rep& FaultIn(EbbId id, Resolve&& resolve) {
   return rep;
 }
 }  // namespace ebb_internal
-
-// --- A root's per-core (or per-node) representatives ------------------------------------------
-//
-// Each rep is its own allocation (adjacent reps do not share the table's storage), built by
-// make(i) -> std::unique_ptr<Rep> for i = 0..n-1 when the table is constructed. Lookup is a
-// bounds check and a load: no lock, no lazy path.
-template <typename Rep>
-class PerCore {
- public:
-  template <typename Make>
-  PerCore(std::size_t n, Make&& make) {
-    reps_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      reps_.push_back(make(i));
-    }
-  }
-
-  Rep& operator[](std::size_t i) const {
-    Kassert(i < reps_.size(), "PerCore: index out of range");
-    return *reps_[i];
-  }
-  std::size_t size() const { return reps_.size(); }
-
- private:
-  std::vector<std::unique_ptr<Rep>> reps_;
-};
 
 // --- Per-core representatives held by an installed root ---------------------------------------
 //

@@ -82,14 +82,13 @@ Runtime::~Runtime() {
 
 std::size_t Runtime::AddCores(std::size_t n) {
   Kassert(n > 0, "AddCores: zero cores");
+  Kassert(cores_.empty(), "AddCores: called twice");
   std::size_t first = core_registry::Claim(this, n);
   for (std::size_t i = 0; i < n; ++i) {
     cores_.push_back(first + i);
   }
-  {
-    std::lock_guard<std::mutex> lock(hosted_mu_);
-    hosted_cache_.resize(cores_.size());
-  }
+  hosted_cache_.emplace(
+      n, [](std::size_t) { return std::make_unique<std::unordered_map<EbbId, void*>>(); });
   return first;
 }
 
@@ -99,17 +98,13 @@ void Runtime::InstallRoot(EbbId id, void* root) {
 }
 
 void* Runtime::HostedCacheLookup(std::size_t machine_core, EbbId id) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  Kassert(machine_core < hosted_cache_.size(), "HostedCacheLookup: bad core");
-  auto& map = hosted_cache_[machine_core];
+  auto& map = (*hosted_cache_)[machine_core];
   auto it = map.find(id);
   return it == map.end() ? nullptr : it->second;
 }
 
 void Runtime::HostedCacheInsert(std::size_t machine_core, EbbId id, void* rep) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  Kassert(machine_core < hosted_cache_.size(), "HostedCacheInsert: bad core");
-  hosted_cache_[machine_core][id] = rep;
+  (*hosted_cache_)[machine_core][id] = rep;
 }
 
 void Runtime::CacheRep(EbbId id, void* rep) {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +54,32 @@ enum class Subsystem : std::size_t {
   kNumSubsystems,
 };
 
+// --- A per-core (or per-node) table: a root's reps, a hosted runtime's maps -------------------
+//
+// Each rep is its own allocation (adjacent reps do not share the table's storage), built by
+// make(i) -> std::unique_ptr<Rep> for i = 0..n-1 when the table is constructed. Lookup is a
+// bounds check and a load: no lock, no lazy path.
+template <typename Rep>
+class PerCore {
+ public:
+  template <typename Make>
+  PerCore(std::size_t n, Make&& make) {
+    reps_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      reps_.push_back(make(i));
+    }
+  }
+
+  Rep& operator[](std::size_t i) const {
+    Kassert(i < reps_.size(), "PerCore: index out of range");
+    return *reps_[i];
+  }
+  std::size_t size() const { return reps_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<Rep>> reps_;
+};
+
 class Runtime {
  public:
   explicit Runtime(RuntimeKind kind, std::string name = "machine");
@@ -67,8 +94,9 @@ class Runtime {
   std::size_t id() const { return id_; }
 
   // --- Cores -------------------------------------------------------------
-  // Claims `n` global core slots for this machine. Must be called once before any event
-  // execution. Returns the first global slot.
+  // Claims `n` global core slots for this machine and builds each core's hosted
+  // translation map. Called exactly once, by the executor, before any core runs. Returns the
+  // first global slot.
   std::size_t AddCores(std::size_t n);
   std::size_t num_cores() const { return cores_.size(); }
   std::size_t global_core(std::size_t machine_core) const {
@@ -116,7 +144,8 @@ class Runtime {
 
   // --- Hosted translation cache -------------------------------------------
   // Hosted runtimes cache representatives in a per-core hash map (the paper's Linux userspace
-  // cannot use per-core virtual memory regions). Returns nullptr on miss.
+  // cannot use per-core virtual memory regions). Only `machine_core` itself reads or writes
+  // its map, so neither call takes a lock. Lookup returns nullptr on miss.
   void* HostedCacheLookup(std::size_t machine_core, EbbId id);
   void HostedCacheInsert(std::size_t machine_core, EbbId id, void* rep);
 
@@ -184,8 +213,7 @@ class Runtime {
   std::unordered_map<EbbId, Owned> roots_;
   std::vector<Owned> reps_;  // built by fault handlers, deleted in reverse by ~Runtime
 
-  std::mutex hosted_mu_;
-  std::vector<std::unordered_map<EbbId, void*>> hosted_cache_;
+  std::optional<PerCore<std::unordered_map<EbbId, void*>>> hosted_cache_;  // built by AddCores
 
   void* subsystems_[static_cast<std::size_t>(Subsystem::kNumSubsystems)] = {};
 

@@ -198,9 +198,8 @@ class EventManager : public RootedEbb<EventManager, EventManagerRoot> {
     std::uint64_t xcore_wakeups = 0;   // pushes that displaced the idle sentinel (paid wake)
     std::uint64_t xcore_wakeups_elided = 0;  // pushes that needed no wake (core awake/pending)
     // Spawn/activate nodes carved on another machine that this core freed: such a node goes
-    // home through its arena's spinlocked depot or buddy (mem::FreeRouted). Only these
-    // frees are counted. A node carved on this machine returns to the local slab cache,
-    // whose depot flushes and refills also take a spinlock but are not counted here.
+    // home through its arena's depot or buddy (mem::FreeRouted). A node carved on this
+    // machine returns to the local slab cache and takes no lock.
     std::uint64_t control_locks = 0;
   };
   Stats stats() const;

@@ -120,8 +120,9 @@ class Interconnect {
 
   // Destroys and frees a node obtained from New. Safe from any context: mem::FreeRouted
   // routes the block home (per-core fast path when the caller is a core of the owning
-  // machine) or back to the heap. Returns whether the free took a locked allocator path
-  // (the depot or buddy remote free), which the dispatching core counts as a control lock.
+  // machine) or back to the heap. Returns whether the free took a remote allocator path
+  // (the depot push or buddy remote free), which the dispatching core counts as a control
+  // lock.
   template <typename T>
   static bool Delete(T* node) {
     node->~T();

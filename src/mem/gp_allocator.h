@@ -55,10 +55,10 @@ class GeneralPurposeAllocatorRoot {
 
   // Frees `p` (which must belong to this machine's arena) from ANY execution context. When
   // the caller is running as a core of this machine, this is the normal per-core slab/page
-  // fast path; otherwise slab objects are pushed to the owning node's depot and large blocks
-  // to the node buddy — both spinlock-protected, so a world action or a foreign machine can
-  // safely release buffers it was handed (counted in mem::stats().remote_frees). Returns
-  // whether the free took one of those locked paths.
+  // fast path; otherwise slab objects are CAS-pushed onto the owning node's depot and large
+  // blocks go to the node buddy under its spinlock, so a world action or a foreign machine
+  // can safely release buffers it was handed (counted in mem::stats().remote_frees). Returns
+  // whether the free took one of those remote paths.
   bool FreeAnywhere(void* p);
 
  private:
@@ -158,10 +158,10 @@ __attribute__((always_inline)) inline void* AllocRoutedFor() {
 
 // Release for AllocRouted blocks (and any other arena block), callable from ANY context:
 // resolves the owning arena via FindOwningRoot and routes the block home (per-core fast path
-// on the owning machine, spinlocked depot/buddy remote free otherwise — counted in
+// on the owning machine, depot push or buddy remote free otherwise — counted in
 // stats().remote_frees), or std::free for heap-fallback blocks. This is the "allocate on
 // the owner core, free wherever the last view dies" discipline in one call; every
-// route-home free in the tree goes through it. Returns whether the free took a locked path
+// route-home free in the tree goes through it. Returns whether the free took a remote path
 // (GeneralPurposeAllocatorRoot::FreeAnywhere).
 bool FreeRouted(void* p);
 
@@ -190,7 +190,7 @@ struct Stats {
   std::atomic<std::uint64_t> pool_hits{0};
   std::atomic<std::uint64_t> pool_misses{0};
   // Frees from outside any core of the owning machine (world actions, another machine,
-  // teardown), which go to the owning node's locked depot or buddy.
+  // teardown), which go to the owning node's depot or buddy.
   std::atomic<std::uint64_t> remote_frees{0};
 
   // Every ::operator new in the process (counted by the replacement operators in

@@ -4,6 +4,15 @@ namespace ebbrt {
 
 namespace {
 inline void*& NextOf(void* obj) { return *static_cast<void**>(obj); }
+
+// Publishes the chain first..last (linked through each object's first word) onto `depot`.
+void Push(SlabCacheRoot::Depot& depot, void* first, void* last) {
+  void* old = depot.head.load(std::memory_order_relaxed);
+  do {
+    NextOf(last) = old;
+  } while (!depot.head.compare_exchange_weak(old, first, std::memory_order_release,
+                                             std::memory_order_relaxed));
+}
 }  // namespace
 
 SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, EbbId id,
@@ -25,11 +34,7 @@ SlabCacheRoot::SlabCacheRoot(PageAllocatorRoot& pages, std::size_t object_size, 
 
 void SlabCacheRoot::RemoteFree(void* p, std::size_t node) {
   Kassert(node < depots_.size(), "SlabCacheRoot::RemoteFree: bad node");
-  Depot& depot = depots_[node];
-  std::lock_guard<Spinlock> lock(depot.mu);
-  NextOf(p) = depot.head;
-  depot.head = p;
-  ++depot.count;
+  Push(depots_[node], p, p);
 }
 
 SlabCache::SlabCache(SlabCacheRoot& root, std::size_t machine_core)
@@ -41,17 +46,13 @@ SlabCache::SlabCache(SlabCacheRoot& root, std::size_t machine_core)
 void* SlabCache::AllocSlow() { return Refill() ? Alloc() : nullptr; }
 
 bool SlabCache::RefillFromDepot() {
-  SlabCacheRoot::Depot& depot = root_.depot_for(node_);
-  std::lock_guard<Spinlock> lock(depot.mu);
-  if (depot.head == nullptr) {
-    return false;
+  // Take the whole depot chain (balancing granularity is the flush batch) onto the dry list,
+  // counting it as it is walked.
+  freelist_ = root_.depot_for(node_).head.exchange(nullptr, std::memory_order_acquire);
+  for (void* obj = freelist_; obj != nullptr; obj = NextOf(obj)) {
+    ++free_count_;
   }
-  // Take the whole depot chain in O(1); balancing granularity is the flush batch.
-  freelist_ = depot.head;
-  free_count_ = depot.count;
-  depot.head = nullptr;
-  depot.count = 0;
-  return true;
+  return freelist_ != nullptr;
 }
 
 void SlabCache::FlushHalfToDepot() {
@@ -63,7 +64,6 @@ void SlabCache::FlushHalfToDepot() {
   }
   void* flush_head = NextOf(cursor);
   NextOf(cursor) = nullptr;
-  std::size_t flush_count = free_count_ - keep;
   free_count_ = keep;
   // Find the flush chain's tail to splice in O(len); lists here are short relative to
   // watermark and this path is rare (1 in kWatermark/2 frees).
@@ -71,11 +71,7 @@ void SlabCache::FlushHalfToDepot() {
   while (NextOf(tail) != nullptr) {
     tail = NextOf(tail);
   }
-  SlabCacheRoot::Depot& depot = root_.depot_for(node_);
-  std::lock_guard<Spinlock> lock(depot.mu);
-  NextOf(tail) = depot.head;
-  depot.head = flush_head;
-  depot.count += flush_count;
+  Push(root_.depot_for(node_), flush_head, tail);
 }
 
 bool SlabCache::Refill() {

@@ -5,7 +5,9 @@
 // refills from the depot before carving fresh pages). The fast path — pop/push on the
 // core-local list — uses no atomic operations at all: EbbRT events cannot be preempted or
 // migrate, which is exactly the property the paper exploits ("most allocations can be serviced
-// from a per-core cache without any synchronization").
+// from a per-core cache without any synchronization"). The depot takes no lock either: it is
+// an exchange list, as the interconnect's are (src/event/interconnect.h). Any thread CAS-pushes
+// a chain it owns; a refilling core takes the whole chain with one exchange.
 //
 // Backing pages come from the node's buddy allocator and are tagged in the arena's page-info
 // table so any pointer can be routed back to its cache (the general-purpose allocator's Free
@@ -13,6 +15,7 @@
 #ifndef EBBRT_SRC_MEM_SLAB_ALLOCATOR_H_
 #define EBBRT_SRC_MEM_SLAB_ALLOCATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,7 +25,6 @@
 #include "src/core/multicore_ebb.h"
 #include "src/core/runtime.h"
 #include "src/mem/page_allocator.h"
-#include "src/platform/spinlock.h"
 
 namespace ebbrt {
 
@@ -44,17 +46,17 @@ class SlabCacheRoot {
   EbbId id() const { return id_; }
   PageAllocatorRoot& pages() { return pages_; }
 
-  // Per-node depot of surplus objects (intrusive singly-linked, spinlock-protected).
+  // Per-node depot of surplus objects: an intrusive chain behind one atomic head. A push
+  // CASes on a chain only it links, and a take is an unconditional exchange(nullptr), so no
+  // ABA can arise.
   struct alignas(kCacheLineSize) Depot {
-    Spinlock mu;
-    void* head = nullptr;
-    std::size_t count = 0;
+    std::atomic<void*> head{nullptr};
   };
   Depot& depot_for(std::size_t node) { return depots_[node]; }
 
   // Returns an object to node `node`'s depot directly — the remote-free path for callers
   // that are NOT running as a core of this machine (world actions, foreign machines, late
-  // teardown). Spinlock-protected; the next core to refill from the depot recycles it.
+  // teardown). One CAS push; the next core to refill from the depot recycles it.
   void RemoteFree(void* p, std::size_t node);
 
   // Pages a slab of this size occupies (larger objects use multi-page slabs).

@@ -1,8 +1,9 @@
 // Minimal test-and-set spinlock with exponential pause backoff.
 //
-// Used only off the per-core fast paths (cross-core slab returns, control-plane registries,
-// future state shared across cores). Per-core data needs no lock at all — EbbRT's
-// non-preemptive, non-migrating events make plain loads/stores safe there.
+// Used only off the per-core fast paths: the node buddy allocator, RCU hash-table bucket
+// writers, the ARP and DHCP tables, and future state shared across cores. Per-core data needs
+// no lock at all — EbbRT's non-preemptive, non-migrating events make plain loads/stores safe
+// there.
 #ifndef EBBRT_SRC_PLATFORM_SPINLOCK_H_
 #define EBBRT_SRC_PLATFORM_SPINLOCK_H_
 

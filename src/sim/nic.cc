@@ -5,9 +5,6 @@
 namespace ebbrt {
 namespace sim {
 
-Nic::Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric)
-    : Nic(world, runtime, mac, fabric, Config{}) {}
-
 Nic::Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric, Config config)
     : world_(world), runtime_(runtime), mac_(mac), fabric_(fabric), config_(config),
       kick_charged_(runtime.num_cores(), 0) {

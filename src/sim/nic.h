@@ -64,8 +64,6 @@ class Nic {
   using FrameHandler = MoveFunction<void(std::unique_ptr<IOBuf>, PacketInfo)>;
 
   Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric, Config config);
-  // Default configuration (KVM hypervisor model, one queue per core).
-  Nic(SimWorld& world, Runtime& runtime, MacAddr mac, Switch& fabric);
 
   MacAddr mac() const { return mac_; }
   std::size_t num_queues() const { return queues_.size(); }

@@ -1,4 +1,5 @@
 // Tests for the Ebb model: translation, per-core representatives, roots, hosted mode.
+#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -79,11 +80,21 @@ struct LaneRoot {
   explicit LaneRoot(std::size_t cores)
       : reps(cores, [](std::size_t i) { return std::make_unique<Lane>(i); }) {}
   Lane& RepFor(std::size_t machine_core) {
-    ++resolves;
+    resolves.fetch_add(1);
     return reps[machine_core];
   }
   PerCore<Lane> reps;
-  int resolves = 0;
+  std::atomic<int> resolves{0};
+};
+
+// Machine-wide shared Ebb that every core calls at once: its one instance counts the calls.
+class Hits : public SharedEbb<Hits> {
+ public:
+  void Add() { count_.fetch_add(1, std::memory_order_relaxed); }
+  int Get() const { return count_.load(); }
+
+ private:
+  std::atomic<int> count_{0};
 };
 
 class EbbTest : public ::testing::Test {
@@ -350,8 +361,84 @@ TEST(RootedEbbTest, OneRepPerCoreResolvedOnceOnNativeAndHosted) {
       reps.insert(rep);
     }
     EXPECT_EQ(reps.size(), 3u);
-    EXPECT_EQ(root.resolves, 3);
+    EXPECT_EQ(root.resolves.load(), 3);
   }
+}
+
+TEST(HostedEbbTest, FourCoresFaultInAndCallEveryShapeAtOnce) {
+  // A hosted core translates through its own hash map and takes no lock. Four threads, each
+  // running as one core of a hosted machine, are released together and fault in and call a
+  // MulticoreEbb, a SharedEbb and a RootedEbb many times: each per-core shape ends with one
+  // rep per core, the shared Ebb with one instance, and the root is asked once per core.
+  constexpr std::size_t kCores = 4;
+  constexpr int kCalls = 20000;
+  constexpr EbbId kLane = kFirstStaticUserId + 40;
+  Runtime hosted(RuntimeKind::kHosted, "hosted4");
+  std::size_t first = hosted.AddCores(kCores);
+  LaneRoot lanes(kCores);
+  hosted.InstallRoot(kLane, &lanes);
+  EbbRef<Counter> counter(kFirstStaticUserId + 41);
+  EbbRef<Tally> tally(kFirstStaticUserId + 42);
+  EbbRef<Hits> hits(kFirstStaticUserId + 43);
+  EbbRef<Lane> lane(kLane);
+
+  // What each core saw; written only by its own thread, read after the join.
+  struct Seen {
+    Counter* counter = nullptr;
+    Tally* tally = nullptr;
+    Hits* hits = nullptr;
+    Lane* lane = nullptr;
+    int count = 0;
+    bool stable = true;  // every call on the core returned the rep its first call did
+  };
+  std::array<Seen, kCores> seen;
+  std::atomic<bool> start{false};
+  std::vector<std::thread> threads;
+  for (std::size_t core = 0; core < kCores; ++core) {
+    threads.emplace_back([&, core] {
+      ScopedContext ctx(hosted, first + core, core, true);
+      while (!start.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      Seen& s = seen[core];
+      s.counter = &counter.GetRep();
+      s.tally = &tally.GetRep();
+      s.hits = &hits.GetRep();
+      s.lane = &lane.GetRep();
+      for (int i = 0; i < kCalls; ++i) {
+        counter->Add(1);
+        hits->Add();
+        s.stable &= &counter.GetRep() == s.counter && &tally.GetRep() == s.tally &&
+                    &hits.GetRep() == s.hits && &lane.GetRep() == s.lane;
+      }
+      s.count = counter->Get();
+    });
+  }
+  start.store(true, std::memory_order_release);
+  for (auto& t : threads) {
+    t.join();
+  }
+
+  std::set<Counter*> counters;
+  std::set<Tally*> tallies;
+  std::set<Lane*> lane_reps;
+  for (std::size_t core = 0; core < kCores; ++core) {
+    const Seen& s = seen[core];
+    EXPECT_TRUE(s.stable) << "core " << core;
+    EXPECT_EQ(s.count, kCalls) << "core " << core;
+    EXPECT_EQ(s.hits, seen[0].hits) << "core " << core;
+    EXPECT_EQ(&s.tally->root(), &seen[0].tally->root()) << "core " << core;
+    EXPECT_EQ(s.lane->core, core);
+    counters.insert(s.counter);
+    tallies.insert(s.tally);
+    lane_reps.insert(s.lane);
+  }
+  EXPECT_EQ(counters.size(), kCores);
+  EXPECT_EQ(tallies.size(), kCores);
+  EXPECT_EQ(lane_reps.size(), kCores);
+  EXPECT_EQ(seen[0].tally->root().reps_created.load(), static_cast<int>(kCores));
+  EXPECT_EQ(seen[0].hits->Get(), static_cast<int>(kCores) * kCalls);
+  EXPECT_EQ(lanes.resolves.load(), static_cast<int>(kCores));
 }
 
 // Live objects of each Ebb type: constructions minus destructions.

@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <random>
 #include <set>
 #include <thread>
@@ -183,6 +185,127 @@ TEST_F(MemTest, SlabDepotBalancesAcrossCores) {
       c1.Free(p);
     }
   }
+}
+
+// Batches of blocks handed from one test thread to another (the handoff itself is locked;
+// the allocator paths under test are not).
+class Mailbox {
+ public:
+  void Put(std::vector<void*> batch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    batches_.push_back(std::move(batch));
+  }
+  std::vector<void*> Take() {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!batches_.empty()) {
+          std::vector<void*> batch = std::move(batches_.back());
+          batches_.pop_back();
+          return batch;
+        }
+      }
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::vector<void*>> batches_;
+};
+
+TEST(Mem, SlabDepotConservesObjectsUnderConcurrentFlushRefillAndRemoteFree) {
+  // One node, one cache. Three threads run as cores 0-2 and each round allocate a batch on
+  // their own core, hand three quarters of it to the next core, which frees it there, and a
+  // quarter to a fourth thread with no context, which RemoteFrees it. So every core's list
+  // runs dry (depot refills) and passes the watermark (half flushed to the depot) while
+  // other threads push onto the same depot. Afterwards every object of every carved slab
+  // must be allocated back exactly once without carving another slab.
+  constexpr std::size_t kCoreThreads = 3;
+  constexpr int kRounds = 200;
+  constexpr std::size_t kBatch = 6000;
+  Runtime runtime(RuntimeKind::kNative, "depot");
+  std::size_t first = runtime.AddCores(kCoreThreads + 1);
+  mem::Config config;
+  config.arena_bytes = 64ull << 20;
+  mem::Install(runtime, kCoreThreads + 1, config);
+  auto& pages = runtime.GetSubsystem<PageAllocatorRoot>(Subsystem::kPageAllocator);
+  ASSERT_EQ(pages.nodes(), 1u);
+  SlabCacheRoot root(pages, 64, kFirstStaticUserId + 23, kCoreThreads + 1);
+
+  std::array<Mailbox, kCoreThreads> to_core;
+  Mailbox to_remote;
+  std::atomic<bool> start{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (std::size_t core = 0; core < kCoreThreads; ++core) {
+    threads.emplace_back([&, core] {
+      ScopedContext ctx(runtime, first + core, core, false);
+      SlabCache& cache = root.RepFor(core);
+      while (!start.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<void*> batch;
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          void* p = cache.Alloc();
+          if (p == nullptr) {
+            failed = true;
+            return;
+          }
+          *static_cast<std::size_t*>(p) = core;  // the link word, overwritten while live
+          batch.push_back(p);
+        }
+        to_remote.Put(std::vector<void*>(batch.begin(), batch.begin() + kBatch / 4));
+        to_core[(core + 1) % kCoreThreads].Put(
+            std::vector<void*>(batch.begin() + kBatch / 4, batch.end()));
+        for (void* p : to_core[core].Take()) {
+          cache.Free(p);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (std::size_t i = 0; i < kCoreThreads * kRounds; ++i) {
+      for (void* p : to_remote.Take()) {
+        root.RemoteFree(p, 0);
+      }
+    }
+  });
+  start.store(true, std::memory_order_release);
+  for (auto& t : threads) {
+    t.join();
+  }
+  ASSERT_FALSE(failed.load());
+
+  // Every object is free now: on a core's list or in the depot. Take each core's list, then
+  // the depot's contents through core 0.
+  const std::size_t slabs = root.total_slabs();
+  const std::size_t objects = slabs * root.objects_per_slab();
+  EXPECT_LT(objects, kCoreThreads * kRounds * kBatch / 2) << "blocks were not recycled";
+  std::set<void*> back;
+  std::size_t taken = 0;
+  auto take = [&](SlabCache& cache, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      void* p = cache.Alloc();
+      ASSERT_NE(p, nullptr);
+      ASSERT_EQ(pages.arena().InfoForAddr(p).owner, &root);
+      EXPECT_TRUE(back.insert(p).second) << "object " << p << " allocated twice";
+      ++taken;
+    }
+  };
+  for (std::size_t core = 0; core < kCoreThreads; ++core) {
+    ScopedContext ctx(runtime, first + core, core, false);
+    take(root.RepFor(core), root.RepFor(core).local_free());
+  }
+  {
+    ScopedContext ctx(runtime, first, 0, false);
+    take(root.RepFor(0), objects - taken);
+  }
+  EXPECT_EQ(back.size(), objects);
+  EXPECT_EQ(root.total_slabs(), slabs) << "an object was lost: a slab was carved to replace it";
+  EXPECT_EQ(root.RepFor(0).local_free(), 0u);
+  EXPECT_EQ(root.depot_for(0).head.load(), nullptr) << "objects left over in the depot";
 }
 
 TEST_F(MemTest, GpAllocatorRoutesToSizeClasses) {
