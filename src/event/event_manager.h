@@ -197,9 +197,9 @@ class EventManager : public RootedEbb<EventManager, EventManagerRoot> {
     std::uint64_t xcore_pushes = 0;    // nodes other cores/threads pushed at this core
     std::uint64_t xcore_wakeups = 0;   // pushes that displaced the idle sentinel (paid wake)
     std::uint64_t xcore_wakeups_elided = 0;  // pushes that needed no wake (core awake/pending)
-    // Spawn/activate nodes carved on another machine that this core freed: such a node goes
-    // home through its arena's depot or buddy (mem::FreeRouted). A node carved on this
-    // machine returns to the local slab cache and takes no lock.
+    // Locks taken freeing spawn/activate nodes (mem::FreeRouted): only a large node carved on
+    // another machine takes one, the buddy's spinlock. A slab node goes home to the local
+    // slab cache or, from another machine, by a lock-free depot push.
     std::uint64_t control_locks = 0;
   };
   Stats stats() const;

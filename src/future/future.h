@@ -12,22 +12,24 @@
 //
 // The state word + continuation install/fire handshake is the "sometimes subtle
 // synchronization code" the paper centralizes here: SetValue and Then may race from different
-// cores; a spinlock over tiny critical sections resolves it.
+// cores. One atomic state word decides the race. The setter publishes its outcome with one
+// exchange and runs the continuation if it finds one installed; Then installs the continuation
+// with one compare-exchange from pending and runs it itself if the outcome was already there.
 #ifndef EBBRT_SRC_FUTURE_FUTURE_H_
 #define EBBRT_SRC_FUTURE_FUTURE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/platform/debug.h"
 #include "src/platform/move_function.h"
-#include "src/platform/spinlock.h"
 
 namespace ebbrt {
 
@@ -55,154 +57,94 @@ struct IsFuture : std::false_type {};
 template <typename T>
 struct IsFuture<Future<T>> : std::true_type {};
 
-enum class State : std::uint8_t { kPending, kReady, kFailed };
-
-template <typename T>
-struct ValueStorage {
-  alignas(T) unsigned char bytes[sizeof(T)];
-  T* ptr() { return std::launder(reinterpret_cast<T*>(bytes)); }
-  template <typename... Args>
-  void Construct(Args&&... args) {
-    new (bytes) T(std::forward<Args>(args)...);
-  }
-  void Destroy() { ptr()->~T(); }
-};
-
-template <>
-struct ValueStorage<void> {
-  void Construct() {}
-  void Destroy() {}
-};
-
 template <typename T>
 class SharedState {
  public:
   using Continuation = MoveFunction<void()>;
 
-  ~SharedState() {
-    if (state_ == State::kReady) {
-      value_.Destroy();
-    }
-  }
-
   template <typename... Args>
   void SetValue(Args&&... args) {
-    Continuation cont;
-    {
-      std::lock_guard<Spinlock> lock(mu_);
-      Kassert(state_ == State::kPending, "Future: value set twice");
-      value_.Construct(std::forward<Args>(args)...);
-      state_ = State::kReady;
-      cont = std::move(continuation_);
-    }
-    if (cont) {
-      cont();
-    }
+    value_.emplace(std::forward<Args>(args)...);
+    Resolve(kReady);
   }
 
   void SetException(std::exception_ptr eptr) {
-    Continuation cont;
-    {
-      std::lock_guard<Spinlock> lock(mu_);
-      Kassert(state_ == State::kPending, "Future: value set twice");
-      exception_ = std::move(eptr);
-      state_ = State::kFailed;
+    exception_ = std::move(eptr);
+    Resolve(kFailed);
+  }
+
+  // Installs `cont` to run when the state resolves; runs it immediately (synchronously, on
+  // this core) if it already has.
+  void SetContinuation(Continuation cont) {
+    std::uint8_t state = state_.load(std::memory_order_acquire);
+    Kassert(state != kWaiting, "Future: Then called twice");
+    if (state == kPending) {
+      continuation_ = std::move(cont);
+      // Release publishes continuation_ to the setter; on failure, acquire sees its outcome.
+      if (state_.compare_exchange_strong(state, kWaiting, std::memory_order_acq_rel)) {
+        return;
+      }
       cont = std::move(continuation_);
     }
-    if (cont) {
+    cont();
+  }
+
+  bool Ready() const { return state_.load(std::memory_order_acquire) >= kReady; }
+
+  // Pre: ready. Moves the value out / rethrows the failure.
+  T Take() {
+    std::uint8_t state = state_.load(std::memory_order_acquire);
+    Kassert(state >= kReady, "Future: Get before ready");
+    if (state == kFailed) {
+      std::rethrow_exception(exception_);
+    }
+    if constexpr (!std::is_void_v<T>) {
+      return std::move(*value_);
+    }
+  }
+
+ private:
+  static constexpr std::uint8_t kPending = 0;
+  static constexpr std::uint8_t kWaiting = 1;  // pending, continuation installed
+  static constexpr std::uint8_t kReady = 2;
+  static constexpr std::uint8_t kFailed = 3;
+
+  // Publishes the outcome written just before (release) and, if Then got there first, takes
+  // its continuation (acquire) and runs it. The continuation holds a reference to this state,
+  // so it is moved out and dies after running instead of keeping the state alive.
+  void Resolve(std::uint8_t outcome) {
+    std::uint8_t old = state_.exchange(outcome, std::memory_order_acq_rel);
+    Kassert(old < kReady, "Future: value set twice");
+    if (old == kWaiting) {
+      Continuation cont = std::move(continuation_);
       cont();
     }
   }
 
-  // Installs `cont` to run when the state becomes ready; runs it immediately (synchronously,
-  // on this core) if it already is. Returns true when run synchronously.
-  bool SetContinuation(Continuation cont) {
-    {
-      std::lock_guard<Spinlock> lock(mu_);
-      if (state_ == State::kPending) {
-        Kassert(!continuation_, "Future: Then called twice");
-        continuation_ = std::move(cont);
-        return false;
-      }
-    }
-    cont();
-    return true;
-  }
-
-  bool Ready() const {
-    std::lock_guard<Spinlock> lock(mu_);
-    return state_ != State::kPending;
-  }
-
-  State state() const {
-    std::lock_guard<Spinlock> lock(mu_);
-    return state_;
-  }
-
-  // Pre: ready. Moves the value out / rethrows the failure.
-  template <typename U = T>
-  std::enable_if_t<!std::is_void_v<U>, U> Take() {
-    Kassert(state_ != State::kPending, "Future: Get before ready");
-    if (state_ == State::kFailed) {
-      std::rethrow_exception(exception_);
-    }
-    return std::move(*value_.ptr());
-  }
-
-  void TakeVoid() {
-    Kassert(state_ != State::kPending, "Future: Get before ready");
-    if (state_ == State::kFailed) {
-      std::rethrow_exception(exception_);
-    }
-  }
-
-  std::exception_ptr exception() const { return exception_; }
-
- private:
-  mutable Spinlock mu_;
-  State state_ = State::kPending;
-  ValueStorage<T> value_;
+  std::atomic<std::uint8_t> state_{kPending};
+  std::optional<std::conditional_t<std::is_void_v<T>, std::monostate, T>> value_;
   std::exception_ptr exception_;
   Continuation continuation_;
 };
 
-// Fulfills `promise` with the result of invoking f(fut), unwrapping nested futures and
-// capturing thrown exceptions.
-template <typename R, typename F, typename T>
-void InvokeAndFulfill(Promise<flatten_t<R>> promise, F& f, Future<T> fut) {
-  if constexpr (IsFuture<R>::value) {
-    // f returns a future: forward its eventual result into our promise (flattening).
-    using Inner = flatten_t<R>;
-    try {
-      R inner = f(std::move(fut));
-      inner.Then([promise = std::move(promise)](Future<Inner> done) mutable {
-        try {
-          if constexpr (std::is_void_v<Inner>) {
-            done.Get();
-            promise.SetValue();
-          } else {
-            promise.SetValue(done.Get());
-          }
-        } catch (...) {
-          promise.SetException(std::current_exception());
-        }
+// Fulfills `promise` with the result of the nullary `g`, unwrapping a returned future and
+// capturing a thrown exception.
+template <typename G>
+void FulfillWith(Promise<flatten_t<std::invoke_result_t<G&>>> promise, G&& g) {
+  using R = std::invoke_result_t<G&>;
+  try {
+    if constexpr (IsFuture<R>::value) {
+      g().Then([promise = std::move(promise)](R done) mutable {
+        FulfillWith(std::move(promise), [&done] { return done.Get(); });
       });
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else if constexpr (std::is_void_v<R>) {
-    try {
-      f(std::move(fut));
+    } else if constexpr (std::is_void_v<R>) {
+      g();
       promise.SetValue();
-    } catch (...) {
-      promise.SetException(std::current_exception());
+    } else {
+      promise.SetValue(g());
     }
-  } else {
-    try {
-      promise.SetValue(f(std::move(fut)));
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
+  } catch (...) {
+    promise.SetException(std::current_exception());
   }
 }
 
@@ -247,28 +189,21 @@ class Future {
   // to Then receives a fulfilled future and calls Get() on it (Figure 2 line 9).
   T Get() {
     Kassert(state_ != nullptr, "Future: Get on invalid future");
-    if constexpr (std::is_void_v<T>) {
-      state_->TakeVoid();
-    } else {
-      return state_->Take();
-    }
+    return state_->Take();
   }
 
   // Monadic bind. F is invoked with the fulfilled Future<T>; returns Future of F's (flattened)
   // result. Runs synchronously when this future is already fulfilled.
   template <typename F>
   Future<future_internal::flatten_t<std::invoke_result_t<F, Future<T>>>> Then(F f) {
-    using R = std::invoke_result_t<F, Future<T>>;
-    using Flat = future_internal::flatten_t<R>;
+    using Flat = future_internal::flatten_t<std::invoke_result_t<F, Future<T>>>;
     Kassert(state_ != nullptr, "Future: Then on invalid future");
     Promise<Flat> promise;
     Future<Flat> result = promise.GetFuture();
-    auto state = state_;  // keep alive through the continuation
-    state->SetContinuation(
-        [state, f = std::move(f), promise = std::move(promise)]() mutable {
-          future_internal::InvokeAndFulfill<R>(std::move(promise), f, Future<T>(state));
-        });
-    state_ = nullptr;  // consumed
+    auto state = std::move(state_);  // consumed; the continuation keeps the state alive
+    state->SetContinuation([state, f = std::move(f), promise = std::move(promise)]() mutable {
+      future_internal::FulfillWith(std::move(promise), [&] { return f(Future<T>(state)); });
+    });
     return result;
   }
 
@@ -301,101 +236,79 @@ Future<T> MakeFailedFuture(std::exception_ptr eptr) {
 // async API boundaries: callers get exception flow through the future instead of a throw.
 template <typename F>
 auto AsyncHelper(F&& f) -> Future<future_internal::flatten_t<std::invoke_result_t<F>>> {
-  using R = std::invoke_result_t<F>;
-  using Flat = future_internal::flatten_t<R>;
-  Promise<Flat> promise;
-  Future<Flat> result = promise.GetFuture();
-  if constexpr (future_internal::IsFuture<R>::value) {
-    try {
-      f().Then([promise = std::move(promise)](Future<Flat> done) mutable {
-        try {
-          if constexpr (std::is_void_v<Flat>) {
-            done.Get();
-            promise.SetValue();
-          } else {
-            promise.SetValue(done.Get());
-          }
-        } catch (...) {
-          promise.SetException(std::current_exception());
-        }
-      });
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else if constexpr (std::is_void_v<R>) {
-    try {
-      f();
-      promise.SetValue();
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else {
-    try {
-      promise.SetValue(f());
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  }
+  Promise<future_internal::flatten_t<std::invoke_result_t<F>>> promise;
+  auto result = promise.GetFuture();
+  future_internal::FulfillWith(std::move(promise), f);
   return result;
 }
 
 // --- WhenAll ---------------------------------------------------------------------------------
 
-// Collects the results of all futures (in order). If any fails, the aggregate fails with the
-// first error observed (others' errors are swallowed, matching EbbRT's semantics).
+// Collects the results of all futures (in order): a Future<std::vector<T>>, or a Future<void>
+// for void members. If any fails, the aggregate fails with the first error observed (others'
+// errors are swallowed, matching EbbRT's semantics).
 //
 // Join discipline (the scatter-gather RPC hot path rides this):
-//   * an empty vector resolves immediately;
 //   * already-ready members run their join step synchronously inside this call (Then's
 //     ready fast path) — a fan-out whose replies all arrived returns a ready future without
 //     bouncing through the event loop;
 //   * the completion count is a lock-free atomic countdown: each member writes only its own
 //     slot, so N replies landing on N cores join without a shared lock (the fetch_sub's
-//     acq_rel ordering publishes every slot to whichever member finishes last);
+//     acq_rel ordering publishes every slot to whichever member finishes last). The issuing
+//     loop holds one extra count, so an empty vector resolves when the loop drops it;
 //   * failure policy: the aggregate fails with the FIRST error observed, but only after
 //     every member has completed — straggler continuations still have their slots and
 //     promises, nothing is abandoned mid-flight or leaked (the shared gather state dies
 //     with the last member's continuation).
 template <typename T>
-Future<std::vector<T>> WhenAll(std::vector<Future<T>> futures) {
+Future<std::conditional_t<std::is_void_v<T>, void, std::vector<T>>> WhenAll(
+    std::vector<Future<T>> futures) {
+  using Result = std::conditional_t<std::is_void_v<T>, void, std::vector<T>>;
   struct Gather {
-    std::vector<T> values;
+    std::conditional_t<std::is_void_v<T>, std::monostate, std::vector<T>> values;
     std::atomic<std::size_t> remaining;
-    Spinlock error_mu;  // error path only; the success path never takes it
+    std::atomic<bool> failed{false};  // set once, by the member that writes first_error
     std::exception_ptr first_error;
-    Promise<std::vector<T>> promise;
+    Promise<Result> promise;
+
+    void Arrive() {
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        return;
+      }
+      if (first_error) {
+        promise.SetException(first_error);
+      } else if constexpr (std::is_void_v<T>) {
+        promise.SetValue();
+      } else {
+        promise.SetValue(std::move(values));
+      }
+    }
   };
-  if (futures.empty()) {
-    return MakeReadyFuture<std::vector<T>>(std::vector<T>{});
-  }
   auto gather = std::make_shared<Gather>();
-  gather->values.resize(futures.size());
-  gather->remaining.store(futures.size(), std::memory_order_relaxed);
-  Future<std::vector<T>> result = gather->promise.GetFuture();
+  if constexpr (!std::is_void_v<T>) {
+    gather->values.resize(futures.size());
+  }
+  gather->remaining.store(futures.size() + 1, std::memory_order_relaxed);
+  Future<Result> result = gather->promise.GetFuture();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     futures[i].Then([gather, i](Future<T> f) {
       try {
-        gather->values[i] = f.Get();  // distinct slots: no lock needed
+        if constexpr (std::is_void_v<T>) {
+          f.Get();
+        } else {
+          gather->values[i] = f.Get();  // distinct slots: no lock needed
+        }
       } catch (...) {
-        std::lock_guard<Spinlock> lock(gather->error_mu);
-        if (!gather->first_error) {
+        if (!gather->failed.exchange(true, std::memory_order_relaxed)) {
           gather->first_error = std::current_exception();
         }
       }
-      if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (gather->first_error) {
-          gather->promise.SetException(gather->first_error);
-        } else {
-          gather->promise.SetValue(std::move(gather->values));
-        }
-      }
+      gather->Arrive();
     });
   }
+  gather->Arrive();
   return result;
 }
-
-// void flavor: completion only.
-Future<void> WhenAll(std::vector<Future<void>> futures);
 
 }  // namespace ebbrt
 

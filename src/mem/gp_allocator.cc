@@ -122,15 +122,15 @@ bool GeneralPurposeAllocatorRoot::FreeAnywhere(void* p) {
     return false;
   }
   // Anything else — world actions, another machine's core, post-loop teardown — may not
-  // touch a per-core freelist. Route slab objects to the owning node depot and large blocks
-  // to the node buddy, both of which are lock-protected.
+  // touch a per-core freelist. Route slab objects to the owning node depot (a lock-free
+  // push) and large blocks to the node buddy, which takes the buddy's spinlock.
   PhysArena& arena = pages_.arena();
   Kassert(arena.Contains(p), "GeneralPurposeAllocatorRoot::FreeAnywhere: foreign pointer");
   mem::stats().remote_frees.fetch_add(1, std::memory_order_relaxed);
   PageInfo& info = arena.InfoForAddr(p);
   if (info.kind == PageKind::kSlab) {
     static_cast<SlabCacheRoot*>(info.owner)->RemoteFree(p, info.node);
-    return true;
+    return false;
   }
   Kassert(info.kind == PageKind::kLarge, "FreeAnywhere: free of non-allocated page");
   pages_.RepForNode(info.node).FreePages(p);

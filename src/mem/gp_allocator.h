@@ -58,7 +58,8 @@ class GeneralPurposeAllocatorRoot {
   // fast path; otherwise slab objects are CAS-pushed onto the owning node's depot and large
   // blocks go to the node buddy under its spinlock, so a world action or a foreign machine
   // can safely release buffers it was handed (counted in mem::stats().remote_frees). Returns
-  // whether the free took one of those remote paths.
+  // whether the free took a lock: true only for a remote free of a large block (the buddy's
+  // spinlock).
   bool FreeAnywhere(void* p);
 
  private:
@@ -161,8 +162,8 @@ __attribute__((always_inline)) inline void* AllocRoutedFor() {
 // on the owning machine, depot push or buddy remote free otherwise — counted in
 // stats().remote_frees), or std::free for heap-fallback blocks. This is the "allocate on
 // the owner core, free wherever the last view dies" discipline in one call; every
-// route-home free in the tree goes through it. Returns whether the free took a remote path
-// (GeneralPurposeAllocatorRoot::FreeAnywhere).
+// route-home free in the tree goes through it. Returns whether the free took a lock: only a
+// remote free of a large block does (the buddy's spinlock; the depot push is lock-free).
 bool FreeRouted(void* p);
 
 // Resolves a pointer to the GP root whose arena contains it (nullptr for ordinary heap

@@ -298,5 +298,119 @@ TEST(Future, CrossThreadFulfillRace) {
   EXPECT_EQ(ran.load(), kIters);
 }
 
+TEST(Future, CrossThreadFailRace) {
+  // SetException and Then race from two threads released together each round. Then starts
+  // after a delay swept across rounds, so the two land in both orders and interleave. Every
+  // continuation runs exactly once, and its Get throws the stored error.
+  constexpr int kIters = 20000;
+  constexpr int kSweep = 64;
+  const std::exception_ptr error = std::make_exception_ptr(std::runtime_error("failed"));
+  std::vector<Promise<int>> promises(kIters);
+  std::atomic<int> round{-1};
+  std::atomic<int> finished{0};
+  std::thread setter([&] {
+    for (int i = 0; i < kIters; ++i) {
+      while (round.load(std::memory_order_acquire) != i) {
+      }
+      promises[i].SetException(error);
+      finished.store(i + 1, std::memory_order_release);
+    }
+  });
+  int ran = 0;
+  int threw = 0;
+  for (int i = 0; i < kIters; ++i) {
+    Future<int> f = promises[i].GetFuture();
+    std::atomic<int> runs{0};
+    round.store(i, std::memory_order_release);
+    for (int spin = i % kSweep; spin > 0; --spin) {
+      std::atomic_signal_fence(std::memory_order_seq_cst);  // keeps the delay loop
+    }
+    Future<void> done = f.Then([&runs](Future<int> f) {
+      runs.fetch_add(1, std::memory_order_relaxed);
+      f.Get();
+    });
+    while (finished.load(std::memory_order_acquire) != i + 1) {
+    }
+    ran += runs.load(std::memory_order_relaxed);
+    if (done.Ready()) {
+      try {
+        done.Get();
+      } catch (const std::runtime_error&) {
+        ++threw;
+      }
+    }
+  }
+  setter.join();
+  EXPECT_EQ(ran, kIters);
+  EXPECT_EQ(threw, kIters);
+}
+
+// Fulfills every promise from kThreads threads released together, thread t taking every
+// kThreads-th promise. Promise `fail_at` fails instead (none when out of range).
+void FulfillFromThreads(std::vector<Promise<int>>& promises, std::size_t fail_at) {
+  constexpr std::size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&promises, &go, fail_at, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::size_t i = t; i < promises.size(); i += kThreads) {
+        if (i == fail_at) {
+          promises[i].SetException(
+              std::make_exception_ptr(std::runtime_error("member " + std::to_string(i))));
+        } else {
+          promises[i].SetValue(static_cast<int>(i));
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+}
+
+TEST(Future, WhenAllJoinsMembersFulfilledFromFourThreads) {
+  // 64 members resolved on four threads at once: the join resolves exactly once, after the
+  // last member, with the one member's error or with every value in order.
+  constexpr std::size_t kMembers = 64;
+  constexpr std::size_t kFailAt = 37;
+  constexpr int kRounds = 100;
+  for (int round = 0; round < kRounds; ++round) {
+    for (bool fail : {true, false}) {
+      std::vector<Promise<int>> promises(kMembers);
+      std::vector<Future<int>> futures;
+      for (auto& p : promises) {
+        futures.push_back(p.GetFuture());
+      }
+      int joins = 0;
+      std::string error;
+      std::vector<int> values;
+      WhenAll(std::move(futures)).Then([&](Future<std::vector<int>> all) {
+        ++joins;
+        try {
+          values = all.Get();
+        } catch (const std::runtime_error& e) {
+          error = e.what();
+        }
+      });
+      FulfillFromThreads(promises, fail ? kFailAt : kMembers);
+      ASSERT_EQ(joins, 1) << "round " << round;
+      if (fail) {
+        EXPECT_EQ(error, "member 37");
+        EXPECT_TRUE(values.empty());
+      } else {
+        std::vector<int> expected(kMembers);
+        for (std::size_t i = 0; i < kMembers; ++i) {
+          expected[i] = static_cast<int>(i);
+        }
+        EXPECT_TRUE(error.empty());
+        EXPECT_EQ(values, expected);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ebbrt

@@ -484,6 +484,26 @@ TEST(Mem, ArenaSlotsRecycleAcrossMoreMachinesThanSlots) {
   }
 }
 
+TEST(Mem, RemoteFreeReportsALockOnlyOnTheBuddyPath) {
+  // FreeRouted's result is what EventManager::Stats::control_locks counts. From outside the
+  // machine, a slab block goes home by a lock-free depot push; only a block past the largest
+  // slab class takes a lock, the buddy's.
+  MemMachine m(8ull << 20);
+  void* slab = nullptr;
+  void* large = nullptr;
+  {
+    ScopedContext ctx(*m.runtime, m.runtime->global_core(0), 0, false);
+    slab = mem::AllocRouted(64);
+    large = mem::AllocRouted(gp_internal::kMaxSlabSize + 1);
+  }
+  ASSERT_EQ(mem::FindOwningRoot(slab), &m.root());
+  ASSERT_EQ(mem::FindOwningRoot(large), &m.root());
+  std::uint64_t remote = mem::stats().remote_frees.load();
+  EXPECT_FALSE(mem::FreeRouted(slab));
+  EXPECT_TRUE(mem::FreeRouted(large));
+  EXPECT_EQ(mem::stats().remote_frees.load(), remote + 2);
+}
+
 TEST(Mem, ArenaTeardownReturnsItsPages) {
   // A torn-down arena's slot goes back to PROT_NONE at once, not when a later machine
   // happens to reuse it: its dirty pages leave the resident set with the machine.
